@@ -8,8 +8,8 @@ Subcommands:
 - ``sweep``: run construct over a family of kink triples
 - ``verify``: the construct pipeline without artifacts, exit code only
 
-Exit codes: 0 success, 2 invalid topology, 3 unsupported kink sign pattern,
-4 unsupported class for construction, 5 invariant failure.
+Exit codes: 0 success, 2 invalid topology or word, 3 unsupported kink sign
+pattern, 4 unsupported class for construction, 5 invariant failure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .words import (
     spelling_length,
 )
 
-EXIT_INVALID_TOPOLOGY = 2
+EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED_SIGNS = 3
 EXIT_UNSUPPORTED_CLASS = 4
 EXIT_INVARIANT_FAILURE = 5
@@ -81,7 +81,7 @@ def cmd_classify(args) -> int:
         t, w = _load_class(args)
     except (InvalidTopologyError, InvalidWrappingError, ValueError, KeyError) as e:
         print(f"invalid topology: {e}", file=sys.stderr)
-        return EXIT_INVALID_TOPOLOGY
+        return EXIT_INVALID_INPUT
     report = reports.classification_report(t)
     if args.prism:
         lx, ly, lz = args.prism
@@ -96,7 +96,11 @@ def cmd_classify(args) -> int:
 
 def cmd_spelling(args) -> int:
     if args.word is not None:
-        u = parse_word(args.word, alphabet_size=args.alphabet)
+        try:
+            u = parse_word(args.word, alphabet_size=args.alphabet)
+        except ValueError as e:
+            print(f"invalid word: {e}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
         lam = spelling_length(u)
         pairing = sorted(tuple(sorted(p)) for p in optimal_pairing(u))
         degs = generator_degrees(u)
@@ -113,9 +117,9 @@ def cmd_spelling(args) -> int:
         t, w = _load_class(args)
     except (InvalidTopologyError, InvalidWrappingError, ValueError, KeyError) as e:
         print(f"invalid topology: {e}", file=sys.stderr)
-        return EXIT_INVALID_TOPOLOGY
+        return EXIT_INVALID_INPUT
     try:
-        bound = spelling_lower_bound_check(t, d0_budget=args.d0, budget=args.budget)
+        bound = spelling_lower_bound_check(t, d0_budget=args.d0)
     except UnsupportedSignPatternError as e:
         print(f"unsupported kink sign pattern: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED_SIGNS
@@ -233,7 +237,7 @@ def cmd_construct(args, verify_only: bool = False) -> int:
         t, w = _load_class(args)
     except (InvalidTopologyError, InvalidWrappingError, ValueError, KeyError) as e:
         print(f"invalid topology: {e}", file=sys.stderr)
-        return EXIT_INVALID_TOPOLOGY
+        return EXIT_INVALID_INPUT
     try:
         report, sm, checks = _construct_and_verify(t, w, args)
     except (UnsupportedClassError, NotApplicableError, ConstructionError) as e:
@@ -323,7 +327,6 @@ def main(argv=None) -> int:
     p_sp.add_argument("--word", help="word text, e.g. \"a b a' b'\"")
     p_sp.add_argument("--alphabet", type=int, default=None)
     p_sp.add_argument("--d0", type=int, default=3, help="preimage budget at s0")
-    p_sp.add_argument("--budget", type=int, default=3, choices=range(0, 6))
     p_sp.set_defaults(func=cmd_spelling)
 
     def add_numeric_opts(p):

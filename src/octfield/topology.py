@@ -325,7 +325,7 @@ def _relabel_for_search(boundary: Word, c0: Word) -> tuple[Word, Word]:
     return relabel(boundary), relabel(c0)
 
 
-def _route_bound(w: WrappingNumbers, k, family: str, d0_budget: int, budget: int) -> int:
+def _route_bound(w: WrappingNumbers, k, family: str, d0_budget: int) -> int:
     """Certified lower bound for sum_sigma D(s_sigma) using one loop family."""
     s0 = (1, 1, 1) if family == "plus" else (-1, -1, -1)
     in_family = [s0] + [s for s in SECTORS if adjacent(s, s0)]
@@ -335,9 +335,8 @@ def _route_bound(w: WrappingNumbers, k, family: str, d0_budget: int, budget: int
     d_s0 = -w[s0]
     # Admissible preimage counts at s0: D0 >= |d| with D0 = d (mod 2); the
     # certified bound must hold for every choice, so take the minimum.  The
-    # certified lower value does not depend on the conjugator budget, so the
-    # class-product search runs with trivial conjugators here; the budget
-    # argument only controls explicit witness searches elsewhere.
+    # certified lower value does not depend on the conjugators, so the
+    # class-product search runs with trivial conjugators only.
     d0_start = abs(d_s0)
     best = None
     for d0 in range(d0_start, max(d0_budget, d0_start) + 1, 2):
@@ -357,7 +356,7 @@ def _route_bound(w: WrappingNumbers, k, family: str, d0_budget: int, budget: int
     return outside + best
 
 
-def spelling_lower_bound_check(t: OctantTopology, d0_budget: int = 3, budget: int = 3) -> int:
+def spelling_lower_bound_check(t: OctantTopology, d0_budget: int = 3) -> int:
     """Certified lower bound on the energy (in pi units) from the spelling
     machinery: the better of the two loop-family bounds, floored by the
     abelian bound sum |w_sigma|.
@@ -372,7 +371,7 @@ def spelling_lower_bound_check(t: OctantTopology, d0_budget: int = 3, budget: in
     w = wrapping_from_invariants(t)
     bounds = [w.total_absolute()]
     for family in ("plus", "minus"):
-        bounds.append(_route_bound(w, t.k, family, d0_budget, budget))
+        bounds.append(_route_bound(w, t.k, family, d0_budget))
     return max(bounds)
 
 

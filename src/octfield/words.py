@@ -15,6 +15,7 @@ Text format for words: generators as lowercase letters ``a b c ...`` or
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -22,6 +23,8 @@ __all__ = [
     "Pairing",
     "ClassProductSpec",
     "SearchResult",
+    "SearchTooLargeError",
+    "MAX_ASSIGNMENTS",
     "word",
     "free_reduce",
     "inverse",
@@ -72,15 +75,19 @@ def word(alphabet_size: int, letters=()) -> Word:
     return Word(alphabet_size, tuple(letters))
 
 
-def free_reduce(u: Word) -> Word:
-    """Cancel all adjacent inverse pairs; the result is the unique reduced form."""
+def _reduce_letters(letters) -> list[int]:
     stack: list[int] = []
-    for letter in u.letters:
+    for letter in letters:
         if stack and stack[-1] == -letter:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(u.alphabet_size, tuple(stack))
+    return stack
+
+
+def free_reduce(u: Word) -> Word:
+    """Cancel all adjacent inverse pairs; the result is the unique reduced form."""
+    return Word(u.alphabet_size, tuple(_reduce_letters(u.letters)))
 
 
 def inverse(u: Word) -> Word:
@@ -125,19 +132,13 @@ def abelian_bound(u: Word) -> int:
 
 
 def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    reduced = free_reduce(Word(26 if not letters else max(abs(x) for x in letters), letters)).letters \
-        if letters else ()
-    while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
-        reduced = reduced[1:-1]
-        # interior may expose new adjacent cancellations
-        w = []
-        for letter in reduced:
-            if w and w[-1] == -letter:
-                w.pop()
-            else:
-                w.append(letter)
-        reduced = tuple(w)
-    return reduced
+    # A reduced word stays reduced when inverse end pairs are trimmed off.
+    reduced = _reduce_letters(letters)
+    i, j = 0, len(reduced)
+    while j - i >= 2 and reduced[i] == -reduced[j - 1]:
+        i += 1
+        j -= 1
+    return tuple(reduced[i:j])
 
 
 def cyclic_canonical(u: Word) -> tuple[int, ...]:
@@ -311,6 +312,14 @@ class ClassProductSpec:
                 raise ValueError("multiplicities must be non-negative")
 
 
+# Most conjugator assignments one class-product search may enumerate.
+MAX_ASSIGNMENTS = 10**6
+
+
+class SearchTooLargeError(ValueError):
+    """A class-product search with more than MAX_ASSIGNMENTS assignments."""
+
+
 @dataclass(frozen=True)
 class SearchResult:
     upper: int
@@ -343,6 +352,53 @@ def reduced_words(alphabet_size: int, max_len: int):
         for w in nxt:
             yield w
         frontier = nxt
+
+
+def _reduced_word_count(alphabet_size: int, max_len: int) -> int:
+    """len(list(reduced_words(alphabet_size, max_len))), without listing."""
+    return 1 + sum(2 * alphabet_size * (2 * alphabet_size - 1) ** (n - 1)
+                   for n in range(1, max_len + 1))
+
+
+def _assignments_by_cost(lengths: list[int], multiplicities: list[int]):
+    """Conjugator assignments by (total length, lexicographic) order.
+
+    ``lengths[idx]`` is the length of conjugator ``idx``; it must be
+    nondecreasing in ``idx`` and take every value from 0 to its last one, as
+    for ``reduced_words``.  An assignment is the concatenation of one
+    nondecreasing index tuple of length ``m`` per multiplicity ``m``.  The
+    sequence equals sorting the flattened product of
+    ``combinations_with_replacement`` by (total length, assignment), but it
+    is generated lazily: for each total length, slot by slot, each slot only
+    takes indices from which the remaining slots can spend exactly the
+    length left (at least this slot's length for each later slot of its
+    class, at most the longest length for every later slot).
+    """
+    longest = lengths[-1]
+    first = {}
+    for idx, length in enumerate(lengths):
+        first.setdefault(length, idx)
+    # per slot: does it start its class, how many slots of its class follow
+    slots = [(r == 0, m - 1 - r) for m in multiplicities for r in range(m)]
+    total = len(slots)
+    chosen = [0] * total
+
+    def fill(s: int, lo: int, spend: int):
+        if s == total:
+            yield tuple(chosen)
+            return
+        starts, same_after = slots[s]
+        idx = max(0 if starts else lo, first[max(0, spend - (total - s - 1) * longest)])
+        while idx < len(lengths):
+            length = lengths[idx]
+            if length * (same_after + 1) > spend:
+                break
+            chosen[s] = idx
+            yield from fill(s + 1, idx, spend - length)
+            idx += 1
+
+    for cost in range(total * longest + 1):
+        yield from fill(0, 0, cost)
 
 
 def _pq_shape(base: Word, classes: list[tuple[tuple[int, ...], int]]):
@@ -391,14 +447,22 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     at most ``search_budget`` letters (conjugators within one conjugacy class
     are unordered, since set products of conjugation-invariant sets commute).
     The lower bound is the certified value when the product matches the
-    <A^i B^j C^k><CBA-type>^p<...>^n shape, else the abelian bound.  The
-    search stops early once the certified bound is attained.
+    <A^i B^j C^k><CBA-type>^p<...>^n shape, else the abelian bound.
+
+    Assignments of conjugators are tried by increasing total conjugator
+    length, ties in lexicographic order of the conjugator indices (reduced
+    words listed by length, then lex); products already seen up to cyclic
+    reduction and rotation are skipped.  The search stops at the first
+    product whose spelling length equals the lower bound; the witness is the
+    smallest (spelling length, word length, letters) seen.
+
+    Raises SearchTooLargeError before any work when the number of
+    assignments exceeds MAX_ASSIGNMENTS.
     """
     n_gen = spec.base.alphabet_size
 
     # Merge factor occurrences by conjugacy class (cyclic canonical form).
     merged: dict[tuple[int, ...], tuple[Word, int]] = {}
-    order: list[tuple[int, ...]] = []
     for f, mult in spec.factors:
         if mult == 0:
             continue
@@ -407,8 +471,15 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
             merged[canon] = (merged[canon][0], merged[canon][1] + mult)
         else:
             merged[canon] = (f, mult)
-            order.append(canon)
-    classes = [(canon, merged[canon][1]) for canon in order]
+    classes = [(canon, mult) for canon, (_, mult) in merged.items()]
+
+    n_conjugators = _reduced_word_count(n_gen, spec.search_budget)
+    count = math.prod(math.comb(n_conjugators + mult - 1, mult) for _, mult in classes)
+    if count > MAX_ASSIGNMENTS:
+        raise SearchTooLargeError(
+            f"{count} conjugator assignments exceed the limit of {MAX_ASSIGNMENTS}; "
+            "lower the search budget or the multiplicities"
+        )
 
     shape = _pq_shape(spec.base, classes)
     total_degrees = list(generator_degrees(spec.base))
@@ -426,31 +497,22 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     else:
         lower = abelian
 
-    conjugators = list(reduced_words(n_gen, spec.search_budget))
-    assignments = itertools.product(
-        *[
-            itertools.combinations_with_replacement(range(len(conjugators)), mult)
-            for _, mult in classes
-        ]
-    )
-
-    def assignment_cost(assignment):
-        return sum(len(conjugators[idx]) for combo in assignment for idx in combo)
-
-    ordered = sorted(assignments, key=lambda a: (assignment_cost(a), a))
+    # without classes only the empty assignment exists, whatever the budget
+    conjugators = list(reduced_words(n_gen, spec.search_budget if classes else 0))
+    slot_factors = [f.letters for f, mult in merged.values() for _ in range(mult)]
 
     best_lam: int | None = None
     best_witness: Word | None = None
     seen: set[tuple[int, ...]] = set()
     exhausted = True
-    for assignment in ordered:
+    for assignment in _assignments_by_cost([len(h) for h in conjugators],
+                                           [mult for _, mult in classes]):
         letters: list[int] = list(spec.base.letters)
-        for (canon, (f, mult)), combo in zip(merged.items(), assignment):
-            for idx in combo:
-                h = conjugators[idx]
-                letters.extend(h)
-                letters.extend(f.letters)
-                letters.extend(-x for x in reversed(h))
+        for f, idx in zip(slot_factors, assignment):
+            h = conjugators[idx]
+            letters.extend(h)
+            letters.extend(f)
+            letters.extend(-x for x in reversed(h))
         candidate = free_reduce(Word(n_gen, tuple(letters)))
         canon_c = cyclic_canonical(candidate)
         if canon_c in seen:

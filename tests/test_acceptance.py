@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import itertools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +173,10 @@ def test_criterion_3_spelling_property_suite():
 
 def test_criterion_4_conjugacy_product_bounds():
     started = time.monotonic()
+    # upper bounds recorded by the benchmark; the search order fixes them
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+    )["product"]
     factor_words = {"P": word(3, (3, 2, 1)), "Q": word(3, (1, 2, 3))}
     instances = 0
     for i, j, k in itertools.product(range(3), repeat=3):
@@ -187,6 +193,8 @@ def test_criterion_4_conjugacy_product_bounds():
                 assert res.lower == certified
                 assert res.upper >= res.lower, (i, j, k, p, n, variant)
                 assert spelling_length(res.witness) == res.upper
+                key = f"product {i} {j} {k} {p} {n} {variant}"
+                assert res.upper == reference[key]["upper"], key
                 instances += 1
 
     known_instance = min_spelling_over_product(

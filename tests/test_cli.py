@@ -53,8 +53,15 @@ def test_spelling_empty_word(capsys):
     assert "lambda=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [["a z"], ["a b c", "--alphabet", "2"]])
+def test_spelling_rejects_invalid_word(args, capsys):
+    assert main(["spelling", "--word", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid word: ")
+
+
 def test_spelling_class_bound(capsys):
-    assert main(["spelling", "--json", WORKED_JSON, "--d0", "1", "--budget", "2"]) == 0
+    assert main(["spelling", "--json", WORKED_JSON, "--d0", "1"]) == 0
     out = capsys.readouterr().out
     assert "spelling bound = 7 pi" in out
 

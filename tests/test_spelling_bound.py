@@ -18,7 +18,7 @@ def _class(k, n):
 
 def test_worked_example_reaches_seven():
     t = OctantTopology((1, 1, 1), (1, 1, 1), 3)
-    assert spelling_lower_bound_check(t, d0_budget=1, budget=3) == 7
+    assert spelling_lower_bound_check(t, d0_budget=1) == 7
 
 
 def test_plus_family_alone_reproduces_abelian_bound():
@@ -26,8 +26,8 @@ def test_plus_family_alone_reproduces_abelian_bound():
     # worked example; the (---)-side supplies the nonabelian excess
     t = OctantTopology((1, 1, 1), (1, 1, 1), 3)
     w = wrapping_from_invariants(t)
-    plus = _route_bound(w, t.k, "plus", 1, 3)
-    minus = _route_bound(w, t.k, "minus", 1, 3)
+    plus = _route_bound(w, t.k, "plus", 1)
+    minus = _route_bound(w, t.k, "minus", 1)
     assert plus == w.total_absolute() == 5
     assert minus == 7
 
@@ -39,7 +39,7 @@ def test_bound_never_exceeds_energy_and_is_tight_for_positive_kinks():
             t = _class(k, n)
             w = wrapping_from_invariants(t)
             energy = infimum_energy(w, classify(w, t))
-            bound = spelling_lower_bound_check(t, d0_budget=3, budget=2)
+            bound = spelling_lower_bound_check(t, d0_budget=3)
             assert bound <= energy
             assert bound == energy
 
@@ -51,7 +51,7 @@ def test_double_kink_class_matches_adjacent_sum_identity():
     w = wrapping_from_invariants(t)
     in_family = [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)]
     outside = sum(abs(w[s]) for s in map(tuple, w.as_dict()) if False)
-    plus_total = _route_bound(w, t.k, "plus", 3, 2)
+    plus_total = _route_bound(w, t.k, "plus", 3)
     w0 = w[(1, 1, 1)]
     adj = [w[s] for s in in_family[1:]]
     phi = sum((v + abs(v)) // 2 for v in adj)
@@ -63,7 +63,7 @@ def test_double_kink_class_matches_adjacent_sum_identity():
 def test_negative_kinks_supported():
     # mirror of the worked example: all kinks negative
     t = OctantTopology((1, 1, 1), (-1, -1, -1), -4 * 3 - 1 + 8 * 2)
-    bound = spelling_lower_bound_check(t, d0_budget=3, budget=2)
+    bound = spelling_lower_bound_check(t, d0_budget=3)
     w = wrapping_from_invariants(t)
     assert bound <= infimum_energy(w, classify(w, t))
 

@@ -1,9 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from octfield import words
 from octfield.words import (
+    MAX_ASSIGNMENTS,
     ClassProductSpec,
+    SearchTooLargeError,
     Word,
     abelian_bound,
     apply_homomorphism,
@@ -221,6 +226,9 @@ def test_search_no_factors_positive_word():
     spec = ClassProductSpec(base=word(3, (1, 2, 3)), factors=(), search_budget=2)
     res = min_spelling_over_product(spec)
     assert res.upper == res.lower == 3
+    # no conjugator is listed without factors, so a large budget costs nothing
+    spec = ClassProductSpec(base=word(3, (1, 2, 3)), factors=(), search_budget=40)
+    assert min_spelling_over_product(spec) == res
 
 
 def test_search_budget_four_reaches_parity_bound():
@@ -253,6 +261,44 @@ def test_reduced_words_count():
     assert len(list(reduced_words(3, 2))) == 37
 
 
+@pytest.mark.parametrize(
+    "budget, multiplicities",
+    [(b, m) for b in (0, 1, 2) for m in ((1,), (2,), (1, 1), (2, 1))]
+    + [(3, (1,)), (3, (1, 1))],
+)
+def test_assignments_by_cost_match_sorted_product(budget, multiplicities):
+    conjugators = list(reduced_words(3, budget))
+
+    def cost(assignment):
+        return sum(len(conjugators[idx]) for combo in assignment for idx in combo)
+
+    product = itertools.product(*[
+        itertools.combinations_with_replacement(range(len(conjugators)), m)
+        for m in multiplicities
+    ])
+    expected = [sum(a, ()) for a in sorted(product, key=lambda a: (cost(a), a))]
+    lengths = [len(h) for h in conjugators]
+    assert list(words._assignments_by_cost(lengths, list(multiplicities))) == expected
+
+
+def test_oversized_search_refused_before_enumeration(monkeypatch):
+    def fail(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(words, "reduced_words", fail)
+    monkeypatch.setattr(words, "_assignments_by_cost", fail)
+    f = word(3, (3, 2, 1))
+    spec = ClassProductSpec(
+        base=word(3, (1, 2, 3)),
+        factors=((f, 2), (inverse(f), 2)),
+        search_budget=5,
+    )
+    with pytest.raises(SearchTooLargeError, match=r"^\d+ conjugator assignments") as info:
+        min_spelling_over_product(spec)
+    assert isinstance(info.value, ValueError)
+    assert int(str(info.value).split()[0]) > MAX_ASSIGNMENTS
+
+
 # -- text format --------------------------------------------------------------
 
 def test_parse_and_format_roundtrip():
@@ -281,6 +327,32 @@ def test_cyclic_canonical_rotation_invariance():
     u = word(3, (1, 2, 3))
     v = word(3, (3, 1, 2))
     assert cyclic_canonical(u) == cyclic_canonical(v)
+
+
+_letters = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=8)
+
+
+@given(_letters, _letters, st.integers(min_value=0),
+       st.sampled_from((1, -1, 2, -2, 3, -3)), st.integers(min_value=0))
+def test_canonical_and_lambda_invariant_under_rotation_and_insertion(
+    conjugator, core, shift, x, at
+):
+    # conjugated cores need cyclic reduction down through every conjugator layer
+    letters = conjugator + core + [-y for y in reversed(conjugator)]
+    u = word(3, letters)
+    canon = cyclic_canonical(u)
+    lam = spelling_length(u)
+    if letters:
+        shift %= len(letters)
+        rotated = word(3, letters[shift:] + letters[:shift])
+        assert cyclic_canonical(rotated) == canon
+        assert spelling_length(rotated) == lam
+    at %= len(letters) + 1
+    padded = word(3, letters[:at] + [x, -x] + letters[at:])
+    assert cyclic_canonical(padded) == canon
+    assert spelling_length(padded) == lam
+    # the interval DP on the unreduced word agrees with the cached value
+    assert words._lambda_dp(padded.letters)[0][len(padded)] == lam
 
 
 def test_zero_law():
