@@ -8,8 +8,9 @@ Subcommands:
 - ``sweep``: run construct over a family of kink triples
 - ``verify``: the construct pipeline without artifacts, exit code only
 
-Exit codes: 0 success, 2 invalid topology or word, 3 unsupported kink sign
-pattern, 4 unsupported class for construction, 5 invariant failure.
+Exit codes: 0 success, 2 invalid topology or word (a word may have at most
+``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
+4 unsupported class for construction, 5 invariant failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from pathlib import Path
 
 from . import numerics, reports
 from .patchwork import (
+    MeshUnavailableError,
     NotApplicableError,
+    PatchworkSpec,
     UnsupportedClassError,
     assemble_patchwork,
     measure_map_wrapping,
@@ -44,6 +47,7 @@ from .topology import (
     wrapping_from_invariants,
 )
 from .words import (
+    MAX_WORD_LETTERS,
     format_word,
     generator_degrees,
     optimal_pairing,
@@ -101,6 +105,10 @@ def cmd_spelling(args) -> int:
         except ValueError as e:
             print(f"invalid word: {e}", file=sys.stderr)
             return EXIT_INVALID_INPUT
+        if len(u.letters) > MAX_WORD_LETTERS:
+            print(f"invalid word: {len(u.letters)} letters, at most {MAX_WORD_LETTERS}",
+                  file=sys.stderr)
+            return EXIT_INVALID_INPUT
         lam = spelling_length(u)
         pairing = sorted(tuple(sorted(p)) for p in optimal_pairing(u))
         degs = generator_degrees(u)
@@ -143,14 +151,12 @@ def _max_seam_jump(sm) -> float:
 
     from .geometry import chordal_distance, relocate
 
-    spec = getattr(sm, "metadata", None)
-    stacks = getattr(spec, "stacks", None) if spec is not None else None
-    if not stacks:
+    if not isinstance(sm.metadata, PatchworkSpec):
         return 0.0
     worst = 0.0
     phis = np.linspace(0.01, math.pi / 2 - 0.01, 333)
-    for axis, st in stacks.items():
-        for radius in list(st.seams()) + [spec.epsilon, 2 * spec.epsilon]:
+    for axis, radii in sm.metadata.seam_radii().items():
+        for radius in radii:
             w_in = relocate(axis, radius * (1 - 1e-9) * np.exp(1j * phis))
             w_out = relocate(axis, radius * (1 + 1e-9) * np.exp(1j * phis))
             jump = chordal_distance(sm.evaluate(w_in), sm.evaluate(w_out))
@@ -224,7 +230,7 @@ def _construct_and_verify(t, w, args):
         degree_report = numerics.degree_count(sm, level=min(args.grid_level, 3))
         report["degree_report"] = degree_report.as_dict()
         report["lemma1_lower_bound"] = numerics.lemma1_lower_bound(degree_report)
-    except Exception:
+    except MeshUnavailableError:
         # multi-stack maps have no exact single-chart mesh; windings above
         # already established the signed degrees
         report["degree_report"] = None

@@ -5,7 +5,8 @@ picks a bulk conformal/anticonformal class H0 and per-vertex stack layer
 counts M = (M_x, M_y, M_z) from the tabulated construction (positive ordered
 kinks) or from the general-sign search, verifying before returning that
 
-- the bulk edge signs satisfy e_{0j} = (-1)^{M_j},
+- the bulk edge signs satisfy e_{0j} = -1 exactly where the j-stack's top
+  layer is conformal (e_{0j} = (-1)^{M_j} for the standard alternation),
 - wrapping additivity: w_{sigma,0} + sum_j d_j(sigma) = w_sigma,
 - the coverage identity sum|w_0| + 2 sum M_j = sum|w| + Delta.
 
@@ -30,6 +31,7 @@ linearly for even M_j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,14 +42,19 @@ from .numerics import Region, trapped_area
 from .rational import (
     ConstructionError,
     RationalMapSpec,
+    _clusters,
+    boundary_seed_for_spec,
     evaluate_rational,
-    measure_degree_differences,
+    measure_wrapping,
+    quadrature_clusters,
     realize,
+    singular_structure,
 )
 from .stacks import PERMUTATIONS, QuarterSphereStack, blend, stack_degree_table
 from .topology import (
     SECTORS,
     Classification,
+    InvalidWrappingError,
     OctantTopology,
     WrappingNumbers,
     classify,
@@ -82,7 +89,7 @@ class UnsupportedClassError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A tabulated case failed its own verification identities."""
+    """A selected case failed its own verification identities."""
 
 
 class MeshUnavailableError(RuntimeError):
@@ -105,6 +112,15 @@ class PatchworkSpec:
             axis: stack_degree_table(self.stacks[axis], axis)
             for axis in AXES
             if axis in self.stacks
+        }
+
+    def seam_radii(self) -> dict:
+        """Chart radii where the map changes formula, per stacked vertex: the
+        stack's annulus boundaries, the collar's inner edge epsilon and its
+        outer edge 2 epsilon."""
+        return {
+            axis: st.seams() + (self.epsilon, 2 * self.epsilon)
+            for axis, st in self.stacks.items()
         }
 
     def as_dict(self) -> dict:
@@ -161,24 +177,37 @@ def _stack_flips(axis: str, sigma_minus):
     return -a  # conformal pair (-flip, -flip) must equal (a, a)
 
 
-def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification) -> None:
+def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification,
+                 *table_sets) -> None:
+    """Check a spec against the verification identities: the j-stack has M_j
+    layers, the bulk class is one-signed, each e0_j matches the orientation
+    of the j-stack's top layer (-1 for a conformal top, +1 without a stack),
+    the bulk plus the stack tables assembles to the target wrapping numbers
+    for the spec's own stacks and for every further table set given, and the
+    coverage identity holds."""
+    layers = tuple(spec.stacks[axis].layers if axis in spec.stacks else 0 for axis in AXES)
+    if layers != tuple(spec.M):
+        raise InternalConsistencyError(
+            f"case {spec.case_id}: stack layers {layers} != M {tuple(spec.M)}"
+        )
     w0 = wrapping_from_invariants(spec.H0)
     if not (all(v <= 0 for v in w0.values) or all(v >= 0 for v in w0.values)):
         raise InternalConsistencyError(f"bulk class of case {spec.case_id} is not one-signed")
-    for axis, layers in zip(AXES, spec.M):
-        expected = -1 if layers % 2 else 1
-        if spec.H0.e[AXES.index(axis)] != expected:
+    for axis, e0 in zip(AXES, spec.H0.e):
+        st = spec.stacks.get(axis)
+        if e0 != (-1 if st is not None and st.top_is_conformal else 1):
             raise InternalConsistencyError(
-                f"case {spec.case_id}: e0[{axis}] != (-1)^M[{axis}]"
+                f"case {spec.case_id}: e0[{axis}] does not match the stack's top layer"
             )
-    tables = spec.stack_tables()
-    assembled = []
-    for sector, v0 in zip(SECTORS, w0.values):
-        assembled.append(v0 + sum(t.get(sector, 0) for t in tables.values()))
-    if tuple(assembled) != w.values:
-        raise InternalConsistencyError(
-            f"case {spec.case_id}: assembled wrapping {assembled} != target {w.values}"
+    for tables in (spec.stack_tables(), *table_sets):
+        assembled = tuple(
+            v0 + sum(t.get(sector, 0) for t in tables.values())
+            for sector, v0 in zip(SECTORS, w0.values)
         )
+        if assembled != w.values:
+            raise InternalConsistencyError(
+                f"case {spec.case_id}: assembled wrapping {assembled} != target {w.values}"
+            )
     coverage = w0.total_absolute() + 2 * sum(spec.M)
     expected_total = w.total_absolute() + delta_invariant(w, c)
     if coverage != expected_total:
@@ -285,6 +314,14 @@ def _build_stacks(case_id: str, M, epsilon: float, k, n: int, sigma_minus=None,
     return stacks
 
 
+def _layer_splits(budget: int):
+    """Stack counts M with at most ``budget`` layers in all, by total, then lex."""
+    for total in range(budget + 1):
+        for mx in range(total + 1):
+            for my in range(total - mx + 1):
+                yield mx, my, total - mx - my
+
+
 def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
     """Search M for classes outside the tabulated branch (unsorted, negative,
     or zero kinks).  The coverage pairs follow the general-sign recipe with
@@ -298,93 +335,51 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
         candidates.append(sm)
     delta = delta_invariant(w, c)
     budget = (w.total_absolute() + delta) // 2
-    for sigma_minus in candidates:
-        for anti_first in (False, True):
-            found = None
-            for total in range(0, budget + 1):
-                for mx in range(total + 1):
-                    for my in range(total - mx + 1):
-                        mz = total - mx - my
-                        tables = {
-                            axis: _general_table(axis, m, sigma_minus, anti_first)
-                            for axis, m in zip(AXES, (mx, my, mz))
-                        }
-                        w0_vals = tuple(
-                            w[sec] - sum(t[sec] for t in tables.values())
-                            for sec in SECTORS
-                        )
-                        if not (
-                            all(v <= 0 for v in w0_vals)
-                            or all(v >= 0 for v in w0_vals)
-                        ):
-                            continue
-                        if (
-                            sum(abs(v) for v in w0_vals) + 2 * total
-                            != w.total_absolute() + delta
-                        ):
-                            continue
-                        try:
-                            h0 = invariants_from_wrapping(WrappingNumbers(w0_vals))
-                        except Exception:
-                            continue
-                        expected_e = tuple(
-                            -1 if m > 0 and ((m % 2 == 1) != anti_first) else 1
-                            for m in (mx, my, mz)
-                        )
-                        if h0.e != expected_e:
-                            continue
-                        found = ((mx, my, mz), h0)
-                        break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
-                continue
-            (mx, my, mz), h0 = found
-            stacks = _build_stacks("general-sign", (mx, my, mz), epsilon,
-                                   target.k, 0, sigma_minus=sigma_minus,
-                                   anti_first=anti_first)
-            if stacks is None:
-                return PatchworkSpec(
-                    target, "general-sign", h0, (mx, my, mz), epsilon, {},
-                    constructible=False,
-                    unsupported_reason="relocated stack pair needs a modulus-"
-                    "inverting reflection (mixed kink signs)",
+
+    def solutions():
+        """(sigma_minus, anti_first, M, H0, tables) in search order."""
+        for sigma_minus, anti_first in itertools.product(candidates, (False, True)):
+            for M in _layer_splits(budget):
+                tables = {
+                    axis: _general_table(axis, m, sigma_minus, anti_first)
+                    for axis, m in zip(AXES, M)
+                }
+                w0_vals = tuple(
+                    w[sec] - sum(t[sec] for t in tables.values()) for sec in SECTORS
                 )
-            spec = PatchworkSpec(target, "general-sign", h0, (mx, my, mz),
-                                 epsilon, stacks)
-            _verify_spec_general(spec, w, c, sigma_minus, anti_first)
-            return spec
-    raise UnsupportedClassError(
-        f"no stack counts satisfy the coverage identity for k={target.k}, "
-        f"omega_units={target.omega_units}"
-    )
+                if not (all(v <= 0 for v in w0_vals) or all(v >= 0 for v in w0_vals)):
+                    continue
+                if sum(abs(v) for v in w0_vals) + 2 * sum(M) != w.total_absolute() + delta:
+                    continue
+                try:
+                    h0 = invariants_from_wrapping(WrappingNumbers(w0_vals))
+                except InvalidWrappingError:
+                    continue
+                expected_e = tuple(
+                    -1 if m > 0 and ((m % 2 == 1) != anti_first) else 1 for m in M
+                )
+                if h0.e == expected_e:
+                    yield sigma_minus, anti_first, M, h0, tables
 
-
-def _verify_spec_general(spec, w, c, sigma_minus, anti_first: bool = False) -> None:
-    w0 = wrapping_from_invariants(spec.H0)
-    tables = {
-        axis: _general_table(axis, m, sigma_minus, anti_first)
-        for axis, m in zip(AXES, spec.M)
-    }
-    assembled = tuple(
-        v0 + sum(t[sec] for t in tables.values())
-        for sec, v0 in zip(SECTORS, w0.values)
-    )
-    if assembled != w.values:
-        raise InternalConsistencyError("general-sign assembly mismatch")
-    if spec.constructible and spec.stacks:
-        own = spec.stack_tables()
-        assembled2 = tuple(
-            v0 + sum(t.get(sec, 0) for t in own.values())
-            for sec, v0 in zip(SECTORS, w0.values)
+    found = next(solutions(), None)
+    if found is None:
+        raise UnsupportedClassError(
+            f"no stack counts satisfy the coverage identity for k={target.k}, "
+            f"omega_units={target.omega_units}"
         )
-        if assembled2 != w.values:
-            raise InternalConsistencyError("general-sign stack tables mismatch")
-    coverage = w0.total_absolute() + 2 * sum(spec.M)
-    if coverage != w.total_absolute() + delta_invariant(w, c):
-        raise InternalConsistencyError("general-sign coverage identity fails")
+    sigma_minus, anti_first, M, h0, tables = found
+    stacks = _build_stacks("general-sign", M, epsilon, target.k, 0,
+                           sigma_minus=sigma_minus, anti_first=anti_first)
+    if stacks is None:
+        return PatchworkSpec(
+            target, "general-sign", h0, M, epsilon, {},
+            constructible=False,
+            unsupported_reason="relocated stack pair needs a modulus-"
+            "inverting reflection (mixed kink signs)",
+        )
+    spec = PatchworkSpec(target, "general-sign", h0, M, epsilon, stacks)
+    _verify_spec(spec, w, c, tables)
+    return spec
 
 
 def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
@@ -460,8 +455,6 @@ def identity_map() -> SampledMap:
 
 
 def rational_map(spec: RationalMapSpec) -> SampledMap:
-    from .rational import boundary_seed_for_spec, quadrature_clusters
-
     eva = lambda w: evaluate_rational(spec, w)
     r_cl, phi_cl = quadrature_clusters(spec)
     region = Region("all", eva, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl)
@@ -486,23 +479,34 @@ def _collar_chart_value(bulk_spec, axis, st, epsilon, u):
     return blend(g, f, s, odd=st.top_is_conformal)
 
 
-def _patchwork_evaluate(bulk_spec, stacks, epsilon):
-    def evaluate(w):
-        w = np.asarray(w, dtype=complex)
-        scalar = np.ndim(w) == 0
-        w = np.atleast_1d(w)
+def _vertex_value(bulk_spec, axis, st, epsilon, u):
+    """Map value at chart points u of a stacked vertex with |u| <= 2 epsilon,
+    in the target frame: the stack inside epsilon, the collar blend beyond."""
+    r = np.abs(u)
+    inner = r <= epsilon
+    out = np.empty(u.shape, dtype=complex)
+    if inner.any():
+        out[inner] = st.evaluate(u[inner])
+    if not inner.all():
+        out[~inner] = _collar_chart_value(bulk_spec, axis, st, epsilon, u[~inner])
+    return relocate(axis, out)
+
+
+def _patchwork_evaluate(bulk_spec, stacks, epsilon, chart=None):
+    """Evaluator of the assembled map: the bulk, replaced within 2 epsilon of
+    each stacked vertex by ``_vertex_value``.  With ``chart`` set to a vertex
+    it takes points u of that vertex's chart, w = relocate(chart, u)."""
+    def evaluate(x):
+        x = np.asarray(x, dtype=complex)
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(x)
+        w = x if chart is None else relocate(chart, x)
         out = evaluate_rational(bulk_spec, w)
         for axis, st in stacks.items():
-            u = relocate_inverse(axis, w)
-            r = np.abs(u)
-            inner = r <= epsilon
-            collar = (r > epsilon) & (r <= 2 * epsilon)
-            if inner.any():
-                out[inner] = relocate(axis, st.evaluate(u[inner]))
-            if collar.any():
-                out[collar] = relocate(
-                    axis, _collar_chart_value(bulk_spec, axis, st, epsilon, u[collar])
-                )
+            u = x if axis == chart else relocate_inverse(axis, w)
+            near = np.abs(u) <= 2 * epsilon
+            if near.any():
+                out[near] = _vertex_value(bulk_spec, axis, st, epsilon, u[near])
         return complex(out[0]) if scalar else out
 
     return evaluate
@@ -533,8 +537,6 @@ def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
     into the bulk map's edge zeros and poles.  Each vertex ladder reaches a
     decade below the innermost layer's unit-modulus radius sqrt(delta) rho_1,
     where the boundary image passes the sector centroids."""
-    from .rational import boundary_seed_for_spec
-
     params = [boundary_seed_for_spec(bulk_spec)]
     vertex_param = {"z": 0.0, "x": 1.0, "y": 2.0}
     for axis, st in stacks.items():
@@ -550,8 +552,6 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     """Build the evaluable representative for a verified PatchworkSpec."""
     if not spec.constructible:
         raise UnsupportedClassError(spec.unsupported_reason)
-    from .rational import quadrature_clusters
-
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
@@ -585,37 +585,18 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
         mesh = [Region("all", feval, 0.0, 1.0)]
     elif len(stacks) == 1:
         (axis, st), = stacks.items()
-
-        def chart_eval(u, a=axis, s=st):
-            u = np.asarray(u, dtype=complex)
-            scalar = np.ndim(u) == 0
-            u = np.atleast_1d(u)
-            out = evaluate_rational(bulk_spec, relocate(a, u))
-            r = np.abs(u)
-            inner = r <= epsilon
-            collar = (r > epsilon) & (r <= 2 * epsilon)
-            if inner.any():
-                out[inner] = relocate(a, s.evaluate(u[inner]))
-            if collar.any():
-                out[collar] = relocate(
-                    a, _collar_chart_value(bulk_spec, a, s, epsilon, u[collar])
-                )
-            return complex(out[0]) if scalar else out
-
-        from .rational import singular_structure
-
-        u_r_cl, u_phi_cl = [], []
-        for w0, scale in singular_structure(bulk_spec):
-            u0 = relocate_inverse(axis, w0)
-            if np.isfinite(u0) and abs(u0) <= 1 + 1e-9:
-                u_r_cl.append((abs(u0), scale * 0.5))
-                if abs(u0) > 1e-9:
-                    u_phi_cl.append((float(np.angle(u0)), scale * 0.5 / max(abs(u0), 0.1)))
+        in_chart = _patchwork_evaluate(bulk_spec, stacks, epsilon, chart=axis)
+        chart_points = ((relocate_inverse(axis, w0), scale)
+                        for w0, scale in singular_structure(bulk_spec))
+        u_r_cl, u_phi_cl = _clusters(
+            (u0, scale * 0.5) for u0, scale in chart_points
+            if np.isfinite(u0) and abs(u0) <= 1 + 1e-9
+        )
         mesh = [
-            Region("chart_inner", chart_eval, 0.0, 2 * epsilon,
+            Region("chart_inner", in_chart, 0.0, 2 * epsilon,
                    st.seams() + (epsilon,), "log"),
-            Region("chart_outer", chart_eval, 2 * epsilon, 1.0,
-                   r_clusters=tuple(u_r_cl), phi_clusters=tuple(u_phi_cl)),
+            Region("chart_outer", in_chart, 2 * epsilon, 1.0,
+                   r_clusters=u_r_cl, phi_clusters=u_phi_cl),
         ]
 
     return SampledMap(
@@ -635,13 +616,8 @@ def measure_map_wrapping(sampled_map: SampledMap, level: int = 3) -> WrappingNum
     absolute anchor comes from the trapped area, whose pi/2-multiple rounding
     fixes the sum of signed degrees (sum_sigma d_sigma = -omega_units).
     """
-    diffs = measure_degree_differences(sampled_map.evaluate, sampled_map.boundary_seed)
     omega, residual = trapped_area(sampled_map, level)
     if residual > 0.3:
         raise ConstructionError(f"trapped area did not converge (residual {residual:.3f})")
     units = round(omega / (math.pi / 2))
-    total = -units
-    anchor, remainder = divmod(total - sum(diffs), 8)
-    if remainder:
-        raise ConstructionError("winding differences inconsistent with trapped area")
-    return WrappingNumbers(tuple(-(d + anchor) for d in diffs))
+    return measure_wrapping(sampled_map.evaluate, -units, sampled_map.boundary_seed)

@@ -204,6 +204,23 @@ def measure_wrapping(evaluator, total_signed_degree: int, params=None) -> Wrappi
     return WrappingNumbers(tuple(-(d + anchor) for d in diffs))
 
 
+def _singular_points(spec: RationalMapSpec):
+    """(points, is_zero, directions): the zeros and poles of the map in the
+    closed quarter disc, whether each is a zero, and the unit direction in
+    which each is probed (into the quarter disc, off the edge it lies on)."""
+    factors = spec.real_factors + spec.imag_factors + spec.complex_factors
+    points = np.asarray(
+        [0j]
+        + [complex(r, 0.0) for r, _ in spec.real_factors]
+        + [complex(0.0, s) for s, _ in spec.imag_factors]
+        + [complex(t) for t, _ in spec.complex_factors]
+    )
+    is_zero = np.asarray([2 * spec.m + 1 > 0] + [ex > 0 for _, ex in factors])
+    directions = np.where(points.imag == 0, np.exp(0.9j),
+                          np.where(points.real == 0, np.exp(0.4j), np.exp(2.2j)))
+    return points, is_zero, directions
+
+
 def singular_structure(spec: RationalMapSpec):
     """Zeros/poles of the map inside the closed quarter disc with the length
     scale on which |f| passes through unit modulus there.
@@ -213,20 +230,10 @@ def singular_structure(spec: RationalMapSpec):
     shrink with the product of the other factors), so quadrature grids cluster
     lines around these points.
     """
-    points = []
-    p = 2 * spec.m + 1
-    if abs(p) >= 1:
-        points.append(0.0 + 0.0j)
-    for r, _ in spec.real_factors:
-        points.append(complex(r, 0.0))
-    for s, _ in spec.imag_factors:
-        points.append(complex(0.0, s))
-    for t, _ in spec.complex_factors:
-        points.append(complex(t))
+    points, _, directions = _singular_points(spec)
     out = []
     deltas = np.geomspace(1e-13, 0.2, 60)
-    for w0 in points:
-        direction = np.exp(1j * (0.9 if w0.imag == 0 else (0.4 if w0.real == 0 else 2.2)))
+    for w0, direction in zip(points.tolist(), directions):
         vals = np.abs(evaluate_rational(spec, w0 + deltas * direction))
         inside = (vals > 0.2) & (vals < 5.0)
         if inside.any():
@@ -236,23 +243,30 @@ def singular_structure(spec: RationalMapSpec):
             scale = float(deltas[int(np.argmax(jump))]) if jump.any() else 0.1
         out.append((w0, max(scale, 1e-13)))
     # arc concentration of the power factor
-    q = abs(p) + 2 * len(spec.real_factors) + 2 * len(spec.imag_factors)
+    q = abs(2 * spec.m + 1) + 2 * len(spec.real_factors) + 2 * len(spec.imag_factors)
     if q >= 6:
         out.append((1.0 + 0.0j, 1.0 / q))
     return out
 
 
+def _clusters(points):
+    """(r_clusters, phi_clusters) of (point, scale) pairs in a polar chart:
+    a radial cluster at every point and an angular one off the chart center,
+    its scale converted to angle at a radius of at least 0.1."""
+    r_clusters = []
+    phi_clusters = []
+    for p, scale in points:
+        radius = abs(p)
+        r_clusters.append((radius, scale))
+        if radius > 1e-9:
+            phi_clusters.append((float(np.angle(p)), scale / max(radius, 0.1)))
+    return tuple(r_clusters), tuple(phi_clusters)
+
+
 def quadrature_clusters(spec: RationalMapSpec):
     """(r_clusters, phi_clusters) resolving the map's singular structure in
     the standard polar chart of the quarter disc."""
-    r_clusters = []
-    phi_clusters = []
-    for w0, scale in singular_structure(spec):
-        radius = abs(w0)
-        r_clusters.append((radius, scale))
-        if radius > 1e-9:
-            phi_clusters.append((float(np.angle(w0)), scale / max(radius, 0.1)))
-    return tuple(r_clusters), tuple(phi_clusters)
+    return _clusters(singular_structure(spec))
 
 
 def boundary_seed_for_spec(spec: RationalMapSpec, n_base: int = 1200) -> np.ndarray:
@@ -490,19 +504,7 @@ def _fit_score(spec: RationalMapSpec, e, stacked) -> float:
     ``_RESIDUE_REACH``: such near-cancelling pairs make energy bumps too
     narrow for the quadrature grids to resolve reliably.
     """
-    probes, zero = [0j], [2 * spec.m + 1 > 0]
-    for radius, ex in spec.real_factors:
-        probes.append(complex(radius, 0.0))
-        zero.append(ex > 0)
-    for radius, ex in spec.imag_factors:
-        probes.append(complex(0.0, radius))
-        zero.append(ex > 0)
-    for t, ex in spec.complex_factors:
-        probes.append(complex(t))
-        zero.append(ex > 0)
-    probes = np.asarray(probes)
-    direction = np.where(probes.imag == 0, np.exp(0.9j),
-                         np.where(probes.real == 0, np.exp(0.4j), np.exp(2.2j)))
+    probes, zero, direction = _singular_points(spec)
     points = [_RING_IN_W[axis] for axis in stacked] + [probes + _RESIDUE_REACH * direction]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = evaluate_rational(spec, np.concatenate(points))

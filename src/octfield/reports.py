@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .geometry import stereographic_inverse
+from .geometry import relocate, stereographic_inverse
+from .patchwork import PatchworkSpec
 from .topology import (
     SECTORS,
     OctantTopology,
@@ -169,20 +170,17 @@ def domain_svg(sampled_map, resolution: int = 96, size: int = 480) -> str:
         f' L 0 {size} Z" fill="none" stroke="black" stroke-width="1.5"/>'
     )
     # seam circles of the vertex charts
-    spec = getattr(sampled_map, "metadata", None)
-    stacks = getattr(spec, "stacks", None) if spec is not None else None
-    if stacks:
-        from .geometry import relocate
-
-        for ax, st in stacks.items():
-            for radius in list(st.seams()) + [st.epsilon, 2 * st.epsilon]:
-                pts = relocate(ax, radius * np.exp(1j * np.linspace(0, math.pi / 2, 60)))
-                path = " L ".join(
-                    f"{p.real * size:.2f} {size - p.imag * size:.2f}" for p in pts
-                )
-                parts.append(
-                    f'<path d="M {path}" fill="none" stroke="black" '
-                    f'stroke-width="0.4" opacity="0.6"/>'
-                )
+    spec = sampled_map.metadata
+    seam_radii = spec.seam_radii() if isinstance(spec, PatchworkSpec) else {}
+    for ax, radii in seam_radii.items():
+        for radius in radii:
+            pts = relocate(ax, radius * np.exp(1j * np.linspace(0, math.pi / 2, 60)))
+            path = " L ".join(
+                f"{p.real * size:.2f} {size - p.imag * size:.2f}" for p in pts
+            )
+            parts.append(
+                f'<path d="M {path}" fill="none" stroke="black" '
+                f'stroke-width="0.4" opacity="0.6"/>'
+            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -25,6 +25,7 @@ __all__ = [
     "SearchResult",
     "SearchTooLargeError",
     "MAX_ASSIGNMENTS",
+    "MAX_WORD_LETTERS",
     "word",
     "free_reduce",
     "inverse",
@@ -156,6 +157,11 @@ def cyclic_canonical(u: Word) -> tuple[int, ...]:
 
 
 _LAMBDA_CACHE: dict[tuple[int, ...], int] = {}
+
+# Longest word the command line accepts: the interval DP is cubic in the
+# length (a 1000-letter word takes seconds, a 2000-letter one about ten times
+# as long).
+MAX_WORD_LETTERS = 1000
 
 
 def _lambda_dp(w: tuple[int, ...]) -> list[list[int]]:

@@ -60,6 +60,22 @@ def test_spelling_rejects_invalid_word(args, capsys):
     assert err.startswith("invalid word: ")
 
 
+def test_spelling_refuses_overlong_word_before_the_dp(monkeypatch, capsys):
+    import octfield.cli as cli
+    from octfield.words import MAX_WORD_LETTERS
+
+    def no_dp(u):
+        raise AssertionError("spelling DP reached")
+
+    monkeypatch.setattr(cli, "spelling_length", no_dp)
+    monkeypatch.setattr(cli, "optimal_pairing", no_dp)
+    word = " ".join(["a", "b"] * (MAX_WORD_LETTERS // 2) + ["a"])
+    assert MAX_WORD_LETTERS == 1000
+    assert main(["spelling", "--word", word]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid word: 1001 letters")
+
+
 def test_spelling_class_bound(capsys):
     assert main(["spelling", "--json", WORKED_JSON, "--d0", "1"]) == 0
     out = capsys.readouterr().out

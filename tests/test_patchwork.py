@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from octfield.geometry import chordal_distance, relocate
 from octfield.numerics import boundary_residual, dirichlet_energy
 from octfield.patchwork import (
+    InternalConsistencyError,
     NotApplicableError,
     PatchworkSpec,
     UnsupportedClassError,
@@ -249,3 +251,62 @@ def test_identity_and_rational_map_wrappers():
     assert im.evaluate(0.5 + 0.1j) == 0.5 + 0.1j
     rm = rational_map(RationalMapSpec(m=1))
     assert complex(rm.evaluate(np.array([0.5 + 0.0j]))[0]) == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("M", [(3, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)])
+@pytest.mark.parametrize("restack", [False, True])
+def test_verifier_rejects_tampered_tabulated_spec(M, restack):
+    # M changed alone, or together with stacks rebuilt to match it
+    from octfield.patchwork import _build_stacks, _verify_spec
+
+    spec = select_case(WORKED, epsilon=0.05)
+    w = wrapping_from_invariants(WORKED)
+    c = classify(w, WORKED)
+    _verify_spec(spec, w, c)
+    stacks = _build_stacks(spec.case_id, M, 0.05, WORKED.k, 1) if restack else spec.stacks
+    with pytest.raises(InternalConsistencyError):
+        _verify_spec(dataclasses.replace(spec, M=M, stacks=stacks), w, c)
+
+
+def test_verifier_rejects_tampered_general_sign_spec():
+    from octfield.patchwork import _verify_spec
+
+    t = OctantTopology((1, 1, 1), (2, 1, 1), 8 * 1 + 7 - 16)
+    spec = select_case(t, epsilon=0.05)
+    assert spec.case_id == "general-sign" and spec.constructible
+    w = wrapping_from_invariants(t)
+    c = classify(w, t)
+    _verify_spec(spec, w, c)
+    h0 = spec.H0
+    for tampered in (
+        dataclasses.replace(h0, omega_units=h0.omega_units + 8),
+        OctantTopology(h0.e, (h0.k[0] + 1, h0.k[1], h0.k[2]), h0.omega_units - 4),
+    ):
+        with pytest.raises(InternalConsistencyError):
+            _verify_spec(dataclasses.replace(spec, H0=tampered), w, c)
+
+
+def test_mesh_chart_evaluator_matches_map_off_the_seams():
+    spec = select_case(WORKED, epsilon=0.05)
+    sm = assemble_patchwork(spec)
+    (axis, radii), = spec.seam_radii().items()
+    evaluators = {region.evaluate for region in sm.mesh_regions()}
+    assert len(evaluators) == 1
+    in_chart = evaluators.pop()
+    rng = np.random.default_rng(11)
+    r = np.concatenate([np.geomspace(1e-7, 0.2, 300), rng.uniform(0.2, 0.999, 300)])
+    keep = np.all(np.abs(r[:, None] / np.asarray(radii)[None, :] - 1) > 1e-6, axis=1)
+    u = r[keep] * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, keep.sum()))
+    jump = chordal_distance(in_chart(u), sm.evaluate(relocate(axis, u)))
+    assert float(np.max(jump)) < 1e-9
+
+
+def test_domain_svg_draws_one_seam_path_per_radius():
+    from octfield.reports import domain_svg
+
+    spec = select_case(WORKED, epsilon=0.05)
+    svg = domain_svg(assemble_patchwork(spec), resolution=8)
+    seams = svg.count('stroke-width="0.4"')
+    assert seams == sum(len(radii) for radii in spec.seam_radii().values())
+    assert seams == len(spec.stacks["x"].seams()) + 2
+    assert 'stroke-width="0.4"' not in domain_svg(identity_map(), resolution=8)
