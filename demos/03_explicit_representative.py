@@ -30,12 +30,13 @@ spec = select_case(t, epsilon=0.05)
 print(f"case {spec.case_id}: bulk {spec.H0}, stacks M = {spec.M}")
 
 sm = assemble_patchwork(spec)
-measured = measure_map_wrapping(sm, level=2)
+area = trapped_area(sm, level=2)  # anchors the windings, reported below
+measured = measure_map_wrapping(sm, area)
 print("measured wrapping:", measured.as_dict())
 assert measured.values == w.values
 
 print(f"boundary residual: {boundary_residual(sm):.2e}")
-omega, res = trapped_area(sm, level=2)
+omega, res = area
 print(f"trapped area: {omega / math.pi:.3f} pi (residual {res:.1e})")
 
 print("energy under epsilon refinement:")

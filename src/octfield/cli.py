@@ -203,7 +203,8 @@ def _construct_and_verify(t, w, args):
         w_check = w
         checks["lemma2_identity"] = True
 
-    w_meas = measure_map_wrapping(sm, level=min(args.grid_level, 3))
+    area = numerics.trapped_area(sm, level=min(args.grid_level, 3))
+    w_meas = measure_map_wrapping(sm, area)
     checks["degrees_match"] = w_meas.values == w_check.values
     residual = numerics.boundary_residual(sm)
     checks["boundary_conditions"] = residual < 1e-9
@@ -219,7 +220,7 @@ def _construct_and_verify(t, w, args):
         if energy_units
         else 0.0
     )
-    omega, omega_res = numerics.trapped_area(sm, level=min(args.grid_level, 3))
+    omega, omega_res = area
     checks["trapped_area"] = (
         round(omega / (math.pi / 2)) == t.omega_units and omega_res < 0.25
     )

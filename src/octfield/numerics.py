@@ -380,18 +380,28 @@ def _all_triangles(sampled_map, level: int):
     return np.vstack(vas), np.vstack(vbs), np.vstack(vcs)
 
 
-def _containment(va, vb, vc, p, tol=1e-10):
-    """Signed containment of unit vector p in the spherical triangles.
+def _edge_normals(va, vb, vc):
+    """The target-free part of the containment test: the edge normals
+    a x b, b x c, c x a of every image triangle and its orientation mask."""
+    n1 = np.cross(va, vb)
+    n2 = np.cross(vb, vc)
+    n3 = np.cross(vc, va)
+    ccw = np.einsum("ij,ij->i", n1, vc) > 0
+    return n1, n2, n3, ccw
+
+
+def _containment(normals, p, tol=1e-10):
+    """Signed containment of unit vector p in the spherical triangles given
+    by their ``_edge_normals``.
 
     The all-positive hemisphere test identifies the triangle region only for
     counterclockwise triples (for clockwise ones it picks up the antipodal
     region), so each test is gated by the triangle's own orientation.
     """
-    d1 = np.einsum("ij,j->i", np.cross(va, vb), p)
-    d2 = np.einsum("ij,j->i", np.cross(vb, vc), p)
-    d3 = np.einsum("ij,j->i", np.cross(vc, va), p)
-    orient = np.einsum("ij,ij->i", np.cross(va, vb), vc)
-    ccw = orient > 0
+    n1, n2, n3, ccw = normals
+    d1 = np.einsum("ij,j->i", n1, p)
+    d2 = np.einsum("ij,j->i", n2, p)
+    d3 = np.einsum("ij,j->i", n3, p)
     pos = (d1 > tol) & (d2 > tol) & (d3 > tol) & ccw
     neg = (d1 < -tol) & (d2 < -tol) & (d3 < -tol) & ~ccw
     # near: p within tolerance of an edge of a potentially containing triangle
@@ -406,9 +416,10 @@ def degree_count(sampled_map, targets=None, level: int = 3) -> DegreeReport:
 
     Targets default to the sector centroids.  A low-confidence flag is set if
     the target lies within tolerance of an image-triangle edge after three
-    perturbation retries.
+    perturbation retries.  The triangles' edge normals are computed once and
+    shared by every target.
     """
-    va, vb, vc = _all_triangles(sampled_map, level)
+    normals = _edge_normals(*_all_triangles(sampled_map, level))
     report = {}
     rng = np.random.default_rng(20240811)
     for sector in SECTORS:
@@ -416,22 +427,16 @@ def degree_count(sampled_map, targets=None, level: int = 3) -> DegreeReport:
             stereographic_inverse(targets[sector])
         )
         confident = False
-        d = D = 0
-        sample = base
         for attempt in range(4):
             p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
-            pos, neg, near = _containment(va, vb, vc, p)
+            pos, neg, near = _containment(normals, p)
             if not near.any():
-                d = int(pos.sum() - neg.sum())
-                D = int(pos.sum() + neg.sum())
                 confident = True
-                sample = p
                 break
-            d = int(pos.sum() - neg.sum())
-            D = int(pos.sum() + neg.sum())
-            sample = p
-        z = _project(sample)
-        report[sector] = SectorDegree(d=d, D=D, sample=z, confident=confident)
+        n_pos, n_neg = int(pos.sum()), int(neg.sum())
+        report[sector] = SectorDegree(
+            d=n_pos - n_neg, D=n_pos + n_neg, sample=_project(p), confident=confident
+        )
     return DegreeReport(report)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import relocate, relocate_inverse
-from .numerics import Region, trapped_area
+from .numerics import Region
 from .rational import (
     ConstructionError,
     RationalMapSpec,
@@ -609,14 +609,15 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     )
 
 
-def measure_map_wrapping(sampled_map: SampledMap, level: int = 3) -> WrappingNumbers:
+def measure_map_wrapping(sampled_map: SampledMap, area) -> WrappingNumbers:
     """Wrapping numbers of an assembled map, measured numerically.
 
     Boundary windings give the pairwise degree differences exactly; the
-    absolute anchor comes from the trapped area, whose pi/2-multiple rounding
-    fixes the sum of signed degrees (sum_sigma d_sigma = -omega_units).
+    absolute anchor comes from the trapped area ``area``, the map's
+    ``numerics.trapped_area`` result (omega, residual), whose pi/2-multiple
+    rounding fixes the sum of signed degrees (sum_sigma d_sigma = -omega_units).
     """
-    omega, residual = trapped_area(sampled_map, level)
+    omega, residual = area
     if residual > 0.3:
         raise ConstructionError(f"trapped area did not converge (residual {residual:.3f})")
     units = round(omega / (math.pi / 2))

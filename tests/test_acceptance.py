@@ -233,7 +233,8 @@ def test_criterion_5_identities_and_degrees():
             continue
         sm = assemble_patchwork(spec)
         # measured per-sector signed degrees equal the target
-        assert measure_map_wrapping(sm, level=2).values == w.values, t.k
+        measured = measure_map_wrapping(sm, trapped_area(sm, level=2))
+        assert measured.values == w.values, t.k
     print(f"[criterion 5a] unsupported constructions: {unsupported}")
     _verdict("5a", True, "(identities exact, measured degrees match targets)")
 

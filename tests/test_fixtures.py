@@ -31,7 +31,7 @@ def test_insertion_fixture_energy_and_topology():
     E = dirichlet_energy(sm, level=3)
     assert abs(E - 19 * math.pi) / (19 * math.pi) < 0.05
     assert boundary_residual(sm) < 1e-9
-    w = measure_map_wrapping(sm, level=3)
+    w = measure_map_wrapping(sm, trapped_area(sm, level=3))
     assert w.values == wrapping_from_invariants(WORKED).values
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from octfield.geometry import chordal_distance, relocate
-from octfield.numerics import boundary_residual, dirichlet_energy
+from octfield.numerics import boundary_residual, dirichlet_energy, trapped_area
 from octfield.patchwork import (
     InternalConsistencyError,
     NotApplicableError,
@@ -107,7 +107,7 @@ def test_unsorted_positive_kinks_route_through_general_recipe():
         w.total_absolute() + delta_invariant(w, c)
     )
     sm = assemble_patchwork(spec)
-    assert measure_map_wrapping(sm, level=2).values == w.values
+    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
 
 
 def test_negative_kinks_are_constructed_or_reported():
@@ -125,7 +125,7 @@ def test_negative_kinks_are_constructed_or_reported():
     assert spec.case_id == "general-sign"
     if spec.constructible:
         sm = assemble_patchwork(spec)
-        assert measure_map_wrapping(sm, level=2).values == w.values
+        assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
 
 
 def test_mixed_sign_kinks_reported_unsupported_never_silent():
@@ -207,7 +207,7 @@ def test_single_stack_triangulated_degrees_match_windings():
 def test_worked_example_wrapping_and_energy():
     sm = assemble_patchwork(select_case(WORKED, epsilon=0.05))
     w = wrapping_from_invariants(WORKED)
-    assert measure_map_wrapping(sm, level=3).values == w.values
+    assert measure_map_wrapping(sm, trapped_area(sm, level=3)).values == w.values
     energy = dirichlet_energy(sm, level=3)
     assert abs(energy - 7 * math.pi) / (7 * math.pi) < 0.05
 
