@@ -10,7 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid topology or word (a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
-4 unsupported class for construction, 5 invariant failure.
+4 unsupported class for construction, 5 invariant failure (a failed check,
+energy below the infimum included, or a verification integral that does not
+converge, such as boundary windings needing more than
+``numerics.MAX_BOUNDARY_POINTS`` points).
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED_SIGNS = 3
 EXIT_UNSUPPORTED_CLASS = 4
 EXIT_INVARIANT_FAILURE = 5
+
+# (sum|w| + Delta) pi is a proven lower bound for the energy; the quadrature
+# may fall below it by at most this share
+ENERGY_QUADRATURE_SLACK = 0.01
 
 
 def _load_class(args):
@@ -214,6 +221,9 @@ def _construct_and_verify(t, w, args):
     report["seam_jump"] = seam_jump
     energy = numerics.dirichlet_energy(sm, level=args.grid_level)
     report["energy_quadrature"] = energy
+    checks["energy_not_below_infimum"] = (
+        energy >= (1 - ENERGY_QUADRATURE_SLACK) * energy_units * math.pi
+    )
     report["energy_gap"] = energy - energy_units * math.pi
     report["energy_gap_relative"] = (
         (energy - energy_units * math.pi) / (energy_units * math.pi)
@@ -250,6 +260,9 @@ def cmd_construct(args, verify_only: bool = False) -> int:
     except (UnsupportedClassError, NotApplicableError, ConstructionError) as e:
         print(f"unsupported class: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED_CLASS
+    except numerics.IntegrationError as e:
+        print(f"invariant failure: {e}", file=sys.stderr)
+        return EXIT_INVARIANT_FAILURE
     ok = all(checks.values())
     gap_pct = 100 * report["energy_gap_relative"]
     print(
@@ -275,6 +288,7 @@ def cmd_construct(args, verify_only: bool = False) -> int:
 def cmd_sweep(args) -> int:
     results = []
     unsupported = []
+    failed = []
     triples = list(
         itertools.combinations_with_replacement(range(1, args.kmax + 1), 3)
     )
@@ -305,10 +319,13 @@ def cmd_sweep(args) -> int:
             except (UnsupportedClassError, NotApplicableError, ConstructionError) as e:
                 unsupported.append({"k": list(k), "n": n, "reason": str(e)})
                 print(f"k={k} n={n}: unsupported ({e})")
+            except numerics.IntegrationError as e:
+                failed.append({"k": list(k), "n": n, "reason": str(e)})
+                print(f"k={k} n={n}: invariant failure ({e})")
     _emit(args, "sweep.json", reports.dump_json(
-        {"results": results, "unsupported": unsupported}
+        {"results": results, "unsupported": unsupported, "failed": failed}
     ))
-    return 0
+    return EXIT_INVARIANT_FAILURE if failed else 0
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,7 @@ __all__ = [
     "SectorDegree",
     "DegreeReport",
     "IntegrationError",
+    "MAX_BOUNDARY_POINTS",
     "dirichlet_energy",
     "degree_count",
     "degree_differences_by_winding",
@@ -62,6 +63,11 @@ class Region:
     around which geometric ladders of grid lines are inserted; they resolve
     sharp energy peaks at map zeros/poles whose derivative scales can be far
     below any uniform resolution.
+
+    ``center_scale`` is the radius of the map's finest structure at r = 0 (a
+    stack's innermost unit-modulus circle): a log interval reaching r = 0
+    starts a decade below it, or at ``_LOG_FLOOR`` times the interval's outer
+    end if that is lower.
     """
 
     name: str
@@ -77,6 +83,7 @@ class Region:
     r_clusters: tuple = ()
     phi_clusters: tuple = ()
     skip: object = None  # optional mask on chart midpoints: cells to drop
+    center_scale: float = math.inf
 
     def radial_intervals(self):
         pts = sorted({self.r_lo, self.r_hi, *[s for s in self.seams if self.r_lo < s < self.r_hi]})
@@ -129,7 +136,7 @@ def _radial_edges(region: Region, level: int) -> np.ndarray:
         if region.spacing == "log":
             a_eff = a
             if a <= 0:
-                a_eff = b * _LOG_FLOOR
+                a_eff = min(b * _LOG_FLOOR, region.center_scale / 10)
                 edges.append(a_eff)
             n = max(4, int(math.ceil(n_dec * math.log10(b / a_eff))))
             seg = np.geomspace(a_eff, b, n + 1)
@@ -553,6 +560,11 @@ def _max_step(values: np.ndarray, target: complex, reference: complex) -> float:
     return float(np.max(np.abs(d)))
 
 
+# most boundary points a winding bisection may reach; the benchmark's
+# largest loop has about 12k
+MAX_BOUNDARY_POINTS = 10**6
+
+
 def degree_differences_by_winding(
     evaluator, params, targets, reference, period: float, max_rounds: int = 16
 ):
@@ -565,7 +577,8 @@ def degree_differences_by_winding(
     bisection (a whole aliased loop between two samples shows as a small
     step, so step size alone is not a safe criterion; seed the parameters
     densely near known fast structure).  Valid for any continuous map whose
-    boundary values avoid the targets and the reference.
+    boundary values avoid the targets and the reference.  Raises
+    ``IntegrationError`` instead of bisecting past ``MAX_BOUNDARY_POINTS``.
     """
     params = np.sort(np.unique(np.asarray(params, dtype=float) % period))
     values = np.asarray(evaluator(params), dtype=complex)
@@ -574,6 +587,11 @@ def degree_differences_by_winding(
         return [winding_number(vals, t, reference) for t in targets]
 
     def bisect(p):
+        if 2 * len(p) > MAX_BOUNDARY_POINTS:
+            raise IntegrationError(
+                f"boundary windings unresolved at {len(p)} points; a bisection "
+                f"would exceed {MAX_BOUNDARY_POINTS}"
+            )
         closing = p[0] + period
         mids = 0.5 * (p + np.concatenate([p[1:], [closing]]))
         return np.sort(np.unique(np.concatenate([p, mids % period])))

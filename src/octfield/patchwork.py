@@ -479,11 +479,23 @@ def _collar_chart_value(bulk_spec, axis, st, epsilon, u):
     return blend(g, f, s, odd=st.top_is_conformal)
 
 
-def _vertex_value(bulk_spec, axis, st, epsilon, u):
-    """Map value at chart points u of a stacked vertex with |u| <= 2 epsilon,
-    in the target frame: the stack inside epsilon, the collar blend beyond."""
-    r = np.abs(u)
-    inner = r <= epsilon
+def _vertex_patches(stacks, epsilon, w, x, chart):
+    """The vertex-chart split of points w, vertex by vertex in stack order (a
+    later vertex's patch overrides an earlier one).  Yields (axis, st, near,
+    u, inner): ``near`` marks the points within 2 epsilon of the vertex in its
+    chart, ``u`` holds their chart points and ``inner`` marks, among those,
+    the stack inside epsilon; the rest is the collar.  For the vertex
+    ``chart`` (None for none) the chart points are x, with w = relocate(chart, x)."""
+    for axis, st in stacks.items():
+        u = x if axis == chart else relocate_inverse(axis, w)
+        r = np.abs(u)
+        near = r <= 2 * epsilon
+        yield axis, st, near, u[near], r[near] <= epsilon
+
+
+def _vertex_value(bulk_spec, axis, st, epsilon, u, inner):
+    """Map value at chart points u of a stacked vertex, in the target frame:
+    the stack at the ``inner`` points, the collar blend at the others."""
     out = np.empty(u.shape, dtype=complex)
     if inner.any():
         out[inner] = st.evaluate(u[inner])
@@ -495,38 +507,34 @@ def _vertex_value(bulk_spec, axis, st, epsilon, u):
 def _patchwork_evaluate(bulk_spec, stacks, epsilon, chart=None):
     """Evaluator of the assembled map: the bulk, replaced within 2 epsilon of
     each stacked vertex by ``_vertex_value``.  With ``chart`` set to a vertex
-    it takes points u of that vertex's chart, w = relocate(chart, u)."""
+    it takes points x of that vertex's chart, w = relocate(chart, x)."""
     def evaluate(x):
         x = np.asarray(x, dtype=complex)
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(x)
         w = x if chart is None else relocate(chart, x)
         out = evaluate_rational(bulk_spec, w)
-        for axis, st in stacks.items():
-            u = x if axis == chart else relocate_inverse(axis, w)
-            near = np.abs(u) <= 2 * epsilon
+        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w, x, chart):
             if near.any():
-                out[near] = _vertex_value(bulk_spec, axis, st, epsilon, u[near])
+                out[near] = _vertex_value(bulk_spec, axis, st, epsilon, u, inner)
         return complex(out[0]) if scalar else out
 
     return evaluate
 
 
 def _patchwork_tags(stacks, epsilon):
+    """Subdomain tags from the same vertex-chart split as the evaluator."""
     def tags(w):
         w = np.atleast_1d(np.asarray(w, dtype=complex))
         out = np.full(w.shape, "bulk", dtype=object)
-        for axis, st in stacks.items():
-            u = relocate_inverse(axis, w)
-            r = np.abs(u)
-            collar = (r > epsilon) & (r <= 2 * epsilon)
-            out[collar] = f"switch({axis})"
-            inner = r <= epsilon
+        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w, w, None):
+            part = np.full(u.shape, f"switch({axis})", dtype=object)
             if inner.any():
-                sub = st.subdomain_tag(u[inner])
-                out[inner] = np.array(
-                    [t.replace("(", f"({axis},") for t in sub], dtype=object
+                part[inner] = np.array(
+                    [t.replace("(", f"({axis},") for t in st.subdomain_tag(u[inner])],
+                    dtype=object,
                 )
+            out[near] = part
         return out
 
     return tags
@@ -540,7 +548,7 @@ def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
     params = [boundary_seed_for_spec(bulk_spec)]
     vertex_param = {"z": 0.0, "x": 1.0, "y": 2.0}
     for axis, st in stacks.items():
-        r_min = 0.1 * math.sqrt(st.delta) * st.radius(1)
+        r_min = 0.1 * st.inner_scale()
         ladder = np.geomspace(r_min, 6 * epsilon, 240)
         t0 = vertex_param[axis]
         params.append((t0 + ladder) % 3.0)
@@ -569,7 +577,7 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
         geval = lambda u, a=axis, s=st: relocate(a, s.evaluate(u))
         regions.append(
             Region(f"stack_{axis}", geval, 0.0, epsilon, st.seams(), "log", 1,
-                   tag=f"stack({axis})")
+                   tag=f"stack({axis})", center_scale=st.inner_scale())
         )
 
         def collar_eval(u, a=axis, s=st):
@@ -594,7 +602,7 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
         )
         mesh = [
             Region("chart_inner", in_chart, 0.0, 2 * epsilon,
-                   st.seams() + (epsilon,), "log"),
+                   st.seams() + (epsilon,), "log", center_scale=st.inner_scale()),
             Region("chart_outer", in_chart, 2 * epsilon, 1.0,
                    r_clusters=u_r_cl, phi_clusters=u_phi_cl),
         ]

@@ -86,6 +86,11 @@ class QuarterSphereStack:
             return 0.0
         return self.epsilon * self.delta ** (self.layers - m)
 
+    def inner_scale(self) -> float:
+        """sqrt(delta) * rho_1: the unit-modulus radius of the innermost
+        layer, the finest scale of the stack."""
+        return math.sqrt(self.delta) * self.radius(1)
+
     def layer_is_conformal(self, m: int) -> bool:
         return (m % 2 == 1) != self.anti_first
 

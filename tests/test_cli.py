@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from octfield.cli import main
@@ -157,3 +158,62 @@ def test_sweep_small(tmp_path, capsys):
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert len(data["results"]) == 1
     assert data["results"][0]["k"] == [1, 1, 1]
+
+
+def test_construct_integrates_trapped_area_once(monkeypatch, tmp_path):
+    from octfield import numerics
+
+    calls = []
+    real = numerics.trapped_area
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "trapped_area", counting)
+    assert main(["construct", "--json", WORKED_JSON, "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert report["checks"]["trapped_area"] and report["checks"]["degrees_match"]
+
+
+def test_energy_below_infimum_fails_the_checks(monkeypatch, capsys):
+    from octfield import numerics
+
+    real = numerics.dirichlet_energy
+    monkeypatch.setattr(numerics, "dirichlet_energy",
+                        lambda *args, **kwargs: 0.9 * real(*args, **kwargs))
+    assert main(["verify", "--json", WORKED_JSON, "--grid-level", "1"]) == 5
+    assert "energy_not_below_infimum" in capsys.readouterr().err
+
+
+def test_unresolved_windings_exit_before_the_point_cap(monkeypatch, capsys):
+    # at epsilon = 1e-4 the boundary loop's parameter cannot resolve this
+    # class's innermost stack layers: the bisection stops at the cap with
+    # exit 5 instead of growing the loop until memory runs out
+    from octfield import rational
+    from octfield.numerics import MAX_BOUNDARY_POINTS
+
+    real = rational.boundary_points
+
+    def capped(t):
+        assert np.size(t) <= MAX_BOUNDARY_POINTS
+        return real(t)
+
+    monkeypatch.setattr(rational, "boundary_points", capped)
+    payload = '{"e":[1,1,1],"k":[1,2,3],"omega_units":-1}'
+    assert main(["verify", "--json", payload, "--epsilon", "0.0001",
+                 "--grid-level", "1"]) == 5
+    assert "boundary windings" in capsys.readouterr().err
+
+
+def test_sweep_reports_integration_failures(monkeypatch, tmp_path):
+    from octfield import numerics
+
+    monkeypatch.setattr(numerics, "MAX_BOUNDARY_POINTS", 100)
+    assert main(["sweep", "--kmax", "1", "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 5
+    data = json.loads((tmp_path / "sweep.json").read_text())
+    assert data["results"] == []
+    assert [(f["k"], f["n"]) for f in data["failed"]] == [([1, 1, 1], 1)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octfield.numerics import (
     Region,
@@ -146,3 +148,41 @@ def test_quadratic_rule_integrates_quadratics_on_ladders():
     step = np.where(nodes < edges[5], nodes**2, 1 + nodes)
     exact = edges[5] ** 3 / 3 + (1 - edges[5]) + (1 - edges[5] ** 2) / 2
     assert split @ step == pytest.approx(exact, rel=1e-12)
+
+
+_VECTOR = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    assume(norm > 0.1)
+    return v / norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_VECTOR, _VECTOR, _VECTOR), min_size=1, max_size=12), _VECTOR)
+def test_containment_matches_barycentric_reference(triangles, target):
+    # p lies in the spherical triangle (a, b, c) exactly when
+    # p = alpha a + beta b + gamma c with alpha, beta, gamma > 0; the covering
+    # counts +1 for det(a, b, c) > 0 and -1 for det < 0
+    from octfield.numerics import _containment, _edge_normals
+
+    va, vb, vc = (np.array([_unit(t[i]) for t in triangles]) for i in range(3))
+    # every triangle in both orientations
+    va, vb, vc = np.vstack([va, va]), np.vstack([vb, vc]), np.vstack([vc, vb])
+    normals = _edge_normals(va, vb, vc)
+    for p in (_unit(target), _unit(va[0] + vb[0] + vc[0])):
+        pos, neg, near = _containment(normals, p)
+        for i in range(len(va)):
+            m = np.column_stack([va[i], vb[i], vc[i]])
+            det = np.linalg.det(m)
+            if abs(det) < 1e-6:
+                continue
+            coeffs = np.linalg.solve(m, p)
+            if np.min(np.abs(coeffs)) * abs(det) < 1e-6:
+                continue  # within tolerance of an edge plane
+            inside = bool(np.all(coeffs > 0))
+            assert pos[i] == (inside and det > 0)
+            assert neg[i] == (inside and det < 0)
+            assert not near[i]

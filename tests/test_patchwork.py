@@ -310,3 +310,12 @@ def test_domain_svg_draws_one_seam_path_per_radius():
     assert seams == sum(len(radii) for radii in spec.seam_radii().values())
     assert seams == len(spec.stacks["x"].seams()) + 2
     assert 'stroke-width="0.4"' not in domain_svg(identity_map(), resolution=8)
+
+
+def test_worked_example_energy_at_tiny_epsilon():
+    # at epsilon = 1e-4 the single stack's layer ratio is epsilon^3, so its
+    # layer reaches unit modulus at 1e-6 of its outer radius; the quadrature
+    # must still resolve it (a floor at 1e-4 of the radius lost about 2 pi)
+    sm = assemble_patchwork(select_case(WORKED, epsilon=1e-4))
+    energy = dirichlet_energy(sm, level=2)
+    assert abs(energy - 7 * math.pi) / (7 * math.pi) < 0.005
