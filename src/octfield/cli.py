@@ -311,10 +311,14 @@ def cmd_sweep(args) -> int:
                     "checks": checks,
                 }
                 results.append(row)
+                failing = [name for name, ok in checks.items() if not ok]
+                if failing:
+                    failed.append({"k": list(k), "n": n,
+                                   "reason": f"failed checks: {', '.join(failing)}"})
                 print(
                     f"k={k} n={n} case={row['case']}: gap "
                     f"{100 * row['energy_gap_relative']:+.2f}% "
-                    f"{'pass' if all(checks.values()) else 'FAIL'}"
+                    f"{'FAIL' if failing else 'pass'}"
                 )
             except (UnsupportedClassError, NotApplicableError, ConstructionError) as e:
                 unsupported.append({"k": list(k), "n": n, "reason": str(e)})

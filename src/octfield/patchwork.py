@@ -161,8 +161,8 @@ def _general_table(axis: str, layers: int, sigma_minus, anti_first: bool = False
     return table
 
 
-def _stack_flips(axis: str, sigma_minus):
-    """Reflection signs making the standard stack cover the required pair, or
+def _stack_flip(axis: str, sigma_minus):
+    """Reflection sign making the standard stack cover the required pair, or
     None when the pre-relocation pair is not reachable by modulus-preserving
     reflections (the pair's first two chart components differ)."""
     inv_axis = {"x": "y", "y": "x", "z": "z"}[axis]
@@ -301,13 +301,11 @@ def _build_stacks(case_id: str, M, epsilon: float, k, n: int, sigma_minus=None,
             stacks[axis] = QuarterSphereStack(layers, epsilon, "case2c_y", special,
                                               delta=delta)
         elif sigma_minus is not None and sigma_minus != (-1, -1, -1):
-            flip = _stack_flips(axis, sigma_minus)
+            flip = _stack_flip(axis, sigma_minus)
             if flip is None:
                 return None
-            stacks[axis] = QuarterSphereStack(
-                layers, epsilon, conf_flip=flip, anti_flip=flip,
-                anti_first=anti_first, delta=delta,
-            )
+            stacks[axis] = QuarterSphereStack(layers, epsilon, flip=flip,
+                                              anti_first=anti_first, delta=delta)
         else:
             stacks[axis] = QuarterSphereStack(layers, epsilon, anti_first=anti_first,
                                               delta=delta)

@@ -14,12 +14,12 @@ real on [0, 1], imaginary on [0, i], unit modulus on the arc.
 ``realize`` searches this family for a representative of a prescribed
 conformal or anticonformal class.  Only the count of factors, the exponent
 sign sequence along each edge, the power, and the overall sign affect the
-homotopy invariants (not the particular r/s values), so the search enumerates
-those discrete shapes and accepts on an exact match of the wrapping numbers
-measured from boundary windings.  The free values are then a design choice:
-for the bulk of a patchwork they are fitted to the vertices that carry
-stacks, so that the bulk meets each stack's collar on the correct side of
-unit modulus.
+homotopy invariants (not the particular r/s/t values), so the search
+enumerates those discrete shapes and accepts on an exact match of the
+wrapping numbers measured from boundary windings.  The free values are then
+a design choice, always fitted: away from near-cancelling zero/pole pairs
+(whose energy bumps no grid resolves) and, for the bulk of a patchwork, so
+that the bulk meets each stack's collar on the correct side of unit modulus.
 """
 
 from __future__ import annotations
@@ -395,18 +395,20 @@ def predict_invariants(spec: RationalMapSpec) -> OctantTopology:
 # Realization of conformal/anticonformal classes
 # ---------------------------------------------------------------------------
 
-_R_BAND = (0.28, 0.54)  # keeps edge zeros/poles clear of the vertex collars
-_T_ARG = 0.9  # radians; canned argument for complex factor parameters
+_PARAM_BAND = (0.15, 0.75)  # range of the fitted free parameters
+_T_ARG = 0.9  # radians; starting argument of complex factor parameters
+_MAX_EDGE = 9  # most edge factors a shape may carry
 
 _REALIZE_CACHE: dict = {}
 
 
 def _spread(n: int) -> list[float]:
-    lo, hi = _R_BAND
+    """n parameters spread evenly over the band: the fit's start on an edge."""
+    lo, hi = _PARAM_BAND
     return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
 
 
-def _candidate_specs(orientation: str, e, k, degree: int, max_edge: int = 9):
+def _candidate_specs(orientation: str, e, k, degree: int):
     """Factor shapes of the given covering count, ordered by the number of
     edge factors (fewest first: edge zeros/poles are the expensive,
     ill-conditioned elements; powers and complex factors absorb the rest).
@@ -415,7 +417,7 @@ def _candidate_specs(orientation: str, e, k, degree: int, max_edge: int = 9):
     skipped; each edge is checked on its own, so the cost grows with
     2^a + 2^b instead of 2^(a+b) for a real and b imaginary factors.
     """
-    for t_edge in range(min(max_edge, (degree - 1) // 2) + 1):
+    for t_edge in range(min(_MAX_EDGE, (degree - 1) // 2) + 1):
         rest_e = degree - 2 * t_edge
         for c in range((rest_e - 1) // 4 + 1):
             q = rest_e - 4 * c
@@ -458,27 +460,6 @@ def _candidate_specs(orientation: str, e, k, degree: int, max_edge: int = 9):
                                 )
 
 
-def _vertex_conditioning(spec: RationalMapSpec, e, ring_radius: float = 0.1) -> float:
-    """How compatible the map is with vertex collars: on the chart ring where
-    collars live the modulus should be far below 1 for edge sign +1 and far
-    above 1 for -1, so collar blends stay in one chart regime.  Extreme
-    residues at edge singularities are penalized too (they concentrate energy
-    at scales any uniform estimate misses).  Smaller is better."""
-    phis = np.linspace(0.0, math.pi / 2, 9)
-    ring = ring_radius * np.exp(1j * phis)
-    worst = 0.0
-    for axis, sign in zip("xyz", e):
-        chart_vals = relocate_inverse(axis, evaluate_rational(spec, relocate(axis, ring)))
-        mags = np.abs(chart_vals)
-        bad = float(np.max(mags)) if sign > 0 else float(np.max(1.0 / np.maximum(mags, 1e-300)))
-        worst = max(worst, bad)
-    score = math.log10(max(worst, 1e-12))
-    for _, scale in singular_structure(spec):
-        score += 0.1 * max(0.0, -math.log10(scale) - 4.0)
-    return score
-
-
-_PARAM_BAND = (0.15, 0.75)  # free-parameter range when fitting to stacks
 _MIN_SEPARATION = 0.05  # between consecutive parameters on one edge
 _COLLAR_RING = 0.1  # chart radius 2 epsilon of the collar ring at epsilon = 0.05
 _RESIDUE_REACH = 1e-3  # narrower zero/pole bumps count as unresolvable
@@ -502,7 +483,8 @@ def _fit_score(spec: RationalMapSpec, e, stacked) -> float:
     collar excess the bulk forces.  One unit is added for every zero or pole
     in the quarter disc whose |f| crosses unit modulus within
     ``_RESIDUE_REACH``: such near-cancelling pairs make energy bumps too
-    narrow for the quadrature grids to resolve reliably.
+    narrow for the quadrature grids to resolve reliably.  Without stacked
+    vertices that count is the whole score.
     """
     probes, zero, direction = _singular_points(spec)
     points = [_RING_IN_W[axis] for axis in stacked] + [probes + _RESIDUE_REACH * direction]
@@ -519,12 +501,9 @@ def _fit_score(spec: RationalMapSpec, e, stacked) -> float:
 
 
 def _start_vector(shape: RationalMapSpec) -> np.ndarray:
-    """Free parameters spread evenly over the band along each edge, and the
-    shape's own complex parameters."""
-    lo, hi = _PARAM_BAND
-    x = []
-    for n in (len(shape.real_factors), len(shape.imag_factors)):
-        x += [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
+    """The shape's own free parameters, the inverse of ``_with_parameters``:
+    edge parameters in edge order, then (|t|, arg t) per complex factor."""
+    x = [r for r, _ in shape.real_factors] + [s for s, _ in shape.imag_factors]
     for t, _ in shape.complex_factors:
         x += [abs(t), float(np.angle(t))]
     return np.asarray(x, dtype=float)
@@ -562,12 +541,12 @@ def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
 def _fit_parameters(shape: RationalMapSpec, e, stacked, min_step: float = 0.01) -> tuple:
     """(score, spec): the shape's free parameters chosen by coordinate descent
     on ``_fit_score``, from ``_start_vector`` with steps halving from 0.16
-    down to ``min_step``."""
+    down to ``min_step``.  A score of 0, the least there is, ends it."""
     x = _start_vector(shape)
     spec = _with_parameters(shape, x)
     best = _fit_score(spec, e, stacked)
     step = 0.16
-    while step >= min_step:
+    while step >= min_step and best > 0:
         improved = False
         for i in range(len(x)):
             for sign in (1.0, -1.0):
@@ -593,13 +572,16 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     representative), and verifies the winner's measured wrapping numbers.
 
     ``stacked`` names the vertices (``"x"``, ``"y"``, ``"z"``) that carry
-    stacks.  Without stacks the matches are ranked by vertex conditioning at
-    all three vertices with canned parameters.  With stacks the free
-    parameters of every matching shape are fitted so that the bulk stays on
-    the correct side of unit modulus on the collar ring of each stacked
-    vertex (see ``_fit_score``), and the best fit wins.  The ring is fixed
-    at the chart radius 0.1, so one bulk serves every epsilon and epsilon
-    refinement changes the stacks and collars only.
+    stacks.  The free parameters of every matching shape are fitted by
+    ``_fit_score`` (coarse fits of all of them, full fits of the best
+    ``_FULL_FITS``), and the best fit whose measured wrapping numbers match
+    wins.  With stacks the score keeps the bulk on the correct side of unit
+    modulus on the collar ring of each stacked vertex.  Without stacks only
+    its residue term acts: parameters leave their start only to clear
+    near-cancelling zero/pole pairs, and ties go to the earliest shape in
+    enumeration order.  The ring is fixed at the chart radius 0.1, so one
+    bulk serves every epsilon and epsilon refinement changes the stacks and
+    collars only.
     """
     stacked = tuple(sorted(set(stacked)))
     if any(axis not in _AXES for axis in stacked):
@@ -626,21 +608,18 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
         matches.append(spec)
         if len(matches) >= 400:
             break
-    if stacked:
-        # coarse fits of every shape, then full fits of the best few
-        coarse = sorted(
-            (_fit_parameters(shape, target.e, stacked, _COARSE_STEP) + (i,)
-             for i, shape in enumerate(matches)),
-            key=lambda fit: (fit[0], fit[2]),
-        )
-        fitted = sorted(
-            (_fit_parameters(matches[i], target.e, stacked)
-             for _, _, i in coarse[:_FULL_FITS]),
-            key=lambda fit: fit[0],
-        )
-        ranked = [spec for _, spec in fitted] + [spec for _, spec, _ in coarse[_FULL_FITS:]]
-    else:
-        ranked = sorted(matches, key=lambda s: _vertex_conditioning(s, target.e))
+    # coarse fits of every shape, then full fits of the best few
+    coarse = sorted(
+        (_fit_parameters(shape, target.e, stacked, _COARSE_STEP) + (i,)
+         for i, shape in enumerate(matches)),
+        key=lambda fit: (fit[0], fit[2]),
+    )
+    fitted = sorted(
+        (_fit_parameters(matches[i], target.e, stacked)
+         for _, _, i in coarse[:_FULL_FITS]),
+        key=lambda fit: fit[0],
+    )
+    ranked = [spec for _, spec in fitted] + [spec for _, spec, _ in coarse[_FULL_FITS:]]
     for spec in ranked:
         if measure_wrapping_rational(spec).values == w.values:
             _REALIZE_CACHE[key] = spec

@@ -18,15 +18,16 @@ nearly free.  By default delta = epsilon, which gives rho_m = epsilon^(L+1-m)
 and the layer closed form 2 pi (1 - 4 delta^2) / ((1 + delta)(1 + 4 delta)).
 
 Variants implement the modified stacks of the special tabulated case, whose
-first ``special_layers`` layers use same-orientation formulas; ``conf_flip``
-and ``anti_flip`` rotate the covered sector pairs by z -> -z for the
-general-sign construction.
+first ``special_layers`` layers use same-orientation formulas; ``flip``
+rotates the covered sector pairs by z -> -z for the general-sign
+construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,7 @@ PERMUTATIONS = {
     "z": lambda s: (s[0], s[1], s[2]),
 }
 _INVERSE_AXIS = {"x": "y", "y": "x", "z": "z"}
+_SEAM_TOL = 1 + 1e-9  # relative tolerance of the layer masks at seams
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,7 @@ class QuarterSphereStack:
     epsilon: float
     variant: str = "standard"  # standard | case2c_x | case2c_y
     special_layers: int = 0
-    conf_flip: int = 1
-    anti_flip: int = 1
+    flip: int = 1
     anti_first: bool = False  # mirror alternation for negative-kink classes
     delta: float | None = None  # layer ratio; None means delta = epsilon
 
@@ -72,8 +73,8 @@ class QuarterSphereStack:
             raise ValueError("standard stacks have no special layers")
         if self.variant != "standard" and self.anti_first:
             raise ValueError("variant stacks use the standard alternation")
-        if self.conf_flip not in (1, -1) or self.anti_flip not in (1, -1):
-            raise ValueError("flips must be +-1")
+        if self.flip not in (1, -1):
+            raise ValueError("flip must be +-1")
 
     def radius(self, m: int) -> float:
         """rho_m = epsilon * delta^(L-m); rho_0 = 0.
@@ -129,9 +130,9 @@ class QuarterSphereStack:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self.radius(m - 1) / (root * np.conj(u))
         if self.layer_is_conformal(m):
-            return self.conf_flip * (-u) / (root * self.radius(m))
+            return self.flip * (-u) / (root * self.radius(m))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.anti_flip * self.radius(m - 1) / (root * np.conj(u))
+            return self.flip * self.radius(m - 1) / (root * np.conj(u))
 
     def interpolant_value(self, n: int, u):
         """Blend between layers n and n+1 on rho_n <= |u| <= 2 rho_n."""
@@ -145,44 +146,46 @@ class QuarterSphereStack:
         # (conformal side), linear where they are small
         return blend(a, b, s, odd=self.layer_is_conformal(n))
 
-    def evaluate(self, u):
-        """Full stack map on the chart disc |u| <= epsilon.
+    def _annuli(self, r):
+        """The split of chart radii r into layers and interpolants, in the
+        order in which a later piece overrides an earlier one.  Yields (tag,
+        mask, formula).  Layer masks carry a relative tolerance so points that
+        land a rounding error past a seam still take the adjacent layer (the
+        formulas agree at seams, so the choice is immaterial)."""
+        for n in range(1, self.layers):
+            yield (f"interp({n})", (r > self.radius(n)) & (r < 2 * self.radius(n)),
+                   partial(self.interpolant_value, n))
+        for m in range(1, self.layers + 1):
+            yield (f"annulus({m})",
+                   (r >= 2 * self.radius(m - 1) / _SEAM_TOL)
+                   & (r <= self.radius(m) * _SEAM_TOL),
+                   partial(self.layer_value, m))
 
-        Annulus membership uses a relative tolerance so points that land a
-        rounding error past a seam still take the adjacent formula (the
-        formulas agree at seams, so the choice is immaterial).
-        """
+    def evaluate(self, u):
+        """Full stack map on the chart disc |u| <= epsilon (up to the seam
+        tolerance of ``_annuli``)."""
         u = np.asarray(u, dtype=complex)
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(u)
         r = np.abs(u)
-        tol = 1 + 1e-9
-        if (r > self.epsilon * tol).any():
+        if (r > self.epsilon * _SEAM_TOL).any():
             raise ValueError("stack evaluated outside its chart disc")
         out = np.empty(u.shape, dtype=complex)
         out[:] = np.nan
-        for n in range(1, self.layers):
-            mask = (r > self.radius(n)) & (r < 2 * self.radius(n))
+        for _, mask, formula in self._annuli(r):
             if mask.any():
-                out[mask] = self.interpolant_value(n, u[mask])
-        for m in range(1, self.layers + 1):
-            mask = (r >= 2 * self.radius(m - 1) / tol) & (r <= self.radius(m) * tol)
-            if mask.any():
-                out[mask] = self.layer_value(m, u[mask])
+                out[mask] = formula(u[mask])
         if np.isnan(out).any():
             raise AssertionError("stack annuli failed to cover the chart disc")
         return complex(out[0]) if scalar else out
 
     def subdomain_tag(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        r = np.abs(u)
-        tags = np.empty(u.shape, dtype=object)
-        for m in range(1, self.layers + 1):
-            mask = (r >= 2 * self.radius(m - 1)) & (r <= self.radius(m))
-            tags[mask] = f"annulus({m})"
-        for n in range(1, self.layers):
-            mask = (r > self.radius(n)) & (r < 2 * self.radius(n))
-            tags[mask] = f"interp({n})"
+        """Annulus or interpolant tag of chart points, from the same split as
+        ``evaluate``."""
+        r = np.abs(np.atleast_1d(np.asarray(u, dtype=complex)))
+        tags = np.empty(r.shape, dtype=object)
+        for tag, mask, _ in self._annuli(r):
+            tags[mask] = tag
         return tags
 
 
@@ -220,9 +223,9 @@ def _pre_relocation_table(stack: QuarterSphereStack) -> dict:
         elif m % 2 == 0 and special and stack.variant == "case2c_y":
             add((1, 1), +1)
         elif stack.layer_is_conformal(m):
-            add((-stack.conf_flip, -stack.conf_flip), -1)
+            add((-stack.flip, -stack.flip), -1)
         else:
-            add((stack.anti_flip, stack.anti_flip), +1)
+            add((stack.flip, stack.flip), +1)
     return table
 
 

@@ -217,3 +217,19 @@ def test_sweep_reports_integration_failures(monkeypatch, tmp_path):
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert data["results"] == []
     assert [(f["k"], f["n"]) for f in data["failed"]] == [([1, 1, 1], 1)]
+
+
+def test_sweep_fails_classes_that_fail_their_checks(monkeypatch, tmp_path, capsys):
+    from octfield import numerics
+
+    real = numerics.dirichlet_energy
+    monkeypatch.setattr(numerics, "dirichlet_energy",
+                        lambda *args, **kwargs: 0.9 * real(*args, **kwargs))
+    assert main(["sweep", "--kmax", "1", "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 5
+    assert "FAIL" in capsys.readouterr().out
+    data = json.loads((tmp_path / "sweep.json").read_text())
+    assert [r["k"] for r in data["results"]] == [[1, 1, 1]]
+    assert data["results"][0]["checks"]["energy_not_below_infimum"] is False
+    assert [(f["k"], f["n"]) for f in data["failed"]] == [([1, 1, 1], 1)]
+    assert "energy_not_below_infimum" in data["failed"][0]["reason"]

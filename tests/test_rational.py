@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from octfield.rational import (
     ConstructionError,
@@ -13,7 +17,7 @@ from octfield.rational import (
     predict_invariants,
     realize,
 )
-from octfield.rational import _spread
+from octfield.rational import _spread, _start_vector, _with_parameters
 from octfield.topology import (
     OctantTopology,
     invariants_from_wrapping,
@@ -95,6 +99,60 @@ def test_predictor_matches_measurement_on_random_specs():
         )
 
 
+# edge parameters on a 0.06 grid over the fitting band, so consecutive ones
+# keep the band's minimum separation of 0.05
+_EDGE_GRID = [round(0.15 + 0.06 * i, 2) for i in range(11)]
+_SIGNS = st.sampled_from((1, -1))
+
+
+@st.composite
+def product_specs(draw):
+    """Product maps with up to 3 factors per edge and up to 2 complex factors,
+    their free parameters inside the fitting band."""
+
+    def edge_factors():
+        params = draw(st.lists(st.sampled_from(_EDGE_GRID), max_size=3, unique=True))
+        return tuple((p, draw(_SIGNS)) for p in sorted(params))
+
+    real, imag = edge_factors(), edge_factors()
+    # complex parameters keep a margin inside the band's limits, so rounding
+    # in the polar round trip cannot carry them out
+    ts = [
+        draw(st.floats(0.16, 0.74)) * complex(math.cos(angle), math.sin(angle))
+        for angle in draw(st.lists(st.floats(0.16, math.pi / 2 - 0.16), max_size=2))
+    ]
+    assume(all(abs(p - q) >= 0.11 for p, q in itertools.combinations(ts, 2)))
+    return RationalMapSpec(
+        sign=draw(_SIGNS),
+        m=draw(st.integers(-2, 2)),
+        real_factors=real,
+        imag_factors=imag,
+        complex_factors=tuple((t, draw(_SIGNS)) for t in ts),
+        orientation=draw(st.sampled_from(("conformal", "anticonformal"))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_specs())
+def test_predicted_invariants_equal_measured_ones(spec):
+    predicted = predict_invariants(spec)
+    measured = invariants_from_wrapping(measure_wrapping_rational(spec))
+    assert (predicted.e, predicted.k, predicted.omega_units) == (
+        measured.e, measured.k, measured.omega_units
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_specs())
+def test_shape_parameters_round_trip(spec):
+    # edge parameters come back exactly; complex ones pass through polar form
+    back = _with_parameters(spec, _start_vector(spec))
+    assert dataclasses.replace(back, complex_factors=spec.complex_factors) == spec
+    assert [ex for _, ex in back.complex_factors] == [ex for _, ex in spec.complex_factors]
+    for (t_back, _), (t, _) in zip(back.complex_factors, spec.complex_factors):
+        assert abs(t_back - t) <= 1e-15
+
+
 def test_cubic_power_invariants():
     t = predict_invariants(RationalMapSpec(m=1))
     assert (t.e, t.k, t.omega_units) == ((1, -1, 1), (0, 0, -1), -3)
@@ -126,8 +184,9 @@ def test_realize_rejects_nonconformal():
 def test_realize_fits_bulk_to_stacked_vertices():
     # the bulk of k=(3,3,3), n=3 carries anticonformal-top stacks at all three
     # vertices, so on the collar ring |u| = 0.1 of each vertex chart its
-    # modulus must stay below 1; the canned parameters r = s = 0.41 cross
-    # unit modulus at |w| ~ 0.03 at the z vertex
+    # modulus must stay below 1; the unstacked bulk of the same shape keeps
+    # its start parameters r = s = 0.45 (the middle of the fitting band) and
+    # crosses unit modulus at |u| ~ 0.04 in the z chart
     from octfield.geometry import relocate, relocate_inverse
 
     bulk_class = OctantTopology((1, 1, 1), (1, 1, 1), -5)

@@ -144,8 +144,22 @@ def test_case2c_y_special_layers_cover_positively():
 
 
 def test_general_sign_flips_move_covered_pairs():
-    st = QuarterSphereStack(1, 0.05, conf_flip=-1)
+    st = QuarterSphereStack(1, 0.05, flip=-1)
     assert table_by_name(st, "z") == {"+++": -1, "++-": -1}
+
+
+def test_tags_and_values_share_the_annulus_split():
+    # a point a rounding error past a layer's outer radius takes the layer's
+    # formula, and its tag names that layer
+    st = QuarterSphereStack(3, 0.05, delta=1e-3)
+    for m in (1, 2, 3):
+        u = st.radius(m) * (1 + 1e-10) * np.exp(0.7j)
+        assert list(st.subdomain_tag(u)) == [f"annulus({m})"]
+        assert st.evaluate(u) == complex(st.layer_value(m, u))
+    for n in (1, 2):
+        u = 1.5 * st.radius(n) * np.exp(0.7j)
+        assert list(st.subdomain_tag(u)) == [f"interp({n})"]
+        assert st.evaluate(u) == complex(st.interpolant_value(n, u))
 
 
 def test_invalid_stack_parameters():
