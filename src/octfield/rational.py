@@ -110,44 +110,56 @@ def evaluate_rational(spec: RationalMapSpec, w):
     w = np.asarray(w, dtype=complex)
     scalar = np.ndim(w) == 0
     z = np.conj(w) if spec.orientation == "anticonformal" else w
-    z = np.atleast_1d(z)
+    out = _product_values(
+        np.atleast_1d(z), spec.sign, 2 * spec.m + 1,
+        [(r * r, rho) for r, rho in spec.real_factors],
+        [(s * s, sig) for s, sig in spec.imag_factors],
+        [_complex_squares(t) + (tau,) for t, tau in spec.complex_factors],
+    )
+    return complex(out[0]) if scalar else out
+
+
+def _complex_squares(t) -> tuple:
+    """(t^2, conj(t)^2) of a scalar or an array t, from real products.  They
+    round as Python's and NumPy's scalar complex products do; NumPy's
+    vectorised complex product fuses multiply-adds and rounds differently."""
+    re, im = np.real(t), np.imag(t)
+    square_re, square_im = re * re - im * im, re * im + im * re
+    return square_re + 1j * square_im, square_re - 1j * square_im
+
+
+def _product_values(z, sign, p, real, imag, complex_):
+    """sign * z^p times the product factors at z (conjugated already for
+    anticonformal maps).  ``real`` and ``imag`` hold (r^2, exponent) and
+    ``complex_`` holds (t^2, conj(t)^2, exponent); the squares are scalars, or
+    columns that give each row of a 2-d z its own parameters."""
     num = np.ones_like(z)
     den = np.ones_like(z)
-    p = 2 * spec.m + 1
     if p >= 0:
         num = num * z**p
     else:
         den = den * z ** (-p)
     z2 = z * z
-    for r, rho in spec.real_factors:
-        top, bottom = z2 - r * r, r * r * z2 - 1
-        if rho > 0:
+    factors = itertools.chain(
+        ((z2 - q, q * z2 - 1, ex) for q, ex in real),
+        ((z2 + q, q * z2 + 1, ex) for q, ex in imag),
+        (((z2 - q) * (z2 - qc), (q * z2 - 1) * (qc * z2 - 1), ex)
+         for q, qc, ex in complex_),
+    )
+    for top, bottom, ex in factors:
+        if ex > 0:
             num, den = num * top, den * bottom
         else:
             num, den = num * bottom, den * top
-    for s, sig in spec.imag_factors:
-        top, bottom = z2 + s * s, s * s * z2 + 1
-        if sig > 0:
-            num, den = num * top, den * bottom
-        else:
-            num, den = num * bottom, den * top
-    for t, tau in spec.complex_factors:
-        tc = np.conj(t)
-        top = (z2 - t * t) * (z2 - tc * tc)
-        bottom = (t * t * z2 - 1) * (tc * tc * z2 - 1)
-        if tau > 0:
-            num, den = num * top, den * bottom
-        else:
-            num, den = num * bottom, den * top
-    num = num * spec.sign
+    num = num * sign
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
-    pole = (den == 0) & (num != 0)
-    out = np.where(pole, np.inf + 0j, out)
-    bad = (den == 0) & (num == 0)
-    if np.any(bad):
-        raise InvalidSpecError("indeterminate 0/0 during evaluation (parameter collision)")
-    return complex(out[0]) if scalar else out
+    at_pole = den == 0
+    if at_pole.any():
+        if np.any(at_pole & (num == 0)):
+            raise InvalidSpecError("indeterminate 0/0 during evaluation (parameter collision)")
+        out[at_pole] = np.inf + 0j
+    return out
 
 
 def boundary_points(t):
@@ -463,16 +475,81 @@ def _candidate_specs(orientation: str, e, k, degree: int):
 _MIN_SEPARATION = 0.05  # between consecutive parameters on one edge
 _COLLAR_RING = 0.1  # chart radius 2 epsilon of the collar ring at epsilon = 0.05
 _RESIDUE_REACH = 1e-3  # narrower zero/pole bumps count as unresolvable
+_START_STEP = 0.16  # first step of every fit
 _COARSE_STEP = 0.08  # smallest step of the coarse fit every shape gets
+_FULL_STEP = 0.01  # smallest step of the full fits
 _FULL_FITS = 3  # shapes then fitted to full resolution
 _AXES = ("x", "y", "z")
 _RING = _COLLAR_RING * np.exp(1j * np.linspace(0.0, math.pi / 2, 9))
 _RING_IN_W = {axis: relocate(axis, _RING) for axis in _AXES}
 
 
-def _fit_score(spec: RationalMapSpec, e, stacked) -> float:
-    """Collar-compatibility score of a bulk for the stacked vertices; smaller
-    is better.
+def _start_vector(shape: RationalMapSpec) -> np.ndarray:
+    """The shape's own free parameters, the inverse of ``_with_parameters``:
+    edge parameters in edge order, then (|t|, arg t) per complex factor."""
+    x = [r for r, _ in shape.real_factors] + [s for s, _ in shape.imag_factors]
+    for t, _ in shape.complex_factors:
+        x += [abs(t), float(np.angle(t))]
+    return np.asarray(x, dtype=float)
+
+
+def _complex_parameters(shape: RationalMapSpec, X) -> np.ndarray:
+    """(T, c) complex parameters t = |t| e^(i arg t) of the rows of free
+    parameters X, from the (|t|, arg t) pairs after the edge parameters.
+    Cosine and sine come from ``math``, whose roundings NumPy's vectorised
+    ones need not match."""
+    start = len(shape.real_factors) + len(shape.imag_factors)
+    radii, angles = X[:, start::2], X[:, start + 1::2]
+    t = np.empty(radii.shape, dtype=complex)
+    if t.size:
+        t.real = radii * np.reshape([math.cos(v) for v in angles.flat], angles.shape)
+        t.imag = radii * np.reshape([math.sin(v) for v in angles.flat], angles.shape)
+    return t
+
+
+def _admissible(shape: RationalMapSpec, X, t) -> np.ndarray:
+    """Which rows of free parameters X, with complex parameters t, the fit
+    may use: every parameter inside the band; edge parameters sorted and at
+    least ``_MIN_SEPARATION`` apart, so the exponent sequence along each
+    edge, and with it every invariant, is the shape's own; complex arguments
+    0.15 inside the quarter disc; complex parameters at least twice the
+    separation apart."""
+    lo, hi = _PARAM_BAND
+    a, b = len(shape.real_factors), len(shape.imag_factors)
+    edge, radii, angles = X[:, :a + b], X[:, a + b::2], X[:, a + b + 1::2]
+    ok = ((lo <= edge) & (edge <= hi)).all(axis=1)
+    ok &= ((lo <= radii) & (radii <= hi)
+           & (0.15 <= angles) & (angles <= math.pi / 2 - 0.15)).all(axis=1)
+    # gaps between neighbours on one edge, not from the last real parameter
+    # to the first imaginary one
+    gaps = (edge[:, 1:] - edge[:, :-1])[:, np.arange(a + b - 1) != a - 1]
+    ok &= (gaps >= _MIN_SEPARATION).all(axis=1)
+    for p, q in itertools.combinations(range(t.shape[1]), 2):
+        ok &= np.abs(t[:, p] - t[:, q]) >= 2 * _MIN_SEPARATION
+    return ok
+
+
+def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
+    """The shape with free parameters x, or None when ``_admissible`` refuses
+    them."""
+    X = np.asarray(x, dtype=float)[None]
+    t = _complex_parameters(shape, X)
+    if not _admissible(shape, X, t)[0]:
+        return None
+    a, b = len(shape.real_factors), len(shape.imag_factors)
+    return RationalMapSpec(
+        sign=shape.sign,
+        m=shape.m,
+        real_factors=tuple(zip(X[0, :a].tolist(), (ex for _, ex in shape.real_factors))),
+        imag_factors=tuple(zip(X[0, a:a + b].tolist(), (ex for _, ex in shape.imag_factors))),
+        complex_factors=tuple(zip(t[0], (ex for _, ex in shape.complex_factors))),
+        orientation=shape.orientation,
+    )
+
+
+class _FitScorer:
+    """Collar-compatibility scores of one factor shape's free parameters for
+    the stacked vertices of a class with edge signs e; smaller is better.
 
     The main term sums, over the stacked vertices, the mean normalized cap
     area m^2 / (1 + m^2) of the wrong-side chart modulus m on the collar
@@ -485,82 +562,108 @@ def _fit_score(spec: RationalMapSpec, e, stacked) -> float:
     ``_RESIDUE_REACH``: such near-cancelling pairs make energy bumps too
     narrow for the quadrature grids to resolve reliably.  Without stacked
     vertices that count is the whole score.
+
+    What depends on the shape alone (zero mask, probe offsets, collar rings,
+    wrong sides) is set up once.  ``scores`` rates many parameter rows with
+    one evaluation, in ``evaluate_rational``'s order of operations, so each
+    row scores exactly what the map ``_with_parameters`` builds from it does.
     """
-    probes, zero, direction = _singular_points(spec)
-    points = [_RING_IN_W[axis] for axis in stacked] + [probes + _RESIDUE_REACH * direction]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = evaluate_rational(spec, np.concatenate(points))
-        mags = np.abs(values[-len(probes):])
-        score = float(np.count_nonzero(np.where(zero, mags >= 1.0, mags <= 1.0)))
-        n = len(_RING)
-        for i, axis in enumerate(stacked):
-            chart = np.abs(relocate_inverse(axis, values[i * n:(i + 1) * n]))
-            m2 = chart**2 if e[_AXES.index(axis)] > 0 else 1.0 / chart**2
-            score += float(np.mean(np.where(np.isfinite(m2), m2 / (1.0 + m2), 1.0)))
-    return score
+
+    def __init__(self, shape: RationalMapSpec, e, stacked):
+        self.shape = shape
+        _, self.zero, directions = _singular_points(shape)
+        self.offsets = _RESIDUE_REACH * directions
+        self.stacked = stacked
+        self.rings = np.array([_RING_IN_W[axis] for axis in stacked], dtype=complex).ravel()
+        # per ring point: does the stack's top layer meet a bulk zero there
+        self.zero_top = np.repeat([e[_AXES.index(axis)] > 0 for axis in stacked], len(_RING))
+
+    def scores(self, X) -> np.ndarray:
+        """Scores of the parameter rows X, shape (T, d); inf where
+        ``_admissible`` refuses a row."""
+        shape = self.shape
+        X = np.asarray(X, dtype=float)
+        t = _complex_parameters(shape, X)
+        ok = _admissible(shape, X, t)
+        out = np.full(len(X), np.inf)
+        if not ok.any():
+            return out
+        if not ok.all():
+            X, t = X[ok], t[ok]
+        a, b = len(shape.real_factors), len(shape.imag_factors)
+        rings = len(self.rings)
+        w = np.zeros((len(X), rings + len(self.zero)), dtype=complex)
+        w[:, :rings] = self.rings
+        probes = w[:, rings:]
+        probes.real[:, 1:1 + a] = X[:, :a]
+        probes.imag[:, 1 + a:1 + a + b] = X[:, a:a + b]
+        probes[:, 1 + a + b:] = t
+        probes += self.offsets
+        edge_squares = X[:, :a + b] * X[:, :a + b]
+        squares, conj_squares = _complex_squares(t) if t.size else (t, t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = _product_values(
+                np.conj(w) if shape.orientation == "anticonformal" else w,
+                shape.sign,
+                2 * shape.m + 1,
+                [(edge_squares[:, i:i + 1], ex)
+                 for i, (_, ex) in enumerate(shape.real_factors)],
+                [(edge_squares[:, a + i:a + i + 1], ex)
+                 for i, (_, ex) in enumerate(shape.imag_factors)],
+                [(squares[:, i:i + 1], conj_squares[:, i:i + 1], ex)
+                 for i, (_, ex) in enumerate(shape.complex_factors)],
+            )
+            mags = np.abs(values[:, rings:])
+            rows = np.count_nonzero(
+                np.where(self.zero, mags >= 1.0, mags <= 1.0), axis=1
+            ).astype(float)
+            n = len(_RING)
+            charts = np.empty((len(X), rings), dtype=complex)
+            for i, axis in enumerate(self.stacked):
+                charts[:, i * n:(i + 1) * n] = relocate_inverse(axis, values[:, i * n:(i + 1) * n])
+            chart = np.abs(charts)
+            m2 = np.where(self.zero_top, chart**2, 1.0 / chart**2)
+            caps = np.where(np.isfinite(m2), m2 / (1.0 + m2), 1.0)
+            means = caps.reshape(len(X), len(self.stacked), n).sum(axis=2) / n
+            for i in range(len(self.stacked)):
+                rows = rows + means[:, i]
+        out[ok] = rows
+        return out
 
 
-def _start_vector(shape: RationalMapSpec) -> np.ndarray:
-    """The shape's own free parameters, the inverse of ``_with_parameters``:
-    edge parameters in edge order, then (|t|, arg t) per complex factor."""
-    x = [r for r, _ in shape.real_factors] + [s for s, _ in shape.imag_factors]
-    for t, _ in shape.complex_factors:
-        x += [abs(t), float(np.angle(t))]
-    return np.asarray(x, dtype=float)
+def _fit_parameters(scorer: _FitScorer, x, best, step, min_step) -> tuple:
+    """(best, x, step): coordinate descent on ``scorer`` from parameters x of
+    score best, with steps halving from ``step`` while they are at least
+    ``min_step``.  Each sweep tries x_i + step and x_i - step for every i in
+    turn and moves to each trial that beats the best score by more than
+    1e-4; a sweep without a move halves the step.  A score of 0, the least
+    there is, ends it.
 
-
-def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
-    """The shape with free parameters x, or None when they leave the band or
-    crowd each other.  Parameters along each edge stay sorted, so the
-    exponent sequence along the edge, and with it every invariant, is the
-    shape's own."""
-    lo, hi = _PARAM_BAND
-    a, b = len(shape.real_factors), len(shape.imag_factors)
-    rs, ss, cs = x[:a], x[a:a + b], x[a + b:]
-    for edge in (rs, ss):
-        if len(edge) and (edge[0] < lo or edge[-1] > hi
-                          or np.any(np.diff(edge) < _MIN_SEPARATION)):
-            return None
-    ts = []
-    for radius, angle in zip(cs[0::2], cs[1::2]):
-        if not (lo <= radius <= hi and 0.15 <= angle <= math.pi / 2 - 0.15):
-            return None
-        ts.append(radius * complex(math.cos(angle), math.sin(angle)))
-    if any(abs(p - q) < 2 * _MIN_SEPARATION for p, q in itertools.combinations(ts, 2)):
-        return None
-    return RationalMapSpec(
-        sign=shape.sign,
-        m=shape.m,
-        real_factors=tuple(zip(rs.tolist(), (ex for _, ex in shape.real_factors))),
-        imag_factors=tuple(zip(ss.tolist(), (ex for _, ex in shape.imag_factors))),
-        complex_factors=tuple(zip(ts, (ex for _, ex in shape.complex_factors))),
-        orientation=shape.orientation,
-    )
-
-
-def _fit_parameters(shape: RationalMapSpec, e, stacked, min_step: float = 0.01) -> tuple:
-    """(score, spec): the shape's free parameters chosen by coordinate descent
-    on ``_fit_score``, from ``_start_vector`` with steps halving from 0.16
-    down to ``min_step``.  A score of 0, the least there is, ends it."""
-    x = _start_vector(shape)
-    spec = _with_parameters(shape, x)
-    best = _fit_score(spec, e, stacked)
-    step = 0.16
+    Trials are scored in batches: all trials left in a sweep at once from
+    the current x, and after a move only the trials after it, from the new
+    x.  That is the trajectory of trying them one by one.  The returned
+    state resumes the descent: a full fit continues a coarse fit of the same
+    shape from its final step and equals a fresh full descent.
+    """
+    d = len(x)
+    axes = np.repeat(np.arange(d), 2)
+    signs = np.tile([1.0, -1.0], d)
     while step >= min_step and best > 0:
         improved = False
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sign * step
-                candidate = _with_parameters(shape, trial)
-                if candidate is None:
-                    continue
-                score = _fit_score(candidate, e, stacked)
-                if score < best - 1e-4:
-                    best, x, spec, improved = score, trial, candidate, True
+        j = 0
+        while j < 2 * d:
+            trials = np.repeat(x[None], 2 * d - j, axis=0)
+            trials[np.arange(2 * d - j), axes[j:]] += signs[j:] * step
+            scores = scorer.scores(trials)
+            better = np.flatnonzero(scores < best - 1e-4)
+            if not len(better):
+                break
+            first = int(better[0])
+            best, x, improved = float(scores[first]), trials[first], True
+            j += first + 1
         if not improved:
             step /= 2
-    return best, spec
+    return best, x, step
 
 
 def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
@@ -572,12 +675,14 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     representative), and verifies the winner's measured wrapping numbers.
 
     ``stacked`` names the vertices (``"x"``, ``"y"``, ``"z"``) that carry
-    stacks.  The free parameters of every matching shape are fitted by
-    ``_fit_score`` (coarse fits of all of them, full fits of the best
-    ``_FULL_FITS``), and the best fit whose measured wrapping numbers match
-    wins.  With stacks the score keeps the bulk on the correct side of unit
-    modulus on the collar ring of each stacked vertex.  Without stacks only
-    its residue term acts: parameters leave their start only to clear
+    stacks.  The free parameters of every matching shape are fitted to the
+    shape's ``_FitScorer`` by ``_fit_parameters``, which scores the trials of
+    each sweep in batches: coarse fits of all shapes down to step
+    ``_COARSE_STEP``, then full fits of the best ``_FULL_FITS``, each resuming
+    its shape's coarse state.  The best fit whose measured wrapping numbers
+    match wins.  With stacks the score keeps the bulk on the correct side of
+    unit modulus on the collar ring of each stacked vertex.  Without stacks
+    only its residue term acts: parameters leave their start only to clear
     near-cancelling zero/pole pairs, and ties go to the earliest shape in
     enumeration order.  The ring is fixed at the chart radius 0.1, so one
     bulk serves every epsilon and epsilon refinement changes the stacks and
@@ -608,19 +713,26 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
         matches.append(spec)
         if len(matches) >= 400:
             break
-    # coarse fits of every shape, then full fits of the best few
-    coarse = sorted(
-        (_fit_parameters(shape, target.e, stacked, _COARSE_STEP) + (i,)
-         for i, shape in enumerate(matches)),
-        key=lambda fit: (fit[0], fit[2]),
-    )
+    # coarse fits of every shape, then full fits of the best few, each
+    # continuing its coarse fit
+    coarse = []
+    for i, shape in enumerate(matches):
+        scorer = _FitScorer(shape, target.e, stacked)
+        x = _start_vector(shape)
+        best, x, step = _fit_parameters(
+            scorer, x, scorer.scores(x[None])[0], _START_STEP, _COARSE_STEP
+        )
+        coarse.append((best, i, x, step, scorer))
+    coarse.sort(key=lambda fit: fit[:2])
     fitted = sorted(
-        (_fit_parameters(matches[i], target.e, stacked)
-         for _, _, i in coarse[:_FULL_FITS]),
+        (_fit_parameters(scorer, x, best, step, _FULL_STEP)[:2] + (scorer,)
+         for best, _, x, step, scorer in coarse[:_FULL_FITS]),
         key=lambda fit: fit[0],
     )
-    ranked = [spec for _, spec in fitted] + [spec for _, spec, _ in coarse[_FULL_FITS:]]
-    for spec in ranked:
+    ranked = [(x, scorer) for _, x, scorer in fitted]
+    ranked += [(x, scorer) for _, _, x, _, scorer in coarse[_FULL_FITS:]]
+    for x, scorer in ranked:
+        spec = _with_parameters(scorer.shape, x)
         if measure_wrapping_rational(spec).values == w.values:
             _REALIZE_CACHE[key] = spec
             return spec

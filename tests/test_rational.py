@@ -17,7 +17,19 @@ from octfield.rational import (
     predict_invariants,
     realize,
 )
-from octfield.rational import _spread, _start_vector, _with_parameters
+from octfield.geometry import relocate, relocate_inverse
+from octfield.rational import (
+    _COARSE_STEP,
+    _FULL_STEP,
+    _RESIDUE_REACH,
+    _START_STEP,
+    _FitScorer,
+    _fit_parameters,
+    _singular_points,
+    _spread,
+    _start_vector,
+    _with_parameters,
+)
 from octfield.topology import (
     OctantTopology,
     invariants_from_wrapping,
@@ -153,6 +165,111 @@ def test_shape_parameters_round_trip(spec):
         assert abs(t_back - t) <= 1e-15
 
 
+_AXES = ("x", "y", "z")
+_COLLAR_RING = 0.1 * np.exp(1j * np.linspace(0.0, math.pi / 2, 9))
+
+
+def _reference_score(spec, e, stacked):
+    """The collar-fit score by its documented formula: one unit per zero or
+    pole whose |f| crosses 1 within the residue reach of it, plus, per
+    stacked vertex, the mean of m^2 / (1 + m^2) over the collar ring, m the
+    wrong-side chart modulus (|f| in the chart for edge sign +1, 1/|f| for
+    -1)."""
+    points, zero, direction = _singular_points(spec)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mags = np.abs(evaluate_rational(spec, points + _RESIDUE_REACH * direction))
+        score = float(np.count_nonzero(np.where(zero, mags >= 1.0, mags <= 1.0)))
+        for axis in stacked:
+            values = evaluate_rational(spec, relocate(axis, _COLLAR_RING))
+            chart = np.abs(relocate_inverse(axis, values))
+            m2 = chart**2 if e[_AXES.index(axis)] > 0 else 1.0 / chart**2
+            score += float(np.mean(np.where(np.isfinite(m2), m2 / (1.0 + m2), 1.0)))
+    return score
+
+
+# offsets of a parameter from its start: fit steps, steps that crowd
+# neighbours 0.06 apart, and jumps out of the band
+_OFFSETS = st.sampled_from((0.0, 0.01, -0.02, 0.04, -0.04, 0.08, -0.16, 0.3, -0.5, 0.7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_specs(), st.tuples(_SIGNS, _SIGNS, _SIGNS),
+       st.tuples(st.booleans(), st.booleans(), st.booleans()), st.data())
+def test_scorer_rows_equal_the_score_formula(shape, e, stacks, data):
+    stacked = tuple(axis for axis, stack in zip(_AXES, stacks) if stack)
+    start = _start_vector(shape)
+    rows = np.asarray([start] + [
+        start + np.asarray(data.draw(st.lists(_OFFSETS, min_size=len(start),
+                                              max_size=len(start))))
+        for _ in range(data.draw(st.integers(1, 6)))
+    ])
+    scores = _FitScorer(shape, e, stacked).scores(rows)
+    assert scores.shape == (len(rows),)
+    for x, score in zip(rows, scores):
+        spec = _with_parameters(shape, x)
+        if spec is None:
+            assert score == np.inf
+        else:
+            assert score == _reference_score(spec, e, stacked)
+
+
+def _sequential_descent(scorer, x, min_step):
+    """Coordinate descent trying one trial at a time, from the first step."""
+    best = scorer.scores(x[None])[0]
+    step = _START_STEP
+    while step >= min_step and best > 0:
+        improved = False
+        for i in range(len(x)):
+            for sign in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] += sign * step
+                score = scorer.scores(trial[None])[0]
+                if score < best - 1e-4:
+                    best, x, improved = score, trial, True
+        if not improved:
+            step /= 2
+    return best, x
+
+
+def _shape_of(spec):
+    """The spec's factor shape at the fit's start parameters."""
+    return dataclasses.replace(
+        spec,
+        real_factors=tuple(zip(_spread(len(spec.real_factors)),
+                               (ex for _, ex in spec.real_factors))),
+        imag_factors=tuple(zip(_spread(len(spec.imag_factors)),
+                               (ex for _, ex in spec.imag_factors))),
+    )
+
+
+def test_full_fit_continues_the_coarse_fit():
+    t = 0.5 * complex(math.cos(0.9), math.sin(0.9))
+    cases = [
+        # the bulk of k=(3,3,3), n=3 with stacks at all three vertices
+        (_shape_of(realize(OctantTopology((1, 1, 1), (1, 1, 1), -5),
+                           stacked=("x", "y", "z"))), (1, 1, 1), ("x", "y", "z")),
+        # the worked example's bulk, stacked at x
+        (_shape_of(realize(OctantTopology((-1, 1, 1), (1, 0, 0), 5), stacked=("x",))),
+         (-1, 1, 1), ("x",)),
+        (RationalMapSpec(m=1, real_factors=((0.3, 1), (0.6, -1)),
+                         imag_factors=((0.45, 1),), complex_factors=((t, 1),)),
+         (1, -1, 1), ("y", "z")),
+        (RationalMapSpec(sign=-1, m=-2, real_factors=((0.3, -1), (0.5, 1), (0.7, -1)),
+                         orientation="anticonformal"), (1, 1, -1), ("x", "z")),
+    ]
+    for shape, e, stacked in cases:
+        scorer = _FitScorer(shape, e, stacked)
+        start = _start_vector(shape)
+        best, x, step = _fit_parameters(
+            scorer, start, scorer.scores(start[None])[0], _START_STEP, _COARSE_STEP
+        )
+        assert step == _COARSE_STEP / 2 or best == 0
+        resumed = _fit_parameters(scorer, x, best, step, _FULL_STEP)
+        fresh = _sequential_descent(scorer, start, _FULL_STEP)
+        assert resumed[0] == fresh[0], shape
+        assert np.array_equal(resumed[1], fresh[1]), shape
+
+
 def test_cubic_power_invariants():
     t = predict_invariants(RationalMapSpec(m=1))
     assert (t.e, t.k, t.omega_units) == ((1, -1, 1), (0, 0, -1), -3)
@@ -187,8 +304,6 @@ def test_realize_fits_bulk_to_stacked_vertices():
     # modulus must stay below 1; the unstacked bulk of the same shape keeps
     # its start parameters r = s = 0.45 (the middle of the fitting band) and
     # crosses unit modulus at |u| ~ 0.04 in the z chart
-    from octfield.geometry import relocate, relocate_inverse
-
     bulk_class = OctantTopology((1, 1, 1), (1, 1, 1), -5)
     canned = realize(bulk_class)
     fitted = realize(bulk_class, stacked=("x", "y", "z"))
