@@ -6,7 +6,11 @@ Maps are consumed through a light protocol: an object with
 - ``integration_regions()``: polar regions (possibly signed) whose charts pull
   the energy integrand back to seam-aligned annuli,
 - ``mesh_regions()``: polar regions forming an exact partition of the domain,
-  used for triangulated degree counts and area integrals.
+  used for triangulated degree counts.
+
+Degree counts and the trapped area triangulate each region's grid: the map is
+evaluated once at the grid vertices, and the image triangles share one cross
+product per grid edge (``_ImageMesh``), so both read the same edge normals.
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import sector_centroid, stereographic_inverse
+from .geometry import sector_centroid, stereographic, stereographic_inverse
 from .topology import SECTORS, sector_name
 
 __all__ = [
@@ -267,31 +271,22 @@ def _region_energy(grid: QuadratureGrid) -> float:
     up = np.asarray(f(w + 1j * h), dtype=complex)
     down = np.asarray(f(w - 1j * h), dtype=complex)
     dens = _density(center, right, left, up, down, h)
-    bad = ~np.isfinite(dens)
-    if np.any(bad):
+    for i, j in np.argwhere(~np.isfinite(dens)):
         # subdivide offending cells once (2x2 midpoints)
-        idx = np.argwhere(bad)
-        for i, j in idx:
-            sub = 0.0
-            ok = True
-            for a in (-0.25, 0.25):
-                for b in (-0.25, 0.25):
-                    wc = (r[i, 0] + a * dr[i, 0]) * np.exp(1j * (phi[0, j] + b * dphi[0, j]))
-                    hh = h[i, j] / 2
-                    pts = np.array([wc, wc + hh, wc - hh, wc + 1j * hh, wc - 1j * hh])
-                    vals = np.asarray(f(pts), dtype=complex)
-                    dd = _density(vals[0:1], vals[1:2], vals[2:3], vals[3:4], vals[4:5], hh)
-                    if not np.isfinite(dd[0]):
-                        ok = False
-                        break
-                    sub += 0.25 * dd[0]
-                if not ok:
-                    break
-            if not ok:
-                raise IntegrationError(
-                    f"non-finite energy density persists in region {region.name}"
-                )
-            dens[i, j] = sub
+        sub = 0.0
+        for a in (-0.25, 0.25):
+            for b in (-0.25, 0.25):
+                wc = (r[i, 0] + a * dr[i, 0]) * np.exp(1j * (phi[0, j] + b * dphi[0, j]))
+                hh = h[i, j] / 2
+                pts = np.array([wc, wc + hh, wc - hh, wc + 1j * hh, wc - 1j * hh])
+                vals = np.asarray(f(pts), dtype=complex)
+                dd = _density(vals[0:1], vals[1:2], vals[2:3], vals[3:4], vals[4:5], hh)
+                if not np.isfinite(dd[0]):
+                    raise IntegrationError(
+                        f"non-finite energy density persists in region {region.name}"
+                    )
+                sub += 0.25 * dd[0]
+        dens[i, j] = sub
     w_r, w_phi = grid.weights()
     return float(w_r @ (dens * r) @ w_phi)
 
@@ -346,75 +341,103 @@ class DegreeReport:
         }
 
 
-def _region_triangles(grid: QuadratureGrid):
-    """Sphere-mapped triangle vertex arrays (each (n, 3)) for one region."""
-    region = grid.region
-    r = grid.r_edges
-    phi = grid.phi_edges
-    R, PHI = np.meshgrid(r, phi, indexing="ij")
-    w = R * np.exp(1j * PHI)
-    values = np.asarray(region.evaluate(w), dtype=complex)
-    pts = stereographic_inverse(values)  # (nr+1, nphi+1, 3)
-    a = pts[:-1, :-1]
-    b = pts[1:, :-1]
-    c = pts[1:, 1:]
-    d = pts[:-1, 1:]
-    keep_cell = None
-    if region.skip is not None:
-        mids = grid.r_mid[:, None] * np.exp(1j * grid.phi_mid[None, :])
-        keep_cell = ~np.asarray(region.skip(mids), dtype=bool).reshape(-1)
-    tri1 = (a.reshape(-1, 3), b.reshape(-1, 3), c.reshape(-1, 3))
-    tri2 = (a.reshape(-1, 3), c.reshape(-1, 3), d.reshape(-1, 3))
-    va = np.vstack((tri1[0], tri2[0]))
-    vb = np.vstack((tri1[1], tri2[1]))
-    vc = np.vstack((tri1[2], tri2[2]))
-    keep = np.ones(len(va), dtype=bool)
-    if keep_cell is not None:
-        keep &= np.concatenate([keep_cell, keep_cell])
-    # drop exactly degenerate triangles (duplicated vertices at chart centers)
-    area2 = np.linalg.norm(np.cross(vb - va, vc - va), axis=1)
-    keep &= area2 > 1e-18
-    return va[keep], vb[keep], vc[keep]
+def _cross(u, v):
+    """u x v of x/y/z planes (leading axis 3), in np.cross's operation order."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    np.subtract(u[1] * v[2], u[2] * v[1], out=out[0])
+    np.subtract(u[2] * v[0], u[0] * v[2], out=out[1])
+    np.subtract(u[0] * v[1], u[1] * v[0], out=out[2])
+    return out
 
 
-def _all_triangles(sampled_map, level: int):
-    vas, vbs, vcs = [], [], []
-    for grid in build_grids(sampled_map.mesh_regions(), level):
-        va, vb, vc = _region_triangles(grid)
-        vas.append(va)
-        vbs.append(vb)
-        vcs.append(vc)
-    return np.vstack(vas), np.vstack(vbs), np.vstack(vcs)
+def _dot(u, v):
+    """u . v of x/y/z planes, summed in the order np.einsum sums three terms."""
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
 
-def _edge_normals(va, vb, vc):
-    """The target-free part of the containment test: the edge normals
-    a x b, b x c, c x a of every image triangle and its orientation mask."""
-    n1 = np.cross(va, vb)
-    n2 = np.cross(vb, vc)
-    n3 = np.cross(vc, va)
-    ccw = np.einsum("ij,ij->i", n1, vc) > 0
-    return n1, n2, n3, ccw
+class _ImageMesh:
+    """One grid's image triangles, held as unit-vector planes and shared edges.
 
-
-def _containment(normals, p, tol=1e-10):
-    """Signed containment of unit vector p in the spherical triangles given
-    by their ``_edge_normals``.
-
-    The all-positive hemisphere test identifies the triangle region only for
-    counterclockwise triples (for clockwise ones it picks up the antipodal
-    region), so each test is gated by the triangle's own orientation.
+    The vertex values become unit vectors P (``vertices``, shape (3, nr+1,
+    nphi+1)).  Cell (i, j) has corners a = P[i, j], b = P[i+1, j], c = P[i+1, j+1],
+    d = P[i, j+1] and splits into tri1 = (a, b, c) and tri2 = (a, c, d).  Each
+    edge normal is computed once: radial a x b, angular a x d, diagonal a x c.
+    tri1 reads a x b, b x c, -(a x c) and tri2 a x c, -(d x c), -(a x d); sign
+    flips are exact, so every triple product and containment test equals the
+    per-triangle one bit for bit.  ``keep`` holds one cell mask per triangle:
+    not skipped and not exactly degenerate (duplicated vertices at chart
+    centers).
     """
-    n1, n2, n3, ccw = normals
-    d1 = np.einsum("ij,j->i", n1, p)
-    d2 = np.einsum("ij,j->i", n2, p)
-    d3 = np.einsum("ij,j->i", n3, p)
-    pos = (d1 > tol) & (d2 > tol) & (d3 > tol) & ccw
-    neg = (d1 < -tol) & (d2 < -tol) & (d3 < -tol) & ~ccw
-    # near: p within tolerance of an edge of a potentially containing triangle
-    near_pos = (d1 > -tol) & (d2 > -tol) & (d3 > -tol) & ccw & ~pos
-    near_neg = (d1 < tol) & (d2 < tol) & (d3 < tol) & ~ccw & ~neg
-    return pos, neg, near_pos | near_neg
+
+    def __init__(self, values, skip=None):
+        p = np.ascontiguousarray(np.moveaxis(stereographic_inverse(values), -1, 0))
+        self.vertices = p
+        self.corners = a, b, c, d = p[:, :-1, :-1], p[:, 1:, :-1], p[:, 1:, 1:], p[:, :-1, 1:]
+        self.radial = _cross(p[:, :-1], p[:, 1:])
+        self.angular = _cross(p[:, :, :-1], p[:, :, 1:])
+        cell, ca = (True if skip is None else ~skip), c - a
+        self.keep = [
+            cell & (np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2]) > 1e-18)
+            for n in (_cross(b - a, ca), _cross(ca, d - a))
+        ]
+
+    def signed_area(self) -> float:
+        """Sum of the kept triangles' solid angles: tri1 row-major, then tri2."""
+        p, (a, _, c, _) = self.vertices, self.corners
+        along_r, along_phi = _dot(p[:, :-1], p[:, 1:]), _dot(p[:, :, :-1], p[:, :, 1:])
+        ac = _dot(a, c)
+        parts = []
+        for triple, denom, keep in (
+            (_dot(a, self.angular[:, 1:]), 1.0 + along_r[:, :-1] + along_phi[1:] + ac,
+             self.keep[0]),
+            (-_dot(a, self.radial[:, :, 1:]), 1.0 + ac + along_r[:, 1:] + along_phi[:-1],
+             self.keep[1]),
+        ):
+            triple, denom = triple[keep], denom[keep]
+            signed = 2.0 * np.arctan2(triple, denom)
+            signed[(triple == 0) & (denom <= 0)] = 0.0
+            parts.append(signed)
+        return float(np.sum(np.concatenate(parts)))
+
+    def covering(self, tol=1e-10):
+        """A function p -> (positive, negative, near) counts of kept triangles.
+
+        The all-positive hemisphere test identifies the triangle region only
+        for counterclockwise triples (for clockwise ones it picks up the
+        antipodal region), so each test is gated by the triangle's own
+        orientation.
+        """
+        a, _, c, d = self.corners
+        radial, angular, diagonal = self.radial, self.angular, _cross(a, c)
+        ccw = (_dot(radial[:, :, :-1], c) > 0, _dot(diagonal, d) > 0)
+        gates = [(keep & up, keep & ~up) for keep, up in zip(self.keep, ccw)]
+
+        def count(p):
+            along_r, along_phi, across = _dot(radial, p), _dot(angular, p), _dot(diagonal, p)
+            pos = neg = near = 0
+            for sides, (up, down) in zip(
+                ((along_r[:, :-1], along_phi[1:], -across),
+                 (across, -along_r[:, 1:], -along_phi[:-1])), gates
+            ):
+                lo = np.minimum(np.minimum(sides[0], sides[1]), sides[2])
+                hi = np.maximum(np.maximum(sides[0], sides[1]), sides[2])
+                n_pos = np.count_nonzero((lo > tol) & up)
+                n_neg = np.count_nonzero((hi < -tol) & down)
+                pos, neg = pos + n_pos, neg + n_neg
+                # near: within tol of an edge of a potentially containing triangle
+                near += np.count_nonzero((lo > -tol) & up) - n_pos
+                near += np.count_nonzero((hi < tol) & down) - n_neg
+            return int(pos), int(neg), int(near)
+
+        return count
+
+
+def _grid_mesh(grid: QuadratureGrid) -> _ImageMesh:
+    """The image mesh of one grid, its region evaluated once at the vertices."""
+    region, w = grid.region, grid.r_edges[:, None] * np.exp(1j * grid.phi_edges)
+    mids = grid.r_mid[:, None] * np.exp(1j * grid.phi_mid[None, :])
+    skip = None if region.skip is None else np.asarray(region.skip(mids), dtype=bool)
+    return _ImageMesh(np.asarray(region.evaluate(w), dtype=complex), skip)
 
 
 def degree_count(sampled_map, targets=None, level: int = 3) -> DegreeReport:
@@ -423,10 +446,10 @@ def degree_count(sampled_map, targets=None, level: int = 3) -> DegreeReport:
 
     Targets default to the sector centroids.  A low-confidence flag is set if
     the target lies within tolerance of an image-triangle edge after three
-    perturbation retries.  The triangles' edge normals are computed once and
-    shared by every target.
+    perturbation retries.  Each mesh region is one ``_ImageMesh``, whose edge
+    normals every target shares.
     """
-    normals = _edge_normals(*_all_triangles(sampled_map, level))
+    counters = [_grid_mesh(g).covering() for g in build_grids(sampled_map.mesh_regions(), level)]
     report = {}
     rng = np.random.default_rng(20240811)
     for sector in SECTORS:
@@ -436,21 +459,13 @@ def degree_count(sampled_map, targets=None, level: int = 3) -> DegreeReport:
         confident = False
         for attempt in range(4):
             p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
-            pos, neg, near = _containment(normals, p)
-            if not near.any():
+            n_pos, n_neg, near = (sum(c) for c in zip(*(count(p) for count in counters)))
+            if not near:
                 confident = True
                 break
-        n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        report[sector] = SectorDegree(
-            d=n_pos - n_neg, D=n_pos + n_neg, sample=_project(p), confident=confident
-        )
+        report[sector] = SectorDegree(d=n_pos - n_neg, D=n_pos + n_neg,
+                                      sample=complex(stereographic(p)), confident=confident)
     return DegreeReport(report)
-
-
-def _project(p):
-    from .geometry import stereographic
-
-    return complex(stereographic(np.asarray(p, dtype=float)))
 
 
 def _perturb_in_sector(base, sector, rng):
@@ -461,31 +476,19 @@ def _perturb_in_sector(base, sector, rng):
     return p
 
 
-def _signed_image_area(grid: QuadratureGrid) -> float:
-    va, vb, vc = _region_triangles(grid)
-    triple = np.einsum("ij,ij->i", va, np.cross(vb, vc))
-    denom = (
-        1.0
-        + np.einsum("ij,ij->i", va, vb)
-        + np.einsum("ij,ij->i", vb, vc)
-        + np.einsum("ij,ij->i", vc, va)
-    )
-    signed = 2.0 * np.arctan2(triple, denom)
-    signed[(triple == 0) & (denom <= 0)] = 0.0
-    return float(np.sum(signed))
-
-
 def trapped_area(sampled_map, level: int = 3):
     """Signed image area with the trapped-area sign convention.
 
-    The solid-angle sum of each region's image triangles depends only on the
-    region's boundary image, so the weighted integration regions give an exact
-    decomposition.  Returns (omega, residual): omega snapped to the nearest
-    multiple of pi/2 and the absolute deviation of the raw integral from it.
+    Each integration region contributes the solid angles of its image
+    triangles, taken from the shared edge normals of its ``_ImageMesh``.  The
+    sum depends only on the region's boundary image, so the weighted
+    integration regions give an exact decomposition.  Returns (omega,
+    residual): omega snapped to the nearest multiple of pi/2 and the absolute
+    deviation of the raw integral from it.
     """
     raw = 0.0
     for grid in build_grids(sampled_map.integration_regions(), level):
-        raw -= grid.region.weight * _signed_image_area(grid)
+        raw -= grid.region.weight * _grid_mesh(grid).signed_area()
     units = round(raw / (math.pi / 2))
     omega = units * math.pi / 2
     return omega, abs(raw - omega)
@@ -546,18 +549,14 @@ def winding_number(values: np.ndarray, target: complex, reference: complex) -> f
     d(target) - d(reference), the difference of signed preimage counts.  The
     curve is closed by joining the last sample to the first.
     """
-    t = _pair_chart(values, target, reference)
-    args = np.angle(t)
-    d = np.diff(np.concatenate([args, args[:1]]))
-    d = (d + math.pi) % (2 * math.pi) - math.pi
-    return float(np.sum(d) / (2 * math.pi))
+    return float(np.sum(_arg_steps(values, target, reference)) / (2 * math.pi))
 
 
-def _max_step(values: np.ndarray, target: complex, reference: complex) -> float:
+def _arg_steps(values: np.ndarray, target: complex, reference: complex) -> np.ndarray:
+    """Argument increments along the closed curve in the pair chart."""
     args = np.angle(_pair_chart(values, target, reference))
     d = np.diff(np.concatenate([args, args[:1]]))
-    d = (d + math.pi) % (2 * math.pi) - math.pi
-    return float(np.max(np.abs(d)))
+    return (d + math.pi) % (2 * math.pi) - math.pi
 
 
 # most boundary points a winding bisection may reach; the benchmark's
@@ -599,7 +598,7 @@ def degree_differences_by_winding(
     current = windings(values)
     stable = False
     for _ in range(max_rounds):
-        worst = max(_max_step(values, t, reference) for t in targets)
+        worst = max(float(np.max(np.abs(_arg_steps(values, t, reference)))) for t in targets)
         params = bisect(params)
         values = np.asarray(evaluator(params), dtype=complex)
         refined = windings(values)

@@ -24,6 +24,7 @@ that the bulk meets each stack's collar on the correct side of unit modulus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -420,6 +421,23 @@ def _spread(n: int) -> list[float]:
     return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
 
 
+@functools.cache
+def _real_sequences(a: int, m: int, sign: int, k_y: int) -> tuple:
+    """Exponent sequences of ``a`` real factors whose edge kink is ``k_y``."""
+    return tuple(
+        r for r in itertools.product((1, -1), repeat=a) if _real_edge_kink(m, sign, r) == k_y
+    )
+
+
+@functools.cache
+def _imag_sequences(b: int, m: int, sign: int, orientation: str, k_x: int) -> tuple:
+    """Exponent sequences of ``b`` imaginary factors whose edge kink is ``k_x``."""
+    return tuple(
+        g for g in itertools.product((1, -1), repeat=b)
+        if _imag_edge_kink(m, sign, g, orientation) == k_x
+    )
+
+
 def _candidate_specs(orientation: str, e, k, degree: int):
     """Factor shapes of the given covering count, ordered by the number of
     edge factors (fewest first: edge zeros/poles are the expensive,
@@ -451,16 +469,8 @@ def _candidate_specs(orientation: str, e, k, degree: int):
                         ey = -ey
                     if sign * (-1) ** a != e[0] or ey != e[1]:
                         continue
-                    rhos = [
-                        r for r in itertools.product((1, -1), repeat=a)
-                        if _real_edge_kink(m, sign, r) == k[1]
-                    ]
-                    sigs = [
-                        g for g in itertools.product((1, -1), repeat=b)
-                        if _imag_edge_kink(m, sign, g, orientation) == k[0]
-                    ]
-                    for rho in rhos:
-                        for sig in sigs:
+                    for rho in _real_sequences(a, m, sign, k[1]):
+                        for sig in _imag_sequences(b, m, sign, orientation, k[0]):
                             for tau in itertools.product((1, -1), repeat=c):
                                 yield RationalMapSpec(
                                     sign=sign,

@@ -165,24 +165,111 @@ def _unit(v):
 def test_containment_matches_barycentric_reference(triangles, target):
     # p lies in the spherical triangle (a, b, c) exactly when
     # p = alpha a + beta b + gamma c with alpha, beta, gamma > 0; the covering
-    # counts +1 for det(a, b, c) > 0 and -1 for det < 0
-    from octfield.numerics import _containment, _edge_normals
+    # counts +1 for det(a, b, c) > 0 and -1 for det < 0.  Every triangle, in
+    # both orientations, is the first and then the second triangle of a
+    # one-cell mesh whose other triangle is degenerate and so dropped
+    from octfield.geometry import stereographic
+    from octfield.numerics import _ImageMesh
 
-    va, vb, vc = (np.array([_unit(t[i]) for t in triangles]) for i in range(3))
-    # every triangle in both orientations
-    va, vb, vc = np.vstack([va, va]), np.vstack([vb, vc]), np.vstack([vc, vb])
-    normals = _edge_normals(va, vb, vc)
-    for p in (_unit(target), _unit(va[0] + vb[0] + vc[0])):
-        pos, neg, near = _containment(normals, p)
-        for i in range(len(va)):
-            m = np.column_stack([va[i], vb[i], vc[i]])
-            det = np.linalg.det(m)
-            if abs(det) < 1e-6:
-                continue
-            coeffs = np.linalg.solve(m, p)
-            if np.min(np.abs(coeffs)) * abs(det) < 1e-6:
-                continue  # within tolerance of an edge plane
-            inside = bool(np.all(coeffs > 0))
-            assert pos[i] == (inside and det > 0)
-            assert neg[i] == (inside and det < 0)
-            assert not near[i]
+    projected = stereographic(np.array([[_unit(v) for v in t] for t in triangles]))
+    for x, y, z in projected:
+        for a, b, c in ((x, y, z), (x, z, y)):
+            # cell values [[P00, P01], [P10, P11]] and the kept triangle's corners
+            for cell, corners in (
+                ([[a, c], [b, c]], ((0, 0), (1, 0), (1, 1))),  # first: (a, b, c)
+                ([[a, c], [a, b]], ((0, 0), (1, 1), (0, 1))),  # second: (a, b, c)
+            ):
+                mesh = _ImageMesh(np.array(cell))
+                va, vb, vc = (mesh.vertices[:, i, j] for i, j in corners)
+                count = mesh.covering()
+                for p in (_unit(target), _unit(va + vb + vc)):
+                    m = np.column_stack([va, vb, vc])
+                    det = np.linalg.det(m)
+                    if abs(det) < 1e-6:
+                        continue
+                    coeffs = np.linalg.solve(m, p)
+                    if np.min(np.abs(coeffs)) * abs(det) < 1e-6:
+                        continue  # within tolerance of an edge plane
+                    inside = bool(np.all(coeffs > 0))
+                    assert count(p) == (int(inside and det > 0), int(inside and det < 0), 0)
+
+
+def _reference_triangles(values, skip):
+    """Per-triangle copies of the image mesh, with the degenerate drop."""
+    from octfield.geometry import stereographic_inverse
+
+    pts = stereographic_inverse(values)
+    a, b, c, d = pts[:-1, :-1], pts[1:, :-1], pts[1:, 1:], pts[:-1, 1:]
+    va = np.vstack((a.reshape(-1, 3), a.reshape(-1, 3)))
+    vb = np.vstack((b.reshape(-1, 3), c.reshape(-1, 3)))
+    vc = np.vstack((c.reshape(-1, 3), d.reshape(-1, 3)))
+    keep = np.ones(len(va), dtype=bool)
+    if skip is not None:
+        keep &= np.concatenate([~skip.reshape(-1), ~skip.reshape(-1)])
+    keep &= np.linalg.norm(np.cross(vb - va, vc - va), axis=1) > 1e-18
+    return va[keep], vb[keep], vc[keep]
+
+
+def _reference_area(va, vb, vc):
+    triple = np.einsum("ij,ij->i", va, np.cross(vb, vc))
+    denom = (
+        1.0
+        + np.einsum("ij,ij->i", va, vb)
+        + np.einsum("ij,ij->i", vb, vc)
+        + np.einsum("ij,ij->i", vc, va)
+    )
+    signed = 2.0 * np.arctan2(triple, denom)
+    signed[(triple == 0) & (denom <= 0)] = 0.0
+    return float(np.sum(signed))
+
+
+def _reference_counts(va, vb, vc, p, tol=1e-10):
+    n1, n2, n3 = np.cross(va, vb), np.cross(vb, vc), np.cross(vc, va)
+    ccw = np.einsum("ij,ij->i", n1, vc) > 0
+    d1, d2, d3 = (np.einsum("ij,j->i", n, p) for n in (n1, n2, n3))
+    pos = (d1 > tol) & (d2 > tol) & (d3 > tol) & ccw
+    neg = (d1 < -tol) & (d2 < -tol) & (d3 < -tol) & ~ccw
+    near_pos = (d1 > -tol) & (d2 > -tol) & (d3 > -tol) & ccw & ~pos
+    near_neg = (d1 < tol) & (d2 < tol) & (d3 < tol) & ~ccw & ~neg
+    return int(pos.sum()), int(neg.sum()), int((near_pos | near_neg).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+    st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4),
+)
+def test_shared_edge_mesh_matches_per_triangle_reference(
+    seed, nr, nphi, collapsed, coarse, skipped, mirrored, poles
+):
+    # the shared-edge kernel against the per-triangle formulas it replaced:
+    # np.cross normals, einsum dot products and the degenerate drop.  Counts
+    # must agree exactly and the signed area bit for bit (up to the sign of
+    # an exactly zero sum)
+    from octfield.geometry import sector_centroid
+    from octfield.numerics import _ImageMesh
+    from octfield.topology import SECTORS
+
+    rng = np.random.default_rng(seed)
+    shape = (nr + 1, nphi + 1)
+    if coarse:  # a few lattice values: coincident vertices and collinear edges
+        values = (rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)) / 2
+    else:
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values *= 10.0 ** rng.uniform(-3, 3, shape)
+    if collapsed:  # the r = 0 row of a polar grid
+        values[0] = values[0, 0]
+    values.flat[rng.integers(0, values.size, poles)] = np.inf  # the south pole
+    if mirrored:  # the opposite orientation
+        values = np.conj(values)
+    skip = rng.random((nr, nphi)) < 0.3 if skipped else None
+
+    mesh = _ImageMesh(values, skip)
+    va, vb, vc = _reference_triangles(values, skip)
+    assert mesh.signed_area() == _reference_area(va, vb, vc)
+    count = mesh.covering()
+    targets = [sector_centroid(s) for s in SECTORS] + [np.array([0.0, 0.0, -1.0])]
+    targets += [v / np.linalg.norm(v) for v in rng.normal(size=(3, 3))]
+    targets += list(mesh.vertices[:, rng.integers(0, nr + 1), :].T)  # on image edges
+    for p in targets:
+        assert count(p) == _reference_counts(va, vb, vc, p)
