@@ -8,7 +8,9 @@ Subcommands:
 - ``sweep``: run construct over a family of kink triples
 - ``verify``: the construct pipeline without artifacts, exit code only
 
-Exit codes: 0 success, 2 invalid topology or word (a word may have at most
+Exit codes: 0 success, 2 invalid input (a class that is not valid JSON of a
+valid class, an unreadable class file, prism lengths not in the order
+Lx >= Ly >= Lz > 0, or a bad word; a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
 4 unsupported class for construction, 5 invariant failure (a failed check,
 energy below the infimum included, or a verification integral that does not
@@ -38,8 +40,6 @@ from .patchwork import (
 )
 from .rational import ConstructionError, realize
 from .topology import (
-    InvalidTopologyError,
-    InvalidWrappingError,
     OctantTopology,
     UnsupportedSignPatternError,
     classify,
@@ -69,13 +69,19 @@ ENERGY_QUADRATURE_SLACK = 0.01
 
 
 def _load_class(args):
-    if args.json:
-        data = json.loads(args.json)
-    elif args.path:
-        data = json.loads(Path(args.path).read_text())
-    else:
-        raise ValueError("provide a class via --json or a file path")
-    return reports.class_from_dict(data)
+    """(topology, wrapping) of the class given by ``--json`` or a class file,
+    or None after reporting why the input is not a valid class."""
+    try:
+        if args.json:
+            data = json.loads(args.json)
+        elif args.path:
+            data = json.loads(Path(args.path).read_text())
+        else:
+            raise ValueError("provide a class via --json or a file path")
+        return reports.class_from_dict(data)
+    except (ValueError, KeyError, TypeError, OSError) as e:
+        print(f"invalid class: {e}", file=sys.stderr)
+        return None
 
 
 def _emit(args, name: str, text: str) -> None:
@@ -88,16 +94,18 @@ def _emit(args, name: str, text: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    try:
-        t, w = _load_class(args)
-    except (InvalidTopologyError, InvalidWrappingError, ValueError, KeyError) as e:
-        print(f"invalid topology: {e}", file=sys.stderr)
+    loaded = _load_class(args)
+    if loaded is None:
         return EXIT_INVALID_INPUT
+    t, w = loaded
     report = reports.classification_report(t)
     if args.prism:
         lx, ly, lz = args.prism
-        c = classify(w, t)
-        lo, hi = prism_bounds(w, c, lx, ly, lz)
+        try:
+            lo, hi = prism_bounds(w, classify(w, t), lx, ly, lz)
+        except ValueError as e:
+            print(f"invalid prism: {e}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
         report["prism_bounds"] = {"lower": lo, "upper": hi,
                                   "lengths": [lx, ly, lz]}
     print(f"{report['kind']}, Delta={report['delta']}, energy={report['energy_text']}")
@@ -128,13 +136,12 @@ def cmd_spelling(args) -> int:
         print(f"lambda={lam}, pairing={pairing}, degrees={list(degs)}")
         _emit(args, "spelling.json", reports.dump_json(report))
         return 0
-    try:
-        t, w = _load_class(args)
-    except (InvalidTopologyError, InvalidWrappingError, ValueError, KeyError) as e:
-        print(f"invalid topology: {e}", file=sys.stderr)
+    loaded = _load_class(args)
+    if loaded is None:
         return EXIT_INVALID_INPUT
+    t, w = loaded
     try:
-        bound = spelling_lower_bound_check(t, d0_budget=args.d0)
+        bound = spelling_lower_bound_check(t)
     except UnsupportedSignPatternError as e:
         print(f"unsupported kink sign pattern: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED_SIGNS
@@ -250,11 +257,10 @@ def _construct_and_verify(t, w, args):
 
 
 def cmd_construct(args, verify_only: bool = False) -> int:
-    try:
-        t, w = _load_class(args)
-    except (InvalidTopologyError, InvalidWrappingError, ValueError, KeyError) as e:
-        print(f"invalid topology: {e}", file=sys.stderr)
+    loaded = _load_class(args)
+    if loaded is None:
         return EXIT_INVALID_INPUT
+    t, w = loaded
     try:
         report, sm, checks = _construct_and_verify(t, w, args)
     except (UnsupportedClassError, NotApplicableError, ConstructionError) as e:
@@ -354,7 +360,6 @@ def main(argv=None) -> int:
     add_class_io(p_sp)
     p_sp.add_argument("--word", help="word text, e.g. \"a b a' b'\"")
     p_sp.add_argument("--alphabet", type=int, default=None)
-    p_sp.add_argument("--d0", type=int, default=3, help="preimage budget at s0")
     p_sp.set_defaults(func=cmd_spelling)
 
     def add_numeric_opts(p):

@@ -43,7 +43,6 @@ __all__ = [
     "trapped_area",
     "boundary_residual",
     "lemma1_lower_bound",
-    "winding_number",
 ]
 
 ENERGY_DENSITY_COEFF = 8.0
@@ -83,7 +82,6 @@ class Region:
     weight: int = 1
     phi_lo: float = 0.0
     phi_hi: float = math.pi / 2
-    tag: str = ""
     r_clusters: tuple = ()
     phi_clusters: tuple = ()
     skip: object = None  # optional mask on chart midpoints: cells to drop
@@ -399,7 +397,7 @@ class _ImageMesh:
             parts.append(signed)
         return float(np.sum(np.concatenate(parts)))
 
-    def covering(self, tol=1e-10):
+    def covering(self):
         """A function p -> (positive, negative, near) counts of kept triangles.
 
         The all-positive hemisphere test identifies the triangle region only
@@ -409,6 +407,7 @@ class _ImageMesh:
         """
         a, _, c, d = self.corners
         radial, angular, diagonal = self.radial, self.angular, _cross(a, c)
+        tol = 1e-10
         ccw = (_dot(radial[:, :, :-1], c) > 0, _dot(diagonal, d) > 0)
         gates = [(keep & up, keep & ~up) for keep, up in zip(self.keep, ccw)]
 
@@ -440,22 +439,19 @@ def _grid_mesh(grid: QuadratureGrid) -> _ImageMesh:
     return _ImageMesh(np.asarray(region.evaluate(w), dtype=complex), skip)
 
 
-def degree_count(sampled_map, targets=None, level: int = 3) -> DegreeReport:
+def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     """Triangulate the domain, push vertices through the map, and count signed
-    and unsigned coverings of one regular value per sector.
+    and unsigned coverings of one regular value per sector, its centroid.
 
-    Targets default to the sector centroids.  A low-confidence flag is set if
-    the target lies within tolerance of an image-triangle edge after three
-    perturbation retries.  Each mesh region is one ``_ImageMesh``, whose edge
-    normals every target shares.
+    A low-confidence flag is set if the target lies within tolerance of an
+    image-triangle edge after three perturbation retries.  Each mesh region
+    is one ``_ImageMesh``, whose edge normals every target shares.
     """
     counters = [_grid_mesh(g).covering() for g in build_grids(sampled_map.mesh_regions(), level)]
     report = {}
     rng = np.random.default_rng(20240811)
     for sector in SECTORS:
-        base = sector_centroid(sector) if targets is None else np.asarray(
-            stereographic_inverse(targets[sector])
-        )
+        base = sector_centroid(sector)
         confident = False
         for attempt in range(4):
             p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
@@ -494,13 +490,14 @@ def trapped_area(sampled_map, level: int = 3):
     return omega, abs(raw - omega)
 
 
-def boundary_residual(sampled_map, samples: int = 1000) -> float:
-    """Max violation of the tangent boundary conditions on the three edges.
+def boundary_residual(sampled_map) -> float:
+    """Max violation of the tangent boundary conditions at 1000 points of each
+    of the three edges.
 
     Values beyond the unit circle are tested in the reciprocal chart, which
     measures distance to the same great circle and stays finite at poles.
     """
-    t = (np.arange(samples) + 0.5) / samples
+    t = (np.arange(1000) + 0.5) / 1000
     f = sampled_map.evaluate
 
     def datum(values, kind):
@@ -528,34 +525,23 @@ def lemma1_lower_bound(report: DegreeReport) -> float:
 # Brouwer degrees from boundary windings
 # ---------------------------------------------------------------------------
 
-def _pair_chart(values: np.ndarray, target: complex, reference: complex) -> np.ndarray:
-    """Moebius chart sending target -> 0 and reference -> infinity."""
-    xi = complex(target)
-    ref = complex(reference)
+def _arg_steps(values: np.ndarray, targets, reference: complex) -> np.ndarray:
+    """(targets x samples) argument increments along the closed curve of
+    ``values``, for each target in its Moebius chart sending the target to 0
+    and ``reference`` to infinity.  A row sums to 2 pi times the curve's
+    winding around the target relative to the reference; on the sphere a
+    winding is only defined in the twice-punctured complement, and for a map
+    whose boundary values avoid both points it equals d(target) -
+    d(reference), the difference of signed preimage counts.  The last sample
+    is joined to the first."""
     z = np.asarray(values, dtype=complex)
     finite = np.isfinite(z)
     zf = np.where(finite, z, 0.0)
+    args = np.empty((len(targets), len(z)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(finite, (zf - xi) / (zf - ref), 1.0 + 0j)
-    return t
-
-
-def winding_number(values: np.ndarray, target: complex, reference: complex) -> float:
-    """Winding of a closed sampled curve around ``target`` relative to
-    ``reference``.
-
-    On the sphere a winding is only defined in the twice-punctured complement;
-    for a map whose boundary values avoid both points the value equals
-    d(target) - d(reference), the difference of signed preimage counts.  The
-    curve is closed by joining the last sample to the first.
-    """
-    return float(np.sum(_arg_steps(values, target, reference)) / (2 * math.pi))
-
-
-def _arg_steps(values: np.ndarray, target: complex, reference: complex) -> np.ndarray:
-    """Argument increments along the closed curve in the pair chart."""
-    args = np.angle(_pair_chart(values, target, reference))
-    d = np.diff(np.concatenate([args, args[:1]]))
+        for row, target in zip(args, targets):
+            row[:] = np.angle(np.where(finite, (zf - target) / (zf - reference), 1.0 + 0j))
+    d = np.diff(args, axis=1, append=args[:, :1])
     return (d + math.pi) % (2 * math.pi) - math.pi
 
 
@@ -564,26 +550,25 @@ def _arg_steps(values: np.ndarray, target: complex, reference: complex) -> np.nd
 MAX_BOUNDARY_POINTS = 10**6
 
 
-def degree_differences_by_winding(
-    evaluator, params, targets, reference, period: float, max_rounds: int = 16
-):
+def degree_differences_by_winding(evaluator, params, targets, reference, period: float):
     """d(target) - d(reference) for each target, from boundary windings.
 
     ``evaluator`` maps a parameter array (values taken modulo ``period``)
     describing the closed counterclockwise boundary loop to map values.
-    Segments are bisected until every argument increment is below 0.9 rad for
-    every target AND the windings are stable under one further global
-    bisection (a whole aliased loop between two samples shows as a small
-    step, so step size alone is not a safe criterion; seed the parameters
-    densely near known fast structure).  Valid for any continuous map whose
-    boundary values avoid the targets and the reference.  Raises
+    Segments are bisected, at most 16 times, until every argument increment
+    is below 0.9 rad for every target AND the windings are stable under one
+    further global bisection (a whole aliased loop between two samples shows
+    as a small step, so step size alone is not a safe criterion; seed the
+    parameters densely near known fast structure).  Valid for any continuous
+    map whose boundary values avoid the targets and the reference.  Raises
     ``IntegrationError`` instead of bisecting past ``MAX_BOUNDARY_POINTS``.
     """
     params = np.sort(np.unique(np.asarray(params, dtype=float) % period))
-    values = np.asarray(evaluator(params), dtype=complex)
 
-    def windings(vals):
-        return [winding_number(vals, t, reference) for t in targets]
+    def measure(p):
+        """(windings, largest argument step) of the loop sampled at p."""
+        steps = _arg_steps(evaluator(p), targets, reference)
+        return np.sum(steps, axis=1) / (2 * math.pi), float(np.max(np.abs(steps)))
 
     def bisect(p):
         if 2 * len(p) > MAX_BOUNDARY_POINTS:
@@ -595,24 +580,18 @@ def degree_differences_by_winding(
         mids = 0.5 * (p + np.concatenate([p[1:], [closing]]))
         return np.sort(np.unique(np.concatenate([p, mids % period])))
 
-    current = windings(values)
-    stable = False
-    for _ in range(max_rounds):
-        worst = max(float(np.max(np.abs(_arg_steps(values, t, reference)))) for t in targets)
+    current, worst = measure(params)
+    for _ in range(16):
         params = bisect(params)
-        values = np.asarray(evaluator(params), dtype=complex)
-        refined = windings(values)
-        if worst < 0.9 and all(
-            abs(a - b) < 0.05 for a, b in zip(current, refined)
-        ):
-            current = refined
-            stable = True
+        refined, refined_worst = measure(params)
+        stable = worst < 0.9 and bool(np.all(np.abs(current - refined) < 0.05))
+        current, worst = refined, refined_worst
+        if stable:
             break
-        current = refined
-    if not stable:
+    else:
         raise IntegrationError("boundary windings failed to stabilize")
     diffs = []
-    for wnd in current:
+    for wnd in current.tolist():
         nearest = round(wnd)
         if abs(wnd - nearest) > 0.2:
             raise IntegrationError(f"non-integral winding {wnd}")

@@ -104,8 +104,6 @@ class PatchworkSpec:
     M: tuple
     epsilon: float
     stacks: dict = field(compare=False)
-    constructible: bool = True
-    unsupported_reason: str = ""
 
     def stack_tables(self) -> dict:
         return {
@@ -132,7 +130,6 @@ class PatchworkSpec:
                    "omega_units": self.H0.omega_units},
             "M": list(self.M),
             "epsilon": self.epsilon,
-            "constructible": self.constructible,
         }
 
 
@@ -369,11 +366,8 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
     stacks = _build_stacks("general-sign", M, epsilon, target.k, 0,
                            sigma_minus=sigma_minus, anti_first=anti_first)
     if stacks is None:
-        return PatchworkSpec(
-            target, "general-sign", h0, M, epsilon, {},
-            constructible=False,
-            unsupported_reason="relocated stack pair needs a modulus-"
-            "inverting reflection (mixed kink signs)",
+        raise UnsupportedClassError(
+            "relocated stack pair needs a modulus-inverting reflection (mixed kink signs)"
         )
     spec = PatchworkSpec(target, "general-sign", h0, M, epsilon, stacks)
     _verify_spec(spec, w, c, tables)
@@ -386,7 +380,9 @@ def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
     The target must be nonconformal with edge signs (+,+,+) (normalize first
     with ``topology.normalize_edge_signs``).  Sorted positive kinks use the
     tabulated cases 1a..2f; everything else goes through the general-sign
-    search, which may return a spec marked non-constructible.
+    search.  Raises ``UnsupportedClassError`` when no stack counts satisfy
+    the coverage identity, or when a stack's covered pair would need a
+    modulus-inverting reflection.
     """
     if not 0 < epsilon < 0.125:
         raise ValueError("epsilon must lie in (0, 1/8)")
@@ -556,8 +552,6 @@ def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
 
 def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     """Build the evaluable representative for a verified PatchworkSpec."""
-    if not spec.constructible:
-        raise UnsupportedClassError(spec.unsupported_reason)
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
@@ -575,15 +569,14 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
         geval = lambda u, a=axis, s=st: relocate(a, s.evaluate(u))
         regions.append(
             Region(f"stack_{axis}", geval, 0.0, epsilon, st.seams(), "log", 1,
-                   tag=f"stack({axis})", center_scale=st.inner_scale())
+                   center_scale=st.inner_scale())
         )
 
         def collar_eval(u, a=axis, s=st):
             return relocate(a, _collar_chart_value(bulk_spec, a, s, epsilon, u))
 
         regions.append(
-            Region(f"collar_{axis}", collar_eval, epsilon, 2 * epsilon, (), "linear", 1,
-                   tag=f"switch({axis})")
+            Region(f"collar_{axis}", collar_eval, epsilon, 2 * epsilon, (), "linear", 1)
         )
 
     mesh = None

@@ -282,16 +282,21 @@ def quadrature_clusters(spec: RationalMapSpec):
     return _clusters(singular_structure(spec))
 
 
-def boundary_seed_for_spec(spec: RationalMapSpec, n_base: int = 1200) -> np.ndarray:
-    """Boundary parameters with geometric ladders into every edge zero/pole,
-    where the boundary image runs around a fast sub-loop that uniform
-    sampling would alias away."""
-    parts = [np.linspace(0.0, 3.0, n_base, endpoint=False)]
-    ladder = np.geomspace(1e-9, 0.2, 48)
-    singular = [0.0, 1.0, 2.0]  # vertices
-    singular += [r for r, _ in spec.real_factors]  # real edge param t = r
-    singular += [3.0 - s for s, _ in spec.imag_factors]  # imaginary edge t = 3 - s
-    for t0 in singular:
+def boundary_seed_for_spec(spec: RationalMapSpec) -> np.ndarray:
+    """Boundary parameters with geometric ladders into the three vertices and
+    every edge zero/pole, where the boundary image runs around a fast
+    sub-loop that uniform sampling would alias away.  Ladders start at 1e-9,
+    or at an edge point a decade below the scale on which |f| passes unit
+    modulus there (``singular_structure``) when that is smaller."""
+    parts = [np.linspace(0.0, 3.0, 1200, endpoint=False)]
+    starts = [(0.0, 1e-9), (1.0, 1e-9), (2.0, 1e-9)]  # vertices
+    for w0, scale in singular_structure(spec):
+        if w0.imag == 0 and 0 < w0.real < 1:
+            starts.append((w0.real, min(1e-9, scale / 10)))  # real edge: t = r
+        elif w0.real == 0 and 0 < w0.imag < 1:
+            starts.append((3.0 - w0.imag, min(1e-9, scale / 10)))  # imaginary edge: t = 3 - s
+    for t0, start in starts:
+        ladder = np.geomspace(start, 0.2, 48)
         parts.append((t0 + ladder) % 3.0)
         parts.append((t0 - ladder) % 3.0)
     return np.sort(np.unique(np.concatenate(parts)))
@@ -739,8 +744,9 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
          for best, _, x, step, scorer in coarse[:_FULL_FITS]),
         key=lambda fit: fit[0],
     )
-    ranked = [(x, scorer) for _, x, scorer in fitted]
-    ranked += [(x, scorer) for _, _, x, _, scorer in coarse[_FULL_FITS:]]
+    # only admissible fits rank: a refused one (score inf) has no map
+    ranked = [(x, scorer) for best, x, scorer in fitted if best < math.inf]
+    ranked += [(x, scorer) for best, _, x, _, scorer in coarse[_FULL_FITS:] if best < math.inf]
     for x, scorer in ranked:
         spec = _with_parameters(scorer.shape, x)
         if measure_wrapping_rational(spec).values == w.values:

@@ -93,9 +93,10 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def field_grid_csv(sampled_map, resolution: int = 64) -> str:
-    """Grid dump on Q: u, v, Re K, Im K, nu_x, nu_y, nu_z, subdomain_tag."""
-    axis = (np.arange(resolution) + 0.5) / resolution
+def field_grid_csv(sampled_map) -> str:
+    """Grid dump on Q at the centers of a 64 x 64 grid on the unit square:
+    u, v, Re K, Im K, nu_x, nu_y, nu_z, subdomain_tag."""
+    axis = (np.arange(64) + 0.5) / 64
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     w = (uu + 1j * vv).ravel()
     inside = np.abs(w) <= 1.0
@@ -131,8 +132,10 @@ _SECTOR_COLORS = {
 }
 
 
-def domain_svg(sampled_map, resolution: int = 96, size: int = 480) -> str:
-    """Static picture of Q colored by the image sector, with seam circles."""
+def domain_svg(sampled_map) -> str:
+    """Static 480-pixel picture of Q colored by the image sector on a 96 x 96
+    grid, with seam circles."""
+    resolution, size = 96, 480
     cell = size / resolution
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -325,7 +325,7 @@ def _relabel_for_search(boundary: Word, c0: Word) -> tuple[Word, Word]:
     return relabel(boundary), relabel(c0)
 
 
-def _route_bound(w: WrappingNumbers, k, family: str, d0_budget: int) -> int:
+def _route_bound(w: WrappingNumbers, k, family: str) -> int:
     """Certified lower bound for sum_sigma D(s_sigma) using one loop family."""
     s0 = (1, 1, 1) if family == "plus" else (-1, -1, -1)
     in_family = [s0] + [s for s in SECTORS if adjacent(s, s0)]
@@ -333,30 +333,23 @@ def _route_bound(w: WrappingNumbers, k, family: str, d0_budget: int) -> int:
 
     boundary, c0 = _relabel_for_search(*_family_words(k, family))
     d_s0 = -w[s0]
-    # Admissible preimage counts at s0: D0 >= |d| with D0 = d (mod 2); the
-    # certified bound must hold for every choice, so take the minimum.  The
-    # certified lower value does not depend on the conjugators, so the
-    # class-product search runs with trivial conjugators only.
-    d0_start = abs(d_s0)
-    best = None
-    for d0 in range(d0_start, max(d0_budget, d0_start) + 1, 2):
-        p = (d0 + d_s0) // 2
-        n = (d0 - d_s0) // 2
-        spec = ClassProductSpec(
-            base=boundary,
-            factors=((inverse(c0), p), (c0, n)),
-            search_budget=0,
-        )
-        result = min_spelling_over_product(spec)
-        bound = d0 + result.lower
-        if best is None or bound < best:
-            best = bound
-    if best is None:
-        raise UnsupportedSignPatternError("no admissible preimage split")
-    return outside + best
+    # The bound must hold for every admissible preimage count D0 = |d| + 2j
+    # at s0, so it is the least D0 + lower(D0).  One more preimage pair adds
+    # one factor of each class, which lowers the certified value by at most
+    # 2 (its shape term by 2; the crude and abelian terms and the parity
+    # stay) while D0 rises by 2, so the least is at D0 = |d|.  The certified
+    # value does not depend on the conjugators, so the class-product search
+    # runs with trivial conjugators only.
+    d0 = abs(d_s0)
+    spec = ClassProductSpec(
+        base=boundary,
+        factors=((inverse(c0), (d0 + d_s0) // 2), (c0, (d0 - d_s0) // 2)),
+        search_budget=0,
+    )
+    return outside + d0 + min_spelling_over_product(spec).lower
 
 
-def spelling_lower_bound_check(t: OctantTopology, d0_budget: int = 3) -> int:
+def spelling_lower_bound_check(t: OctantTopology) -> int:
     """Certified lower bound on the energy (in pi units) from the spelling
     machinery: the better of the two loop-family bounds, floored by the
     abelian bound sum |w_sigma|.
@@ -371,7 +364,7 @@ def spelling_lower_bound_check(t: OctantTopology, d0_budget: int = 3) -> int:
     w = wrapping_from_invariants(t)
     bounds = [w.total_absolute()]
     for family in ("plus", "minus"):
-        bounds.append(_route_bound(w, t.k, family, d0_budget))
+        bounds.append(_route_bound(w, t.k, family))
     return max(bounds)
 
 

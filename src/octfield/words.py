@@ -555,10 +555,13 @@ _LETTER_NAMES = "abcd"  # small alphabets print as letters, larger as c1..cN
 
 
 def parse_word(text: str, alphabet_size: int | None = None) -> Word:
-    """Parse the CLI text format: 'a b a' b'', 'c1 c2'', or 'e' for empty."""
+    """Parse the CLI text format: 'a b a' b'', 'c1 c2'', or 'e' for empty.
+
+    Without ``alphabet_size`` the alphabet is the largest generator used (1
+    for the empty word); a given size, 0 included, is checked by ``Word``."""
     tokens = text.replace(",", " ").split()
     if tokens == ["e"] or not tokens:
-        return Word(alphabet_size or 1, ())
+        return Word(1 if alphabet_size is None else alphabet_size, ())
     letters = []
     max_gen = 0
     for tok in tokens:
@@ -574,8 +577,7 @@ def parse_word(text: str, alphabet_size: int | None = None) -> Word:
             raise ValueError(f"cannot parse letter {tok!r}")
         max_gen = max(max_gen, g)
         letters.append(-g if inv else g)
-    n = alphabet_size or max_gen
-    return Word(n, tuple(letters))
+    return Word(max_gen if alphabet_size is None else alphabet_size, tuple(letters))
 
 
 def format_word(u: Word) -> str:

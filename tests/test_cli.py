@@ -61,6 +61,21 @@ def test_spelling_rejects_invalid_word(args, capsys):
     assert err.startswith("invalid word: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--json", WORKED_JSON, "--prism", "1", "2", "3"],
+    ["classify", "--json", "[1, 2]"],
+    ["spelling", "--json", "[1, 2]"],
+    ["verify", "--json", "[1, 2]"],
+    ["classify", "missing-class.json"],
+    ["spelling", "--word", "a b", "--alphabet", "0"],
+], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
+        "alphabet-0"])
+def test_invalid_inputs_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("invalid ")
+
+
 def test_spelling_refuses_overlong_word_before_the_dp(monkeypatch, capsys):
     import octfield.cli as cli
     from octfield.words import MAX_WORD_LETTERS
@@ -78,7 +93,7 @@ def test_spelling_refuses_overlong_word_before_the_dp(monkeypatch, capsys):
 
 
 def test_spelling_class_bound(capsys):
-    assert main(["spelling", "--json", WORKED_JSON, "--d0", "1"]) == 0
+    assert main(["spelling", "--json", WORKED_JSON]) == 0
     out = capsys.readouterr().out
     assert "spelling bound = 7 pi" in out
 
@@ -92,7 +107,7 @@ def test_spelling_bound_matches_energy_for_double_kinks(capsys):
     payload = '{"e":[1,1,1],"k":[2,2,2],"omega_units":-1}'
     assert main(["classify", "--json", payload]) == 0
     energy_line = capsys.readouterr().out.splitlines()[0]
-    assert main(["spelling", "--json", payload, "--d0", "2"]) == 0
+    assert main(["spelling", "--json", payload]) == 0
     report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
     assert report["spelling_bound_pi_units"] == report["energy_pi_units"]
     assert report["tight"]
@@ -128,6 +143,18 @@ def test_construct_unsupported_class_exit_code():
     # all-negative kinks fall outside the implemented recipes
     payload = '{"e":[1,1,1],"k":[-1,-1,-1],"omega_units":3}'
     assert main(["construct", "--json", payload, "--grid-level", "1"]) == 4
+
+
+@pytest.mark.parametrize("payload, reason", [
+    # the only matching bulk shape has complex start parameters closer than
+    # a fit admits, so every fit is refused
+    ('{"e":[1,1,1],"k":[3,3,12],"omega_units":-57}', "no rational representative"),
+    ('{"e":[1,1,1],"k":[-2,-2,2],"omega_units":-1}', "modulus-inverting reflection"),
+], ids=["all-fits-refused", "mixed-kink-signs"])
+def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported class: ") and reason in err
 
 
 def test_verify_runs_without_artifacts(tmp_path):

@@ -35,8 +35,6 @@ def sweep_bulk_keys():
                 found = [(t, ())]
             else:
                 spec = select_case(normalize_edge_signs(t)[0], epsilon=EPSILON)
-                if not spec.constructible:
-                    continue
                 found = [(spec.H0, tuple(sorted(spec.stacks))), (spec.H0, ())]
             keys += [key for key in found if key not in keys]
     return keys

@@ -273,3 +273,35 @@ def test_shared_edge_mesh_matches_per_triangle_reference(
     targets += list(mesh.vertices[:, rng.integers(0, nr + 1), :].T)  # on image edges
     for p in targets:
         assert count(p) == _reference_counts(va, vb, vc, p)
+
+
+def _chart_steps_reference(values, target, reference):
+    """Argument steps of one target, as computed one target at a time."""
+    z = np.asarray(values, dtype=complex)
+    finite = np.isfinite(z)
+    zf = np.where(finite, z, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chart = np.where(finite, (zf - complex(target)) / (zf - complex(reference)), 1.0 + 0j)
+    args = np.angle(chart)
+    d = np.diff(np.concatenate([args, args[:1]]))
+    return (d + math.pi) % (2 * math.pi) - math.pi
+
+
+def test_argument_steps_of_all_targets_equal_the_per_target_ones():
+    from octfield.geometry import sector_centroid_complex
+    from octfield.numerics import _arg_steps
+    from octfield.topology import SECTORS
+
+    rng = np.random.default_rng(5)
+    targets = [sector_centroid_complex(s) for s in SECTORS]
+    reference = targets[-1]
+    loop = np.exp(1j * np.linspace(0.0, 6 * math.pi, 997))
+    for values in (3 * loop, loop / 3 + 0.2, rng.normal(size=500) + 1j * rng.normal(size=500)):
+        values[::97] = np.inf
+        steps = _arg_steps(values, targets, reference)
+        # the windings sum each row in one call; they must equal each
+        # target's own sum bit for bit
+        for row, total, target in zip(steps, np.sum(steps, axis=1), targets):
+            expected = _chart_steps_reference(values, target, reference)
+            assert np.array_equal(row, expected)
+            assert float(total) == float(np.sum(expected))

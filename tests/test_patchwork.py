@@ -123,9 +123,8 @@ def test_negative_kinks_are_constructed_or_reported():
         assert "coverage identity" in str(e)
         return
     assert spec.case_id == "general-sign"
-    if spec.constructible:
-        sm = assemble_patchwork(spec)
-        assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
+    sm = assemble_patchwork(spec)
+    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
 
 
 def test_mixed_sign_kinks_reported_unsupported_never_silent():
@@ -139,9 +138,14 @@ def test_mixed_sign_kinks_reported_unsupported_never_silent():
         spec = select_case(t, epsilon=0.05)
     except UnsupportedClassError:
         return
-    if not spec.constructible:
-        with pytest.raises(UnsupportedClassError):
-            assemble_patchwork(spec)
+    sm = assemble_patchwork(spec)
+    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
+
+
+def test_stack_pair_needing_a_modulus_inverting_reflection_is_refused():
+    t = OctantTopology((1, 1, 1), (-2, -2, 2), -1)
+    with pytest.raises(UnsupportedClassError, match="modulus-inverting reflection"):
+        select_case(t, epsilon=0.05)
 
 
 def test_trivial_patchwork_is_bulk_everywhere():
@@ -273,7 +277,7 @@ def test_verifier_rejects_tampered_general_sign_spec():
 
     t = OctantTopology((1, 1, 1), (2, 1, 1), 8 * 1 + 7 - 16)
     spec = select_case(t, epsilon=0.05)
-    assert spec.case_id == "general-sign" and spec.constructible
+    assert spec.case_id == "general-sign"
     w = wrapping_from_invariants(t)
     c = classify(w, t)
     _verify_spec(spec, w, c)
@@ -305,11 +309,11 @@ def test_domain_svg_draws_one_seam_path_per_radius():
     from octfield.reports import domain_svg
 
     spec = select_case(WORKED, epsilon=0.05)
-    svg = domain_svg(assemble_patchwork(spec), resolution=8)
+    svg = domain_svg(assemble_patchwork(spec))
     seams = svg.count('stroke-width="0.4"')
     assert seams == sum(len(radii) for radii in spec.seam_radii().values())
     assert seams == len(spec.stacks["x"].seams()) + 2
-    assert 'stroke-width="0.4"' not in domain_svg(identity_map(), resolution=8)
+    assert 'stroke-width="0.4"' not in domain_svg(identity_map())
 
 
 def test_worked_example_energy_at_tiny_epsilon():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octfield.rational import (
@@ -146,6 +146,13 @@ def product_specs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(product_specs())
+# its pole at 0.15i crosses unit modulus within 3e-12, far inside the fixed
+# 1e-9 ladder start: the windings used to reach the boundary point cap
+@example(RationalMapSpec(
+    sign=1, m=2, real_factors=((0.15, 1),), imag_factors=((0.15, -1), (0.21, 1), (0.27, 1)),
+    complex_factors=(((0.1013066823502762 + 0.15777580965148058j), 1),),
+    orientation="conformal",
+))
 def test_predicted_invariants_equal_measured_ones(spec):
     predicted = predict_invariants(spec)
     measured = invariants_from_wrapping(measure_wrapping_rational(spec))
@@ -296,6 +303,14 @@ def test_realize_bulk_classes_match_wrapping():
 def test_realize_rejects_nonconformal():
     with pytest.raises(ConstructionError):
         realize(OctantTopology((1, 1, 1), (1, 1, 1), 3))
+
+
+def test_realize_refuses_a_class_whose_fits_are_all_inadmissible():
+    # the case-2a bulk of k = (3,3,12), n = 1 has one matching shape, whose
+    # complex start parameters lie 0.05 apart on one ray, closer than a fit
+    # admits; every fit of it is refused, so no map can be accepted
+    with pytest.raises(ConstructionError, match="no rational representative"):
+        realize(OctantTopology((1, 1, 1), (3, 2, 11), -57), stacked=("x",))
 
 
 def test_realize_fits_bulk_to_stacked_vertices():
