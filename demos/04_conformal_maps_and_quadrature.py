@@ -12,6 +12,7 @@ import numpy as np
 
 from octfield import (
     QuarterSphereStack,
+    alternating,
     RationalMapSpec,
     dirichlet_energy,
     degree_count,
@@ -44,6 +45,6 @@ print("max | |f|-1 | on the arc:", np.max(np.abs(np.abs(evaluate_rational(spec, 
 
 # one quarter-sphere layer has an exactly integrable energy
 eps = 0.05
-st = QuarterSphereStack(2, eps)
+st = QuarterSphereStack(alternating(2), eps)
 exact = 2 * math.pi * (1 - 4 * eps**2) / ((1 + eps) * (1 + 4 * eps))
 print(f"layer closed form: {exact / math.pi:.5f} pi")

@@ -25,7 +25,7 @@ from .words import (
     word,
 )
 from .rational import RationalMapSpec, evaluate_rational, predict_invariants, realize
-from .stacks import QuarterSphereStack, stack_degree_table
+from .stacks import QuarterSphereStack, alternating, stack_degree_table
 from .patchwork import (
     PatchworkSpec,
     SampledMap,

@@ -214,7 +214,7 @@ def _construct_and_verify(t, w, args):
             "orientation": spec.orientation,
         }
         sm = rational_map(spec)
-        w_check = w
+        t_norm, w_check = t, w
         checks["lemma2_identity"] = True
 
     area = numerics.trapped_area(sm, level=min(args.grid_level, 3))
@@ -239,7 +239,7 @@ def _construct_and_verify(t, w, args):
     )
     omega, omega_res = area
     checks["trapped_area"] = (
-        round(omega / (math.pi / 2)) == t.omega_units and omega_res < 0.25
+        round(omega / (math.pi / 2)) == t_norm.omega_units and omega_res < 0.25
     )
     report["trapped_area"] = omega
     report["trapped_area_residual"] = omega_res

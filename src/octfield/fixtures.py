@@ -3,7 +3,7 @@
 These are not part of the public construction path; they reproduce the
 historical juxtaposition recipe (a conformal full-sphere insertion in a small
 interior disc of an anticonformal bulk) whose energy exceeds the sharp bound,
-and the single quarter-sphere variant placed at the z vertex.  Both serve as
+and a single quarter-sphere layer placed at the z vertex.  Both serve as
 independent checks of the degree-counting and quadrature machinery.
 """
 
@@ -117,6 +117,6 @@ def vertex_stack_map(epsilon: float = 0.05) -> SampledMap:
         H0=bulk_class,
         M=(0, 0, 1),
         epsilon=epsilon,
-        stacks={"z": QuarterSphereStack(1, epsilon)},
+        stacks={"z": QuarterSphereStack(((-1, -1),), epsilon)},
     )
     return assemble_patchwork(spec)

@@ -321,9 +321,6 @@ class DegreeReport:
     def __getitem__(self, sector):
         return self.by_sector[tuple(sector)]
 
-    def signed(self):
-        return {s: e.d for s, e in self.by_sector.items()}
-
     def unsigned_total(self):
         return sum(e.D for e in self.by_sector.values())
 

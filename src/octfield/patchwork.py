@@ -5,8 +5,8 @@ picks a bulk conformal/anticonformal class H0 and per-vertex stack layer
 counts M = (M_x, M_y, M_z) from the tabulated construction (positive ordered
 kinks) or from the general-sign search, verifying before returning that
 
-- the bulk edge signs satisfy e_{0j} = -1 exactly where the j-stack's top
-  layer is conformal (e_{0j} = (-1)^{M_j} for the standard alternation),
+- the bulk edge signs satisfy e_{0j} = (-1)^{M_j}: -1 exactly where the
+  j-stack's top layer is odd, with large moduli at the collar,
 - wrapping additivity: w_{sigma,0} + sum_j d_j(sigma) = w_sigma,
 - the coverage identity sum|w_0| + 2 sum M_j = sum|w| + Delta.
 
@@ -31,7 +31,6 @@ linearly for even M_j.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +49,7 @@ from .rational import (
     realize,
     singular_structure,
 )
-from .stacks import PERMUTATIONS, QuarterSphereStack, blend, stack_degree_table
+from .stacks import PERMUTATIONS, QuarterSphereStack, alternating, blend, stack_degree_table
 from .topology import (
     SECTORS,
     Classification,
@@ -140,15 +139,13 @@ def _flip_axis(sector, axis: str):
     return tuple(out)
 
 
-def _general_table(axis: str, layers: int, sigma_minus, anti_first: bool = False) -> dict:
-    """Wrapping contribution of a j-vertex stack in the general-sign recipe:
-    conformal layers cover {sigma_-, flip_j(sigma_-)} once each (contribution
-    -1), anticonformal layers the antipodal pair {sigma_+, flip_j(sigma_+)}
-    (+1).  The alternation may start with either orientation."""
+def _general_table(axis: str, layers: int, sigma_minus) -> dict:
+    """Wrapping contribution of a j-vertex stack in the general-sign recipe,
+    derived in the target frame: the odd, conformal layers cover
+    {sigma_-, flip_j(sigma_-)} once each (contribution -1), the even,
+    anticonformal ones the antipodal pair {sigma_+, flip_j(sigma_+)} (+1)."""
     table = {s: 0 for s in SECTORS}
-    if layers == 0:
-        return table
-    n_conf = layers // 2 if anti_first else (layers + 1) // 2
+    n_conf = (layers + 1) // 2
     n_anti = layers - n_conf
     sigma_plus = tuple(-s for s in sigma_minus)
     for s in (sigma_minus, _flip_axis(sigma_minus, axis)):
@@ -159,9 +156,10 @@ def _general_table(axis: str, layers: int, sigma_minus, anti_first: bool = False
 
 
 def _stack_flip(axis: str, sigma_minus):
-    """Reflection sign making the standard stack cover the required pair, or
-    None when the pre-relocation pair is not reachable by modulus-preserving
-    reflections (the pair's first two chart components differ)."""
+    """Flip of the standard stack (``stacks.alternating``) that covers the
+    required pair, or None when the pre-relocation pair is not reachable by
+    modulus-preserving reflections (the pair's first two chart components
+    differ)."""
     inv_axis = {"x": "y", "y": "x", "z": "z"}[axis]
     pre = PERMUTATIONS[inv_axis](sigma_minus)
     pre_flip = PERMUTATIONS[inv_axis](_flip_axis(sigma_minus, axis))
@@ -171,14 +169,14 @@ def _stack_flip(axis: str, sigma_minus):
     a, b = common.pop()
     if a != b:
         return None
-    return -a  # conformal pair (-flip, -flip) must equal (a, a)
+    return -a  # the odd layers' pair (-flip, -flip) must equal (a, a)
 
 
 def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification,
                  *table_sets) -> None:
     """Check a spec against the verification identities: the j-stack has M_j
-    layers, the bulk class is one-signed, each e0_j matches the orientation
-    of the j-stack's top layer (-1 for a conformal top, +1 without a stack),
+    layers, the bulk class is one-signed, each e0_j matches the parity of the
+    j-stack's top layer (-1 for an odd top, +1 for an even one or no stack),
     the bulk plus the stack tables assembles to the target wrapping numbers
     for the spec's own stacks and for every further table set given, and the
     coverage identity holds."""
@@ -282,30 +280,27 @@ def _layer_ratio(epsilon: float, layers: int) -> float:
     return min(max(epsilon**_LAYER_RATIO_POWER, floor), epsilon)
 
 
-def _build_stacks(case_id: str, M, epsilon: float, k, n: int, sigma_minus=None,
-                  anti_first: bool = False):
+def _build_stacks(case_id: str, M, epsilon: float, k, n: int, sigma_minus=None):
+    """The stacks of a spec, or None when a general-sign stack's pair is out of
+    reach (see ``_stack_flip``).  Case 2c's x-stack covers the antidiagonal
+    quadrant at its even layers up to 2(k_z - n - 1), its y-stack at its odd
+    layers up to 2(n - k_x - k_y + 1); every other layer alternates."""
     stacks = {}
     for axis, layers in zip(AXES, M):
         if layers == 0:
             continue
-        delta = _layer_ratio(epsilon, layers)
-        if case_id == "2c" and axis == "x":
-            special = 2 * (k[2] - n - 1)
-            stacks[axis] = QuarterSphereStack(layers, epsilon, "case2c_x", special,
-                                              delta=delta)
-        elif case_id == "2c" and axis == "y":
-            special = 2 * (n - k[0] - k[1] + 1)
-            stacks[axis] = QuarterSphereStack(layers, epsilon, "case2c_y", special,
-                                              delta=delta)
-        elif sigma_minus is not None and sigma_minus != (-1, -1, -1):
+        covers = alternating(layers)
+        if case_id == "2c":
+            parity, special = ((0, 2 * (k[2] - n - 1)) if axis == "x"
+                               else (1, 2 * (n - k[0] - k[1] + 1)))
+            covers = tuple((1, -1) if m % 2 == parity and m <= special else c
+                           for m, c in enumerate(covers, start=1))
+        elif sigma_minus is not None:
             flip = _stack_flip(axis, sigma_minus)
             if flip is None:
                 return None
-            stacks[axis] = QuarterSphereStack(layers, epsilon, flip=flip,
-                                              anti_first=anti_first, delta=delta)
-        else:
-            stacks[axis] = QuarterSphereStack(layers, epsilon, anti_first=anti_first,
-                                              delta=delta)
+            covers = alternating(layers, flip)
+        stacks[axis] = QuarterSphereStack(covers, epsilon, _layer_ratio(epsilon, layers))
     return stacks
 
 
@@ -332,11 +327,11 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
     budget = (w.total_absolute() + delta) // 2
 
     def solutions():
-        """(sigma_minus, anti_first, M, H0, tables) in search order."""
-        for sigma_minus, anti_first in itertools.product(candidates, (False, True)):
+        """(sigma_minus, M, H0, tables) in search order."""
+        for sigma_minus in candidates:
             for M in _layer_splits(budget):
                 tables = {
-                    axis: _general_table(axis, m, sigma_minus, anti_first)
+                    axis: _general_table(axis, m, sigma_minus)
                     for axis, m in zip(AXES, M)
                 }
                 w0_vals = tuple(
@@ -350,11 +345,8 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
                     h0 = invariants_from_wrapping(WrappingNumbers(w0_vals))
                 except InvalidWrappingError:
                     continue
-                expected_e = tuple(
-                    -1 if m > 0 and ((m % 2 == 1) != anti_first) else 1 for m in M
-                )
-                if h0.e == expected_e:
-                    yield sigma_minus, anti_first, M, h0, tables
+                if h0.e == tuple(-1 if m % 2 else 1 for m in M):
+                    yield sigma_minus, M, h0, tables
 
     found = next(solutions(), None)
     if found is None:
@@ -362,9 +354,8 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
             f"no stack counts satisfy the coverage identity for k={target.k}, "
             f"omega_units={target.omega_units}"
         )
-    sigma_minus, anti_first, M, h0, tables = found
-    stacks = _build_stacks("general-sign", M, epsilon, target.k, 0,
-                           sigma_minus=sigma_minus, anti_first=anti_first)
+    sigma_minus, M, h0, tables = found
+    stacks = _build_stacks("general-sign", M, epsilon, target.k, 0, sigma_minus=sigma_minus)
     if stacks is None:
         raise UnsupportedClassError(
             "relocated stack pair needs a modulus-inverting reflection (mixed kink signs)"

@@ -455,9 +455,8 @@ def _candidate_specs(orientation: str, e, k, degree: int):
     for t_edge in range(min(_MAX_EDGE, (degree - 1) // 2) + 1):
         rest_e = degree - 2 * t_edge
         for c in range((rest_e - 1) // 4 + 1):
+            # the degree |omega_units| is odd, so q is odd and at least 1
             q = rest_e - 4 * c
-            if q < 1 or q % 2 == 0:
-                continue
             m = (q - 1) // 2 if e[2] > 0 else -(q + 1) // 2
             ts = [
                 (0.3 + 0.45 * i / max(c - 1, 1))

@@ -48,20 +48,46 @@ def class_to_dict(t: OctantTopology, w: WrappingNumbers | None = None) -> dict:
     }
 
 
-def class_from_dict(data: dict) -> tuple:
-    """Parse a class from JSON; returns (topology, wrapping)."""
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _field(data: dict, field: str):
+    if field not in data:
+        raise ValueError(f"missing field {field!r}")
+    return data[field]
+
+
+def _integer_triple(value, field: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{field} must be a triple of integers, got {value!r}")
+    return tuple(_integer(v, field) for v in value)
+
+
+def _wrapping(data: dict) -> WrappingNumbers:
+    names = [sector_name(s) for s in SECTORS]
+    w_in = data["w"]
+    if not isinstance(w_in, dict) or sorted(w_in) != sorted(names):
+        raise ValueError(f"w must give exactly the eight sectors {' '.join(names)}")
+    return WrappingNumbers(tuple(_integer(w_in[name], f"w[{name!r}]") for name in names))
+
+
+def class_from_dict(data) -> tuple:
+    """Parse a class from JSON; returns (topology, wrapping).  Every number
+    must be a JSON integer: nothing is rounded or truncated."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a class must be a JSON object, got {type(data).__name__}")
     if "w" in data and "e" not in data:
-        w_in = data["w"]
-        values = tuple(int(w_in[sector_name(s)]) for s in SECTORS)
-        w = WrappingNumbers(values)
-        t = invariants_from_wrapping(w)
-        return t, w
-    t = OctantTopology(tuple(data["e"]), tuple(data["k"]), int(data["omega_units"]))
+        w = _wrapping(data)
+        return invariants_from_wrapping(w), w
+    t = OctantTopology(_integer_triple(_field(data, "e"), "e"),
+                       _integer_triple(_field(data, "k"), "k"),
+                       _integer(_field(data, "omega_units"), "omega_units"))
     w = wrapping_from_invariants(t)
-    if "w" in data:
-        given = tuple(int(data["w"][sector_name(s)]) for s in SECTORS)
-        if given != w.values:
-            raise ValueError("wrapping numbers inconsistent with (e, k, omega)")
+    if "w" in data and _wrapping(data) != w:
+        raise ValueError("wrapping numbers inconsistent with (e, k, omega)")
     return t, w
 
 

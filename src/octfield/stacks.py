@@ -1,13 +1,23 @@
 """Quarter-sphere stacks: nested annulus maps inserted near octant vertices.
 
+A stack is described by the list of chart quadrants its layers cover:
+``covers[m-1] = (a, b)`` is the quadrant of layer m, and the layer maps its
+annulus over both target sectors (a, b, +1) and (a, b, -1).  The quadrants
+are the two diagonal ones (1, 1), (-1, -1) and the antidiagonal (1, -1).
+
 A stack with L layers lives on the chart disc |u| <= epsilon of its vertex.
 Layer m occupies the annulus 2 rho_{m-1} <= |u| <= rho_m with radii
-rho_m = epsilon * delta^(L-m) (rho_0 = 0), and maps it over a pair of
-adjacent sectors: odd layers conformally with one sign of covering, even
-layers anticonformally with the other.  Between consecutive layers the
-interpolation annuli rho_n <= |u| <= 2 rho_n blend the neighbors,
-reciprocally after odd layers (where moduli are large) and linearly after
-even ones (moduli small).
+rho_m = epsilon * delta^(L-m) (rho_0 = 0).  Odd layers have large moduli at
+their outer seam (-a u on a diagonal quadrant, conj(u) on (1, -1)), even
+layers small ones (a / conj(u) on a diagonal quadrant, 1/u on (1, -1)), so
+a layer is conformal exactly when it covers a diagonal quadrant at odd m or
+(1, -1) at even m; conformal layers count -1 in their sectors'
+wrapping numbers, anticonformal ones +1.  The standard stack (``alternating``)
+covers (-1, -1) at odd and (1, 1) at even layers, or the opposite diagonal
+pair when flipped.  Between consecutive layers the interpolation annuli
+rho_n <= |u| <= 2 rho_n blend the neighbors, reciprocally after odd layers
+(where moduli are large) and linearly after even ones (moduli small): the
+blend follows the parity, not the orientation.
 
 Two scales enter: the chart radius epsilon, where the top layer meets the
 collar, and the layer ratio delta, which sets every layer's moduli through
@@ -16,11 +26,6 @@ the scale sqrt(delta) (a conformal layer runs from modulus 2 sqrt(delta) to
 each interpolation annulus costs O(delta), so delta << epsilon makes them
 nearly free.  By default delta = epsilon, which gives rho_m = epsilon^(L+1-m)
 and the layer closed form 2 pi (1 - 4 delta^2) / ((1 + delta)(1 + 4 delta)).
-
-Variants implement the modified stacks of the special tabulated case, whose
-first ``special_layers`` layers use same-orientation formulas; ``flip``
-rotates the covered sector pairs by z -> -z for the general-sign
-construction.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .topology import SECTORS
 
-__all__ = ["QuarterSphereStack", "stack_degree_table", "PERMUTATIONS"]
+__all__ = ["QuarterSphereStack", "alternating", "stack_degree_table", "PERMUTATIONS"]
 
 # sector permutations induced by the vertex rotations: gamma_j maps the
 # pre-relocation sector tau onto p_j(tau)
@@ -44,37 +49,36 @@ PERMUTATIONS = {
 }
 _INVERSE_AXIS = {"x": "y", "y": "x", "z": "z"}
 _SEAM_TOL = 1 + 1e-9  # relative tolerance of the layer masks at seams
+_QUADRANTS = ((1, 1), (-1, -1), (1, -1))  # chart quadrants a layer can cover
+
+
+def alternating(layers: int, flip: int = 1) -> tuple:
+    """Covers of the standard stack: (-flip, -flip) at odd layers, conformally,
+    and (flip, flip) at even layers, anticonformally."""
+    return tuple((-flip, -flip) if m % 2 else (flip, flip) for m in range(1, layers + 1))
 
 
 @dataclass(frozen=True)
 class QuarterSphereStack:
-    layers: int
+    covers: tuple  # covers[m-1]: the chart quadrant (a, b) of layer m
     epsilon: float
-    variant: str = "standard"  # standard | case2c_x | case2c_y
-    special_layers: int = 0
-    flip: int = 1
-    anti_first: bool = False  # mirror alternation for negative-kink classes
     delta: float | None = None  # layer ratio; None means delta = epsilon
 
     def __post_init__(self):
         if self.delta is None:
             object.__setattr__(self, "delta", self.epsilon)
-        if self.layers < 1:
+        if not self.covers:
             raise ValueError("a stack needs at least one layer")
+        if any(c not in _QUADRANTS for c in self.covers):
+            raise ValueError(f"each cover must be one of the quadrants {_QUADRANTS}")
         if not 0 < self.epsilon < 0.125:
             raise ValueError("epsilon must lie in (0, 1/8)")
         if not 0 < self.delta < 0.125:
             raise ValueError("delta must lie in (0, 1/8)")
-        if self.variant not in ("standard", "case2c_x", "case2c_y"):
-            raise ValueError(f"unknown stack variant {self.variant}")
-        if self.special_layers % 2 or not 0 <= self.special_layers <= self.layers:
-            raise ValueError("special_layers must be even and at most the layer count")
-        if self.variant == "standard" and self.special_layers:
-            raise ValueError("standard stacks have no special layers")
-        if self.variant != "standard" and self.anti_first:
-            raise ValueError("variant stacks use the standard alternation")
-        if self.flip not in (1, -1):
-            raise ValueError("flip must be +-1")
+
+    @property
+    def layers(self) -> int:
+        return len(self.covers)
 
     def radius(self, m: int) -> float:
         """rho_m = epsilon * delta^(L-m); rho_0 = 0.
@@ -92,15 +96,13 @@ class QuarterSphereStack:
         layer, the finest scale of the stack."""
         return math.sqrt(self.delta) * self.radius(1)
 
-    def layer_is_conformal(self, m: int) -> bool:
-        return (m % 2 == 1) != self.anti_first
-
     @property
     def top_is_conformal(self) -> bool:
-        """Conformal top layers have large moduli at the collar seam, so the
-        bulk there must be near a pole (edge sign -1); anticonformal tops pair
-        with a bulk zero (edge sign +1)."""
-        return self.layer_is_conformal(self.layers)
+        """Odd top layers have large moduli at the collar seam, so the bulk
+        there must be near a pole (edge sign -1); even tops pair with a bulk
+        zero (edge sign +1).  In every stack the construction builds, the top
+        layer covers a diagonal quadrant, where odd means conformal."""
+        return self.layers % 2 == 1
 
     def seams(self) -> tuple:
         """All annulus boundaries inside (0, epsilon]: 2 rho_{m-1} and rho_m."""
@@ -119,20 +121,15 @@ class QuarterSphereStack:
             raise ValueError(f"layer {m} outside stack of {self.layers}")
         u = np.asarray(u, dtype=complex)
         root = math.sqrt(self.delta)
-        special = m <= self.special_layers
-        if m % 2 and special:
-            if self.variant == "case2c_y":
-                return np.conj(u) / (root * self.radius(m))
-        if m % 2 == 0 and special:
-            if self.variant == "case2c_x":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return self.radius(m - 1) / (root * u)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self.radius(m - 1) / (root * np.conj(u))
-        if self.layer_is_conformal(m):
-            return self.flip * (-u) / (root * self.radius(m))
+        a, b = self.covers[m - 1]
+        if m % 2:
+            if a == b:
+                return -a * (-u) / (root * self.radius(m))
+            return np.conj(u) / (root * self.radius(m))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.flip * self.radius(m - 1) / (root * np.conj(u))
+            if a == b:
+                return a * self.radius(m - 1) / (root * np.conj(u))
+            return self.radius(m - 1) / (root * u)
 
     def interpolant_value(self, n: int, u):
         """Blend between layers n and n+1 on rho_n <= |u| <= 2 rho_n."""
@@ -142,9 +139,9 @@ class QuarterSphereStack:
         s = (np.abs(u) - self.radius(n)) / self.radius(n)
         a = self.layer_value(n, u)
         b = self.layer_value(n + 1, u)
-        # reciprocal blending where the adjacent layer moduli are large
-        # (conformal side), linear where they are small
-        return blend(a, b, s, odd=self.layer_is_conformal(n))
+        # reciprocal blending after odd layers, whose moduli are large at
+        # the seam, linear after even ones
+        return blend(a, b, s, odd=n % 2 == 1)
 
     def _annuli(self, r):
         """The split of chart radii r into layers and interpolants, in the
@@ -206,26 +203,13 @@ def blend(a, b, s, odd: bool):
 
 def _pre_relocation_table(stack: QuarterSphereStack) -> dict:
     """Covering contribution of each layer in the vertex chart, in wrapping
-    convention (conformal coverings count -1, anticonformal +1)."""
+    convention: layer m covers both sectors of its quadrant, -1 each when it
+    is conformal (a diagonal quadrant at odd m, (1, -1) at even m), else +1."""
     table: dict = {}
-
-    def add(pair_xy, value):
+    for m, (a, b) in enumerate(stack.covers, start=1):
+        conformal = (a == b) == (m % 2 == 1)
         for sz in (1, -1):
-            sector = (pair_xy[0], pair_xy[1], sz)
-            table[sector] = table.get(sector, 0) + value
-
-    for m in range(1, stack.layers + 1):
-        special = m <= stack.special_layers
-        if m % 2 and special and stack.variant == "case2c_y":
-            add((1, -1), +1)  # anticonformal, covers (+ - pm) positively
-        elif m % 2 == 0 and special and stack.variant == "case2c_x":
-            add((1, -1), -1)  # conformal inversion, covers (+ - pm) negatively
-        elif m % 2 == 0 and special and stack.variant == "case2c_y":
-            add((1, 1), +1)
-        elif stack.layer_is_conformal(m):
-            add((-stack.flip, -stack.flip), -1)
-        else:
-            add((stack.flip, stack.flip), +1)
+            table[(a, b, sz)] = table.get((a, b, sz), 0) + (-1 if conformal else 1)
     return table
 
 

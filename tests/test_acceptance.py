@@ -29,7 +29,7 @@ from octfield.patchwork import (
     select_case,
 )
 from octfield.rational import RationalMapSpec, measure_wrapping_rational
-from octfield.stacks import QuarterSphereStack
+from octfield.stacks import QuarterSphereStack, alternating
 from octfield.topology import (
     OctantTopology,
     classify,
@@ -92,7 +92,7 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_closed_form_quadrature():
     for eps in (0.1, 0.05):
-        st = QuarterSphereStack(2, eps)
+        st = QuarterSphereStack(alternating(2), eps)
         region = Region(
             "layer2",
             lambda u, s=st: s.layer_value(2, u),

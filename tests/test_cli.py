@@ -61,19 +61,29 @@ def test_spelling_rejects_invalid_word(args, capsys):
     assert err.startswith("invalid word: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--json", WORKED_JSON, "--prism", "1", "2", "3"],
-    ["classify", "--json", "[1, 2]"],
-    ["spelling", "--json", "[1, 2]"],
-    ["verify", "--json", "[1, 2]"],
-    ["classify", "missing-class.json"],
-    ["spelling", "--word", "a b", "--alphabet", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--json", WORKED_JSON, "--prism", "1", "2", "3"], "prism"),
+    (["classify", "--json", "[1, 2]"], "a class must be a JSON object, got list"),
+    (["spelling", "--json", "[1, 2]"], "a class must be a JSON object, got list"),
+    (["verify", "--json", "[1, 2]"], "a class must be a JSON object, got list"),
+    (["classify", "missing-class.json"], "missing-class.json"),
+    (["spelling", "--word", "a b", "--alphabet", "0"], "alphabet"),
+    (["classify", "--json", '{"e":[1,1,1],"k":[1,1,1],"omega_units":3.7}'],
+     "omega_units must be an integer, got 3.7"),
+    (["classify", "--json", '{"e":[1,1,1],"k":[1.5,1,1],"omega_units":3}'],
+     "k must be an integer, got 1.5"),
+    (["classify", "--json", '{"e":[1,1,1],"k":[1,1],"omega_units":3}'],
+     "k must be a triple of integers"),
+    (["classify", "--json", '{"e":[1,1,1],"omega_units":3}'], "missing field 'k'"),
+    (["classify", "--json", '{"w":{"+++":1}}'], "w must give exactly the eight sectors"),
 ], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
-        "alphabet-0"])
-def test_invalid_inputs_exit_2(argv, tmp_path, monkeypatch, capsys):
+        "alphabet-0", "fractional-omega", "fractional-kink", "short-kinks",
+        "missing-kinks", "missing-sectors"])
+def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("invalid ")
+    err = capsys.readouterr().err
+    assert err.startswith("invalid ") and message in err
 
 
 def test_spelling_refuses_overlong_word_before_the_dp(monkeypatch, capsys):
@@ -155,6 +165,27 @@ def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
     assert main(["verify", "--json", payload, "--grid-level", "1"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("unsupported class: ") and reason in err
+
+
+@pytest.mark.parametrize("payload, reflections", [
+    ('{"e":[1,1,-1],"k":[-2,-2,0],"omega_units":-7}', [1, 1, -1]),
+    ('{"e":[-1,1,1],"k":[-2,-1,1],"omega_units":-7}', [-1, 1, 1]),
+], ids=["reflect-z", "reflect-x"])
+def test_construct_checks_the_normalized_class(payload, reflections, tmp_path):
+    # an odd number of reflections flips the trapped area: the map represents
+    # the normalized class, and every check compares with that class
+    assert main(["construct", "--json", payload, "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert report["reflections"] == reflections
+    assert report["normalized_class"]["e"] == [1, 1, 1]
+    assert report["normalized_class"]["omega_units"] == 7
+    assert all(report["checks"].values()), report["checks"]
+
+
+def test_verify_flipped_general_sign_stacks():
+    payload = '{"e":[1,1,1],"k":[-1,-1,-1],"omega_units":-5}'
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 0
 
 
 def test_verify_runs_without_artifacts(tmp_path):

@@ -29,10 +29,10 @@ def test_identity_energy_is_pi():
 
 
 def test_quarter_sphere_layer_closed_form():
-    from octfield.stacks import QuarterSphereStack
+    from octfield.stacks import QuarterSphereStack, alternating
 
     for eps in (0.1, 0.05):
-        st = QuarterSphereStack(2, eps)
+        st = QuarterSphereStack(alternating(2), eps)
         region = Region(
             "layer2",
             lambda u, s=st: s.layer_value(2, u),

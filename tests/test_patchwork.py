@@ -52,9 +52,19 @@ def test_select_case_2c_instance():
     assert spec.case_id == "2c"
     assert spec.H0 == OctantTopology((1, -1, 1), (0, 0, 0), 1)
     assert spec.M == (4, 1, 0)
-    assert spec.stacks["x"].variant == "case2c_x"
-    assert spec.stacks["x"].special_layers == 2
-    assert spec.stacks["y"].variant == "case2c_y"
+    # x: the even layers up to 2(k_z - n - 1) = 2 cover the antidiagonal
+    # quadrant; y: no odd layer up to 2(n - k_x - k_y + 1) = 0 does
+    assert spec.stacks["x"].covers == ((-1, -1), (1, -1), (-1, -1), (1, 1))
+    assert spec.stacks["y"].covers == ((-1, -1),)
+
+
+def test_select_case_flips_general_sign_stacks():
+    # all-negative kinks: sigma_- = (+,+,+), which every relocated stack
+    # reaches by the flipped alternation, covering (1, 1) with its one layer
+    spec = select_case(OctantTopology((1, 1, 1), (-1, -1, -1), -5), epsilon=0.05)
+    assert spec.case_id == "general-sign"
+    assert spec.M == (1, 1, 1)
+    assert all(st.covers == ((1, 1),) for st in spec.stacks.values())
 
 
 def test_select_case_verifies_identities_for_full_sweep():
@@ -180,7 +190,7 @@ def test_boundary_conditions_worked_example():
 
 
 def test_variant_stacks_seams_and_boundary():
-    # the special tabulated case: two variant stacks with modified layers
+    # the special tabulated case: stacks with antidiagonal layers
     spec = select_case(_class((1, 1, 3), 1), epsilon=0.05)
     sm = assemble_patchwork(spec)
     assert boundary_residual(sm) < 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from octfield.geometry import relocate, relocate_inverse
-from octfield.stacks import QuarterSphereStack, stack_degree_table
+from octfield.stacks import QuarterSphereStack, alternating, stack_degree_table
 from octfield.topology import SECTORS, sector_name
 
 
@@ -13,21 +13,21 @@ def table_by_name(stack, axis):
 
 
 def test_radii_are_geometric():
-    st = QuarterSphereStack(3, 0.05)
+    st = QuarterSphereStack(alternating(3), 0.05)
     assert st.radius(0) == 0
     assert st.radius(3) == pytest.approx(0.05)
     assert st.radius(2) / st.radius(1) == pytest.approx(1 / 0.05)
 
 
 def test_odd_layer_real_ray_stays_real_and_negative():
-    st = QuarterSphereStack(1, 0.05)
+    st = QuarterSphereStack(alternating(1), 0.05)
     vals = st.layer_value(1, np.linspace(0.001, 0.05, 9) + 0j)
     assert np.max(np.abs(vals.imag)) == 0
     assert np.all(vals.real < 0)
 
 
 def test_layer_modulus_at_outer_seam():
-    st = QuarterSphereStack(2, 0.05)
+    st = QuarterSphereStack(alternating(2), 0.05)
     for m in (1, 2):
         val = st.layer_value(m, st.radius(m) * np.exp(0.3j))
         expected = 1 / math.sqrt(0.05) if m % 2 else st.radius(m - 1) / (
@@ -37,7 +37,7 @@ def test_layer_modulus_at_outer_seam():
 
 
 def test_interpolant_matches_neighbors_at_annulus_edges():
-    st = QuarterSphereStack(3, 0.05)
+    st = QuarterSphereStack(alternating(3), 0.05)
     for n in (1, 2):
         u_in = st.radius(n) * np.exp(1j * np.linspace(0.05, 1.5, 7))
         u_out = 2 * st.radius(n) * np.exp(1j * np.linspace(0.05, 1.5, 7))
@@ -50,14 +50,14 @@ def test_interpolant_matches_neighbors_at_annulus_edges():
 
 
 def test_interpolant_real_on_real_axis():
-    st = QuarterSphereStack(2, 0.05)
+    st = QuarterSphereStack(alternating(2), 0.05)
     u = np.linspace(st.radius(1) * 1.01, st.radius(1) * 1.99, 11) + 0j
     vals = st.interpolant_value(1, u)
     assert np.max(np.abs(vals.imag)) < 1e-14
 
 
 def test_stack_axes_reality():
-    st = QuarterSphereStack(3, 0.06)
+    st = QuarterSphereStack(alternating(3), 0.06)
     t = np.linspace(1e-7, 0.06, 40)
     real_vals = st.evaluate(t + 0j)
     imag_vals = st.evaluate(1j * t)
@@ -66,22 +66,22 @@ def test_stack_axes_reality():
 
 
 def test_z_stack_table_single_layer():
-    st = QuarterSphereStack(1, 0.05)
+    st = QuarterSphereStack(alternating(1), 0.05)
     assert table_by_name(st, "z") == {"--+": -1, "---": -1}
 
 
 def test_z_stack_table_counts():
-    st = QuarterSphereStack(4, 0.05)
+    st = QuarterSphereStack(alternating(4), 0.05)
     assert table_by_name(st, "z") == {"--+": -2, "---": -2, "+++": 2, "++-": 2}
 
 
 def test_x_stack_table_single_layer():
-    st = QuarterSphereStack(1, 0.05)
+    st = QuarterSphereStack(alternating(1), 0.05)
     assert table_by_name(st, "x") == {"+--": -1, "---": -1}
 
 
 def test_y_stack_table_single_layer():
-    st = QuarterSphereStack(1, 0.05)
+    st = QuarterSphereStack(alternating(1), 0.05)
     assert table_by_name(st, "y") == {"-+-": -1, "---": -1}
 
 
@@ -89,7 +89,7 @@ def test_x_stack_table_matches_measured_degrees():
     # numerical pin of the relocation convention: a single conformal layer
     # moved to the x vertex covers (+--) and (---) once, negatively
     eps = 0.05
-    st = QuarterSphereStack(1, eps)
+    st = QuarterSphereStack(alternating(1), eps)
 
     from octfield.numerics import degree_differences_by_winding
     from octfield.geometry import sector_centroid_complex
@@ -111,14 +111,16 @@ def test_x_stack_table_matches_measured_degrees():
     assert measured_w == {"+--": -1, "---": -1}
 
 
+def test_alternating_covers():
+    assert alternating(3) == ((-1, -1), (1, 1), (-1, -1))
+    assert alternating(2, flip=-1) == ((1, 1), (-1, -1))
+    assert QuarterSphereStack(alternating(3), 0.05).layers == 3
+
+
 def test_case2c_x_variant_table():
-    # k = (1,1,3), n = 1: M_x = 2 k_y + 2(k_z - n - 1) = 4, special = 2
-    st = QuarterSphereStack(4, 0.05, "case2c_x", special_layers=2)
-    ky, n, kz = 1, 1, 3
-    expected = {}
-    for sz in ("+", "-"):
-        expected[f"+-{sz}"] = expected[f"--{sz}"] = -ky + (n - kz + 1)
-        expected[f"++{sz}"] = expected[f"-+{sz}"] = n - kz + 1
+    # k = (1,1,3), n = 1: M_x = 2 k_y + 2(k_z - n - 1) = 4, and the even
+    # layers up to 2(k_z - n - 1) = 2 cover (1, -1) by a conformal inversion
+    st = QuarterSphereStack(((-1, -1), (1, -1), (-1, -1), (1, 1)), 0.05)
     # table form: (pm,-,-) -> -k_y + (n-k_z+1); (pm,+,-) -> n-k_z+1; (pm,+,+) -> k_y
     table = table_by_name(st, "x")
     assert table == {
@@ -129,29 +131,43 @@ def test_case2c_x_variant_table():
 
 
 def test_case2c_y_variant_table():
-    # k = (1,1,3), n = 1: M_y = 2(n - k_y) + 1 = 1, special = 2(n-kx-ky+1) = 0
-    st = QuarterSphereStack(1, 0.05, "case2c_y", special_layers=0)
+    # k = (1,1,3), n = 1: M_y = 2(n - k_y) + 1 = 1, and no odd layer up to
+    # 2(n - k_x - k_y + 1) = 0 covers (1, -1)
+    st = QuarterSphereStack(alternating(1), 0.05)
     assert table_by_name(st, "y") == {"-+-": -1, "---": -1}
 
 
 def test_case2c_y_special_layers_cover_positively():
-    # synthetic instance of the variant degree table with kx = 1 and one
-    # special pair: (+,pm,+) and (-,pm,+) gain one positive covering, the
-    # standard tail covers (-,pm,-) negatively
-    st = QuarterSphereStack(3, 0.05, "case2c_y", special_layers=2)
+    # synthetic instance of the 2c y-stack table with kx = 1 and one
+    # antidiagonal odd layer: (+,pm,+) and (-,pm,+) gain one positive
+    # covering, the standard tail covers (-,pm,-) negatively
+    st = QuarterSphereStack(((1, -1), (1, 1), (-1, -1)), 0.05)
     table = table_by_name(st, "y")
     assert table == {"+++": 1, "+-+": 1, "-++": 1, "--+": 1, "-+-": -1, "---": -1}
 
 
+def test_antidiagonal_layer_formulas():
+    # conj(u) at odd layers (large moduli, anticonformal), 1/u at even layers
+    # (small moduli, conformal)
+    st = QuarterSphereStack(((1, -1), (1, -1)), 0.05)
+    root = math.sqrt(0.05)
+    u1 = st.radius(1) * np.exp(0.4j)
+    u2 = st.radius(2) * np.exp(0.4j)
+    assert st.layer_value(1, u1) == np.conj(u1) / (root * st.radius(1))
+    assert st.layer_value(2, u2) == st.radius(1) / (root * u2)
+    # an anticonformal and a conformal covering of (+-pm) cancel
+    assert table_by_name(st, "z") == {}
+
+
 def test_general_sign_flips_move_covered_pairs():
-    st = QuarterSphereStack(1, 0.05, flip=-1)
+    st = QuarterSphereStack(alternating(1, flip=-1), 0.05)
     assert table_by_name(st, "z") == {"+++": -1, "++-": -1}
 
 
 def test_tags_and_values_share_the_annulus_split():
     # a point a rounding error past a layer's outer radius takes the layer's
     # formula, and its tag names that layer
-    st = QuarterSphereStack(3, 0.05, delta=1e-3)
+    st = QuarterSphereStack(alternating(3), 0.05, delta=1e-3)
     for m in (1, 2, 3):
         u = st.radius(m) * (1 + 1e-10) * np.exp(0.7j)
         assert list(st.subdomain_tag(u)) == [f"annulus({m})"]
@@ -164,25 +180,27 @@ def test_tags_and_values_share_the_annulus_split():
 
 def test_invalid_stack_parameters():
     with pytest.raises(ValueError):
-        QuarterSphereStack(0, 0.05)
+        QuarterSphereStack(alternating(0), 0.05)
     with pytest.raises(ValueError):
-        QuarterSphereStack(2, 0.2)
-    with pytest.raises(ValueError):
-        QuarterSphereStack(2, 0.05, "case2c_x", special_layers=3)
-    with pytest.raises(ValueError):
-        QuarterSphereStack(2, 0.05, special_layers=2)
+        QuarterSphereStack(alternating(2), 0.2)
+
+
+@pytest.mark.parametrize("cover", [(-1, 1), (1, 0), (2, 2), (1,)])
+def test_cover_outside_the_three_quadrants_is_refused(cover):
+    with pytest.raises(ValueError, match="quadrants"):
+        QuarterSphereStack(((-1, -1), cover), 0.05)
 
 
 def test_layer_ratio_decoupled_from_chart_radius():
     # rho_m = epsilon * delta^(L-m): the top layer ends at epsilon, the layer
     # formulas scale with sqrt(delta)
-    st = QuarterSphereStack(3, 0.05, delta=1e-3)
+    st = QuarterSphereStack(alternating(3), 0.05, delta=1e-3)
     assert st.radius(3) == pytest.approx(0.05)
     assert st.radius(2) == pytest.approx(0.05 * 1e-3)
     assert st.radius(1) == pytest.approx(0.05 * 1e-6)
     top = st.layer_value(3, st.radius(3) * np.exp(0.3j))
     assert abs(complex(top)) == pytest.approx(1 / math.sqrt(1e-3))
-    assert QuarterSphereStack(3, 0.05).delta == 0.05
+    assert QuarterSphereStack(alternating(3), 0.05).delta == 0.05
 
 
 def test_layer_closed_form_with_decoupled_ratio():
@@ -191,7 +209,7 @@ def test_layer_closed_form_with_decoupled_ratio():
     from octfield.patchwork import SampledMap
 
     for delta in (1e-3, 1e-4):
-        st = QuarterSphereStack(2, 0.05, delta=delta)
+        st = QuarterSphereStack(alternating(2), 0.05, delta=delta)
         region = Region(
             "layer2", lambda u, s=st: s.layer_value(2, u),
             2 * st.radius(1), st.radius(2), (), "log",
@@ -203,7 +221,7 @@ def test_layer_closed_form_with_decoupled_ratio():
 
 
 def test_interpolant_matches_neighbors_with_decoupled_ratio():
-    st = QuarterSphereStack(3, 0.05, delta=1e-3)
+    st = QuarterSphereStack(alternating(3), 0.05, delta=1e-3)
     for n in (1, 2):
         u_in = st.radius(n) * np.exp(1j * np.linspace(0.05, 1.5, 7))
         u_out = 2 * st.radius(n) * np.exp(1j * np.linspace(0.05, 1.5, 7))
@@ -217,6 +235,6 @@ def test_interpolant_matches_neighbors_with_decoupled_ratio():
 
 def test_invalid_layer_ratio():
     with pytest.raises(ValueError):
-        QuarterSphereStack(2, 0.05, delta=0.2)
+        QuarterSphereStack(alternating(2), 0.05, delta=0.2)
     with pytest.raises(ValueError):
-        QuarterSphereStack(2, 0.05, delta=0.0)
+        QuarterSphereStack(alternating(2), 0.05, delta=0.0)
