@@ -14,8 +14,8 @@ Lx >= Ly >= Lz > 0, or a bad word; a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
 4 unsupported class for construction, 5 invariant failure (a failed check,
 energy below the infimum included, or a verification integral that does not
-converge, such as boundary windings needing more than
-``numerics.MAX_BOUNDARY_POINTS`` points).
+converge, such as a trapped area more than 0.3 from a multiple of pi/2 or
+boundary windings needing more than ``numerics.MAX_BOUNDARY_POINTS`` points).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from pathlib import Path
 
 from . import numerics, reports
 from .patchwork import (
-    MeshUnavailableError,
     NotApplicableError,
     PatchworkSpec,
     UnsupportedClassError,
@@ -248,9 +247,9 @@ def _construct_and_verify(t, w, args):
         degree_report = numerics.degree_count(sm, level=min(args.grid_level, 3))
         report["degree_report"] = degree_report.as_dict()
         report["lemma1_lower_bound"] = numerics.lemma1_lower_bound(degree_report)
-    except MeshUnavailableError:
-        # multi-stack maps have no exact single-chart mesh; windings above
-        # already established the signed degrees
+    except numerics.MeshUnavailableError:
+        # multi-stack maps are not counted; windings above already
+        # established the signed degrees
         report["degree_report"] = None
     report["checks"] = checks
     return report, sm, checks

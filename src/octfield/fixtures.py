@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import Region
 from .patchwork import PatchworkSpec, SampledMap, assemble_patchwork
-from .rational import evaluate_rational, quadrature_clusters, realize
+from .rational import boundary_seed_for_spec, evaluate_rational, quadrature_clusters, realize
 from .stacks import QuarterSphereStack
 from .topology import OctantTopology, WrappingNumbers, invariants_from_wrapping
 
@@ -80,24 +80,12 @@ def insertion_comparison_map(epsilon: float = 0.01) -> SampledMap:
         Region("insertion", insertion, 0.0, epsilon, (), "log", 1, 0.0, 2 * math.pi),
         Region("collar", collar, epsilon, 2 * epsilon, (), "linear", 1, 0.0, 2 * math.pi),
     ]
-    # triangulated counting accepts the small slivers at the disc rim: their
-    # image stays near the bulk value at the center, far from all centroids
-    mesh = [
-        Region("bulk_mesh", evaluate, 0.0, 1.0, (), "linear", 1,
-               r_clusters=r_cl, phi_clusters=phi_cl,
-               skip=lambda w: np.abs(w - center) <= 2 * epsilon),
-        Region("disc_mesh", lambda u: evaluate(center + u),
-               0.0, 2 * epsilon, (epsilon,), "log", 1, 0.0, 2 * math.pi),
-    ]
-    from .rational import boundary_seed_for_spec
-
     return SampledMap(
         evaluate=evaluate,
         subdomain_tags=tags,
         metadata={"fixture": "full-sphere insertion", "center": center,
                   "bulk_value_at_center": f_center},
         regions=regions,
-        mesh=mesh,
         boundary_seed=boundary_seed_for_spec(bulk),
     )
 

@@ -37,17 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import relocate, relocate_inverse
-from .numerics import Region
+from .numerics import IntegrationError, MeshUnavailableError, Region
 from .rational import (
-    ConstructionError,
     RationalMapSpec,
-    _clusters,
     boundary_seed_for_spec,
     evaluate_rational,
     measure_wrapping,
     quadrature_clusters,
     realize,
-    singular_structure,
 )
 from .stacks import PERMUTATIONS, QuarterSphereStack, alternating, blend, stack_degree_table
 from .topology import (
@@ -89,10 +86,6 @@ class UnsupportedClassError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A selected case failed its own verification identities."""
-
-
-class MeshUnavailableError(RuntimeError):
-    """No exact single-chart mesh exists for this map."""
 
 
 @dataclass(frozen=True)
@@ -404,28 +397,16 @@ class SampledMap:
     """A pointwise-evaluable map on the quarter disc with region structure.
 
     ``evaluate`` acts on complex arrays; ``subdomain_tags`` labels points;
-    integration regions form a signed decomposition for energy/area work and
-    mesh regions an exact partition for triangulated counting (when one
-    exists).  ``boundary_seed`` parametrizes the boundary loop (period 3) with
-    enough resolution to see all annuli.
+    ``regions`` form the signed decomposition that energy, trapped area and
+    degree counts integrate over.  ``boundary_seed`` parametrizes the boundary
+    loop (period 3) with enough resolution to see all annuli.
     """
 
     evaluate: object
     subdomain_tags: object
     metadata: object = None
     regions: list = field(default_factory=list)
-    mesh: list | None = None
     boundary_seed: np.ndarray | None = None
-
-    def integration_regions(self) -> list:
-        return self.regions
-
-    def mesh_regions(self) -> list:
-        if self.mesh is None:
-            raise MeshUnavailableError(
-                "no exact single-chart mesh for this map (multiple stacks)"
-            )
-        return self.mesh
 
 
 def identity_map() -> SampledMap:
@@ -435,20 +416,17 @@ def identity_map() -> SampledMap:
         subdomain_tags=lambda w: np.full(np.shape(w), "bulk", dtype=object),
         metadata="identity",
         regions=[Region("all", eva, 0.0, 1.0)],
-        mesh=[Region("all", eva, 0.0, 1.0)],
     )
 
 
 def rational_map(spec: RationalMapSpec) -> SampledMap:
     eva = lambda w: evaluate_rational(spec, w)
     r_cl, phi_cl = quadrature_clusters(spec)
-    region = Region("all", eva, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl)
     return SampledMap(
         evaluate=eva,
         subdomain_tags=lambda w: np.full(np.shape(w), "bulk", dtype=object),
         metadata=spec,
-        regions=[region],
-        mesh=[region],
+        regions=[Region("all", eva, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl)],
         boundary_seed=boundary_seed_for_spec(spec),
     )
 
@@ -464,15 +442,14 @@ def _collar_chart_value(bulk_spec, axis, st, epsilon, u):
     return blend(g, f, s, odd=st.top_is_conformal)
 
 
-def _vertex_patches(stacks, epsilon, w, x, chart):
+def _vertex_patches(stacks, epsilon, w):
     """The vertex-chart split of points w, vertex by vertex in stack order (a
     later vertex's patch overrides an earlier one).  Yields (axis, st, near,
     u, inner): ``near`` marks the points within 2 epsilon of the vertex in its
     chart, ``u`` holds their chart points and ``inner`` marks, among those,
-    the stack inside epsilon; the rest is the collar.  For the vertex
-    ``chart`` (None for none) the chart points are x, with w = relocate(chart, x)."""
+    the stack inside epsilon; the rest is the collar."""
     for axis, st in stacks.items():
-        u = x if axis == chart else relocate_inverse(axis, w)
+        u = relocate_inverse(axis, w)
         r = np.abs(u)
         near = r <= 2 * epsilon
         yield axis, st, near, u[near], r[near] <= epsilon
@@ -489,17 +466,15 @@ def _vertex_value(bulk_spec, axis, st, epsilon, u, inner):
     return relocate(axis, out)
 
 
-def _patchwork_evaluate(bulk_spec, stacks, epsilon, chart=None):
+def _patchwork_evaluate(bulk_spec, stacks, epsilon):
     """Evaluator of the assembled map: the bulk, replaced within 2 epsilon of
-    each stacked vertex by ``_vertex_value``.  With ``chart`` set to a vertex
-    it takes points x of that vertex's chart, w = relocate(chart, x)."""
-    def evaluate(x):
-        x = np.asarray(x, dtype=complex)
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(x)
-        w = x if chart is None else relocate(chart, x)
+    each stacked vertex by ``_vertex_value``."""
+    def evaluate(w):
+        w = np.asarray(w, dtype=complex)
+        scalar = np.ndim(w) == 0
+        w = np.atleast_1d(w)
         out = evaluate_rational(bulk_spec, w)
-        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w, x, chart):
+        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w):
             if near.any():
                 out[near] = _vertex_value(bulk_spec, axis, st, epsilon, u, inner)
         return complex(out[0]) if scalar else out
@@ -512,7 +487,7 @@ def _patchwork_tags(stacks, epsilon):
     def tags(w):
         w = np.atleast_1d(np.asarray(w, dtype=complex))
         out = np.full(w.shape, "bulk", dtype=object)
-        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w, w, None):
+        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w):
             part = np.full(u.shape, f"switch({axis})", dtype=object)
             if inner.any():
                 part[inner] = np.array(
@@ -570,31 +545,11 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
             Region(f"collar_{axis}", collar_eval, epsilon, 2 * epsilon, (), "linear", 1)
         )
 
-    mesh = None
-    if not stacks:
-        mesh = [Region("all", feval, 0.0, 1.0)]
-    elif len(stacks) == 1:
-        (axis, st), = stacks.items()
-        in_chart = _patchwork_evaluate(bulk_spec, stacks, epsilon, chart=axis)
-        chart_points = ((relocate_inverse(axis, w0), scale)
-                        for w0, scale in singular_structure(bulk_spec))
-        u_r_cl, u_phi_cl = _clusters(
-            (u0, scale * 0.5) for u0, scale in chart_points
-            if np.isfinite(u0) and abs(u0) <= 1 + 1e-9
-        )
-        mesh = [
-            Region("chart_inner", in_chart, 0.0, 2 * epsilon,
-                   st.seams() + (epsilon,), "log", center_scale=st.inner_scale()),
-            Region("chart_outer", in_chart, 2 * epsilon, 1.0,
-                   r_clusters=u_r_cl, phi_clusters=u_phi_cl),
-        ]
-
     return SampledMap(
         evaluate=evaluate,
         subdomain_tags=_patchwork_tags(stacks, epsilon),
         metadata=spec,
         regions=regions,
-        mesh=mesh,
         boundary_seed=_boundary_seed(bulk_spec, stacks, epsilon),
     )
 
@@ -609,6 +564,6 @@ def measure_map_wrapping(sampled_map: SampledMap, area) -> WrappingNumbers:
     """
     omega, residual = area
     if residual > 0.3:
-        raise ConstructionError(f"trapped area did not converge (residual {residual:.3f})")
+        raise IntegrationError(f"trapped area did not converge (residual {residual:.3f})")
     units = round(omega / (math.pi / 2))
     return measure_wrapping(sampled_map.evaluate, -units, sampled_map.boundary_seed)

@@ -76,10 +76,12 @@ def _wrapping(data: dict) -> WrappingNumbers:
 
 def class_from_dict(data) -> tuple:
     """Parse a class from JSON; returns (topology, wrapping).  Every number
-    must be a JSON integer: nothing is rounded or truncated."""
+    must be a JSON integer: nothing is rounded or truncated.  A class given by
+    ``w`` alone is read from it; once any of ``e``, ``k`` or ``omega_units``
+    is given, all three are required."""
     if not isinstance(data, dict):
         raise ValueError(f"a class must be a JSON object, got {type(data).__name__}")
-    if "w" in data and "e" not in data:
+    if "w" in data and not data.keys() & {"e", "k", "omega_units"}:
         w = _wrapping(data)
         return invariants_from_wrapping(w), w
     t = OctantTopology(_integer_triple(_field(data, "e"), "e"),

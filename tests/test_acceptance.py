@@ -105,7 +105,6 @@ def test_criterion_2_closed_form_quadrature():
             evaluate=region.evaluate,
             subdomain_tags=lambda w: np.full(np.shape(w), "annulus", dtype=object),
             regions=[region],
-            mesh=[region],
         )
         exact = 2 * math.pi * (1 - 4 * eps**2) / ((1 + eps) * (1 + 4 * eps))
         measured = dirichlet_energy(sm, level=3)

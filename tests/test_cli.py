@@ -76,9 +76,11 @@ def test_spelling_rejects_invalid_word(args, capsys):
      "k must be a triple of integers"),
     (["classify", "--json", '{"e":[1,1,1],"omega_units":3}'], "missing field 'k'"),
     (["classify", "--json", '{"w":{"+++":1}}'], "w must give exactly the eight sectors"),
+    (["classify", "--json", '{"w":{"+++":-1,"++-":0,"+-+":0,"+--":0,"-++":0,"-+-":0,'
+      '"--+":0,"---":0},"k":[5,5,5],"omega_units":99}'], "missing field 'e'"),
 ], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
         "alphabet-0", "fractional-omega", "fractional-kink", "short-kinks",
-        "missing-kinks", "missing-sectors"])
+        "missing-kinks", "missing-sectors", "wrapping-with-partial-class"])
 def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -264,6 +266,27 @@ def test_unresolved_windings_exit_before_the_point_cap(monkeypatch, capsys):
     assert main(["verify", "--json", payload, "--epsilon", "0.0001",
                  "--grid-level", "1"]) == 5
     assert "boundary windings" in capsys.readouterr().err
+
+
+def test_unconverged_trapped_area_is_an_invariant_failure(monkeypatch, tmp_path, capsys):
+    # a trapped area too far from a multiple of pi/2 cannot anchor the
+    # wrapping numbers: construct exits 5 and sweep lists the class as failed
+    from octfield import numerics
+
+    real = numerics.trapped_area
+
+    def unconverged(*args, **kwargs):
+        omega, _ = real(*args, **kwargs)
+        return omega, 0.4
+
+    monkeypatch.setattr(numerics, "trapped_area", unconverged)
+    assert main(["verify", "--json", WORKED_JSON, "--grid-level", "1"]) == 5
+    assert "trapped area did not converge" in capsys.readouterr().err
+    assert main(["sweep", "--kmax", "1", "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 5
+    data = json.loads((tmp_path / "sweep.json").read_text())
+    assert data["unsupported"] == []
+    assert [(f["k"], f["n"]) for f in data["failed"]] == [([1, 1, 1], 1)]
 
 
 def test_sweep_reports_integration_failures(monkeypatch, tmp_path):

@@ -45,7 +45,6 @@ def test_quarter_sphere_layer_closed_form():
             evaluate=region.evaluate,
             subdomain_tags=lambda w: np.full(np.shape(w), "annulus", dtype=object),
             regions=[region],
-            mesh=[region],
         )
         E = dirichlet_energy(sm, level=3)
         assert abs(E - _layer_energy_exact(eps)) / _layer_energy_exact(eps) < 0.005
@@ -101,7 +100,6 @@ def test_boundary_residual_detects_broken_map():
         evaluate=lambda w: np.asarray(w, dtype=complex) + 0.1,
         subdomain_tags=lambda w: np.full(np.shape(w), "bulk", dtype=object),
         regions=[Region("all", lambda w: np.asarray(w, dtype=complex) + 0.1, 0.0, 1.0)],
-        mesh=None,
     )
     residual = boundary_residual(broken)
     assert residual == pytest.approx(0.1, abs=0.02)
@@ -119,6 +117,37 @@ def test_degree_count_perturbs_near_edge_targets():
     # perturbation or carry the low-confidence flag
     rep = degree_count(identity_map(), level=2)
     assert all(e.confident for e in rep.by_sector.values())
+
+
+def test_cut_disc_cancels_the_bulk_coverings_inside_it():
+    # the identity with a disc cut out and put back as an inner disc and a
+    # collar on the same rim grid: wherever the preimage of the (+++)
+    # centroid sits (at the disc center, inside, next to the rim, outside),
+    # the weighted counts are the identity's
+    from octfield.geometry import sector_centroid, stereographic
+    from octfield.numerics import MeshUnavailableError
+    from octfield.topology import SECTORS
+
+    identity = identity_map()
+    preimage = complex(stereographic(sector_centroid((1, 1, 1))))
+    radius, full = 0.05, (0.0, 2 * math.pi)
+    for offset in (0.0, 0.01, 0.03, radius * (1 - 1e-6), radius * (1 + 1e-6), 0.07):
+        center = preimage - offset * np.exp(0.3j)
+        disc = lambda u, c=center: c + np.asarray(u, dtype=complex)
+        cut = Region("cut", disc, 0.0, radius, (radius / 2,), "log", -1, *full)
+        sm = SampledMap(evaluate=identity.evaluate, subdomain_tags=None, regions=[
+            *identity.regions, cut,
+            Region("inner", disc, 0.0, radius / 2, (), "log", 1, *full),
+            Region("collar", disc, radius / 2, radius, (), "linear", 1, *full),
+        ])
+        rep = degree_count(sm, level=2)
+        for sector, entry in rep.by_sector.items():
+            expected = int(sector == (1, 1, 1))
+            assert (entry.d, entry.D, entry.confident) == (expected, expected, True), offset
+    # a second cut disc is refused
+    sm.regions.append(cut)
+    with pytest.raises(MeshUnavailableError):
+        degree_count(sm, level=1)
 
 
 @pytest.mark.parametrize("k, n", [((1, 3, 3), 4), ((2, 2, 2), 4)])
@@ -194,7 +223,7 @@ def test_containment_matches_barycentric_reference(triangles, target):
                     assert count(p) == (int(inside and det > 0), int(inside and det < 0), 0)
 
 
-def _reference_triangles(values, skip):
+def _reference_triangles(values):
     """Per-triangle copies of the image mesh, with the degenerate drop."""
     from octfield.geometry import stereographic_inverse
 
@@ -203,10 +232,7 @@ def _reference_triangles(values, skip):
     va = np.vstack((a.reshape(-1, 3), a.reshape(-1, 3)))
     vb = np.vstack((b.reshape(-1, 3), c.reshape(-1, 3)))
     vc = np.vstack((c.reshape(-1, 3), d.reshape(-1, 3)))
-    keep = np.ones(len(va), dtype=bool)
-    if skip is not None:
-        keep &= np.concatenate([~skip.reshape(-1), ~skip.reshape(-1)])
-    keep &= np.linalg.norm(np.cross(vb - va, vc - va), axis=1) > 1e-18
+    keep = np.linalg.norm(np.cross(vb - va, vc - va), axis=1) > 1e-18
     return va[keep], vb[keep], vc[keep]
 
 
@@ -237,10 +263,10 @@ def _reference_counts(va, vb, vc, p, tol=1e-10):
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
-    st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4),
+    st.booleans(), st.booleans(), st.booleans(), st.integers(0, 4),
 )
 def test_shared_edge_mesh_matches_per_triangle_reference(
-    seed, nr, nphi, collapsed, coarse, skipped, mirrored, poles
+    seed, nr, nphi, collapsed, coarse, mirrored, poles
 ):
     # the shared-edge kernel against the per-triangle formulas it replaced:
     # np.cross normals, einsum dot products and the degenerate drop.  Counts
@@ -262,10 +288,9 @@ def test_shared_edge_mesh_matches_per_triangle_reference(
     values.flat[rng.integers(0, values.size, poles)] = np.inf  # the south pole
     if mirrored:  # the opposite orientation
         values = np.conj(values)
-    skip = rng.random((nr, nphi)) < 0.3 if skipped else None
 
-    mesh = _ImageMesh(values, skip)
-    va, vb, vc = _reference_triangles(values, skip)
+    mesh = _ImageMesh(values)
+    va, vb, vc = _reference_triangles(values)
     assert mesh.signed_area() == _reference_area(va, vb, vc)
     count = mesh.covering()
     targets = [sector_centroid(s) for s in SECTORS] + [np.array([0.0, 0.0, -1.0])]

@@ -204,18 +204,26 @@ def test_variant_stacks_seams_and_boundary():
 
 
 def test_single_stack_triangulated_degrees_match_windings():
-    # k=(2,2,2), n=4 is a one-stack class: the exact single-chart mesh allows
-    # a triangulated count, which must agree with the winding measurement
+    # one single-stack class per vertex: the count over the signed regions
+    # (bulk, minus the cut disc, plus stack and collar) must give the signed
+    # degrees d = -w and the sharp total sum D = sum|w| + Delta
     from octfield.numerics import degree_count
-
     from octfield.topology import SECTORS
 
-    t = _class((2, 2, 2), 4)
-    w = wrapping_from_invariants(t)
-    sm = assemble_patchwork(select_case(t, epsilon=0.05))
-    rep = degree_count(sm, level=3)
-    for sector in SECTORS:
-        assert -rep[sector].d == w[sector], sector
+    for k, omega_units, axis in (
+        ((2, 2, 2), 15, "x"),
+        ((-2, 1, -2), 3, "y"),
+        ((-2, -2, 1), -13, "z"),
+    ):
+        t = OctantTopology((1, 1, 1), k, omega_units)
+        w = wrapping_from_invariants(t)
+        spec = select_case(t, epsilon=0.05)
+        assert list(spec.stacks) == [axis]
+        rep = degree_count(assemble_patchwork(spec), level=2)
+        for sector in SECTORS:
+            assert -rep[sector].d == w[sector], (k, sector)
+            assert rep[sector].confident, (k, sector)
+        assert rep.unsigned_total() == w.total_absolute() + delta_invariant(w, classify(w, t))
 
 
 def test_worked_example_wrapping_and_energy():
@@ -300,19 +308,23 @@ def test_verifier_rejects_tampered_general_sign_spec():
             _verify_spec(dataclasses.replace(spec, H0=tampered), w, c)
 
 
-def test_mesh_chart_evaluator_matches_map_off_the_seams():
+def test_region_evaluators_match_map_off_the_seams():
+    # the stack and collar regions take chart points u of their vertex; off
+    # the seams they must give the assembled map's value at relocate(axis, u)
     spec = select_case(WORKED, epsilon=0.05)
     sm = assemble_patchwork(spec)
     (axis, radii), = spec.seam_radii().items()
-    evaluators = {region.evaluate for region in sm.mesh_regions()}
-    assert len(evaluators) == 1
-    in_chart = evaluators.pop()
+    regions = {region.name: region for region in sm.regions}
     rng = np.random.default_rng(11)
-    r = np.concatenate([np.geomspace(1e-7, 0.2, 300), rng.uniform(0.2, 0.999, 300)])
-    keep = np.all(np.abs(r[:, None] / np.asarray(radii)[None, :] - 1) > 1e-6, axis=1)
-    u = r[keep] * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, keep.sum()))
-    jump = chordal_distance(in_chart(u), sm.evaluate(relocate(axis, u)))
-    assert float(np.max(jump)) < 1e-9
+    for name in (f"stack_{axis}", f"collar_{axis}"):
+        region = regions[name]
+        lo = max(region.r_lo, 1e-7)
+        r = np.concatenate([np.geomspace(lo, region.r_hi, 300),
+                            rng.uniform(lo, region.r_hi, 300)])
+        keep = np.all(np.abs(r[:, None] / np.asarray(radii)[None, :] - 1) > 1e-6, axis=1)
+        u = r[keep] * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, keep.sum()))
+        jump = chordal_distance(region.evaluate(u), sm.evaluate(relocate(axis, u)))
+        assert float(np.max(jump)) < 1e-9, name
 
 
 def test_domain_svg_draws_one_seam_path_per_radius():

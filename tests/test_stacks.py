@@ -215,7 +215,7 @@ def test_layer_closed_form_with_decoupled_ratio():
             2 * st.radius(1), st.radius(2), (), "log",
         )
         sm = SampledMap(evaluate=region.evaluate, subdomain_tags=None,
-                        regions=[region], mesh=[region])
+                        regions=[region])
         exact = 2 * math.pi * (1 - 4 * delta**2) / ((1 + delta) * (1 + 4 * delta))
         assert dirichlet_energy(sm, level=3) == pytest.approx(exact, rel=0.005)
 

@@ -27,7 +27,7 @@ def _patchwork(t, epsilon):
     return assemble_patchwork(select_case(t, epsilon=epsilon))
 
 
-# name -> (map factory, grid level, whether the map has a degree mesh)
+# name -> (map factory, grid level, whether degree_count counts the map)
 CASES = {
     "identity": (identity_map, 3, True),
     "rational k=(0,0,-1) omega=-5": (
@@ -44,10 +44,10 @@ CASES = {
 
 
 def measure(name):
-    make, level, meshed = CASES[name]
+    make, level, counted = CASES[name]
     sm = make()
     entry = {"case": name, "level": level, "trapped_area": repr(trapped_area(sm, level))}
-    if meshed:
+    if counted:
         entry["degree_count"] = degree_count(sm, level=level).as_dict()
     return entry
 
