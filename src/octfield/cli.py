@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input (a class that is not valid JSON of a
 valid class, an unreadable class file, prism lengths not in the order
-Lx >= Ly >= Lz > 0, or a bad word; a word may have at most
+Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
+``--format`` name, or a bad word; a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
 4 unsupported class for construction, 5 invariant failure (a failed check,
 energy below the infimum included, or a verification integral that does not
@@ -61,6 +62,8 @@ EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED_SIGNS = 3
 EXIT_UNSUPPORTED_CLASS = 4
 EXIT_INVARIANT_FAILURE = 5
+
+FORMATS = ("json", "csv", "svg")  # construct's artifacts
 
 # (sum|w| + Delta) pi is a proven lower bound for the energy; the quadrature
 # may fall below it by at most this share
@@ -256,6 +259,12 @@ def _construct_and_verify(t, w, args):
 
 
 def cmd_construct(args, verify_only: bool = False) -> int:
+    formats = [] if verify_only else (args.format.split(",") if args.format else ["json"])
+    unknown = [name for name in formats if name not in FORMATS]
+    if unknown:
+        print(f"invalid format: {', '.join(map(repr, unknown))}; choose from "
+              f"{', '.join(FORMATS)}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     loaded = _load_class(args)
     if loaded is None:
         return EXIT_INVALID_INPUT
@@ -275,14 +284,12 @@ def cmd_construct(args, verify_only: bool = False) -> int:
         f"(formula {report['energy_pi_units']} pi, gap {gap_pct:+.2f}%), "
         f"checks: {'pass' if ok else 'FAIL'}"
     )
-    if not verify_only:
-        formats = args.format.split(",") if args.format else ["json"]
-        if "json" in formats:
-            _emit(args, "construct.json", reports.dump_json(report))
-        if "csv" in formats:
-            _emit(args, "field.csv", reports.field_grid_csv(sm))
-        if "svg" in formats:
-            _emit(args, "domain.svg", reports.domain_svg(sm))
+    if "json" in formats:
+        _emit(args, "construct.json", reports.dump_json(report))
+    if "csv" in formats:
+        _emit(args, "field.csv", reports.field_grid_csv(sm))
+    if "svg" in formats:
+        _emit(args, "domain.svg", reports.domain_svg(sm))
     if not ok:
         failing = [k for k, v in checks.items() if not v]
         print(f"invariant failure: {failing}", file=sys.stderr)
@@ -369,7 +376,7 @@ def main(argv=None) -> int:
     p_con = sub.add_parser("construct", help="build and verify a representative")
     add_class_io(p_con)
     add_numeric_opts(p_con)
-    p_con.add_argument("--format", default="json", help="json,csv,svg")
+    p_con.add_argument("--format", default="json", help=",".join(FORMATS))
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="construct without artifacts")

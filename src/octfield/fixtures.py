@@ -4,12 +4,16 @@ These are not part of the public construction path; they reproduce the
 historical juxtaposition recipe (a conformal full-sphere insertion in a small
 interior disc of an anticonformal bulk) whose energy exceeds the sharp bound,
 and a single quarter-sphere layer placed at the z vertex.  Both serve as
-independent checks of the degree-counting and quadrature machinery.
+independent checks of the degree-counting and quadrature machinery.  Like
+every map, each is a list of signed regions: the insertion's disc lives in
+the translation chart w - center, with the bulk cut out of it in two pieces
+at epsilon and replaced by the insertion and its collar.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -43,51 +47,30 @@ def insertion_comparison_map(epsilon: float = 0.01) -> SampledMap:
             out = f_center + 1.0 / z
         return np.where(z == 0, np.inf + 0j, out)
 
+    def cut(u):
+        return evaluate_rational(bulk, center + u)
+
     def collar(u):
         u = np.asarray(u, dtype=complex)
         s = (np.abs(u) - epsilon) / epsilon
-        return (1 - s) * insertion(u) + s * evaluate_rational(bulk, center + u)
+        return (1 - s) * insertion(u) + s * cut(u)
 
-    def evaluate(w):
-        w = np.asarray(w, dtype=complex)
-        scalar = np.ndim(w) == 0
-        w = np.atleast_1d(w)
-        out = evaluate_rational(bulk, w)
-        u = w - center
-        r = np.abs(u)
-        inner = r <= epsilon
-        ring = (r > epsilon) & (r <= 2 * epsilon)
-        if inner.any():
-            out[inner] = insertion(u[inner])
-        if ring.any():
-            out[ring] = collar(u[ring])
-        return complex(out[0]) if scalar else out
-
-    def tags(w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        out = np.full(w.shape, "bulk", dtype=object)
-        r = np.abs(w - center)
-        out[r <= epsilon] = "insertion"
-        out[(r > epsilon) & (r <= 2 * epsilon)] = "switch(insertion)"
-        return out
+    def chart(w):
+        return np.asarray(w, dtype=complex) - center
 
     r_cl, phi_cl = quadrature_clusters(bulk)
-    feval = lambda w: evaluate_rational(bulk, w)
+    disc = (0.0, 2 * math.pi)
     regions = [
-        Region("bulk", feval, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl),
-        Region("bulk_cut", lambda u: evaluate_rational(bulk, center + u),
-               0.0, 2 * epsilon, (epsilon,), "log", -1, 0.0, 2 * math.pi),
-        Region("insertion", insertion, 0.0, epsilon, (), "log", 1, 0.0, 2 * math.pi),
-        Region("collar", collar, epsilon, 2 * epsilon, (), "linear", 1, 0.0, 2 * math.pi),
+        Region("bulk", partial(evaluate_rational, bulk), 0.0, 1.0,
+               r_clusters=r_cl, phi_clusters=phi_cl),
+        Region("cut(insertion)", cut, 0.0, epsilon, "log", -1, *disc, chart=chart),
+        Region("cut(switch(insertion))", cut, epsilon, 2 * epsilon, "log", -1, *disc,
+               chart=chart),
+        Region("insertion", insertion, 0.0, epsilon, "log", 1, *disc, chart=chart),
+        Region("switch(insertion)", collar, epsilon, 2 * epsilon, "linear", 1, *disc,
+               chart=chart),
     ]
-    return SampledMap(
-        evaluate=evaluate,
-        subdomain_tags=tags,
-        metadata={"fixture": "full-sphere insertion", "center": center,
-                  "bulk_value_at_center": f_center},
-        regions=regions,
-        boundary_seed=boundary_seed_for_spec(bulk),
-    )
+    return SampledMap(regions, boundary_seed=boundary_seed_for_spec(bulk))
 
 
 def vertex_stack_map(epsilon: float = 0.05) -> SampledMap:

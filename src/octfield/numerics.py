@@ -2,18 +2,20 @@
 
 Maps are consumed through a light protocol: an object with
 
-- ``evaluate(w)``: vectorized evaluation on complex points of the quarter disc,
-- ``regions``: polar regions, each with a weight of +1 or -1, whose weighted
-  sum is the domain: the bulk, minus each cut disc, plus the disc's
-  replacement.  Each region's chart pulls the energy integrand back to
-  seam-aligned annuli.
+- ``regions``: polar regions, each one formula on one annulus of a chart and
+  each with a weight of +1 or -1, whose weighted sum is the domain: the
+  bulk, minus each cut disc, plus the pieces that replace it.  The charts
+  are conformal, so each region's flat polar integrand is the pulled back
+  energy integrand;
+- ``evaluate(w)``: vectorized evaluation on complex points of the quarter
+  disc, read by ``boundary_residual``.
 
 All three integrals read the same regions.  Degree counts and the trapped
 area triangulate each region's grid: the map is evaluated once at the grid
 vertices, and the image triangles share one cross product per grid edge
 (``_ImageMesh``), so both read the same edge normals.  A cut disc and its
-replacement share one rim grid, so preimages near the rim cancel and the
-weighted counts are exact.
+replacement share their rim grids, so preimages near the rims cancel and
+the weighted counts are exact.
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -57,18 +59,20 @@ class IntegrationError(RuntimeError):
 
 
 class MeshUnavailableError(RuntimeError):
-    """``degree_count`` does not count maps with more than one cut disc."""
+    """``degree_count`` does not count maps with more than one cut disc (a
+    negative-weight region reaching r = 0)."""
 
 
 @dataclass(frozen=True)
 class Region:
-    """A polar-chart subdomain: points r e^{i phi} with r in [r_lo, r_hi].
+    """One formula on one chart annulus: chart points u = r e^{i phi} with r
+    in [r_lo, r_hi] and phi in [phi_lo, phi_hi].
 
-    ``evaluate`` maps chart points to extended-complex map values; the chart
-    is chosen by the map so that the flat polar integrand equals the pulled
-    back energy integrand (conformal charts only).  ``seams`` are radii where
-    the map changes formula; cells never straddle them.  ``weight`` of -1
-    marks a subtractive region (used to cut relocated discs out of the bulk).
+    ``chart`` maps domain points w to chart points u (None is the identity);
+    ``evaluate`` maps chart points to extended-complex map values.  Charts
+    are conformal, so the flat polar integrand equals the pulled back energy
+    integrand.  ``weight`` of -1 marks a subtractive region (a disc cut out of
+    the bulk around a relocated vertex).
 
     ``r_clusters`` and ``phi_clusters`` are (position, inner_scale) pairs
     around which geometric ladders of grid lines are inserted; they resolve
@@ -76,16 +80,15 @@ class Region:
     below any uniform resolution.
 
     ``center_scale`` is the radius of the map's finest structure at r = 0 (a
-    stack's innermost unit-modulus circle): a log interval reaching r = 0
-    starts a decade below it, or at ``_LOG_FLOOR`` times the interval's outer
-    end if that is lower.
+    stack's innermost unit-modulus circle): a log region reaching r = 0
+    starts a decade below it, or at ``_LOG_FLOOR`` times its outer radius if
+    that is lower.
     """
 
     name: str
     evaluate: object
     r_lo: float
     r_hi: float
-    seams: tuple = ()
     spacing: str = "linear"  # or "log"
     weight: int = 1
     phi_lo: float = 0.0
@@ -93,10 +96,7 @@ class Region:
     r_clusters: tuple = ()
     phi_clusters: tuple = ()
     center_scale: float = math.inf
-
-    def radial_intervals(self):
-        pts = sorted({self.r_lo, self.r_hi, *[s for s in self.seams if self.r_lo < s < self.r_hi]})
-        return list(zip(pts[:-1], pts[1:]))
+    chart: object = None
 
 
 # resolution constants per grid level (level 1..5)
@@ -140,28 +140,23 @@ def _cluster_ladder(points, lo, hi, clusters):
 
 def _radial_edges(region: Region, level: int) -> np.ndarray:
     _, n_lin, n_dec = _level_counts(level)
-    edges = [region.r_lo]
-    for a, b in region.radial_intervals():
-        if region.spacing == "log":
-            a_eff = a
-            if a <= 0:
-                a_eff = min(b * _LOG_FLOOR, region.center_scale / 10)
-                edges.append(a_eff)
-            n = max(4, int(math.ceil(n_dec * math.log10(b / a_eff))))
-            seg = np.geomspace(a_eff, b, n + 1)
-        else:
-            span = b - a
-            n = max(6, int(math.ceil(n_lin * span / max(region.r_hi, 1e-30))))
-            seg = np.linspace(a, b, n + 1)
-        edges.extend(seg[1:])
-    return _cluster_ladder(np.asarray(edges), region.r_lo, region.r_hi, region.r_clusters)
+    a, b = region.r_lo, region.r_hi
+    if region.spacing == "log":
+        a_eff = a if a > 0 else min(b * _LOG_FLOOR, region.center_scale / 10)
+        n = max(4, int(math.ceil(n_dec * math.log10(b / a_eff))))
+        edges = np.geomspace(a_eff, b, n + 1)
+        if a <= 0:
+            edges = np.concatenate([[a], edges])
+    else:
+        n = max(6, int(math.ceil(n_lin * (b - a) / max(b, 1e-30))))
+        edges = np.linspace(a, b, n + 1)
+    return _cluster_ladder(edges, a, b, region.r_clusters)
 
 
 @dataclass
 class QuadratureGrid:
     """Prepared cells for one region, with their center nodes; ``weights``
-    gives the tensor quadratic rule, whose parabolas never cross the region's
-    seams."""
+    gives the tensor quadratic rule."""
 
     region: Region
     r_edges: np.ndarray
@@ -175,47 +170,36 @@ class QuadratureGrid:
 
     def weights(self):
         """(radial, angular) weight vectors of the tensor quadratic rule."""
-        breaks = [b for interval in self.region.radial_intervals() for b in interval]
         return (
-            _quadratic_weights(self.r_edges, self.r_mid, breaks),
+            _quadratic_weights(self.r_edges, self.r_mid),
             _quadratic_weights(self.phi_edges, self.phi_mid),
         )
 
 
-def _quadratic_weights(edges, nodes, breaks=()) -> np.ndarray:
+def _quadratic_weights(edges, nodes) -> np.ndarray:
     """Weights w with sum_i w_i g(nodes_i) ~ integral of g over the edges.
 
     Each cell integrates the parabola through its own node and its two
-    neighbors (the nearest three at the ends of a run), so the rule is exact
+    neighbors (the nearest three at either end), so the rule is exact
     for quadratics on any spacing.  On the geometric ladders around clustered
     singularities the integrand changes by a large factor from cell to cell,
     where the midpoint rule is biased low; the parabola removes that bias at
-    no extra evaluations.  Parabolas never reach across a break (a seam
-    where the map changes formula); runs of fewer than three cells keep the
-    midpoint rule.
+    no extra evaluations.  A region is one formula, so no parabola reaches
+    across a seam.  Fewer than three cells keep the midpoint rule.
     """
     n = len(nodes)
-    cuts = {0, n}
-    for b in breaks:
-        i = int(np.searchsorted(edges, b))
-        for j in (i - 1, i):
-            if 0 < j < n and abs(edges[j] - b) <= 1e-12 * max(1.0, abs(b)):
-                cuts.add(j)
-    cuts = sorted(cuts)
+    if n < 3:
+        return edges[1:] - edges[:-1]
     out = np.zeros(n)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 3:
-            out[lo:hi] += edges[lo + 1:hi + 1] - edges[lo:hi]
-            continue
-        cell = np.arange(lo, hi)
-        c = np.clip(cell, lo + 1, hi - 2)  # center node of each parabola
-        x1 = nodes[c]
-        d0, d2 = nodes[c - 1] - x1, nodes[c + 1] - x1
-        a, b = edges[cell] - x1, edges[cell + 1] - x1
-        m0, m1, m2 = b - a, (b**2 - a**2) / 2, (b**3 - a**3) / 3
-        np.add.at(out, c - 1, (m2 - d2 * m1) / (d0 * (d0 - d2)))
-        np.add.at(out, c, (m2 - (d0 + d2) * m1 + d0 * d2 * m0) / (d0 * d2))
-        np.add.at(out, c + 1, (m2 - d0 * m1) / (d2 * (d2 - d0)))
+    cell = np.arange(n)
+    c = np.clip(cell, 1, n - 2)  # center node of each parabola
+    x1 = nodes[c]
+    d0, d2 = nodes[c - 1] - x1, nodes[c + 1] - x1
+    a, b = edges[cell] - x1, edges[cell + 1] - x1
+    m0, m1, m2 = b - a, (b**2 - a**2) / 2, (b**3 - a**3) / 3
+    np.add.at(out, c - 1, (m2 - d2 * m1) / (d0 * (d0 - d2)))
+    np.add.at(out, c, (m2 - (d0 + d2) * m1 + d0 * d2 * m0) / (d0 * d2))
+    np.add.at(out, c + 1, (m2 - d0 * m1) / (d2 * (d2 - d0)))
     return out
 
 
@@ -451,7 +435,7 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     ``_ImageMesh``, whose edge normals every target shares.
     """
     regions = sampled_map.regions
-    if sum(region.weight < 0 for region in regions) > 1:
+    if sum(region.weight < 0 and region.r_lo == 0 for region in regions) > 1:
         # the signed regions count such maps correctly too, but the benchmark
         # self-test pins this refusal, and the extra bulk-sized cut-disc
         # grids belong with counting the bulk from its algebra

@@ -26,13 +26,19 @@ parameters fitted to the stacked vertices (``rational.realize``), relocates
 the stacks to their vertices with the Moebius rotations, and glues across
 the collar annuli epsilon <= |u| <= 2 epsilon with the switching function
 s = (|u| - epsilon)/epsilon, reciprocally for odd M_j (pole-side values) and
-linearly for even M_j.
+linearly for even M_j.  The map is a list of signed regions, each one closed
+formula on one annulus of a chart: the bulk, minus each stacked vertex's
+chart disc |u| <= 2 epsilon (cut at epsilon into two pieces), plus that
+vertex's stack layers, interpolants and collar.  The list is the only
+description of the map: ``SampledMap`` evaluates and tags points from it,
+and energy, trapped area and degree counts integrate over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -106,12 +112,9 @@ class PatchworkSpec:
 
     def seam_radii(self) -> dict:
         """Chart radii where the map changes formula, per stacked vertex: the
-        stack's annulus boundaries, the collar's inner edge epsilon and its
-        outer edge 2 epsilon."""
-        return {
-            axis: st.seams() + (self.epsilon, 2 * self.epsilon)
-            for axis, st in self.stacks.items()
-        }
+        stack's annulus boundaries, the last of which is the collar's inner
+        edge epsilon, and the collar's outer edge 2 epsilon."""
+        return {axis: st.seams() + (2 * self.epsilon,) for axis, st in self.stacks.items()}
 
     def as_dict(self) -> dict:
         return {
@@ -394,39 +397,68 @@ def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
 
 @dataclass
 class SampledMap:
-    """A pointwise-evaluable map on the quarter disc with region structure.
+    """A map on the quarter disc, described by its signed regions.
 
-    ``evaluate`` acts on complex arrays; ``subdomain_tags`` labels points;
     ``regions`` form the signed decomposition that energy, trapped area and
-    degree counts integrate over.  ``boundary_seed`` parametrizes the boundary
-    loop (period 3) with enough resolution to see all annuli.
+    degree counts integrate over, and they also give the map's values and
+    subdomain tags: the first region, the bulk, holds every point, and a
+    point takes the value and the name of the last positive region whose
+    half-open chart annulus r_lo < |u| <= r_hi (closed at r_lo = 0) holds
+    its chart point u.  ``boundary_seed`` parametrizes the boundary loop
+    (period 3) with enough resolution to see all annuli.
     """
 
-    evaluate: object
-    subdomain_tags: object
+    regions: list
     metadata: object = None
-    regions: list = field(default_factory=list)
     boundary_seed: np.ndarray | None = None
+
+    def _owners(self, w):
+        """(index of the region holding each point of w, chart points of w
+        per region); each chart is applied once."""
+        owner = np.zeros(w.shape, dtype=int)
+        charted, points = {}, []
+        for i, region in enumerate(self.regions):
+            if region.chart not in charted:
+                u = w if region.chart is None else region.chart(w)
+                charted[region.chart] = u, np.abs(u)
+            u, r = charted[region.chart]
+            points.append(u)
+            if i and region.weight > 0:
+                inside = (r <= region.r_hi) & ((r > region.r_lo) | (region.r_lo == 0))
+                owner[inside] = i
+        return owner, points
+
+    def evaluate(self, w):
+        """Map values at complex points w (an array, or one point)."""
+        w = np.asarray(w, dtype=complex)
+        scalar = w.ndim == 0
+        w = np.atleast_1d(w)
+        owner, points = self._owners(w)
+        out = np.empty(w.shape, dtype=complex)
+        for i in np.unique(owner):
+            held = owner == i
+            out[held] = self.regions[i].evaluate(points[i][held])
+        return complex(out[0]) if scalar else out
+
+    def subdomain_tags(self, w):
+        """The name of the region holding each point of w."""
+        owner, _ = self._owners(np.atleast_1d(np.asarray(w, dtype=complex)))
+        return np.array([region.name for region in self.regions], dtype=object)[owner]
 
 
 def identity_map() -> SampledMap:
-    eva = lambda w: np.asarray(w, dtype=complex)
     return SampledMap(
-        evaluate=eva,
-        subdomain_tags=lambda w: np.full(np.shape(w), "bulk", dtype=object),
+        [Region("bulk", lambda w: np.asarray(w, dtype=complex), 0.0, 1.0)],
         metadata="identity",
-        regions=[Region("all", eva, 0.0, 1.0)],
     )
 
 
 def rational_map(spec: RationalMapSpec) -> SampledMap:
-    eva = lambda w: evaluate_rational(spec, w)
     r_cl, phi_cl = quadrature_clusters(spec)
     return SampledMap(
-        evaluate=eva,
-        subdomain_tags=lambda w: np.full(np.shape(w), "bulk", dtype=object),
+        [Region("bulk", partial(evaluate_rational, spec), 0.0, 1.0,
+                r_clusters=r_cl, phi_clusters=phi_cl)],
         metadata=spec,
-        regions=[Region("all", eva, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl)],
         boundary_seed=boundary_seed_for_spec(spec),
     )
 
@@ -440,64 +472,6 @@ def _collar_chart_value(bulk_spec, axis, st, epsilon, u):
     f = relocate_inverse(axis, evaluate_rational(bulk_spec, relocate(axis, u)))
     s = (np.abs(u) - epsilon) / epsilon
     return blend(g, f, s, odd=st.top_is_conformal)
-
-
-def _vertex_patches(stacks, epsilon, w):
-    """The vertex-chart split of points w, vertex by vertex in stack order (a
-    later vertex's patch overrides an earlier one).  Yields (axis, st, near,
-    u, inner): ``near`` marks the points within 2 epsilon of the vertex in its
-    chart, ``u`` holds their chart points and ``inner`` marks, among those,
-    the stack inside epsilon; the rest is the collar."""
-    for axis, st in stacks.items():
-        u = relocate_inverse(axis, w)
-        r = np.abs(u)
-        near = r <= 2 * epsilon
-        yield axis, st, near, u[near], r[near] <= epsilon
-
-
-def _vertex_value(bulk_spec, axis, st, epsilon, u, inner):
-    """Map value at chart points u of a stacked vertex, in the target frame:
-    the stack at the ``inner`` points, the collar blend at the others."""
-    out = np.empty(u.shape, dtype=complex)
-    if inner.any():
-        out[inner] = st.evaluate(u[inner])
-    if not inner.all():
-        out[~inner] = _collar_chart_value(bulk_spec, axis, st, epsilon, u[~inner])
-    return relocate(axis, out)
-
-
-def _patchwork_evaluate(bulk_spec, stacks, epsilon):
-    """Evaluator of the assembled map: the bulk, replaced within 2 epsilon of
-    each stacked vertex by ``_vertex_value``."""
-    def evaluate(w):
-        w = np.asarray(w, dtype=complex)
-        scalar = np.ndim(w) == 0
-        w = np.atleast_1d(w)
-        out = evaluate_rational(bulk_spec, w)
-        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w):
-            if near.any():
-                out[near] = _vertex_value(bulk_spec, axis, st, epsilon, u, inner)
-        return complex(out[0]) if scalar else out
-
-    return evaluate
-
-
-def _patchwork_tags(stacks, epsilon):
-    """Subdomain tags from the same vertex-chart split as the evaluator."""
-    def tags(w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        out = np.full(w.shape, "bulk", dtype=object)
-        for axis, st, near, u, inner in _vertex_patches(stacks, epsilon, w):
-            part = np.full(u.shape, f"switch({axis})", dtype=object)
-            if inner.any():
-                part[inner] = np.array(
-                    [t.replace("(", f"({axis},") for t in st.subdomain_tag(u[inner])],
-                    dtype=object,
-                )
-            out[near] = part
-        return out
-
-    return tags
 
 
 def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
@@ -517,41 +491,38 @@ def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
 
 
 def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
-    """Build the evaluable representative for a verified PatchworkSpec."""
+    """Build the evaluable representative for a verified PatchworkSpec: the
+    bulk, minus the disc of chart radius 2 epsilon around each stacked
+    vertex (as two pieces, inside and outside epsilon), plus one region per
+    stack piece (``annulus(x,m)``, ``interp(x,n)``) and the collar
+    (``switch(x)``), all in the vertex chart."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
-    evaluate = _patchwork_evaluate(bulk_spec, stacks, epsilon)
-    feval = lambda w: evaluate_rational(bulk_spec, w)
     bulk_r_cl, bulk_phi_cl = quadrature_clusters(bulk_spec)
 
-    regions = [Region("bulk", feval, 0.0, 1.0,
+    regions = [Region("bulk", partial(evaluate_rational, bulk_spec), 0.0, 1.0,
                       r_clusters=bulk_r_cl, phi_clusters=bulk_phi_cl)]
     for axis, st in stacks.items():
-        fj = lambda u, a=axis: evaluate_rational(bulk_spec, relocate(a, u))
-        regions.append(
-            Region(f"bulk_cut_{axis}", fj, 0.0, 2 * epsilon, (epsilon,), "log", -1)
-        )
-        geval = lambda u, a=axis, s=st: relocate(a, s.evaluate(u))
-        regions.append(
-            Region(f"stack_{axis}", geval, 0.0, epsilon, st.seams(), "log", 1,
-                   center_scale=st.inner_scale())
-        )
+        chart = partial(relocate_inverse, axis)
+        cut = lambda u, a=axis: evaluate_rational(bulk_spec, relocate(a, u))
+        regions += [
+            Region(f"cut({axis})", cut, 0.0, epsilon, "log", -1, chart=chart),
+            Region(f"cut(switch({axis}))", cut, epsilon, 2 * epsilon, "log", -1, chart=chart),
+        ]
+        for kind, index, r_lo, r_hi, formula in st.pieces():
+            regions.append(Region(
+                f"{kind}({axis},{index})", lambda u, a=axis, f=formula: relocate(a, f(u)),
+                r_lo, r_hi, "log", chart=chart, center_scale=st.inner_scale(),
+            ))
 
-        def collar_eval(u, a=axis, s=st):
+        def collar(u, a=axis, s=st):
             return relocate(a, _collar_chart_value(bulk_spec, a, s, epsilon, u))
 
-        regions.append(
-            Region(f"collar_{axis}", collar_eval, epsilon, 2 * epsilon, (), "linear", 1)
-        )
+        regions.append(Region(f"switch({axis})", collar, epsilon, 2 * epsilon, chart=chart))
 
-    return SampledMap(
-        evaluate=evaluate,
-        subdomain_tags=_patchwork_tags(stacks, epsilon),
-        metadata=spec,
-        regions=regions,
-        boundary_seed=_boundary_seed(bulk_spec, stacks, epsilon),
-    )
+    return SampledMap(regions, metadata=spec,
+                      boundary_seed=_boundary_seed(bulk_spec, stacks, epsilon))
 
 
 def measure_map_wrapping(sampled_map: SampledMap, area) -> WrappingNumbers:

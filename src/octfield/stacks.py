@@ -17,7 +17,9 @@ covers (-1, -1) at odd and (1, 1) at even layers, or the opposite diagonal
 pair when flipped.  Between consecutive layers the interpolation annuli
 rho_n <= |u| <= 2 rho_n blend the neighbors, reciprocally after odd layers
 (where moduli are large) and linearly after even ones (moduli small): the
-blend follows the parity, not the orientation.
+blend follows the parity, not the orientation.  ``pieces`` lists these
+formulas with their annuli, one per annulus from the center out; each becomes
+one region of the assembled map (see ``patchwork``).
 
 Two scales enter: the chart radius epsilon, where the top layer meets the
 collar, and the layer ratio delta, which sets every layer's moduli through
@@ -48,7 +50,6 @@ PERMUTATIONS = {
     "z": lambda s: (s[0], s[1], s[2]),
 }
 _INVERSE_AXIS = {"x": "y", "y": "x", "z": "z"}
-_SEAM_TOL = 1 + 1e-9  # relative tolerance of the layer masks at seams
 _QUADRANTS = ((1, 1), (-1, -1), (1, -1))  # chart quadrants a layer can cover
 
 
@@ -104,14 +105,25 @@ class QuarterSphereStack:
         layer covers a diagonal quadrant, where odd means conformal."""
         return self.layers % 2 == 1
 
-    def seams(self) -> tuple:
-        """All annulus boundaries inside (0, epsilon]: 2 rho_{m-1} and rho_m."""
+    def pieces(self) -> list:
+        """The stack's formulas on the chart disc |u| <= epsilon, one per
+        annulus, from the center out: (kind, index, r_lo, r_hi, formula) for
+        layer m ("annulus", 2 rho_{m-1} <= |u| <= rho_m) and for the
+        interpolant n between layers n and n+1 ("interp", rho_n <= |u| <=
+        2 rho_n).  The annuli tile [0, epsilon]."""
         out = []
         for m in range(1, self.layers + 1):
             if m > 1:
-                out.append(2 * self.radius(m - 1))
-            out.append(self.radius(m))
-        return tuple(sorted(set(out)))
+                n = m - 1
+                out.append(("interp", n, self.radius(n), 2 * self.radius(n),
+                            partial(self.interpolant_value, n)))
+            out.append(("annulus", m, 2 * self.radius(m - 1), self.radius(m),
+                        partial(self.layer_value, m)))
+        return out
+
+    def seams(self) -> tuple:
+        """All annulus boundaries inside (0, epsilon]: 2 rho_{m-1} and rho_m."""
+        return tuple(piece[3] for piece in self.pieces())
 
     # -- layer and interpolant formulas ------------------------------------
 
@@ -142,48 +154,6 @@ class QuarterSphereStack:
         # reciprocal blending after odd layers, whose moduli are large at
         # the seam, linear after even ones
         return blend(a, b, s, odd=n % 2 == 1)
-
-    def _annuli(self, r):
-        """The split of chart radii r into layers and interpolants, in the
-        order in which a later piece overrides an earlier one.  Yields (tag,
-        mask, formula).  Layer masks carry a relative tolerance so points that
-        land a rounding error past a seam still take the adjacent layer (the
-        formulas agree at seams, so the choice is immaterial)."""
-        for n in range(1, self.layers):
-            yield (f"interp({n})", (r > self.radius(n)) & (r < 2 * self.radius(n)),
-                   partial(self.interpolant_value, n))
-        for m in range(1, self.layers + 1):
-            yield (f"annulus({m})",
-                   (r >= 2 * self.radius(m - 1) / _SEAM_TOL)
-                   & (r <= self.radius(m) * _SEAM_TOL),
-                   partial(self.layer_value, m))
-
-    def evaluate(self, u):
-        """Full stack map on the chart disc |u| <= epsilon (up to the seam
-        tolerance of ``_annuli``)."""
-        u = np.asarray(u, dtype=complex)
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(u)
-        r = np.abs(u)
-        if (r > self.epsilon * _SEAM_TOL).any():
-            raise ValueError("stack evaluated outside its chart disc")
-        out = np.empty(u.shape, dtype=complex)
-        out[:] = np.nan
-        for _, mask, formula in self._annuli(r):
-            if mask.any():
-                out[mask] = formula(u[mask])
-        if np.isnan(out).any():
-            raise AssertionError("stack annuli failed to cover the chart disc")
-        return complex(out[0]) if scalar else out
-
-    def subdomain_tag(self, u):
-        """Annulus or interpolant tag of chart points, from the same split as
-        ``evaluate``."""
-        r = np.abs(np.atleast_1d(np.asarray(u, dtype=complex)))
-        tags = np.empty(r.shape, dtype=object)
-        for tag, mask, _ in self._annuli(r):
-            tags[mask] = tag
-        return tags
 
 
 def blend(a, b, s, odd: bool):

@@ -250,12 +250,17 @@ def infimum_energy(w: WrappingNumbers, c: Classification) -> int:
 
 def prism_bounds(w: WrappingNumbers, c: Classification, lx: float, ly: float, lz: float):
     """Two-sided bounds for the energy of reflection-symmetric fields on the
-    prism with edges lz <= ly <= lx: (4 lz E(H), 4 diag E(H))."""
-    if not (0 < lz <= ly <= lx):
-        raise ValueError("edge lengths must satisfy 0 < L_z <= L_y <= L_x")
+    prism with edges lz <= ly <= lx: (4 lz E(H), 4 diag E(H)).  Raises
+    ``ValueError`` for lengths out of that order or not finite, and for
+    bounds that overflow to infinity."""
+    if not (0 < lz <= ly <= lx < math.inf):
+        raise ValueError("edge lengths must be finite and satisfy 0 < L_z <= L_y <= L_x")
     energy = infimum_energy(w, c) * math.pi
     diag = math.sqrt(lx * lx + ly * ly + lz * lz)
-    return 4 * lz * energy, 4 * diag * energy
+    bounds = 4 * lz * energy, 4 * diag * energy
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"bounds for lengths ({lx}, {ly}, {lz}) are not finite")
+    return bounds
 
 
 # ---------------------------------------------------------------------------

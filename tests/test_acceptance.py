@@ -10,7 +10,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from octfield.fixtures import insertion_comparison_map
@@ -98,14 +97,9 @@ def test_criterion_2_closed_form_quadrature():
             lambda u, s=st: s.layer_value(2, u),
             2 * st.radius(1),
             st.radius(2),
-            (),
             "log",
         )
-        sm = SampledMap(
-            evaluate=region.evaluate,
-            subdomain_tags=lambda w: np.full(np.shape(w), "annulus", dtype=object),
-            regions=[region],
-        )
+        sm = SampledMap([region])
         exact = 2 * math.pi * (1 - 4 * eps**2) / ((1 + eps) * (1 + 4 * eps))
         measured = dirichlet_energy(sm, level=3)
         assert abs(measured - exact) / exact < 0.005, eps

@@ -78,9 +78,15 @@ def test_spelling_rejects_invalid_word(args, capsys):
     (["classify", "--json", '{"w":{"+++":1}}'], "w must give exactly the eight sectors"),
     (["classify", "--json", '{"w":{"+++":-1,"++-":0,"+-+":0,"+--":0,"-++":0,"-+-":0,'
       '"--+":0,"---":0},"k":[5,5,5],"omega_units":99}'], "missing field 'e'"),
+    (["construct", "--json", WORKED_JSON, "--format", "xml"], "format: 'xml'"),
+    (["construct", "--json", WORKED_JSON, "--format", "json,jsn"], "format: 'jsn'"),
+    (["classify", "--json", WORKED_JSON, "--prism", "inf", "1", "1"], "must be finite"),
+    (["classify", "--json", WORKED_JSON, "--prism", "1e308", "1e308", "1e308"],
+     "are not finite"),
 ], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
         "alphabet-0", "fractional-omega", "fractional-kink", "short-kinks",
-        "missing-kinks", "missing-sectors", "wrapping-with-partial-class"])
+        "missing-kinks", "missing-sectors", "wrapping-with-partial-class",
+        "unknown-format", "misspelt-format", "prism-infinite", "prism-overflow"])
 def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

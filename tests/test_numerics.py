@@ -38,14 +38,9 @@ def test_quarter_sphere_layer_closed_form():
             lambda u, s=st: s.layer_value(2, u),
             2 * st.radius(1),
             st.radius(2),
-            (),
             "log",
         )
-        sm = SampledMap(
-            evaluate=region.evaluate,
-            subdomain_tags=lambda w: np.full(np.shape(w), "annulus", dtype=object),
-            regions=[region],
-        )
+        sm = SampledMap([region])
         E = dirichlet_energy(sm, level=3)
         assert abs(E - _layer_energy_exact(eps)) / _layer_energy_exact(eps) < 0.005
 
@@ -96,20 +91,29 @@ def test_boundary_residual_identity():
 
 
 def test_boundary_residual_detects_broken_map():
-    broken = SampledMap(
-        evaluate=lambda w: np.asarray(w, dtype=complex) + 0.1,
-        subdomain_tags=lambda w: np.full(np.shape(w), "bulk", dtype=object),
-        regions=[Region("all", lambda w: np.asarray(w, dtype=complex) + 0.1, 0.0, 1.0)],
-    )
+    shifted = lambda w: np.asarray(w, dtype=complex) + 0.1
+    broken = SampledMap([Region("bulk", shifted, 0.0, 1.0)])
     residual = boundary_residual(broken)
     assert residual == pytest.approx(0.1, abs=0.02)
 
 
 def test_grids_respect_seams():
-    region = Region("r", lambda w: w, 0.0, 1.0, seams=(0.25, 0.5))
-    grid = build_grids([region], 2)[0]
-    assert 0.25 in grid.r_edges
-    assert 0.5 in grid.r_edges
+    # the cut disc is two pieces, [0, eps] and [eps, 2 eps]: their grids meet
+    # the stack's top layer on the eps circle and the collar on both circles,
+    # on the same angular lines, so the pieces' image meshes share their rims
+    from octfield.patchwork import assemble_patchwork, select_case
+
+    eps = 0.05
+    sm = assemble_patchwork(select_case(OctantTopology((1, 1, 1), (2, 2, 2), 7), eps))
+    grids = {grid.region.name: grid for grid in build_grids(sm.regions, 2)}
+    inner, outer = grids["cut(x)"], grids["cut(switch(x))"]
+    top, collar = grids["annulus(x,3)"], grids["switch(x)"]
+    assert inner.r_edges[0] == 0.0 == grids["annulus(x,1)"].r_edges[0]
+    assert inner.r_edges[-1] == top.r_edges[-1] == eps
+    assert outer.r_edges[0] == collar.r_edges[0] == eps
+    assert outer.r_edges[-1] == collar.r_edges[-1] == 2 * eps
+    for grid in (inner, outer, top):
+        assert np.array_equal(grid.phi_edges, collar.phi_edges)
 
 
 def test_degree_count_perturbs_near_edge_targets():
@@ -134,11 +138,13 @@ def test_cut_disc_cancels_the_bulk_coverings_inside_it():
     for offset in (0.0, 0.01, 0.03, radius * (1 - 1e-6), radius * (1 + 1e-6), 0.07):
         center = preimage - offset * np.exp(0.3j)
         disc = lambda u, c=center: c + np.asarray(u, dtype=complex)
-        cut = Region("cut", disc, 0.0, radius, (radius / 2,), "log", -1, *full)
-        sm = SampledMap(evaluate=identity.evaluate, subdomain_tags=None, regions=[
+        chart = lambda w, c=center: np.asarray(w, dtype=complex) - c
+        cut = Region("cut", disc, 0.0, radius / 2, "log", -1, *full, chart=chart)
+        sm = SampledMap([
             *identity.regions, cut,
-            Region("inner", disc, 0.0, radius / 2, (), "log", 1, *full),
-            Region("collar", disc, radius / 2, radius, (), "linear", 1, *full),
+            Region("cut", disc, radius / 2, radius, "log", -1, *full, chart=chart),
+            Region("inner", disc, 0.0, radius / 2, "log", 1, *full, chart=chart),
+            Region("collar", disc, radius / 2, radius, "linear", 1, *full, chart=chart),
         ])
         rep = degree_count(sm, level=2)
         for sector, entry in rep.by_sector.items():
@@ -172,11 +178,12 @@ def test_quadratic_rule_integrates_quadratics_on_ladders():
     nodes = 0.5 * (edges[:-1] + edges[1:])
     weights = _quadratic_weights(edges, nodes)
     assert weights @ (3 * nodes**2 - nodes + 2) == pytest.approx(1 - 0.5 + 2, rel=1e-12)
-    # parabolas stop at breaks: each side of a seam is integrated on its own
-    split = _quadratic_weights(edges, nodes, breaks=(edges[5],))
+    # a seam splits the rule into two regions, each integrated on its own
     step = np.where(nodes < edges[5], nodes**2, 1 + nodes)
+    split = (_quadratic_weights(edges[:6], nodes[:5]) @ step[:5]
+             + _quadratic_weights(edges[5:], nodes[5:]) @ step[5:])
     exact = edges[5] ** 3 / 3 + (1 - edges[5]) + (1 - edges[5] ** 2) / 2
-    assert split @ step == pytest.approx(exact, rel=1e-12)
+    assert split == pytest.approx(exact, rel=1e-12)
 
 
 _VECTOR = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from octfield.geometry import chordal_distance, relocate
+from octfield.geometry import chordal_distance, relocate, relocate_inverse
 from octfield.numerics import boundary_residual, dirichlet_energy, trapped_area
 from octfield.patchwork import (
     InternalConsistencyError,
     NotApplicableError,
     PatchworkSpec,
+    SampledMap,
     UnsupportedClassError,
     assemble_patchwork,
     identity_map,
@@ -308,23 +309,37 @@ def test_verifier_rejects_tampered_general_sign_spec():
             _verify_spec(dataclasses.replace(spec, H0=tampered), w, c)
 
 
-def test_region_evaluators_match_map_off_the_seams():
-    # the stack and collar regions take chart points u of their vertex; off
-    # the seams they must give the assembled map's value at relocate(axis, u)
-    spec = select_case(WORKED, epsilon=0.05)
+def test_pieces_tile_the_vertex_disc_and_own_their_outer_edges():
+    # a three-layer stack: its pieces and the collar tile [0, 2 eps] without
+    # gap or overlap.  A point on a piece boundary r takes the inner piece's
+    # value and tag, a point at r (1 + 1e-12) the outer piece's
+    spec = select_case(OctantTopology((1, 1, 1), (2, 2, 2), 7), epsilon=0.05)
+    assert spec.M == (3, 0, 0)
     sm = assemble_patchwork(spec)
-    (axis, radii), = spec.seam_radii().items()
-    regions = {region.name: region for region in sm.regions}
-    rng = np.random.default_rng(11)
-    for name in (f"stack_{axis}", f"collar_{axis}"):
-        region = regions[name]
-        lo = max(region.r_lo, 1e-7)
-        r = np.concatenate([np.geomspace(lo, region.r_hi, 300),
-                            rng.uniform(lo, region.r_hi, 300)])
-        keep = np.all(np.abs(r[:, None] / np.asarray(radii)[None, :] - 1) > 1e-6, axis=1)
-        u = r[keep] * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, keep.sum()))
-        jump = chordal_distance(region.evaluate(u), sm.evaluate(relocate(axis, u)))
-        assert float(np.max(jump)) < 1e-9, name
+    pieces = [region for region in sm.regions if region.chart is not None and region.weight > 0]
+    assert [piece.name for piece in pieces] == [
+        "annulus(x,1)", "interp(x,1)", "annulus(x,2)", "interp(x,2)", "annulus(x,3)",
+        "switch(x)",
+    ]
+    assert pieces[0].r_lo == 0.0 and pieces[-1].r_hi == 2 * spec.epsilon
+    # the rotation to the vertex chart rounds radii near the vertex, so the
+    # boundaries are probed on chart points directly: the same regions with
+    # the identity chart
+    charted = SampledMap([dataclasses.replace(region, chart=None) for region in sm.regions])
+    probes = [(0.0, pieces[0])]  # the innermost annulus is closed at r = 0
+    for inner, outer in zip(pieces, pieces[1:]):
+        assert inner.r_hi == outer.r_lo
+        probes += [(inner.r_hi, inner), (inner.r_hi * (1 + 1e-12), outer)]
+    for r, owner in probes:
+        u = np.array([r + 0j])
+        assert list(charted.subdomain_tags(u)) == [owner.name], (owner.name, r)
+        assert charted.evaluate(u)[0] == owner.evaluate(u)[0], (owner.name, r)
+    # inside each piece the map takes the piece's value at the chart point
+    for piece in pieces:
+        r = piece.r_hi / 2 if piece.r_lo == 0 else math.sqrt(piece.r_lo * piece.r_hi)
+        w = relocate("x", np.array([r * np.exp(0.7j)]))
+        assert list(sm.subdomain_tags(w)) == [piece.name]
+        assert sm.evaluate(w)[0] == piece.evaluate(relocate_inverse("x", w))[0]
 
 
 def test_domain_svg_draws_one_seam_path_per_radius():
@@ -334,7 +349,7 @@ def test_domain_svg_draws_one_seam_path_per_radius():
     svg = domain_svg(assemble_patchwork(spec))
     seams = svg.count('stroke-width="0.4"')
     assert seams == sum(len(radii) for radii in spec.seam_radii().values())
-    assert seams == len(spec.stacks["x"].seams()) + 2
+    assert seams == len(spec.stacks["x"].seams()) + 1
     assert 'stroke-width="0.4"' not in domain_svg(identity_map())
 
 

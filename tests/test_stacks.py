@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from octfield.geometry import relocate, relocate_inverse
+from octfield.numerics import Region
+from octfield.patchwork import SampledMap
 from octfield.stacks import QuarterSphereStack, alternating, stack_degree_table
 from octfield.topology import SECTORS, sector_name
 
 
 def table_by_name(stack, axis):
     return {sector_name(s): v for s, v in stack_degree_table(stack, axis).items() if v}
+
+
+def stack_map(stack):
+    """The stack alone, on its chart disc, as a map of its pieces."""
+    return SampledMap([Region(f"{kind}({index})", formula, r_lo, r_hi, "log")
+                       for kind, index, r_lo, r_hi, formula in stack.pieces()])
 
 
 def test_radii_are_geometric():
@@ -59,8 +67,8 @@ def test_interpolant_real_on_real_axis():
 def test_stack_axes_reality():
     st = QuarterSphereStack(alternating(3), 0.06)
     t = np.linspace(1e-7, 0.06, 40)
-    real_vals = st.evaluate(t + 0j)
-    imag_vals = st.evaluate(1j * t)
+    real_vals = stack_map(st).evaluate(t + 0j)
+    imag_vals = stack_map(st).evaluate(1j * t)
     assert np.max(np.abs(real_vals.imag)) < 1e-13
     assert np.max(np.abs(imag_vals.real)) < 1e-13
 
@@ -99,7 +107,7 @@ def test_x_stack_table_matches_measured_degrees():
 
     def curve(p):
         u = eps * boundary_points(p)  # boundary of the quarter-disc chart
-        return relocate("x", st.evaluate(u))
+        return relocate("x", stack_map(st).evaluate(u))
 
     targets = [sector_centroid_complex(s) for s in SECTORS]
     ref = sector_centroid_complex((1, 1, 1))
@@ -164,20 +172,6 @@ def test_general_sign_flips_move_covered_pairs():
     assert table_by_name(st, "z") == {"+++": -1, "++-": -1}
 
 
-def test_tags_and_values_share_the_annulus_split():
-    # a point a rounding error past a layer's outer radius takes the layer's
-    # formula, and its tag names that layer
-    st = QuarterSphereStack(alternating(3), 0.05, delta=1e-3)
-    for m in (1, 2, 3):
-        u = st.radius(m) * (1 + 1e-10) * np.exp(0.7j)
-        assert list(st.subdomain_tag(u)) == [f"annulus({m})"]
-        assert st.evaluate(u) == complex(st.layer_value(m, u))
-    for n in (1, 2):
-        u = 1.5 * st.radius(n) * np.exp(0.7j)
-        assert list(st.subdomain_tag(u)) == [f"interp({n})"]
-        assert st.evaluate(u) == complex(st.interpolant_value(n, u))
-
-
 def test_invalid_stack_parameters():
     with pytest.raises(ValueError):
         QuarterSphereStack(alternating(0), 0.05)
@@ -205,17 +199,15 @@ def test_layer_ratio_decoupled_from_chart_radius():
 
 def test_layer_closed_form_with_decoupled_ratio():
     # criterion 2's closed form with epsilon replaced by the layer ratio
-    from octfield.numerics import Region, dirichlet_energy
-    from octfield.patchwork import SampledMap
+    from octfield.numerics import dirichlet_energy
 
     for delta in (1e-3, 1e-4):
         st = QuarterSphereStack(alternating(2), 0.05, delta=delta)
         region = Region(
             "layer2", lambda u, s=st: s.layer_value(2, u),
-            2 * st.radius(1), st.radius(2), (), "log",
+            2 * st.radius(1), st.radius(2), "log",
         )
-        sm = SampledMap(evaluate=region.evaluate, subdomain_tags=None,
-                        regions=[region])
+        sm = SampledMap([region])
         exact = 2 * math.pi * (1 - 4 * delta**2) / ((1 + delta) * (1 + 4 * delta))
         assert dirichlet_energy(sm, level=3) == pytest.approx(exact, rel=0.005)
 
