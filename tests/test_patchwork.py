@@ -309,6 +309,34 @@ def test_verifier_rejects_tampered_general_sign_spec():
             _verify_spec(dataclasses.replace(spec, H0=tampered), w, c)
 
 
+def test_region_evaluators_match_map_off_the_seams():
+    # every positive charted region (stack layer, interpolant, collar) takes
+    # chart points u of its vertex; off the seams it must give the assembled
+    # map's value at relocate(axis, u)
+    rng = np.random.default_rng(11)
+    three_layers = OctantTopology((1, 1, 1), (2, 2, 2), 7)
+    for topology in (WORKED, three_layers):
+        spec = select_case(topology, epsilon=0.05)
+        sm = assemble_patchwork(spec)
+        (axis, radii), = spec.seam_radii().items()
+        charted = [region for region in sm.regions
+                   if region.chart is not None and region.weight > 0]
+        assert charted[-1].name == f"switch({axis})"
+        seams = np.array(sorted({*radii, *(r.r_hi for r in charted)}))
+        for region in charted:
+            # the rotation to the vertex chart rounds radii below about 1e-7
+            # (pieces there are probed on chart points by the tiling test)
+            if region.r_hi <= 1e-7:
+                continue
+            lo = max(region.r_lo, 1e-7)
+            r = np.concatenate([np.geomspace(lo, region.r_hi, 300),
+                                rng.uniform(lo, region.r_hi, 300)])
+            keep = np.all(np.abs(r[:, None] / seams[None, :] - 1) > 1e-6, axis=1)
+            u = r[keep] * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, keep.sum()))
+            jump = chordal_distance(region.evaluate(u), sm.evaluate(relocate(axis, u)))
+            assert float(np.max(jump)) < 1e-9, region.name
+
+
 def test_pieces_tile_the_vertex_disc_and_own_their_outer_edges():
     # a three-layer stack: its pieces and the collar tile [0, 2 eps] without
     # gap or overlap.  A point on a piece boundary r takes the inner piece's

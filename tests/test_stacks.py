@@ -172,6 +172,29 @@ def test_general_sign_flips_move_covered_pairs():
     assert table_by_name(st, "z") == {"+++": -1, "++-": -1}
 
 
+def test_tags_and_values_share_the_annulus_split():
+    # on every piece boundary, a rounding error to either side of it, and
+    # inside each interpolant, a point's tag names the piece whose formula
+    # gives its value; a point on a boundary belongs to the inner piece
+    st = QuarterSphereStack(alternating(3), 0.05, delta=1e-3)
+    sm = stack_map(st)
+    formulas = {f"{kind}({index})": formula
+                for kind, index, _, _, formula in st.pieces()}
+    turn = np.exp(0.7j)
+    probes = []
+    for m in (1, 2, 3):
+        probes += [(complex(st.radius(m)), f"annulus({m})"),
+                   (st.radius(m) * (1 - 1e-10) * turn, f"annulus({m})")]
+    for n in (1, 2):
+        probes += [(st.radius(n) * (1 + 1e-10) * turn, f"interp({n})"),
+                   (1.5 * st.radius(n) * turn, f"interp({n})"),
+                   (complex(2 * st.radius(n)), f"interp({n})"),
+                   (2 * st.radius(n) * (1 + 1e-10) * turn, f"annulus({n + 1})")]
+    for u, name in probes:
+        assert list(sm.subdomain_tags(u)) == [name], (name, u)
+        assert sm.evaluate(u) == complex(formulas[name](u)), (name, u)
+
+
 def test_invalid_stack_parameters():
     with pytest.raises(ValueError):
         QuarterSphereStack(alternating(0), 0.05)
