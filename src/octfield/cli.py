@@ -13,10 +13,12 @@ valid class, an unreadable class file, prism lengths not in the order
 Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
 ``--format`` name, or a bad word; a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
-4 unsupported class for construction, 5 invariant failure (a failed check,
-energy below the infimum included, or a verification integral that does not
-converge, such as a trapped area more than 0.3 from a multiple of pi/2 or
-boundary windings needing more than ``numerics.MAX_BOUNDARY_POINTS`` points).
+4 unsupported class for construction (including a general-sign class whose
+search tries ``patchwork.MAX_SPLITS`` stack counts without success),
+5 invariant failure (a failed check, energy below the infimum included, or a
+verification integral that does not converge, such as a trapped area more
+than 0.3 from a multiple of pi/2 or boundary windings needing more than
+``numerics.MAX_BOUNDARY_POINTS`` points).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from pathlib import Path
 from . import numerics, reports
 from .patchwork import (
     NotApplicableError,
-    PatchworkSpec,
     UnsupportedClassError,
     assemble_patchwork,
     measure_map_wrapping,
@@ -162,20 +163,26 @@ def cmd_spelling(args) -> int:
 
 
 def _max_seam_jump(sm) -> float:
-    """Chordal discontinuity across all subdomain seams, sampled both sides."""
+    """Chordal discontinuity across the seams of every vertex chart: the two
+    region formulas that meet at each seam radius, evaluated at the same
+    chart points.  The outermost positive region meets the bulk, which in
+    the chart is the negative region ending at the same radius."""
     import numpy as np
 
-    from .geometry import chordal_distance, relocate
+    from .geometry import chordal_distance
 
-    if not isinstance(sm.metadata, PatchworkSpec):
-        return 0.0
+    charts = {}
+    for region in sm.regions[1:]:
+        charts.setdefault(region.chart, []).append(region)
     worst = 0.0
-    phis = np.linspace(0.01, math.pi / 2 - 0.01, 333)
-    for axis, radii in sm.metadata.seam_radii().items():
-        for radius in radii:
-            w_in = relocate(axis, radius * (1 - 1e-9) * np.exp(1j * phis))
-            w_out = relocate(axis, radius * (1 + 1e-9) * np.exp(1j * phis))
-            jump = chordal_distance(sm.evaluate(w_in), sm.evaluate(w_out))
+    for regions in charts.values():
+        pieces = sorted((r for r in regions if r.weight > 0), key=lambda r: r.r_lo)
+        rim = pieces[-1].r_hi
+        bulk = next(r for r in regions if r.weight < 0 and r.r_hi == rim)
+        for inner, outer in zip(pieces, pieces[1:] + [bulk]):
+            phis = np.linspace(inner.phi_lo + 0.01, inner.phi_hi - 0.01, 333)
+            u = inner.r_hi * np.exp(1j * phis)
+            jump = chordal_distance(inner.evaluate(u), outer.evaluate(u))
             worst = max(worst, float(np.max(jump)))
     return worst
 

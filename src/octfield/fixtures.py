@@ -21,7 +21,7 @@ from .numerics import Region
 from .patchwork import PatchworkSpec, SampledMap, assemble_patchwork
 from .rational import boundary_seed_for_spec, evaluate_rational, quadrature_clusters, realize
 from .stacks import QuarterSphereStack
-from .topology import OctantTopology, WrappingNumbers, invariants_from_wrapping
+from .topology import OctantTopology
 
 __all__ = ["insertion_comparison_map", "vertex_stack_map"]
 
@@ -79,15 +79,5 @@ def vertex_stack_map(epsilon: float = 0.05) -> SampledMap:
     quarter-sphere layer at the z vertex, reaching the worked-example class
     with one doubled sector count at (--+)."""
     target = OctantTopology((1, 1, 1), (1, 1, 1), 3)
-    bulk_class = invariants_from_wrapping(
-        WrappingNumbers((1, 1, 1, 0, 1, 0, 1, 0))
-    )
-    spec = PatchworkSpec(
-        target=target,
-        case_id="fixture-vertex",
-        H0=bulk_class,
-        M=(0, 0, 1),
-        epsilon=epsilon,
-        stacks={"z": QuarterSphereStack(((-1, -1),), epsilon)},
-    )
-    return assemble_patchwork(spec)
+    stack = QuarterSphereStack(((-1, -1),), epsilon)
+    return assemble_patchwork(PatchworkSpec(target, "fixture-vertex", epsilon, {"z": stack}))

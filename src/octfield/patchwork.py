@@ -1,13 +1,16 @@
 """Explicit representatives: bulk rational map glued to vertex stacks.
 
 Given a nonconformal class (edge signs normalized to (+,+,+)), ``select_case``
-picks a bulk conformal/anticonformal class H0 and per-vertex stack layer
-counts M = (M_x, M_y, M_z) from the tabulated construction (positive ordered
-kinks) or from the general-sign search, verifying before returning that
+picks the vertex stacks from the tabulated construction (positive ordered
+kinks) or from the general-sign search.  The stacks describe the whole
+construction: their layer counts are M = (M_x, M_y, M_z), and the bulk
+conformal/anticonformal class H0 is what they leave of the target,
+w_{sigma,0} = w_sigma - sum_j d_j(sigma) with d_j the j-stack's degree
+table.  ``select_case`` verifies before returning that
 
+- H0 is one-signed,
 - the bulk edge signs satisfy e_{0j} = (-1)^{M_j}: -1 exactly where the
   j-stack's top layer is odd, with large moduli at the collar,
-- wrapping additivity: w_{sigma,0} + sum_j d_j(sigma) = w_sigma,
 - the coverage identity sum|w_0| + 2 sum M_j = sum|w| + Delta.
 
 Stacks have two scales (see ``stacks``): the chart radius epsilon and the
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -72,6 +75,7 @@ __all__ = [
     "UnsupportedClassError",
     "InternalConsistencyError",
     "MeshUnavailableError",
+    "MAX_SPLITS",
     "select_case",
     "assemble_patchwork",
     "identity_map",
@@ -80,6 +84,9 @@ __all__ = [
 ]
 
 AXES = ("x", "y", "z")
+
+# stack counts the general-sign search tries before it refuses a class
+MAX_SPLITS = 10**5
 
 
 class NotApplicableError(ValueError):
@@ -96,19 +103,32 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class PatchworkSpec:
+    """A construction of ``target``: the stacks at its vertices, keyed by
+    axis.  The layer counts M and the bulk class H0 follow from them."""
+
     target: OctantTopology
     case_id: str
-    H0: OctantTopology
-    M: tuple
     epsilon: float
-    stacks: dict = field(compare=False)
+    stacks: dict = field(hash=False)
+
+    @property
+    def M(self) -> tuple:
+        return tuple(self.stacks[axis].layers if axis in self.stacks else 0 for axis in AXES)
+
+    @cached_property
+    def H0(self) -> OctantTopology:
+        """The bulk class: the target's wrapping numbers less the stacks'
+        degree tables."""
+        w = wrapping_from_invariants(self.target)
+        tables = self.stack_tables().values()
+        w0 = WrappingNumbers(tuple(w[sec] - sum(t[sec] for t in tables) for sec in SECTORS))
+        try:
+            return invariants_from_wrapping(w0)
+        except InvalidWrappingError as e:
+            raise InternalConsistencyError(f"case {self.case_id}: bulk {e}") from None
 
     def stack_tables(self) -> dict:
-        return {
-            axis: stack_degree_table(self.stacks[axis], axis)
-            for axis in AXES
-            if axis in self.stacks
-        }
+        return {axis: stack_degree_table(st, axis) for axis, st in self.stacks.items()}
 
     def seam_radii(self) -> dict:
         """Chart radii where the map changes formula, per stacked vertex: the
@@ -128,77 +148,28 @@ class PatchworkSpec:
         }
 
 
-def _flip_axis(sector, axis: str):
-    i = AXES.index(axis)
-    out = list(sector)
-    out[i] = -out[i]
-    return tuple(out)
-
-
-def _general_table(axis: str, layers: int, sigma_minus) -> dict:
-    """Wrapping contribution of a j-vertex stack in the general-sign recipe,
-    derived in the target frame: the odd, conformal layers cover
-    {sigma_-, flip_j(sigma_-)} once each (contribution -1), the even,
-    anticonformal ones the antipodal pair {sigma_+, flip_j(sigma_+)} (+1)."""
-    table = {s: 0 for s in SECTORS}
-    n_conf = (layers + 1) // 2
-    n_anti = layers - n_conf
-    sigma_plus = tuple(-s for s in sigma_minus)
-    for s in (sigma_minus, _flip_axis(sigma_minus, axis)):
-        table[s] -= n_conf
-    for s in (sigma_plus, _flip_axis(sigma_plus, axis)):
-        table[s] += n_anti
-    return table
-
-
 def _stack_flip(axis: str, sigma_minus):
-    """Flip of the standard stack (``stacks.alternating``) that covers the
-    required pair, or None when the pre-relocation pair is not reachable by
-    modulus-preserving reflections (the pair's first two chart components
-    differ)."""
-    inv_axis = {"x": "y", "y": "x", "z": "z"}[axis]
-    pre = PERMUTATIONS[inv_axis](sigma_minus)
-    pre_flip = PERMUTATIONS[inv_axis](_flip_axis(sigma_minus, axis))
-    common = {(pre[0], pre[1]), (pre_flip[0], pre_flip[1])}
-    if len(common) != 1:
-        raise AssertionError("relocated pair is not a chart z-pair")
-    a, b = common.pop()
-    if a != b:
-        return None
-    return -a  # the odd layers' pair (-flip, -flip) must equal (a, a)
+    """Flip of the standard stack (``stacks.alternating``) whose odd layers
+    cover sigma_- and sigma_- with its j component flipped.  In the j-vertex
+    chart that pair is the quadrant (a, b) of sigma_-'s other two components,
+    and the odd layers cover (-flip, -flip).  None when a != b: only a
+    modulus-inverting reflection reaches that quadrant."""
+    a, b = PERMUTATIONS[{"x": "y", "y": "x", "z": "z"}[axis]](sigma_minus)[:2]
+    return -a if a == b else None
 
 
-def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification,
-                 *table_sets) -> None:
-    """Check a spec against the verification identities: the j-stack has M_j
-    layers, the bulk class is one-signed, each e0_j matches the parity of the
-    j-stack's top layer (-1 for an odd top, +1 for an even one or no stack),
-    the bulk plus the stack tables assembles to the target wrapping numbers
-    for the spec's own stacks and for every further table set given, and the
-    coverage identity holds."""
-    layers = tuple(spec.stacks[axis].layers if axis in spec.stacks else 0 for axis in AXES)
-    if layers != tuple(spec.M):
-        raise InternalConsistencyError(
-            f"case {spec.case_id}: stack layers {layers} != M {tuple(spec.M)}"
-        )
+def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification) -> None:
+    """Check a spec against the verification identities: its bulk class is
+    one-signed, each e0_j matches the parity of the j-stack's top layer (-1
+    for an odd top, +1 for an even one or no stack), and the coverage
+    identity holds."""
     w0 = wrapping_from_invariants(spec.H0)
     if not (all(v <= 0 for v in w0.values) or all(v >= 0 for v in w0.values)):
         raise InternalConsistencyError(f"bulk class of case {spec.case_id} is not one-signed")
-    for axis, e0 in zip(AXES, spec.H0.e):
-        st = spec.stacks.get(axis)
-        if e0 != (-1 if st is not None and st.top_is_conformal else 1):
-            raise InternalConsistencyError(
-                f"case {spec.case_id}: e0[{axis}] does not match the stack's top layer"
-            )
-    for tables in (spec.stack_tables(), *table_sets):
-        assembled = tuple(
-            v0 + sum(t.get(sector, 0) for t in tables.values())
-            for sector, v0 in zip(SECTORS, w0.values)
+    if spec.H0.e != tuple(-1 if m % 2 else 1 for m in spec.M):
+        raise InternalConsistencyError(
+            f"case {spec.case_id}: bulk edge signs {spec.H0.e} do not match M {spec.M}"
         )
-        if assembled != w.values:
-            raise InternalConsistencyError(
-                f"case {spec.case_id}: assembled wrapping {assembled} != target {w.values}"
-            )
     coverage = w0.total_absolute() + 2 * sum(spec.M)
     expected_total = w.total_absolute() + delta_invariant(w, c)
     if coverage != expected_total:
@@ -208,51 +179,34 @@ def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification,
 
 
 def _tabulated_case(k, n: int):
-    """Case id, H0 invariants, and M for sorted positive kinks."""
+    """Case id and stack counts M for sorted positive kinks."""
     kx, ky, kz = k
     s = kx + ky + kz
     two = kz - (kx + ky) >= 0
-    cases = []
-    if 1 <= n <= ky - 1:
-        cases.append(("2a" if two else "1a", (1, 1, 1),
-                      (kx, ky - n, kz - n), 8 * n + 7 - 4 * s,
-                      (2 * n, 0, 0)))
+    d_template = (2 * (ky + kz - n - 2) + 1, 2 * (kx + kz - n - 2) + 1, 2 * (n - kz + 1))
     # At n = (s-2)/2 (even s) the b-template's bulk has k_0z = 0 and acquires
     # wrapping numbers of both signs, so it is not conformal as stated; the
     # d-template satisfies every verification identity there and is used
     # instead.
-    def case_b(name):
-        if s - 2 * n - 2 == 0:
-            return (name, (-1, -1, 1), (0, 0, 2 * n + 3 - s), 8 * n + 11 - 4 * s,
-                    (2 * (ky + kz - n - 2) + 1, 2 * (kx + kz - n - 2) + 1,
-                     2 * (n - kz + 1)))
-        return (name, (1, 1, 1), (1, 1, s - 2 * n - 2), 8 * n + 7 - 4 * s,
-                (2 * (n - kx + 1), 2 * (n - ky + 1), 2 * (kx + ky - n - 2)))
-
+    b_template = d_template if s - 2 * n - 2 == 0 else (
+        2 * (n - kx + 1), 2 * (n - ky + 1), 2 * (kx + ky - n - 2))
+    cases = []
+    if 1 <= n <= ky - 1:
+        cases.append(("2a" if two else "1a", (2 * n, 0, 0)))
     if not two and ky <= n <= (s - 2) // 2:
-        cases.append(case_b("1b"))
+        cases.append(("1b", b_template))
     if two and ky <= n <= kx + ky - 2:
-        cases.append(case_b("2b"))
+        cases.append(("2b", b_template))
     if not two and math.ceil((s - 1) / 2) <= n <= kx + ky - 2:
-        cases.append(("1c", (1, 1, 1), (0, 0, 2 * n + 2 - s), 8 * n + 7 - 4 * s,
-                      (2 * (ky + kz - n - 1), 2 * (kx + kz - n - 1), 2 * (n - kz + 1))))
+        cases.append(("1c", (2 * (ky + kz - n - 1), 2 * (kx + kz - n - 1), 2 * (n - kz + 1))))
     if two and kx + ky - 1 <= n <= kz - 1:
-        cases.append(("2c", (1, -1, 1), (0, 0, 0), 1,
-                      (2 * ky + 2 * (kz - n - 1), 2 * (n - ky) + 1, 0)))
-    lo_d = kz if two else kx + ky - 1
-    if lo_d <= n <= kx + kz - 2:
-        cases.append(("2d" if two else "1d", (-1, -1, 1),
-                      (0, 0, 2 * n + 3 - s), 8 * n + 11 - 4 * s,
-                      (2 * (ky + kz - n - 2) + 1, 2 * (kx + kz - n - 2) + 1,
-                       2 * (n - kz + 1))))
+        cases.append(("2c", (2 * ky + 2 * (kz - n - 1), 2 * (n - ky) + 1, 0)))
+    if (kz if two else kx + ky - 1) <= n <= kx + kz - 2:
+        cases.append(("2d" if two else "1d", d_template))
     if kx + kz - 1 <= n <= ky + kz - 2:
-        cases.append(("2e" if two else "1e", (-1, -1, 1),
-                      (0, n - kz + 1, n - kx - ky + 2), 8 * n + 11 - 4 * s,
-                      (2 * (ky + kz - n - 2) + 1, 2 * kx - 1, 0)))
+        cases.append(("2e" if two else "1e", (2 * (ky + kz - n - 2) + 1, 2 * kx - 1, 0)))
     if ky + kz - 1 <= n <= s - 2:
-        cases.append(("2f" if two else "1f", (-1, 1, 1),
-                      (kx, n - kx - kz + 1, n - kx - ky + 1), 8 * n + 9 - 4 * s,
-                      (2 * (s - n - 2) + 1, 0, 0)))
+        cases.append(("2f" if two else "1f", (2 * (s - n - 2) + 1, 0, 0)))
     if len(cases) != 1:
         raise InternalConsistencyError(
             f"case tables matched {len(cases)} ranges for k={k}, n={n}"
@@ -276,11 +230,15 @@ def _layer_ratio(epsilon: float, layers: int) -> float:
     return min(max(epsilon**_LAYER_RATIO_POWER, floor), epsilon)
 
 
-def _build_stacks(case_id: str, M, epsilon: float, k, n: int, sigma_minus=None):
-    """The stacks of a spec, or None when a general-sign stack's pair is out of
-    reach (see ``_stack_flip``).  Case 2c's x-stack covers the antidiagonal
-    quadrant at its even layers up to 2(k_z - n - 1), its y-stack at its odd
-    layers up to 2(n - k_x - k_y + 1); every other layer alternates."""
+def _stack(covers, epsilon: float) -> QuarterSphereStack:
+    return QuarterSphereStack(covers, epsilon, _layer_ratio(epsilon, len(covers)))
+
+
+def _build_stacks(case_id: str, M, epsilon: float, k, n: int) -> dict:
+    """The stacks of a tabulated case.  Case 2c's x-stack covers the
+    antidiagonal quadrant at its even layers up to 2(k_z - n - 1), its
+    y-stack at its odd layers up to 2(n - k_x - k_y + 1); every other layer
+    alternates."""
     stacks = {}
     for axis, layers in zip(AXES, M):
         if layers == 0:
@@ -291,85 +249,105 @@ def _build_stacks(case_id: str, M, epsilon: float, k, n: int, sigma_minus=None):
                                else (1, 2 * (n - k[0] - k[1] + 1)))
             covers = tuple((1, -1) if m % 2 == parity and m <= special else c
                            for m, c in enumerate(covers, start=1))
-        elif sigma_minus is not None:
-            flip = _stack_flip(axis, sigma_minus)
-            if flip is None:
-                return None
-            covers = alternating(layers, flip)
-        stacks[axis] = QuarterSphereStack(covers, epsilon, _layer_ratio(epsilon, layers))
+        stacks[axis] = _stack(covers, epsilon)
     return stacks
 
 
-def _layer_splits(budget: int):
-    """Stack counts M with at most ``budget`` layers in all, by total, then lex."""
-    for total in range(budget + 1):
-        for mx in range(total + 1):
-            for my in range(total - mx + 1):
+def _standard_tables(axis: str, flip, epsilon: float, most: int) -> list:
+    """Degree tables (in SECTORS order) of the standard j-vertex stacks
+    ``alternating(m, flip)`` for m = 0..most; only m = 0 when flip is None.
+    A table is a sum over layers, and layers of one parity cover alike, so
+    each further pair of layers adds the two-layer table."""
+    tables = [(0,) * len(SECTORS)]
+    for m in range(1, most + 1 if flip is not None else 1):
+        if m <= 2:
+            stack = _stack(alternating(m, flip), epsilon)
+            tables.append(tuple(stack_degree_table(stack, axis).values()))
+        else:
+            tables.append(tuple(a + b for a, b in zip(tables[m - 2], tables[2])))
+    return tables
+
+
+def _layer_splits(budget: int, caps):
+    """Stack counts M with at most ``budget`` layers in all and at most
+    caps[j] on axis j, by total, then lex."""
+    cx, cy, cz = caps
+    for total in range(min(budget, cx + cy + cz) + 1):
+        for mx in range(max(0, total - cy - cz), min(total, cx) + 1):
+            for my in range(max(0, total - mx - cz), min(total - mx, cy) + 1):
                 yield mx, my, total - mx - my
 
 
 def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
-    """Search M for classes outside the tabulated branch (unsorted, negative,
-    or zero kinks).  The coverage pairs follow the general-sign recipe with
-    sigma_+- at the extremal wrapping sectors; stacks are realizable only when
-    the relocated pairs stay reachable by modulus-preserving reflections."""
+    """Search stack counts M for classes outside the tabulated branch
+    (unsorted, negative, or zero kinks).  For each candidate sigma_- (at the
+    extremal wrapping sectors), every vertex gets the standard stack whose
+    odd layers cover the relocated pair of sigma_- (``_stack_flip``); a
+    vertex whose pair needs a modulus-inverting reflection gets none.  The
+    first M, by total and then lex, whose bulk class is one-signed, has the
+    edge signs of M's parities and meets the coverage identity wins.  At most
+    ``MAX_SPLITS`` counts are tried."""
     candidates = []
     if all(v != 0 for v in target.k):
         candidates.append(tuple(-1 if v > 0 else 1 for v in target.k))
     sp, sm = c.sigma_plus, c.sigma_minus
     if sm is not None and tuple(-s for s in sm) == sp and sm not in candidates:
         candidates.append(sm)
-    delta = delta_invariant(w, c)
-    budget = (w.total_absolute() + delta) // 2
-
-    def solutions():
-        """(sigma_minus, M, H0, tables) in search order."""
-        for sigma_minus in candidates:
-            for M in _layer_splits(budget):
-                tables = {
-                    axis: _general_table(axis, m, sigma_minus)
-                    for axis, m in zip(AXES, M)
-                }
-                w0_vals = tuple(
-                    w[sec] - sum(t[sec] for t in tables.values()) for sec in SECTORS
+    expected_total = w.total_absolute() + delta_invariant(w, c)
+    budget = expected_total // 2
+    unreachable, tried = [], 0
+    for sigma_minus in candidates:
+        flips = [_stack_flip(axis, sigma_minus) for axis in AXES]
+        unreachable += [a for a, f in zip(AXES, flips) if f is None and a not in unreachable]
+        # tables up to the largest total among the first MAX_SPLITS + 1
+        # splits (C(t - 1 + free, free) splits precede the first of total t),
+        # so that a search the limit cuts short reaches it
+        free, most = sum(f is not None for f in flips), 0
+        while free and most < budget and math.comb(most + free, free) <= MAX_SPLITS:
+            most += 1
+        tx, ty, tz = (_standard_tables(axis, flip, epsilon, most)
+                      for axis, flip in zip(AXES, flips))
+        for M in _layer_splits(budget, (len(tx) - 1, len(ty) - 1, len(tz) - 1)):
+            tried += 1
+            if tried > MAX_SPLITS:
+                raise UnsupportedClassError(
+                    f"no stack counts found in MAX_SPLITS = {MAX_SPLITS} tries for "
+                    f"k={target.k}, omega_units={target.omega_units}"
                 )
-                if not (all(v <= 0 for v in w0_vals) or all(v >= 0 for v in w0_vals)):
-                    continue
-                if sum(abs(v) for v in w0_vals) + 2 * sum(M) != w.total_absolute() + delta:
-                    continue
-                try:
-                    h0 = invariants_from_wrapping(WrappingNumbers(w0_vals))
-                except InvalidWrappingError:
-                    continue
-                if h0.e == tuple(-1 if m % 2 else 1 for m in M):
-                    yield sigma_minus, M, h0, tables
-
-    found = next(solutions(), None)
-    if found is None:
-        raise UnsupportedClassError(
-            f"no stack counts satisfy the coverage identity for k={target.k}, "
-            f"omega_units={target.omega_units}"
-        )
-    sigma_minus, M, h0, tables = found
-    stacks = _build_stacks("general-sign", M, epsilon, target.k, 0, sigma_minus=sigma_minus)
-    if stacks is None:
-        raise UnsupportedClassError(
-            "relocated stack pair needs a modulus-inverting reflection (mixed kink signs)"
-        )
-    spec = PatchworkSpec(target, "general-sign", h0, M, epsilon, stacks)
-    _verify_spec(spec, w, c, tables)
-    return spec
+            mx, my, mz = M
+            w0 = tuple(v - a - b - d for v, a, b, d in zip(w.values, tx[mx], ty[my], tz[mz]))
+            if not (all(v <= 0 for v in w0) or all(v >= 0 for v in w0)):
+                continue
+            if sum(abs(v) for v in w0) + 2 * sum(M) != expected_total:
+                continue
+            try:
+                h0 = invariants_from_wrapping(WrappingNumbers(w0))
+            except InvalidWrappingError:
+                continue
+            if h0.e == tuple(-1 if m % 2 else 1 for m in M):
+                stacks = {axis: _stack(alternating(m, flip), epsilon)
+                          for axis, m, flip in zip(AXES, M, flips) if m}
+                spec = PatchworkSpec(target, "general-sign", epsilon, stacks)
+                _verify_spec(spec, w, c)
+                return spec
+    reach = (f"; the {', '.join(unreachable)} vertex stacks would need a "
+             "modulus-inverting reflection" if unreachable else "")
+    raise UnsupportedClassError(
+        f"no stack counts satisfy the coverage identity for k={target.k}, "
+        f"omega_units={target.omega_units}{reach}"
+    )
 
 
 def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
-    """Pick the bulk class and stack counts realizing the target class.
+    """Pick the stacks realizing the target class.
 
     The target must be nonconformal with edge signs (+,+,+) (normalize first
     with ``topology.normalize_edge_signs``).  Sorted positive kinks use the
     tabulated cases 1a..2f; everything else goes through the general-sign
     search.  Raises ``UnsupportedClassError`` when no stack counts satisfy
-    the coverage identity, or when a stack's covered pair would need a
-    modulus-inverting reflection.
+    the coverage identity with stacks at the vertices that modulus-preserving
+    reflections reach, or when the search tries ``MAX_SPLITS`` counts
+    without success.
     """
     if not 0 < epsilon < 0.125:
         raise ValueError("epsilon must lie in (0, 1/8)")
@@ -382,10 +360,9 @@ def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
     kx, ky, kz = target.k
     if 0 < kx <= ky <= kz:
         n = w[(1, 1, 1)]
-        case_id, e0, k0, u0, M = _tabulated_case(target.k, n)
-        h0 = OctantTopology(e0, k0, u0)
-        stacks = _build_stacks(case_id, M, epsilon, target.k, n)
-        spec = PatchworkSpec(target, case_id, h0, M, epsilon, stacks)
+        case_id, M = _tabulated_case(target.k, n)
+        spec = PatchworkSpec(target, case_id, epsilon,
+                             _build_stacks(case_id, M, epsilon, target.k, n))
         _verify_spec(spec, w, c)
         return spec
     return _general_sign_spec(target, w, c, epsilon)

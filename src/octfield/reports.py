@@ -8,6 +8,8 @@ Class JSON accepts either the invariant triple form
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -123,7 +125,8 @@ def _fmt(x: float) -> str:
 
 def field_grid_csv(sampled_map) -> str:
     """Grid dump on Q at the centers of a 64 x 64 grid on the unit square:
-    u, v, Re K, Im K, nu_x, nu_y, nu_z, subdomain_tag."""
+    u, v, Re K, Im K, nu_x, nu_y, nu_z, subdomain_tag.  Tags that hold a
+    comma, such as annulus(x,1), are quoted."""
     axis = (np.arange(64) + 0.5) / 64
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     w = (uu + 1j * vv).ravel()
@@ -132,26 +135,16 @@ def field_grid_csv(sampled_map) -> str:
     values = np.asarray(sampled_map.evaluate(w), dtype=complex)
     nu = stereographic_inverse(values)
     tags = sampled_map.subdomain_tags(w)
-    lines = ["u,v,re_k,im_k,nu_x,nu_y,nu_z,subdomain_tag"]
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["u", "v", "re_k", "im_k", "nu_x", "nu_y", "nu_z", "subdomain_tag"])
     finite = np.where(np.isfinite(values), values, 0.0)
     for i in range(len(w)):
         re_k = _fmt(finite[i].real) if np.isfinite(values[i]) else "inf"
         im_k = _fmt(finite[i].imag) if np.isfinite(values[i]) else "inf"
-        lines.append(
-            ",".join(
-                [
-                    _fmt(w[i].real),
-                    _fmt(w[i].imag),
-                    re_k,
-                    im_k,
-                    _fmt(nu[i, 0]),
-                    _fmt(nu[i, 1]),
-                    _fmt(nu[i, 2]),
-                    str(tags[i]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        rows.writerow([_fmt(w[i].real), _fmt(w[i].imag), re_k, im_k,
+                       _fmt(nu[i, 0]), _fmt(nu[i, 1]), _fmt(nu[i, 2]), tags[i]])
+    return out.getvalue()
 
 
 _SECTOR_COLORS = {

@@ -196,6 +196,49 @@ def test_verify_flipped_general_sign_stacks():
     assert main(["verify", "--json", payload, "--grid-level", "1"]) == 0
 
 
+def test_construct_class_with_one_reachable_vertex(tmp_path):
+    # sigma_- = (+,-,+): only the y vertex reaches its covered pair by a
+    # modulus-preserving reflection, and a two-layer y stack builds the class
+    payload = '{"e":[1,1,1],"k":[-1,1,-1],"omega_units":-5}'
+    assert main(["construct", "--json", payload, "--grid-level", "2",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert report["patchwork"]["M"] == [0, 2, 0]
+    assert all(report["checks"].values()), report["checks"]
+    assert report["degree_report"] is not None
+
+
+def test_seam_check_reaches_the_innermost_seams():
+    # the 2c stacks of k = (1,1,3), omega_units = -5 have x seams near 1e-11;
+    # the check compares the formulas that meet there on the same chart points
+    import dataclasses
+
+    from octfield.cli import _max_seam_jump
+    from octfield.patchwork import assemble_patchwork, select_case
+    from octfield.topology import OctantTopology
+
+    sm = assemble_patchwork(select_case(OctantTopology((1, 1, 1), (1, 1, 3), -5)))
+    assert _max_seam_jump(sm) < 1e-6
+    i = [region.name for region in sm.regions].index("annulus(x,1)")
+    layer = sm.regions[i].evaluate
+    sm.regions[i] = dataclasses.replace(sm.regions[i], evaluate=lambda u: 1.01 * layer(u))
+    assert _max_seam_jump(sm) > 1e-6
+
+
+def test_field_csv_keeps_each_tag_in_one_column():
+    import csv
+    import io
+
+    from octfield.patchwork import assemble_patchwork, select_case
+    from octfield.reports import field_grid_csv
+    from octfield.topology import OctantTopology
+
+    sm = assemble_patchwork(select_case(OctantTopology((1, 1, 1), (1, 1, 1), 3)))
+    rows = list(csv.DictReader(io.StringIO(field_grid_csv(sm))))
+    assert {row["subdomain_tag"] for row in rows} == {"bulk", "annulus(x,1)", "switch(x)"}
+    assert all(None not in row for row in rows)
+
+
 def test_verify_runs_without_artifacts(tmp_path):
     assert main(["verify", "--json", WORKED_JSON, "--grid-level", "2"]) == 0
     assert list(tmp_path.iterdir()) == []

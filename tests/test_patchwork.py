@@ -159,13 +159,59 @@ def test_stack_pair_needing_a_modulus_inverting_reflection_is_refused():
         select_case(t, epsilon=0.05)
 
 
+@pytest.mark.parametrize("k, omega_units, budget", [
+    ((-20, -20, -20), 239, 120),  # stacks at all three vertices: 3e5 counts
+    ((-10**5, -10**5, 10**5), 7, 300001),  # the z vertex alone
+])
+def test_general_sign_search_stops_at_the_split_limit(k, omega_units, budget):
+    from octfield.patchwork import MAX_SPLITS
+
+    t = OctantTopology((1, 1, 1), k, omega_units)
+    w = wrapping_from_invariants(t)
+    assert (w.total_absolute() + delta_invariant(w, classify(w, t))) // 2 == budget
+    with pytest.raises(UnsupportedClassError, match=f"MAX_SPLITS = {MAX_SPLITS}"):
+        select_case(t, epsilon=0.05)
+
+
+def test_standard_tables_are_the_stacks_degree_tables():
+    from octfield.patchwork import _stack, _standard_tables
+    from octfield.stacks import alternating, stack_degree_table
+
+    for axis in ("x", "y", "z"):
+        for flip in (1, -1):
+            tables = _standard_tables(axis, flip, 0.05, 7)
+            assert len(tables) == 8 and tables[0] == (0,) * 8
+            for m in range(1, 8):
+                stack = _stack(alternating(m, flip), 0.05)
+                assert tables[m] == tuple(stack_degree_table(stack, axis).values())
+        assert _standard_tables(axis, None, 0.05, 7) == [(0,) * 8]
+
+
+def test_stack_flip_covers_the_pair_of_sigma_minus():
+    # the odd layer of alternating(1, flip) covers sigma_- and sigma_- with
+    # its j component flipped; there is no flip when sigma_-'s other two
+    # components differ
+    from octfield.patchwork import _stack, _stack_flip
+    from octfield.stacks import alternating, stack_degree_table
+    from octfield.topology import SECTORS
+
+    for j, axis in enumerate(("x", "y", "z")):
+        for sigma in SECTORS:
+            flip = _stack_flip(axis, sigma)
+            others = [s for i, s in enumerate(sigma) if i != j]
+            assert (flip is None) == (others[0] != others[1])
+            if flip is None:
+                continue
+            flipped = tuple(-s if i == j else s for i, s in enumerate(sigma))
+            table = stack_degree_table(_stack(alternating(1, flip), 0.05), axis)
+            assert {sec: v for sec, v in table.items() if v} == {sigma: -1, flipped: -1}
+
+
 def test_trivial_patchwork_is_bulk_everywhere():
     # all M_j = 0: the map equals its rational bulk on all of Q
     bulk_class = OctantTopology((1, 1, 1), (0, 0, 0), -1)
-    spec = PatchworkSpec(
-        target=bulk_class, case_id="trivial", H0=bulk_class,
-        M=(0, 0, 0), epsilon=0.05, stacks={},
-    )
+    spec = PatchworkSpec(target=bulk_class, case_id="trivial", epsilon=0.05, stacks={})
+    assert spec.H0 == bulk_class and spec.M == (0, 0, 0)
     sm = assemble_patchwork(spec)
     rng = np.random.default_rng(8)
     w = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(1j * rng.uniform(0, np.pi / 2, 200))
@@ -279,34 +325,46 @@ def test_identity_and_rational_map_wrappers():
 @pytest.mark.parametrize("M", [(3, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0)])
 @pytest.mark.parametrize("restack", [False, True])
 def test_verifier_rejects_tampered_tabulated_spec(M, restack):
-    # M changed alone, or together with stacks rebuilt to match it
+    # a spec is its stacks, so M cannot be changed alone.  Stacks rebuilt to
+    # (3,0,0) or (1,1,0) leave a bulk class that fails the verification
+    # identities; (2,0,0) and (0,1,0) leave a consistent one, another
+    # construction of the worked example
     from octfield.patchwork import _build_stacks, _verify_spec
 
     spec = select_case(WORKED, epsilon=0.05)
+    if not restack:
+        with pytest.raises(TypeError):
+            dataclasses.replace(spec, M=M)
+        return
     w = wrapping_from_invariants(WORKED)
     c = classify(w, WORKED)
-    _verify_spec(spec, w, c)
-    stacks = _build_stacks(spec.case_id, M, 0.05, WORKED.k, 1) if restack else spec.stacks
-    with pytest.raises(InternalConsistencyError):
-        _verify_spec(dataclasses.replace(spec, M=M, stacks=stacks), w, c)
+    restacked = dataclasses.replace(spec, stacks=_build_stacks(spec.case_id, M, 0.05, WORKED.k, 1))
+    assert restacked.M == M
+    if M in ((3, 0, 0), (1, 1, 0)):
+        with pytest.raises(InternalConsistencyError):
+            _verify_spec(restacked, w, c)
+        return
+    _verify_spec(restacked, w, c)
+    sm = assemble_patchwork(restacked)
+    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
 
 
 def test_verifier_rejects_tampered_general_sign_spec():
-    from octfield.patchwork import _verify_spec
+    from octfield.patchwork import _stack, _verify_spec
+    from octfield.stacks import alternating
 
     t = OctantTopology((1, 1, 1), (2, 1, 1), 8 * 1 + 7 - 16)
     spec = select_case(t, epsilon=0.05)
-    assert spec.case_id == "general-sign"
+    assert spec.case_id == "general-sign" and spec.M == (0, 1, 1)
     w = wrapping_from_invariants(t)
     c = classify(w, t)
     _verify_spec(spec, w, c)
-    h0 = spec.H0
-    for tampered in (
-        dataclasses.replace(h0, omega_units=h0.omega_units + 8),
-        OctantTopology(h0.e, (h0.k[0] + 1, h0.k[1], h0.k[2]), h0.omega_units - 4),
-    ):
+    # the z stack flipped (its bulk is not one-signed), or one of three
+    # layers (the coverage identity fails)
+    for covers in (alternating(1, -1), alternating(3)):
+        tampered = dataclasses.replace(spec, stacks={**spec.stacks, "z": _stack(covers, 0.05)})
         with pytest.raises(InternalConsistencyError):
-            _verify_spec(dataclasses.replace(spec, H0=tampered), w, c)
+            _verify_spec(tampered, w, c)
 
 
 def test_region_evaluators_match_map_off_the_seams():
