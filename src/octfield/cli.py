@@ -14,7 +14,9 @@ Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
 ``--format`` name, or a bad word; a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
 4 unsupported class for construction (including a general-sign class whose
-search tries ``patchwork.MAX_SPLITS`` stack counts without success),
+search tries ``patchwork.MAX_SPLITS`` stack counts without success, and a
+class whose bulk has more than ``rational.MAX_SHAPES`` factor shapes to
+scan),
 5 invariant failure (a failed check, energy below the infimum included, or a
 verification integral that does not converge, such as a trapped area more
 than 0.3 from a multiple of pi/2 or boundary windings needing more than

@@ -44,6 +44,7 @@ __all__ = [
     "RationalMapSpec",
     "InvalidSpecError",
     "ConstructionError",
+    "MAX_SHAPES",
     "evaluate_rational",
     "boundary_points",
     "measure_wrapping",
@@ -113,9 +114,9 @@ def evaluate_rational(spec: RationalMapSpec, w):
     z = np.conj(w) if spec.orientation == "anticonformal" else w
     out = _product_values(
         np.atleast_1d(z), spec.sign, 2 * spec.m + 1,
-        [(r * r, rho) for r, rho in spec.real_factors],
-        [(s * s, sig) for s, sig in spec.imag_factors],
-        [_complex_squares(t) + (tau,) for t, tau in spec.complex_factors],
+        [(r * r, rho, None) for r, rho in spec.real_factors],
+        [(s * s, sig, None) for s, sig in spec.imag_factors],
+        [_complex_squares(t) + (tau, None) for t, tau in spec.complex_factors],
     )
     return complex(out[0]) if scalar else out
 
@@ -131,27 +132,40 @@ def _complex_squares(t) -> tuple:
 
 def _product_values(z, sign, p, real, imag, complex_):
     """sign * z^p times the product factors at z (conjugated already for
-    anticonformal maps).  ``real`` and ``imag`` hold (r^2, exponent) and
-    ``complex_`` holds (t^2, conj(t)^2, exponent); the squares are scalars, or
-    columns that give each row of a 2-d z its own parameters."""
+    anticonformal maps).  ``real`` and ``imag`` hold (r^2, exponent, live)
+    and ``complex_`` holds (t^2, conj(t)^2, exponent, live).
+
+    Every value is a scalar, or a column that gives each row of a 2-d z its
+    own: ``sign`` and ``p`` (then one entry per row), the squares and the
+    exponents.  ``live`` is None for a factor of every row, or a boolean
+    column: rows without the factor keep their numerator and denominator.
+    So rows of different factor shapes run each shape's own operations, in
+    its own order, and round as that shape's map does; z^p is taken once per
+    distinct p, over that p's rows."""
     num = np.ones_like(z)
     den = np.ones_like(z)
-    if p >= 0:
-        num = num * z**p
-    else:
-        den = den * z ** (-p)
+    groups = [(p, ...)] if np.ndim(p) == 0 else [(int(q), p == q) for q in np.unique(p)]
+    for q, rows in groups:
+        if q >= 0:
+            num[rows] = num[rows] * z[rows]**q
+        else:
+            den[rows] = den[rows] * z[rows] ** (-q)
     z2 = z * z
     factors = itertools.chain(
-        ((z2 - q, q * z2 - 1, ex) for q, ex in real),
-        ((z2 + q, q * z2 + 1, ex) for q, ex in imag),
-        (((z2 - q) * (z2 - qc), (q * z2 - 1) * (qc * z2 - 1), ex)
-         for q, qc, ex in complex_),
+        ((z2 - q, q * z2 - 1, ex, live) for q, ex, live in real),
+        ((z2 + q, q * z2 + 1, ex, live) for q, ex, live in imag),
+        (((z2 - q) * (z2 - qc), (q * z2 - 1) * (qc * z2 - 1), ex, live)
+         for q, qc, ex, live in complex_),
     )
-    for top, bottom, ex in factors:
-        if ex > 0:
-            num, den = num * top, den * bottom
+    for top, bottom, ex, live in factors:
+        if np.ndim(ex) == 0:
+            up, down = (top, bottom) if ex > 0 else (bottom, top)
         else:
-            num, den = num * bottom, den * top
+            up, down = np.where(ex > 0, top, bottom), np.where(ex > 0, bottom, top)
+        if live is None:
+            num, den = num * up, den * down
+        else:
+            num, den = np.where(live, num * up, num), np.where(live, den * down, den)
     num = num * sign
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
@@ -217,10 +231,17 @@ def measure_wrapping(evaluator, total_signed_degree: int, params=None) -> Wrappi
     return WrappingNumbers(tuple(-(d + anchor) for d in diffs))
 
 
+def _probe_directions(a: int, b: int, c: int) -> np.ndarray:
+    """Unit directions in which the origin and a real, b imaginary and c
+    complex zeros or poles are probed: into the quarter disc, off the edge
+    each lies on."""
+    return np.repeat(np.exp([0.9j, 0.4j, 2.2j]), [1 + a, b, c])
+
+
 def _singular_points(spec: RationalMapSpec):
     """(points, is_zero, directions): the zeros and poles of the map in the
     closed quarter disc, whether each is a zero, and the unit direction in
-    which each is probed (into the quarter disc, off the edge it lies on)."""
+    which each is probed (``_probe_directions``)."""
     factors = spec.real_factors + spec.imag_factors + spec.complex_factors
     points = np.asarray(
         [0j]
@@ -229,19 +250,24 @@ def _singular_points(spec: RationalMapSpec):
         + [complex(t) for t, _ in spec.complex_factors]
     )
     is_zero = np.asarray([2 * spec.m + 1 > 0] + [ex > 0 for _, ex in factors])
-    directions = np.where(points.imag == 0, np.exp(0.9j),
-                          np.where(points.real == 0, np.exp(0.4j), np.exp(2.2j)))
+    directions = _probe_directions(
+        len(spec.real_factors), len(spec.imag_factors), len(spec.complex_factors)
+    )
     return points, is_zero, directions
 
 
-def singular_structure(spec: RationalMapSpec):
+@functools.lru_cache(maxsize=256)
+def singular_structure(spec: RationalMapSpec) -> tuple:
     """Zeros/poles of the map inside the closed quarter disc with the length
-    scale on which |f| passes through unit modulus there.
+    scale on which |f| passes through unit modulus there, as (point, scale)
+    pairs.
 
     Near an edge zero or pole the energy density is a bump of this scale; the
     scale can be many orders of magnitude below any uniform grid (residues
     shrink with the product of the other factors), so quadrature grids cluster
-    lines around these points.
+    lines around these points.  The quadrature clusters, the boundary seed
+    and ``realize``'s wrapping check all ask for it, so each spec's structure
+    is computed once.
     """
     points, _, directions = _singular_points(spec)
     out = []
@@ -259,7 +285,7 @@ def singular_structure(spec: RationalMapSpec):
     q = abs(2 * spec.m + 1) + 2 * len(spec.real_factors) + 2 * len(spec.imag_factors)
     if q >= 6:
         out.append((1.0 + 0.0j, 1.0 / q))
-    return out
+    return tuple(out)
 
 
 def _clusters(points):
@@ -416,6 +442,9 @@ def predict_invariants(spec: RationalMapSpec) -> OctantTopology:
 _PARAM_BAND = (0.15, 0.75)  # range of the fitted free parameters
 _T_ARG = 0.9  # radians; starting argument of complex factor parameters
 _MAX_EDGE = 9  # most edge factors a shape may carry
+# most factor shapes ``realize`` scans for one class; high-degree bulks have
+# far more, none of which it could fit in reasonable time
+MAX_SHAPES = 10**5
 
 _REALIZE_CACHE: dict = {}
 
@@ -498,6 +527,11 @@ _RING = _COLLAR_RING * np.exp(1j * np.linspace(0.0, math.pi / 2, 9))
 _RING_IN_W = {axis: relocate(axis, _RING) for axis in _AXES}
 
 
+def _factor_counts(shape: RationalMapSpec) -> tuple:
+    """(a, b, c): the shape's real, imaginary and complex factor counts."""
+    return len(shape.real_factors), len(shape.imag_factors), len(shape.complex_factors)
+
+
 def _start_vector(shape: RationalMapSpec) -> np.ndarray:
     """The shape's own free parameters, the inverse of ``_with_parameters``:
     edge parameters in edge order, then (|t|, arg t) per complex factor."""
@@ -507,13 +541,12 @@ def _start_vector(shape: RationalMapSpec) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _complex_parameters(shape: RationalMapSpec, X) -> np.ndarray:
-    """(T, c) complex parameters t = |t| e^(i arg t) of the rows of free
-    parameters X, from the (|t|, arg t) pairs after the edge parameters.
+def _complex_parameters(X, edge: int) -> np.ndarray:
+    """Complex parameters t = |t| e^(i arg t) of the rows of free parameters
+    X, one column per (|t|, arg t) pair after the first ``edge`` columns.
     Cosine and sine come from ``math``, whose roundings NumPy's vectorised
     ones need not match."""
-    start = len(shape.real_factors) + len(shape.imag_factors)
-    radii, angles = X[:, start::2], X[:, start + 1::2]
+    radii, angles = X[:, edge::2], X[:, edge + 1::2]
     t = np.empty(radii.shape, dtype=complex)
     if t.size:
         t.real = radii * np.reshape([math.cos(v) for v in angles.flat], angles.shape)
@@ -521,36 +554,44 @@ def _complex_parameters(shape: RationalMapSpec, X) -> np.ndarray:
     return t
 
 
-def _admissible(shape: RationalMapSpec, X, t) -> np.ndarray:
+def _admissible(X, t, counts, A: int) -> np.ndarray:
     """Which rows of free parameters X, with complex parameters t, the fit
-    may use: every parameter inside the band; edge parameters sorted and at
-    least ``_MIN_SEPARATION`` apart, so the exponent sequence along each
-    edge, and with it every invariant, is the shape's own; complex arguments
-    0.15 inside the quarter disc; complex parameters at least twice the
+    may use.  Rows are padded: A real slots, then the imaginary slots, then
+    one (|t|, arg t) pair per column of t; ``counts`` holds each row's own
+    (a, b, c), the leading slots of each block that the row fills, and the
+    other slots are ignored.  A row is admissible when every parameter lies
+    inside the band; edge parameters are sorted and at least
+    ``_MIN_SEPARATION`` apart, so the exponent sequence along each edge,
+    and with it every invariant, is the shape's own; complex arguments lie
+    0.15 inside the quarter disc; complex parameters are at least twice the
     separation apart."""
     lo, hi = _PARAM_BAND
-    a, b = len(shape.real_factors), len(shape.imag_factors)
-    edge, radii, angles = X[:, :a + b], X[:, a + b::2], X[:, a + b + 1::2]
-    ok = ((lo <= edge) & (edge <= hi)).all(axis=1)
+    C = t.shape[1]
+    B = X.shape[1] - A - 2 * C
+    real = np.arange(A) < counts[:, :1]
+    imag = np.arange(B) < counts[:, 1:2]
+    cplx = np.arange(C) < counts[:, 2:]
+    edge, radii, angles = X[:, :A + B], X[:, A + B::2], X[:, A + B + 1::2]
+    ok = ((lo <= edge) & (edge <= hi) | ~np.hstack([real, imag])).all(axis=1)
     ok &= ((lo <= radii) & (radii <= hi)
-           & (0.15 <= angles) & (angles <= math.pi / 2 - 0.15)).all(axis=1)
+           & (0.15 <= angles) & (angles <= math.pi / 2 - 0.15) | ~cplx).all(axis=1)
     # gaps between neighbours on one edge, not from the last real parameter
     # to the first imaginary one
-    gaps = (edge[:, 1:] - edge[:, :-1])[:, np.arange(a + b - 1) != a - 1]
-    ok &= (gaps >= _MIN_SEPARATION).all(axis=1)
-    for p, q in itertools.combinations(range(t.shape[1]), 2):
-        ok &= np.abs(t[:, p] - t[:, q]) >= 2 * _MIN_SEPARATION
+    for block, live in ((X[:, :A], real), (X[:, A:A + B], imag)):
+        ok &= ((block[:, 1:] - block[:, :-1] >= _MIN_SEPARATION) | ~live[:, 1:]).all(axis=1)
+    for p, q in itertools.combinations(range(C), 2):
+        ok &= (np.abs(t[:, p] - t[:, q]) >= 2 * _MIN_SEPARATION) | ~cplx[:, q]
     return ok
 
 
 def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
     """The shape with free parameters x, or None when ``_admissible`` refuses
     them."""
+    a, b, c = _factor_counts(shape)
     X = np.asarray(x, dtype=float)[None]
-    t = _complex_parameters(shape, X)
-    if not _admissible(shape, X, t)[0]:
+    t = _complex_parameters(X, a + b)
+    if not _admissible(X, t, np.array([[a, b, c]]), a)[0]:
         return None
-    a, b = len(shape.real_factors), len(shape.imag_factors)
     return RationalMapSpec(
         sign=shape.sign,
         m=shape.m,
@@ -561,9 +602,17 @@ def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
     )
 
 
+def _uniform(values):
+    """The one value of ``values`` as a Python scalar, or None if they
+    differ."""
+    values = set(np.asarray(values).tolist())
+    return values.pop() if len(values) == 1 else None
+
+
 class _FitScorer:
-    """Collar-compatibility scores of one factor shape's free parameters for
-    the stacked vertices of a class with edge signs e; smaller is better.
+    """Collar-compatibility scores of free parameters of the factor shapes
+    of one bulk (all of one orientation) for the stacked vertices of a class
+    with edge signs e; smaller is better.
 
     The main term sums, over the stacked vertices, the mean normalized cap
     area m^2 / (1 + m^2) of the wrong-side chart modulus m on the collar
@@ -577,59 +626,103 @@ class _FitScorer:
     narrow for the quadrature grids to resolve reliably.  Without stacked
     vertices that count is the whole score.
 
-    What depends on the shape alone (zero mask, probe offsets, collar rings,
-    wrong sides) is set up once.  ``scores`` rates many parameter rows with
-    one evaluation, in ``evaluate_rational``'s order of operations, so each
-    row scores exactly what the map ``_with_parameters`` builds from it does.
+    Parameter rows are padded to the widest shape: A real slots, B imaginary
+    slots and C (|t|, arg t) pairs; ``columns[s]`` places shape s's own
+    parameters (``_start_vector``'s order) in a padded row, and ``starts``
+    holds every shape's start row.  ``scores`` rates rows of many shapes
+    with one evaluation, each row in its own shape's order of operations
+    (``_product_values``), so each row scores exactly what the map
+    ``_with_parameters`` builds from it does.  What depends on the shapes
+    alone (exponents, zero masks, probe offsets, collar rings, wrong sides)
+    is set up once; so is, per factor slot, whether every shape has it and
+    whether they share one exponent, which spares the per-row selection.
     """
 
-    def __init__(self, shape: RationalMapSpec, e, stacked):
-        self.shape = shape
-        _, self.zero, directions = _singular_points(shape)
-        self.offsets = _RESIDUE_REACH * directions
+    def __init__(self, shapes, e, stacked):
+        self.shapes = tuple(shapes)
+        self.counts = np.array([_factor_counts(shape) for shape in self.shapes])
+        A, B, C = self.widths = tuple(int(v) for v in self.counts.max(axis=0))
+        self.dims = self.counts[:, 0] + self.counts[:, 1] + 2 * self.counts[:, 2]
+        self.columns = np.zeros((len(self.shapes), max(self.dims.max(), 1)), dtype=int)
+        self.starts = np.zeros((len(self.shapes), A + B + 2 * C))
+        self.exponents = np.zeros((len(self.shapes), A + B + C), dtype=int)
+        for i, shape in enumerate(self.shapes):
+            a, b, c = self.counts[i]
+            columns = np.r_[0:a, A:A + b, A + B:A + B + 2 * c]
+            self.columns[i, :len(columns)] = columns
+            self.starts[i, columns] = _start_vector(shape)
+            self.exponents[i, np.r_[0:a, A:A + b, A + B:A + B + c]] = [
+                ex for _, ex in shape.real_factors + shape.imag_factors + shape.complex_factors
+            ]
+        self.has = self.exponents != 0
+        # per slot: every shape has it, and the one exponent they share
+        self.full = self.has.all(axis=0)
+        self.shared = [_uniform(ex[has]) for ex, has in zip(self.exponents.T, self.has.T)]
+        self.signs = np.array([shape.sign for shape in self.shapes])
+        self.powers = np.array([2 * shape.m + 1 for shape in self.shapes])
+        self.sign, self.power = _uniform(self.signs), _uniform(self.powers)
+        self.conjugate = self.shapes[0].orientation == "anticonformal"
+        # probe columns: the origin, then every factor slot
+        self.zero = np.hstack([self.powers[:, None] > 0, self.exponents > 0])
+        self.live = np.hstack([np.ones((len(self.shapes), 1), dtype=bool), self.has])
+        self.offsets = _RESIDUE_REACH * _probe_directions(A, B, C)
         self.stacked = stacked
         self.rings = np.array([_RING_IN_W[axis] for axis in stacked], dtype=complex).ravel()
         # per ring point: does the stack's top layer meet a bulk zero there
         self.zero_top = np.repeat([e[_AXES.index(axis)] > 0 for axis in stacked], len(_RING))
 
-    def scores(self, X) -> np.ndarray:
-        """Scores of the parameter rows X, shape (T, d); inf where
-        ``_admissible`` refuses a row."""
-        shape = self.shape
+    def parameters(self, s: int, row) -> np.ndarray:
+        """Shape s's own free parameters in the padded row."""
+        return row[self.columns[s, :self.dims[s]]]
+
+    def scores(self, X, owner) -> np.ndarray:
+        """Scores of the padded parameter rows X, shape (T, A + B + 2C), row i
+        of shape ``owner[i]``; inf where ``_admissible`` refuses a row."""
         X = np.asarray(X, dtype=float)
-        t = _complex_parameters(shape, X)
-        ok = _admissible(shape, X, t)
+        owner = np.asarray(owner, dtype=int)
+        A, B, C = self.widths
+        t = _complex_parameters(X, A + B)
+        ok = _admissible(X, t, self.counts[owner], A)
         out = np.full(len(X), np.inf)
         if not ok.any():
             return out
         if not ok.all():
-            X, t = X[ok], t[ok]
-        a, b = len(shape.real_factors), len(shape.imag_factors)
+            X, t, owner = X[ok], t[ok], owner[ok]
         rings = len(self.rings)
-        w = np.zeros((len(X), rings + len(self.zero)), dtype=complex)
+        live = self.live[owner]
+        w = np.zeros((len(X), rings + 1 + A + B + C), dtype=complex)
         w[:, :rings] = self.rings
         probes = w[:, rings:]
-        probes.real[:, 1:1 + a] = X[:, :a]
-        probes.imag[:, 1 + a:1 + a + b] = X[:, a:a + b]
-        probes[:, 1 + a + b:] = t
+        probes.real[:, 1:1 + A] = X[:, :A]
+        probes.imag[:, 1 + A:1 + A + B] = X[:, A:A + B]
+        probes[:, 1 + A + B:] = t
         probes += self.offsets
-        edge_squares = X[:, :a + b] * X[:, :a + b]
+        # a slot a row lacks probes the origin again, which adds no 0/0
+        # that the row's live probes do not have
+        probes[:] = np.where(live, probes, probes[:, :1])
+        edge_squares = X[:, :A + B] * X[:, :A + B]
         squares, conj_squares = _complex_squares(t) if t.size else (t, t)
+
+        def slot(k):
+            ex = self.shared[k]
+            return (
+                self.exponents[owner, k:k + 1] if ex is None else ex,
+                None if self.full[k] else self.has[owner, k:k + 1],
+            )
+
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values = _product_values(
-                np.conj(w) if shape.orientation == "anticonformal" else w,
-                shape.sign,
-                2 * shape.m + 1,
-                [(edge_squares[:, i:i + 1], ex)
-                 for i, (_, ex) in enumerate(shape.real_factors)],
-                [(edge_squares[:, a + i:a + i + 1], ex)
-                 for i, (_, ex) in enumerate(shape.imag_factors)],
-                [(squares[:, i:i + 1], conj_squares[:, i:i + 1], ex)
-                 for i, (_, ex) in enumerate(shape.complex_factors)],
+                np.conj(w) if self.conjugate else w,
+                self.signs[owner, None] if self.sign is None else self.sign,
+                self.powers[owner] if self.power is None else self.power,
+                [(edge_squares[:, k:k + 1],) + slot(k) for k in range(A)],
+                [(edge_squares[:, k:k + 1],) + slot(k) for k in range(A, A + B)],
+                [(squares[:, i:i + 1], conj_squares[:, i:i + 1]) + slot(A + B + i)
+                 for i in range(C)],
             )
             mags = np.abs(values[:, rings:])
             rows = np.count_nonzero(
-                np.where(self.zero, mags >= 1.0, mags <= 1.0), axis=1
+                np.where(self.zero[owner], mags >= 1.0, mags <= 1.0) & live, axis=1
             ).astype(float)
             n = len(_RING)
             charts = np.empty((len(X), rings), dtype=complex)
@@ -645,39 +738,77 @@ class _FitScorer:
         return out
 
 
-def _fit_parameters(scorer: _FitScorer, x, best, step, min_step) -> tuple:
-    """(best, x, step): coordinate descent on ``scorer`` from parameters x of
-    score best, with steps halving from ``step`` while they are at least
-    ``min_step``.  Each sweep tries x_i + step and x_i - step for every i in
-    turn and moves to each trial that beats the best score by more than
-    1e-4; a sweep without a move halves the step.  A score of 0, the least
-    there is, ends it.
+def _descend(scorer: _FitScorer, x, best, step, fits, min_step) -> None:
+    """Coordinate descent of the shapes ``fits`` (indices into
+    ``scorer.shapes``), all at once, in place on their padded rows x, scores
+    best and steps.
 
-    Trials are scored in batches: all trials left in a sweep at once from
-    the current x, and after a move only the trials after it, from the new
-    x.  That is the trajectory of trying them one by one.  The returned
-    state resumes the descent: a full fit continues a coarse fit of the same
-    shape from its final step and equals a fresh full descent.
+    Each shape's sweep tries x_i + step and x_i - step for each of its own
+    parameters in turn and moves to each trial that beats its best score by
+    more than 1e-4; a sweep without a move halves its step.  A shape stops
+    once its step is below ``min_step`` or its score is 0, the least there
+    is.  A best of NaN marks a start not yet scored: its row joins the first
+    round.
+
+    Each round scores, in one ``scorer`` call, the trials left in the
+    current sweep of every running shape, from its current x; after a move
+    only the trials after it are scored again, from the new x.  That is each
+    shape's trajectory of trying its trials one by one, whichever shapes run
+    beside it, and another call with a smaller ``min_step`` continues it as
+    one descent would.
     """
-    d = len(x)
-    axes = np.repeat(np.arange(d), 2)
-    signs = np.tile([1.0, -1.0], d)
-    while step >= min_step and best > 0:
-        improved = False
-        j = 0
-        while j < 2 * d:
-            trials = np.repeat(x[None], 2 * d - j, axis=0)
-            trials[np.arange(2 * d - j), axes[j:]] += signs[j:] * step
-            scores = scorer.scores(trials)
-            better = np.flatnonzero(scores < best - 1e-4)
-            if not len(better):
-                break
-            first = int(better[0])
-            best, x, improved = float(scores[first]), trials[first], True
-            j += first + 1
-        if not improved:
-            step /= 2
-    return best, x, step
+    shapes = np.arange(len(best))
+    trials = 2 * scorer.dims
+    fresh = np.flatnonzero(np.isnan(best))
+    running = np.zeros(len(best), dtype=bool)
+    running[fits] = True
+    running &= (step >= min_step) & ~(best <= 0) & (trials > 0)
+    j = np.zeros(len(best), dtype=int)
+    improved = np.zeros(len(best), dtype=bool)
+    while running.any() or len(fresh):
+        n = np.where(running, trials - j, 0)
+        owner = np.repeat(shapes, n)
+        k = np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n) + j[owner]
+        X = x[owner]
+        X[np.arange(len(owner)), scorer.columns[owner, k // 2]] += (
+            np.where(k % 2, -1.0, 1.0) * step[owner]
+        )
+        scores = scorer.scores(np.vstack([x[fresh], X]), np.concatenate([fresh, owner]))
+        best[fresh], scores = scores[:len(fresh)], scores[len(fresh):]
+        running &= ~(best <= 0)
+        fresh = fresh[:0]
+        hit = np.flatnonzero((scores < best[owner] - 1e-4) & running[owner])
+        moved, first = np.unique(owner[hit], return_index=True)
+        rows = hit[first]
+        best[moved], x[moved], j[moved] = scores[rows], X[rows], k[rows] + 1
+        improved[moved] = True
+        # a sweep ends without a move, after its last trial, or at score 0
+        ended = running.copy()
+        ended[moved] = (j[moved] == trials[moved]) | (best[moved] == 0)
+        step[ended & ~improved] /= 2
+        improved[ended], j[ended] = False, 0
+        running &= ~ended | (step >= min_step) & (best > 0)
+
+
+def _matching_shapes(orientation: str, target: OctantTopology, degree: int) -> list:
+    """The first 400 factor shapes whose predicted invariants are the
+    target's, scanning at most ``MAX_SHAPES`` candidates."""
+    wanted = (tuple(target.e), tuple(target.k), target.omega_units)
+    matches = []
+    for scanned, spec in enumerate(_candidate_specs(orientation, target.e, target.k, degree)):
+        if scanned == MAX_SHAPES:
+            raise ConstructionError(
+                f"no rational representative within MAX_SHAPES = {MAX_SHAPES} scanned "
+                f"factor shapes for e={target.e}, k={target.k}, "
+                f"omega_units={target.omega_units} (degree {degree})"
+            )
+        predicted = predict_invariants(spec)
+        if (predicted.e, predicted.k, predicted.omega_units) != wanted:
+            continue
+        matches.append(spec)
+        if len(matches) >= 400:
+            break
+    return matches
 
 
 def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
@@ -687,18 +818,22 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     sum |w_sigma| = |omega_units|), keeps candidates whose predicted
     invariants match (the invariants classify, so a predicted match is a
     representative), and verifies the winner's measured wrapping numbers.
+    A class whose scan passes ``MAX_SHAPES`` shapes is refused with
+    ``ConstructionError``.
 
     ``stacked`` names the vertices (``"x"``, ``"y"``, ``"z"``) that carry
-    stacks.  The free parameters of every matching shape are fitted to the
-    shape's ``_FitScorer`` by ``_fit_parameters``, which scores the trials of
-    each sweep in batches: coarse fits of all shapes down to step
-    ``_COARSE_STEP``, then full fits of the best ``_FULL_FITS``, each resuming
-    its shape's coarse state.  The best fit whose measured wrapping numbers
-    match wins.  With stacks the score keeps the bulk on the correct side of
-    unit modulus on the collar ring of each stacked vertex.  Without stacks
-    only its residue term acts: parameters leave their start only to clear
-    near-cancelling zero/pole pairs, and ties go to the earliest shape in
-    enumeration order.  The ring is fixed at the chart radius 0.1, so one
+    stacks.  The free parameters of every matching shape are fitted to one
+    ``_FitScorer`` of all of them by ``_descend``, in lockstep: coarse
+    descents of all shapes down to step ``_COARSE_STEP``, then full descents
+    of the best ``_FULL_FITS``, each resuming its shape's coarse state.
+    Every round of a descent scores the trials of all shapes still running
+    in one call, the start rows in the first, and each shape follows the
+    trajectory it would follow alone.  The best fit whose measured wrapping
+    numbers match wins.  With stacks the score keeps the bulk on the correct
+    side of unit modulus on the collar ring of each stacked vertex.  Without
+    stacks only its residue term acts: parameters leave their start only to
+    clear near-cancelling zero/pole pairs, and ties go to the earliest shape
+    in enumeration order.  The ring is fixed at the chart radius 0.1, so one
     bulk serves every epsilon and epsilon refinement changes the stacks and
     collars only.
     """
@@ -718,36 +853,24 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     degree = w.total_absolute()
     if degree != abs(sum(w.values)):
         raise AssertionError("one-signed wrapping numbers must sum to +-degree")
-    wanted = (tuple(target.e), tuple(target.k), target.omega_units)
-    matches = []
-    for spec in _candidate_specs(orientation, target.e, target.k, degree):
-        predicted = predict_invariants(spec)
-        if (predicted.e, predicted.k, predicted.omega_units) != wanted:
-            continue
-        matches.append(spec)
-        if len(matches) >= 400:
-            break
-    # coarse fits of every shape, then full fits of the best few, each
-    # continuing its coarse fit
-    coarse = []
-    for i, shape in enumerate(matches):
-        scorer = _FitScorer(shape, target.e, stacked)
-        x = _start_vector(shape)
-        best, x, step = _fit_parameters(
-            scorer, x, scorer.scores(x[None])[0], _START_STEP, _COARSE_STEP
-        )
-        coarse.append((best, i, x, step, scorer))
-    coarse.sort(key=lambda fit: fit[:2])
-    fitted = sorted(
-        (_fit_parameters(scorer, x, best, step, _FULL_STEP)[:2] + (scorer,)
-         for best, _, x, step, scorer in coarse[:_FULL_FITS]),
-        key=lambda fit: fit[0],
-    )
-    # only admissible fits rank: a refused one (score inf) has no map
-    ranked = [(x, scorer) for best, x, scorer in fitted if best < math.inf]
-    ranked += [(x, scorer) for best, _, x, _, scorer in coarse[_FULL_FITS:] if best < math.inf]
-    for x, scorer in ranked:
-        spec = _with_parameters(scorer.shape, x)
+    matches = _matching_shapes(orientation, target, degree)
+    ranked = []
+    if matches:
+        # coarse fits of every shape, then full fits of the best few, each
+        # continuing its coarse fit
+        scorer = _FitScorer(matches, target.e, stacked)
+        x = scorer.starts.copy()
+        best = np.full(len(matches), np.nan)
+        step = np.full(len(matches), _START_STEP)
+        _descend(scorer, x, best, step, np.arange(len(matches)), _COARSE_STEP)
+        order = np.argsort(best, kind="stable")
+        full = order[:_FULL_FITS]
+        _descend(scorer, x, best, step, full, _FULL_STEP)
+        ranked = np.r_[full[np.argsort(best[full], kind="stable")], order[_FULL_FITS:]]
+        # only admissible fits rank: a refused one (score inf) has no map
+        ranked = ranked[best[ranked] < math.inf]
+    for s in ranked:
+        spec = _with_parameters(matches[s], scorer.parameters(s, x[s]))
         if measure_wrapping_rational(spec).values == w.values:
             _REALIZE_CACHE[key] = spec
             return spec

@@ -168,7 +168,9 @@ def test_construct_unsupported_class_exit_code():
     # a fit admits, so every fit is refused
     ('{"e":[1,1,1],"k":[3,3,12],"omega_units":-57}', "no rational representative"),
     ('{"e":[1,1,1],"k":[-2,-2,2],"omega_units":-1}', "modulus-inverting reflection"),
-], ids=["all-fits-refused", "mixed-kink-signs"])
+    # its bulk k=(0,0,20) has degree 81: the shape scan stops at its limit
+    ('{"e":[1,1,1],"k":[-20,-20,20],"omega_units":-81}', "MAX_SHAPES = 100000"),
+], ids=["all-fits-refused", "mixed-kink-signs", "shape-scan-limit"])
 def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
     assert main(["verify", "--json", payload, "--grid-level", "1"]) == 4
     err = capsys.readouterr().err

@@ -10,6 +10,7 @@ import itertools
 import json
 from pathlib import Path
 
+from octfield import rational
 from octfield.patchwork import select_case
 from octfield.rational import realize
 from octfield.topology import (
@@ -95,6 +96,26 @@ def test_fitted_bulks_match_the_recording():
         got_x, want_x = _parameters(got), _parameters(want)
         assert len(got_x) == len(want_x), key
         assert all(abs(g - w) <= 1e-12 for g, w in zip(got_x, want_x)), key
+
+
+def test_stacked_bulks_fit_in_few_scorer_calls(monkeypatch):
+    # every descent round scores all shapes still running in one call: the
+    # 32 stacked bulks take under 1,000 calls (5,497 when each shape's
+    # descent made calls of its own)
+    calls = []
+    scores = rational._FitScorer.scores
+
+    def counted(self, X, owner):
+        calls.append(len(X))
+        return scores(self, X, owner)
+
+    monkeypatch.setattr(rational, "_REALIZE_CACHE", {})
+    monkeypatch.setattr(rational._FitScorer, "scores", counted)
+    keys = [(t, stacked) for t, stacked in sweep_bulk_keys() if stacked]
+    assert len(keys) == 32
+    for t, stacked in keys:
+        realize(t, stacked=stacked)
+    assert len(calls) <= 1000
 
 
 if __name__ == "__main__":

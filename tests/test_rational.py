@@ -24,7 +24,8 @@ from octfield.rational import (
     _RESIDUE_REACH,
     _START_STEP,
     _FitScorer,
-    _fit_parameters,
+    _descend,
+    _matching_shapes,
     _singular_points,
     _spread,
     _start_vector,
@@ -118,9 +119,10 @@ _SIGNS = st.sampled_from((1, -1))
 
 
 @st.composite
-def product_specs(draw):
+def product_specs(draw, orientation=None):
     """Product maps with up to 3 factors per edge and up to 2 complex factors,
-    their free parameters inside the fitting band."""
+    their free parameters inside the fitting band; of the given orientation,
+    or of either."""
 
     def edge_factors():
         params = draw(st.lists(st.sampled_from(_EDGE_GRID), max_size=3, unique=True))
@@ -140,7 +142,7 @@ def product_specs(draw):
         real_factors=real,
         imag_factors=imag,
         complex_factors=tuple((t, draw(_SIGNS)) for t in ts),
-        orientation=draw(st.sampled_from(("conformal", "anticonformal"))),
+        orientation=orientation or draw(st.sampled_from(("conformal", "anticonformal"))),
     )
 
 
@@ -200,29 +202,45 @@ _OFFSETS = st.sampled_from((0.0, 0.01, -0.02, 0.04, -0.04, 0.08, -0.16, 0.3, -0.
 
 
 @settings(max_examples=100, deadline=None)
-@given(product_specs(), st.tuples(_SIGNS, _SIGNS, _SIGNS),
+@given(st.sampled_from(("conformal", "anticonformal")), st.tuples(_SIGNS, _SIGNS, _SIGNS),
        st.tuples(st.booleans(), st.booleans(), st.booleans()), st.data())
-def test_scorer_rows_equal_the_score_formula(shape, e, stacks, data):
+def test_scorer_rows_equal_the_score_formula(orientation, e, stacks, data):
+    # one batch mixes rows of up to four shapes of one orientation, whose
+    # factor counts, powers and signs may all differ
     stacked = tuple(axis for axis, stack in zip(_AXES, stacks) if stack)
-    start = _start_vector(shape)
-    rows = np.asarray([start] + [
-        start + np.asarray(data.draw(st.lists(_OFFSETS, min_size=len(start),
-                                              max_size=len(start))))
-        for _ in range(data.draw(st.integers(1, 6)))
-    ])
-    scores = _FitScorer(shape, e, stacked).scores(rows)
+    shapes = data.draw(st.lists(product_specs(orientation), min_size=1, max_size=4))
+    scorer = _FitScorer(shapes, e, stacked)
+    owner, rows = [], []
+    for s, shape in enumerate(shapes):
+        start = _start_vector(shape)
+        for offsets in [[0.0] * len(start)] + data.draw(st.lists(
+                st.lists(_OFFSETS, min_size=len(start), max_size=len(start)),
+                min_size=1, max_size=6)):
+            owner.append(s)
+            rows.append(start + np.asarray(offsets))
+    order = data.draw(st.permutations(range(len(rows))))
+    owner = np.asarray(owner)[order]
+    padded = scorer.starts[owner]
+    for i, s in enumerate(owner):
+        padded[i, scorer.columns[s, :len(rows[order[i]])]] = rows[order[i]]
+    scores = scorer.scores(padded, owner)
     assert scores.shape == (len(rows),)
-    for x, score in zip(rows, scores):
-        spec = _with_parameters(shape, x)
+    for i, (s, score) in enumerate(zip(owner, scores)):
+        x = rows[order[i]]
+        assert np.array_equal(scorer.parameters(s, padded[i]), x)
+        spec = _with_parameters(shapes[s], x)
         if spec is None:
             assert score == np.inf
         else:
             assert score == _reference_score(spec, e, stacked)
 
 
-def _sequential_descent(scorer, x, min_step):
-    """Coordinate descent trying one trial at a time, from the first step."""
-    best = scorer.scores(x[None])[0]
+def _sequential_descent(shape, e, stacked, min_step):
+    """Coordinate descent of one shape from its start, trying one trial at
+    a time."""
+    scorer = _FitScorer([shape], e, stacked)
+    x = _start_vector(shape)
+    best = scorer.scores(x[None], [0])[0]
     step = _START_STEP
     while step >= min_step and best > 0:
         improved = False
@@ -230,7 +248,7 @@ def _sequential_descent(scorer, x, min_step):
             for sign in (1.0, -1.0):
                 trial = x.copy()
                 trial[i] += sign * step
-                score = scorer.scores(trial[None])[0]
+                score = scorer.scores(trial[None], [0])[0]
                 if score < best - 1e-4:
                     best, x, improved = score, trial, True
         if not improved:
@@ -238,43 +256,47 @@ def _sequential_descent(scorer, x, min_step):
     return best, x
 
 
-def _shape_of(spec):
-    """The spec's factor shape at the fit's start parameters."""
-    return dataclasses.replace(
-        spec,
-        real_factors=tuple(zip(_spread(len(spec.real_factors)),
-                               (ex for _, ex in spec.real_factors))),
-        imag_factors=tuple(zip(_spread(len(spec.imag_factors)),
-                               (ex for _, ex in spec.imag_factors))),
-    )
+def _bulk_shapes(target, stacked):
+    """Every factor shape ``realize`` fits for a bulk class, with its e and
+    stacked vertices."""
+    w = wrapping_from_invariants(target)
+    orientation = "conformal" if all(v <= 0 for v in w.values) else "anticonformal"
+    return _matching_shapes(orientation, target, w.total_absolute()), target.e, stacked
 
 
 def test_full_fit_continues_the_coarse_fit():
+    # the shapes of each group descend in lockstep, coarse and then full;
+    # each must end both where its own one-trial-at-a-time descent ends
     t = 0.5 * complex(math.cos(0.9), math.sin(0.9))
-    cases = [
+    groups = [
         # the bulk of k=(3,3,3), n=3 with stacks at all three vertices
-        (_shape_of(realize(OctantTopology((1, 1, 1), (1, 1, 1), -5),
-                           stacked=("x", "y", "z"))), (1, 1, 1), ("x", "y", "z")),
-        # the worked example's bulk, stacked at x
-        (_shape_of(realize(OctantTopology((-1, 1, 1), (1, 0, 0), 5), stacked=("x",))),
-         (-1, 1, 1), ("x",)),
-        (RationalMapSpec(m=1, real_factors=((0.3, 1), (0.6, -1)),
-                         imag_factors=((0.45, 1),), complex_factors=((t, 1),)),
+        _bulk_shapes(OctantTopology((1, 1, 1), (1, 1, 1), -5), ("x", "y", "z")),
+        # the sweep's degree-29 bulk, stacked at x
+        _bulk_shapes(OctantTopology((-1, 1, 1), (3, 2, 2), 29), ("x",)),
+        # the worked example's bulk, stacked at x: shapes of different widths
+        _bulk_shapes(OctantTopology((-1, 1, 1), (1, 0, 0), 5), ("x",)),
+        ([RationalMapSpec(m=1, real_factors=((0.3, 1), (0.6, -1)),
+                          imag_factors=((0.45, 1),), complex_factors=((t, 1),)),
+          RationalMapSpec(sign=-1, m=-2, real_factors=((0.3, -1),))],
          (1, -1, 1), ("y", "z")),
-        (RationalMapSpec(sign=-1, m=-2, real_factors=((0.3, -1), (0.5, 1), (0.7, -1)),
-                         orientation="anticonformal"), (1, 1, -1), ("x", "z")),
+        ([RationalMapSpec(sign=-1, m=-2, real_factors=((0.3, -1), (0.5, 1), (0.7, -1)),
+                          orientation="anticonformal")], (1, 1, -1), ("x", "z")),
     ]
-    for shape, e, stacked in cases:
-        scorer = _FitScorer(shape, e, stacked)
-        start = _start_vector(shape)
-        best, x, step = _fit_parameters(
-            scorer, start, scorer.scores(start[None])[0], _START_STEP, _COARSE_STEP
-        )
-        assert step == _COARSE_STEP / 2 or best == 0
-        resumed = _fit_parameters(scorer, x, best, step, _FULL_STEP)
-        fresh = _sequential_descent(scorer, start, _FULL_STEP)
-        assert resumed[0] == fresh[0], shape
-        assert np.array_equal(resumed[1], fresh[1]), shape
+    assert [len(shapes) for shapes, _, _ in groups[:3]] == [1, 3, 3]
+    for shapes, e, stacked in groups:
+        scorer = _FitScorer(shapes, e, stacked)
+        x = scorer.starts.copy()
+        best = np.full(len(shapes), np.nan)
+        step = np.full(len(shapes), _START_STEP)
+        # coarse descents of all shapes together, then full ones resuming them
+        for min_step in (_COARSE_STEP, _FULL_STEP):
+            _descend(scorer, x, best, step, np.arange(len(shapes)), min_step)
+            for s, shape in enumerate(shapes):
+                alone = _sequential_descent(shape, e, stacked, min_step)
+                assert best[s] == alone[0], (shape, min_step)
+                assert np.array_equal(scorer.parameters(s, x[s]), alone[1]), (shape, min_step)
+                if min_step == _COARSE_STEP:
+                    assert step[s] == _COARSE_STEP / 2 or best[s] == 0
 
 
 def test_cubic_power_invariants():
