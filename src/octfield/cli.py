@@ -17,7 +17,8 @@ Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
 search tries ``patchwork.MAX_SPLITS`` stack counts without success, and a
 class whose bulk has more than ``rational.MAX_SHAPES`` factor shapes to
 scan),
-5 invariant failure (a failed check, energy below the infimum included, or a
+5 invariant failure (a failed check, energy below the infimum included,
+measured windings of a built map that fit no wrapping numbers, or a
 verification integral that does not converge, such as a trapped area more
 than 0.3 from a multiple of pi/2 or boundary windings needing more than
 ``numerics.MAX_BOUNDARY_POINTS`` points).
@@ -229,8 +230,13 @@ def _construct_and_verify(t, w, args):
         checks["lemma2_identity"] = True
 
     area = numerics.trapped_area(sm, level=min(args.grid_level, 3))
-    w_meas = measure_map_wrapping(sm, area)
-    checks["degrees_match"] = w_meas.values == w_check.values
+    try:
+        w_meas = measure_map_wrapping(sm, area)
+    except ConstructionError as e:
+        # the map is built: windings that fit no wrapping fail its degree check
+        w_meas = None
+        report["wrapping_error"] = str(e)
+    checks["degrees_match"] = w_meas is not None and w_meas.values == w_check.values
     residual = numerics.boundary_residual(sm)
     checks["boundary_conditions"] = residual < 1e-9
     report["boundary_residual"] = residual
@@ -254,7 +260,7 @@ def _construct_and_verify(t, w, args):
     )
     report["trapped_area"] = omega
     report["trapped_area_residual"] = omega_res
-    report["measured_wrapping"] = w_meas.as_dict()
+    report["measured_wrapping"] = None if w_meas is None else w_meas.as_dict()
     try:
         degree_report = numerics.degree_count(sm, level=min(args.grid_level, 3))
         report["degree_report"] = degree_report.as_dict()
@@ -301,7 +307,8 @@ def cmd_construct(args, verify_only: bool = False) -> int:
         _emit(args, "domain.svg", reports.domain_svg(sm))
     if not ok:
         failing = [k for k, v in checks.items() if not v]
-        print(f"invariant failure: {failing}", file=sys.stderr)
+        reason = f" ({report['wrapping_error']})" if "wrapping_error" in report else ""
+        print(f"invariant failure: {failing}{reason}", file=sys.stderr)
         return EXIT_INVARIANT_FAILURE
     return 0
 

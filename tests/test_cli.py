@@ -177,6 +177,22 @@ def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
     assert err.startswith("unsupported class: ") and reason in err
 
 
+def test_built_map_with_inconsistent_windings_exits_5(tmp_path, capsys):
+    # case 2e builds this class; at grid level 1 its boundary windings fit no
+    # wrapping numbers with the trapped area's total degree: a failed check
+    # of a built map, not exit 4
+    payload = '{"e":[1,1,1],"k":[1,2,4],"omega_units":11}'
+    assert main(["construct", "--json", payload, "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: ")
+    assert "inconsistent with total degree -7" in err
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert report["patchwork"]["case_id"] == "2e"
+    assert report["checks"]["degrees_match"] is False
+    assert report["measured_wrapping"] is None
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 5
+
 @pytest.mark.parametrize("payload, reflections", [
     ('{"e":[1,1,-1],"k":[-2,-2,0],"omega_units":-7}', [1, 1, -1]),
     ('{"e":[-1,1,1],"k":[-2,-1,1],"omega_units":-7}', [-1, 1, 1]),

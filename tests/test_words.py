@@ -171,6 +171,59 @@ def test_pairing_consistency_random():
         assert len(u.letters) - 2 * len(pairing) == spelling_length(u)
 
 
+def _scan_every_t_dp(w):
+    """Oracle: the interval DP by span, scanning every t in (i, j)."""
+    k = len(w)
+    lam = [[0] * (k + 1) for _ in range(k + 1)]
+    for span in range(1, k + 1):
+        for i in range(k - span + 1):
+            j = i + span
+            lam[i][j] = min([1 + lam[i + 1][j]] + [
+                lam[i + 1][t] + lam[t + 1][j] for t in range(i + 1, j) if w[t] == -w[i]
+            ])
+    return lam
+
+
+_letter = st.sampled_from((1, -1, 2, -2, 3, -3))
+
+
+@given(st.lists(_letter, max_size=40))
+def test_lambda_dp_table_matches_scan_every_t_oracle(letters):
+    w = tuple(letters)
+    assert words._lambda_dp(w) == _scan_every_t_dp(w)
+
+
+@given(st.lists(_letter, max_size=6), st.lists(_letter, max_size=14),
+       st.integers(min_value=0), st.lists(st.tuples(_letter, st.integers(min_value=0)),
+                                          max_size=3))
+def test_optimal_pairing_on_unreduced_conjugated_rotated_words(conjugator, core, shift,
+                                                               insertions):
+    letters = conjugator + core + [-y for y in reversed(conjugator)]
+    if letters:
+        shift %= len(letters)
+        letters = letters[shift:] + letters[:shift]
+    for x, at in insertions:
+        at %= len(letters) + 1
+        letters[at:at] = [x, -x]
+    u = word(3, letters)
+    pairing = optimal_pairing(u)
+    assert pairing_is_valid(u, pairing)
+    assert all(a < b for a, b in pairing)
+    assert len(u) - 2 * len(pairing) == spelling_length(u)
+    canon, where, cancelled = words._canonical_form(u.letters)
+    assert canon == cyclic_canonical(u)
+    assert tuple(u.letters[p] for p in where) == canon
+    assert all(u.letters[a] == -u.letters[b] for a, b in cancelled)
+    assert sorted(list(where) + [p for pair in cancelled for p in pair]) == list(range(len(u)))
+    # cyclically reduced, and the least of its rotations
+    assert free_reduce(word(3, canon + canon)).letters == canon + canon
+
+    def key(seq):
+        return [2 * abs(x) - (x > 0) for x in seq]
+
+    assert all(key(canon) <= key(canon[s:] + canon[:s]) for s in range(len(canon)))
+
+
 # -- homomorphisms -----------------------------------------------------------
 
 def test_homomorphism_cba_killed():
