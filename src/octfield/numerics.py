@@ -10,12 +10,16 @@ Maps are consumed through a light protocol: an object with
 - ``evaluate(w)``: vectorized evaluation on complex points of the quarter
   disc, read by ``boundary_residual``.
 
-All three integrals read the same regions.  Degree counts and the trapped
-area triangulate each region's grid: the map is evaluated once at the grid
-vertices, and the image triangles share one cross product per grid edge
-(``_ImageMesh``), so both read the same edge normals.  A cut disc and its
-replacement share their rim grids, so preimages near the rims cancel and
-the weighted counts are exact.
+All three integrals read the same regions.  A region whose ``wrapping`` is
+set is a rational conformal or anticonformal map on the whole quarter disc
+with those one-signed wrapping numbers w_sigma, and it enters in closed form
+with no grid: energy pi sum |w_sigma|, raw trapped area (pi/2) sum w_sigma,
+and -w_sigma coverings of each sector sigma.  Every other region is
+integrated on its grid.  Degree counts and the trapped area triangulate
+each grid: the map is evaluated once at the grid vertices, and the image
+triangles share one cross product per grid edge (``_ImageMesh``), so both
+read the same edge normals.  A cut disc and its replacement share their rim
+grids, so preimages near the rims cancel and the weighted counts are exact.
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -60,7 +65,11 @@ class IntegrationError(RuntimeError):
 
 class MeshUnavailableError(RuntimeError):
     """``degree_count`` does not count maps with more than one cut disc (a
-    negative-weight region reaching r = 0)."""
+    negative-weight region reaching r = 0).
+
+    The signed regions count such maps correctly; only the benchmark's
+    self-test (``perfbench/selftest.py``) still holds this refusal, and it
+    goes with the next benchmark change (ROADMAP item 9)."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,11 @@ class Region:
     stack's innermost unit-modulus circle): a log region reaching r = 0
     starts a decade below it, or at ``_LOG_FLOOR`` times its outer radius if
     that is lower.
+
+    ``wrapping``, when set, declares the region a rational conformal or
+    anticonformal map whose eight one-signed wrapping numbers (in SECTORS
+    order) are known: the integrals take its closed form and build no grid
+    for it.  Only the whole identity-chart quarter disc can carry it.
     """
 
     name: str
@@ -97,6 +111,22 @@ class Region:
     phi_clusters: tuple = ()
     center_scale: float = math.inf
     chart: object = None
+    wrapping: tuple | None = None
+
+    def __post_init__(self):
+        w = self.wrapping
+        if w is None:
+            return
+        if len(w) != len(SECTORS) or not all(isinstance(v, Integral) for v in w):
+            raise ValueError(f"region {self.name}: wrapping must be {len(SECTORS)} integers")
+        if not (all(v <= 0 for v in w) or all(v >= 0 for v in w)):
+            raise ValueError(f"region {self.name}: wrapping numbers must be one-signed")
+        if (self.chart, self.r_lo, self.r_hi, self.phi_lo, self.phi_hi) != (
+            None, 0.0, 1.0, 0.0, math.pi / 2
+        ):
+            raise ValueError(
+                f"region {self.name}: a closed-form region is the whole quarter disc"
+            )
 
 
 # resolution constants per grid level (level 1..5)
@@ -280,11 +310,19 @@ def _region_energy(grid: QuadratureGrid) -> float:
     return float(w_r @ (dens * r) @ w_phi)
 
 
+def _closed_and_grids(regions, level: int):
+    """(the closed-form regions, the grids of all the others)."""
+    closed = [region for region in regions if region.wrapping is not None]
+    return closed, build_grids([region for region in regions if region.wrapping is None], level)
+
+
 def dirichlet_energy(sampled_map, level: int = 3) -> float:
-    """Dirichlet energy over the map's weighted regions, by the tensor
-    quadratic rule on each region's cells (see ``_quadratic_weights``)."""
-    total = 0.0
-    for grid in build_grids(sampled_map.regions, level):
+    """Dirichlet energy over the map's weighted regions: pi sum |w_sigma| for
+    a closed-form region, and the tensor quadratic rule on each other
+    region's cells (see ``_quadratic_weights``)."""
+    closed, grids = _closed_and_grids(sampled_map.regions, level)
+    total = math.pi * sum(region.weight * sum(map(abs, region.wrapping)) for region in closed)
+    for grid in grids:
         total += grid.region.weight * _region_energy(grid)
     return total
 
@@ -431,28 +469,34 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     Each region's positive, negative and near counts enter with its weight,
     so a cut disc cancels the bulk's coverings inside it.  A low-confidence
     flag is set if the target lies within tolerance of an image-triangle
-    edge after three perturbation retries.  Each region is one
-    ``_ImageMesh``, whose edge normals every target shares.
+    edge after three perturbation retries.  Each gridded region is one
+    ``_ImageMesh``, whose edge normals every target shares; a closed-form
+    region covers sector sigma -w_sigma times, positively where that is
+    positive.
     """
     regions = sampled_map.regions
     if sum(region.weight < 0 and region.r_lo == 0 for region in regions) > 1:
-        # the signed regions count such maps correctly too, but the benchmark
-        # self-test pins this refusal, and the extra bulk-sized cut-disc
-        # grids belong with counting the bulk from its algebra
+        # the signed regions count such maps correctly too; only the
+        # benchmark self-test still pins this refusal, and lifting it waits
+        # for the next benchmark change (ROADMAP item 9)
         raise MeshUnavailableError(
             "degree counts are limited to maps with at most one cut disc"
         )
-    grids = build_grids(regions, level)
-    weights = np.array([g.region.weight for g in grids])
+    closed, grids = _closed_and_grids(regions, level)
+    weights = np.array([g.region.weight for g in grids], dtype=int)
     counters = [_grid_mesh(g).covering() for g in grids]
     report = {}
     rng = np.random.default_rng(20240811)
-    for sector in SECTORS:
+    for i, sector in enumerate(SECTORS):
         base = sector_centroid(sector)
+        exact = sum(region.weight * np.array([max(-region.wrapping[i], 0),
+                                              max(region.wrapping[i], 0), 0])
+                    for region in closed)
         confident = False
         for attempt in range(4):
             p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
-            n_pos, n_neg, near = (int(n) for n in weights @ [count(p) for count in counters])
+            meshed = weights @ np.reshape([count(p) for count in counters], (-1, 3))
+            n_pos, n_neg, near = (int(n) for n in exact + meshed)
             if not near:
                 confident = True
                 break
@@ -472,15 +516,16 @@ def _perturb_in_sector(base, sector, rng):
 def trapped_area(sampled_map, level: int = 3):
     """Signed image area with the trapped-area sign convention.
 
-    Each region contributes the solid angles of its image triangles, taken
-    from the shared edge normals of its ``_ImageMesh``.  The sum depends only
-    on the region's boundary image, so the weighted regions give an exact
-    decomposition.  Returns (omega,
-    residual): omega snapped to the nearest multiple of pi/2 and the absolute
-    deviation of the raw integral from it.
+    A closed-form region contributes (pi/2) sum w_sigma.  Each other region
+    contributes the solid angles of its image triangles, taken from the
+    shared edge normals of its ``_ImageMesh``.  The sum depends only on the
+    region's boundary image, so the weighted regions give an exact
+    decomposition.  Returns (omega, residual): omega snapped to the nearest
+    multiple of pi/2 and the absolute deviation of the raw integral from it.
     """
-    raw = 0.0
-    for grid in build_grids(sampled_map.regions, level):
+    closed, grids = _closed_and_grids(sampled_map.regions, level)
+    raw = math.pi / 2 * sum(region.weight * sum(region.wrapping) for region in closed)
+    for grid in grids:
         raw -= grid.region.weight * _grid_mesh(grid).signed_area()
     units = round(raw / (math.pi / 2))
     omega = units * math.pi / 2

@@ -34,7 +34,10 @@ formula on one annulus of a chart: the bulk, minus each stacked vertex's
 chart disc |u| <= 2 epsilon (cut at epsilon into two pieces), plus that
 vertex's stack layers, interpolants and collar.  The list is the only
 description of the map: ``SampledMap`` evaluates and tags points from it,
-and energy, trapped area and degree counts integrate over it.
+and energy, trapped area and degree counts integrate over it.  The bulk
+region carries H0's wrapping numbers (``realize`` has measured them on the
+fitted bulk), so those integrals take the bulk in closed form and grid only
+the cut discs and the pieces that replace them.
 """
 
 from __future__ import annotations
@@ -472,14 +475,20 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     bulk, minus the disc of chart radius 2 epsilon around each stacked
     vertex (as two pieces, inside and outside epsilon), plus one region per
     stack piece (``annulus(x,m)``, ``interp(x,n)``) and the collar
-    (``switch(x)``), all in the vertex chart."""
+    (``switch(x)``), all in the vertex chart.
+
+    The bulk region carries the wrapping numbers of H0, which ``realize``
+    has checked against the fitted bulk's measured ones, so energy, trapped
+    area and degree counts integrate over it in closed form; only the cut
+    discs and the stack pieces are gridded."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
     bulk_r_cl, bulk_phi_cl = quadrature_clusters(bulk_spec)
 
     regions = [Region("bulk", partial(evaluate_rational, bulk_spec), 0.0, 1.0,
-                      r_clusters=bulk_r_cl, phi_clusters=bulk_phi_cl)]
+                      r_clusters=bulk_r_cl, phi_clusters=bulk_phi_cl,
+                      wrapping=wrapping_from_invariants(spec.H0).values)]
     for axis, st in stacks.items():
         chart = partial(relocate_inverse, axis)
         cut = lambda u, a=axis: evaluate_rational(bulk_spec, relocate(a, u))

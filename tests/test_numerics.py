@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from octfield.numerics import (
 )
 from octfield.patchwork import SampledMap, identity_map, rational_map
 from octfield.rational import RationalMapSpec, realize
-from octfield.topology import OctantTopology, wrapping_from_invariants
+from octfield.topology import SECTORS, OctantTopology, wrapping_from_invariants
 
 
 def _layer_energy_exact(eps):
@@ -169,6 +170,73 @@ def test_patchwork_bulk_energy_at_level_two(k, n):
     exact = wrapping_from_invariants(spec.H0).total_absolute() * math.pi
     E = dirichlet_energy(rational_map(bulk), level=2)
     assert abs(E - exact) / exact < 0.004
+
+
+_IDENTITY_WRAPPING = (-1, 0, 0, 0, 0, 0, 0, 0)  # one positive covering of (+++)
+
+
+@pytest.mark.parametrize("wrapping, where", [
+    ((-1, 1, 0, 0, 0, 0, 0, 0), {}),  # mixed signs
+    ((-1, 0, 0, 0, 0, 0, 0), {}),  # seven numbers
+    ((-0.5, 0, 0, 0, 0, 0, 0, 0), {}),  # not integers
+    (_IDENTITY_WRAPPING, {"r_lo": 0.5}),
+    (_IDENTITY_WRAPPING, {"r_hi": 0.5}),
+    (_IDENTITY_WRAPPING, {"phi_lo": 0.1}),
+    (_IDENTITY_WRAPPING, {"phi_hi": math.pi}),
+    (_IDENTITY_WRAPPING, {"chart": np.conj}),
+])
+def test_region_refuses_an_invalid_closed_form(wrapping, where):
+    # the closed form is a rational map's on the whole quarter disc
+    region = {"name": "bulk", "evaluate": np.asarray, "r_lo": 0.0, "r_hi": 1.0, **where}
+    Region(**region)
+    with pytest.raises(ValueError):
+        Region(**region, wrapping=wrapping)
+
+
+def test_a_map_of_closed_form_regions_builds_no_grid(monkeypatch):
+    import octfield.numerics as numerics
+
+    identity = identity_map()
+    reference = degree_count(identity, level=2)
+    built = []
+    real = numerics.build_grids
+    monkeypatch.setattr(numerics, "build_grids",
+                        lambda regions, level: built.extend(regions) or real(regions, level))
+    closed = SampledMap([dataclasses.replace(identity.regions[0], wrapping=_IDENTITY_WRAPPING)])
+    rep = degree_count(closed, level=2)
+    for sector, entry in reference.by_sector.items():
+        assert (rep[sector].d, rep[sector].D, rep[sector].confident) == (
+            entry.d, entry.D, entry.confident)
+    assert trapped_area(closed, level=2) == (-math.pi / 2, 0.0)
+    assert dirichlet_energy(closed, level=2) == math.pi
+    assert not built
+
+
+def _with_bulk_wrapping(sm, wrapping):
+    bulk, *pieces = sm.regions
+    return SampledMap([dataclasses.replace(bulk, wrapping=wrapping), *pieces])
+
+
+@pytest.mark.parametrize("t", [
+    OctantTopology((1, 1, 1), (0, 0, -1), -5),  # conformal
+    OctantTopology((1, 1, 1), (0, 0, 0), -1),  # conformal, the identity's class
+    OctantTopology((-1, 1, 1), (1, 0, 0), 5),  # anticonformal
+    OctantTopology((1, 1, 1), (1, 1, 1), 11),  # anticonformal
+])
+def test_closed_form_region_is_the_quadrature_of_its_rational_map(t):
+    # pins the closed form's sign conventions: a conformal map (w <= 0)
+    # covers each sector -w times positively, an anticonformal one w times
+    # negatively, and its raw trapped area is (pi/2) sum w
+    w = wrapping_from_invariants(t).values
+    quadrature = rational_map(realize(t))
+    closed = _with_bulk_wrapping(quadrature, w)
+    counted, exact = degree_count(quadrature, level=2), degree_count(closed, level=2)
+    for sector, v in zip(SECTORS, w):
+        assert (counted[sector].d, counted[sector].D) == (-v, abs(v)), sector
+        assert (exact[sector].d, exact[sector].D) == (-v, abs(v)), sector
+    assert trapped_area(closed, level=2)[0] == trapped_area(quadrature, level=2)[0]
+    assert dirichlet_energy(closed, level=2) == pytest.approx(
+        dirichlet_energy(quadrature, level=2), rel=5e-3)
 
 
 def test_quadratic_rule_integrates_quadratics_on_ladders():

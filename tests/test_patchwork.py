@@ -273,6 +273,51 @@ def test_single_stack_triangulated_degrees_match_windings():
         assert rep.unsigned_total() == w.total_absolute() + delta_invariant(w, classify(w, t))
 
 
+@pytest.mark.parametrize("t", [
+    WORKED,
+    OctantTopology((1, 1, 1), (2, 2, 2), -1),  # three stacks
+    OctantTopology((1, 1, 1), (1, 2, 3), -9),  # the bulk quadrature's largest error
+])
+def test_closed_form_bulk_totals_match_the_whole_map_quadrature(t):
+    # the assembled map with its bulk in closed form against the same map
+    # with the bulk on a grid: energies within the bulk's quadrature error,
+    # the same snapped trapped area and, wherever both are counted, the same
+    # degrees
+    from octfield.numerics import MeshUnavailableError, degree_count
+
+    sm = assemble_patchwork(select_case(t, epsilon=0.05))
+    bulk, *pieces = sm.regions
+    assert bulk.wrapping is not None
+    whole = dataclasses.replace(sm, regions=[dataclasses.replace(bulk, wrapping=None), *pieces])
+    assert dirichlet_energy(sm, level=2) == pytest.approx(
+        dirichlet_energy(whole, level=2), rel=5e-3)
+    assert trapped_area(sm, level=2)[0] == trapped_area(whole, level=2)[0]
+    try:
+        counted = degree_count(whole, level=2)
+    except MeshUnavailableError:
+        with pytest.raises(MeshUnavailableError):
+            degree_count(sm, level=2)
+        return
+    closed = degree_count(sm, level=2)
+    for sector, entry in counted.by_sector.items():
+        assert (closed[sector].d, closed[sector].D) == (entry.d, entry.D), sector
+
+
+def test_assembled_bulk_builds_no_grid(monkeypatch):
+    import octfield.numerics as numerics
+
+    built = []
+    real = numerics.build_grids
+    monkeypatch.setattr(numerics, "build_grids",
+                        lambda regions, level: built.extend(r.name for r in regions)
+                        or real(regions, level))
+    sm = assemble_patchwork(select_case(WORKED, epsilon=0.05))
+    dirichlet_energy(sm, level=1)
+    trapped_area(sm, level=1)
+    numerics.degree_count(sm, level=1)
+    assert built and "bulk" not in built
+
+
 def test_worked_example_wrapping_and_energy():
     sm = assemble_patchwork(select_case(WORKED, epsilon=0.05))
     w = wrapping_from_invariants(WORKED)
