@@ -486,8 +486,9 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     weights = np.array([g.region.weight for g in grids], dtype=int)
     counters = [_grid_mesh(g).covering() for g in grids]
     report = {}
-    rng = np.random.default_rng(20240811)
     for i, sector in enumerate(SECTORS):
+        # a stream per sector: a retry in one sector moves no other's sample
+        rng = np.random.default_rng([20240811, i])
         base = sector_centroid(sector)
         exact = sum(region.weight * np.array([max(-region.wrapping[i], 0),
                                               max(region.wrapping[i], 0), 0])

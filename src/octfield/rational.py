@@ -11,15 +11,15 @@ with r_j, s_k in (0, 1) and |t_l| < 1; anticonformal maps evaluate f at the
 conjugated argument.  Such maps satisfy the tangent boundary conditions:
 real on [0, 1], imaginary on [0, i], unit modulus on the arc.
 
-``realize`` searches this family for a representative of a prescribed
-conformal or anticonformal class.  Only the count of factors, the exponent
-sign sequence along each edge, the power, and the overall sign affect the
-homotopy invariants (not the particular r/s/t values), so the search
-enumerates those discrete shapes and accepts on an exact match of the
-wrapping numbers measured from boundary windings.  The free values are then
-a design choice, always fitted: away from near-cancelling zero/pole pairs
-(whose energy bumps no grid resolves) and, for the bulk of a patchwork, so
-that the bulk meets each stack's collar on the correct side of unit modulus.
+``realize`` builds a representative of a prescribed conformal or
+anticonformal class from this family.  Only the count of factors, the
+exponent signs along each edge and of the complex factors, the power, and
+the overall sign affect the homotopy invariants (not the particular r/s/t
+values), so the class's invariants determine those discrete shapes.  The
+free values are then a design choice, always fitted: away from
+near-cancelling zero/pole pairs (whose energy bumps no grid resolves) and,
+for the bulk of a patchwork, so that the bulk meets each stack's collar on
+the correct side of unit modulus.  Measured wrapping numbers confirm a fit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "RationalMapSpec",
     "InvalidSpecError",
     "ConstructionError",
-    "MAX_SHAPES",
     "evaluate_rational",
     "boundary_points",
     "measure_wrapping",
@@ -440,11 +439,13 @@ def predict_invariants(spec: RationalMapSpec) -> OctantTopology:
 # ---------------------------------------------------------------------------
 
 _PARAM_BAND = (0.15, 0.75)  # range of the fitted free parameters
+_MIN_SEPARATION = 0.05  # between consecutive parameters on one edge
 _T_ARG = 0.9  # radians; starting argument of complex factor parameters
+_T_RADIUS, _T_SPAN = 0.3, 0.45  # complex starts spread over |t| in [0.3, 0.75]
+# c complex starts lie _T_SPAN / (c - 1) apart, and ``_admissible`` asks for
+# 2 * _MIN_SEPARATION: a shape with more scores inf, and no fit step frees it
+_MAX_COMPLEX = 1 + math.floor(_T_SPAN / (2 * _MIN_SEPARATION))
 _MAX_EDGE = 9  # most edge factors a shape may carry
-# most factor shapes ``realize`` scans for one class; high-degree bulks have
-# far more, none of which it could fit in reasonable time
-MAX_SHAPES = 10**5
 
 _REALIZE_CACHE: dict = {}
 
@@ -472,50 +473,61 @@ def _imag_sequences(b: int, m: int, sign: int, orientation: str, k_x: int) -> tu
     )
 
 
-def _candidate_specs(orientation: str, e, k, degree: int):
-    """Factor shapes of the given covering count, ordered by the number of
-    edge factors (fewest first: edge zeros/poles are the expensive,
-    ill-conditioned elements; powers and complex factors absorb the rest).
+def _factor_shapes(orientation: str, target: OctantTopology, degree: int):
+    """The factor shapes of the given covering count whose invariants are
+    the target's, ordered by the number t of edge factors (fewest first:
+    edge zeros/poles are the expensive, ill-conditioned elements; powers and
+    complex factors absorb the rest), then by the number c of complex ones.
 
-    Shapes whose edge signs or edge kinks already differ from (e, k) are
-    skipped; each edge is checked on its own, so the cost grows with
-    2^a + 2^b instead of 2^(a+b) for a real and b imaginary factors.
+    Each complex factor takes 4 from the power |2m+1|, which leaves the
+    sign and parity of m, and so the edge signs and kinks, as they are: the
+    bases (sign and edge exponent sequences) that give e, k_x and k_y are
+    built once per t.  Per complex factor of exponent tau the arc turns
+    2 pi (tau - 1) more when m >= 0 and 2 pi (tau + 1) more when m < 0, so
+    a base's k_z without complex factors (``predict_invariants``) fixes how
+    many exponents are +1.  Shapes with over ``_MAX_COMPLEX`` complex
+    factors are not built.
     """
+    e, k = target.e, target.k
+    turn = 1 if orientation == "conformal" else -1
     for t_edge in range(min(_MAX_EDGE, (degree - 1) // 2) + 1):
-        rest_e = degree - 2 * t_edge
-        for c in range((rest_e - 1) // 4 + 1):
-            # the degree |omega_units| is odd, so q is odd and at least 1
-            q = rest_e - 4 * c
-            m = (q - 1) // 2 if e[2] > 0 else -(q + 1) // 2
+        # the degree |omega_units| is odd, so the power is odd and at least 1
+        power = degree - 2 * t_edge
+        m0 = (power - 1) // 2 if e[2] > 0 else -(power + 1) // 2
+        bases = []
+        for a in range(t_edge + 1):
+            b = t_edge - a
+            for sign in (1, -1):
+                ey = turn * sign * (-1) ** ((m0 % 2) + b)
+                if sign * (-1) ** a != e[0] or ey != e[1]:
+                    continue
+                for rho in _real_sequences(a, m0, sign, k[1]):
+                    for sig in _imag_sequences(b, m0, sign, orientation, k[0]):
+                        base = RationalMapSpec(
+                            sign=sign, m=m0, real_factors=tuple(zip(_spread(a), rho)),
+                            imag_factors=tuple(zip(_spread(b), sig)), orientation=orientation,
+                        )
+                        excess = turn * (predict_invariants(base).k[2] - k[2])
+                        bases.append((base, excess))
+        for c in range(min(_MAX_COMPLEX, (power - 1) // 4) + 1):
             ts = [
-                (0.3 + 0.45 * i / max(c - 1, 1))
+                (_T_RADIUS + _T_SPAN * i / max(c - 1, 1))
                 * complex(math.cos(_T_ARG), math.sin(_T_ARG))
                 for i in range(c)
             ]
-            for a in range(t_edge + 1):
-                b = t_edge - a
-                rs = _spread(a)
-                ss = _spread(b)
-                for sign in (1, -1):
-                    ey = sign * (-1) ** ((m % 2) + b)
-                    if orientation == "anticonformal":
-                        ey = -ey
-                    if sign * (-1) ** a != e[0] or ey != e[1]:
-                        continue
-                    for rho in _real_sequences(a, m, sign, k[1]):
-                        for sig in _imag_sequences(b, m, sign, orientation, k[0]):
-                            for tau in itertools.product((1, -1), repeat=c):
-                                yield RationalMapSpec(
-                                    sign=sign,
-                                    m=m,
-                                    real_factors=tuple(zip(rs, rho)),
-                                    imag_factors=tuple(zip(ss, sig)),
-                                    complex_factors=tuple(zip(ts, tau)),
-                                    orientation=orientation,
-                                )
+            for base, excess in bases:
+                # excess / 2 is minus the number of -1 exponents when m >= 0,
+                # and the number of +1 exponents when m < 0; excess is even,
+                # as omega_units = 4 (k_x + k_y + k_z) - e_x e_y e_z (mod 8)
+                plus = c * (e[2] > 0) + excess // 2
+                if not 0 <= plus <= c:
+                    continue
+                # places of the +1 exponents, in itertools.product((1, -1)) order
+                for ones in itertools.combinations(range(c), plus):
+                    tau = [1 if i in ones else -1 for i in range(c)]
+                    yield replace(base, m=m0 - 2 * c * e[2], complex_factors=tuple(zip(ts, tau)))
 
 
-_MIN_SEPARATION = 0.05  # between consecutive parameters on one edge
 _COLLAR_RING = 0.1  # chart radius 2 epsilon of the collar ring at epsilon = 0.05
 _RESIDUE_REACH = 1e-3  # narrower zero/pole bumps count as unresolvable
 _START_STEP = 0.16  # first step of every fit
@@ -790,39 +802,18 @@ def _descend(scorer: _FitScorer, x, best, step, fits, min_step) -> None:
         running &= ~ended | (step >= min_step) & (best > 0)
 
 
-def _matching_shapes(orientation: str, target: OctantTopology, degree: int) -> list:
-    """The first 400 factor shapes whose predicted invariants are the
-    target's, scanning at most ``MAX_SHAPES`` candidates."""
-    wanted = (tuple(target.e), tuple(target.k), target.omega_units)
-    matches = []
-    for scanned, spec in enumerate(_candidate_specs(orientation, target.e, target.k, degree)):
-        if scanned == MAX_SHAPES:
-            raise ConstructionError(
-                f"no rational representative within MAX_SHAPES = {MAX_SHAPES} scanned "
-                f"factor shapes for e={target.e}, k={target.k}, "
-                f"omega_units={target.omega_units} (degree {degree})"
-            )
-        predicted = predict_invariants(spec)
-        if (predicted.e, predicted.k, predicted.omega_units) != wanted:
-            continue
-        matches.append(spec)
-        if len(matches) >= 400:
-            break
-    return matches
-
-
 def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
-    """Find a rational representative of a conformal or anticonformal class.
+    """Build a rational representative of a conformal or anticonformal class.
 
-    Enumerates factor shapes of the exact covering count (the class fixes it:
-    sum |w_sigma| = |omega_units|), keeps candidates whose predicted
-    invariants match (the invariants classify, so a predicted match is a
-    representative), and verifies the winner's measured wrapping numbers.
-    A class whose scan passes ``MAX_SHAPES`` shapes is refused with
-    ``ConstructionError``.
+    Builds the first 400 factor shapes of the class from its invariants
+    (``_factor_shapes``; the class fixes the covering count, sum |w_sigma| =
+    |omega_units|, and the invariants classify, so each shape is a
+    representative), fits their free parameters, and verifies the winner's
+    measured wrapping numbers.  A class without a shape, or without a fit
+    whose windings match, is refused with ``ConstructionError``.
 
     ``stacked`` names the vertices (``"x"``, ``"y"``, ``"z"``) that carry
-    stacks.  The free parameters of every matching shape are fitted to one
+    stacks.  The free parameters of every shape are fitted to one
     ``_FitScorer`` of all of them by ``_descend``, in lockstep: coarse
     descents of all shapes down to step ``_COARSE_STEP``, then full descents
     of the best ``_FULL_FITS``, each resuming its shape's coarse state.
@@ -833,7 +824,7 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     side of unit modulus on the collar ring of each stacked vertex.  Without
     stacks only its residue term acts: parameters leave their start only to
     clear near-cancelling zero/pole pairs, and ties go to the earliest shape
-    in enumeration order.  The ring is fixed at the chart radius 0.1, so one
+    built.  The ring is fixed at the chart radius 0.1, so one
     bulk serves every epsilon and epsilon refinement changes the stacks and
     collars only.
     """
@@ -853,16 +844,16 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     degree = w.total_absolute()
     if degree != abs(sum(w.values)):
         raise AssertionError("one-signed wrapping numbers must sum to +-degree")
-    matches = _matching_shapes(orientation, target, degree)
+    shapes = list(itertools.islice(_factor_shapes(orientation, target, degree), 400))
     ranked = []
-    if matches:
+    if shapes:
         # coarse fits of every shape, then full fits of the best few, each
         # continuing its coarse fit
-        scorer = _FitScorer(matches, target.e, stacked)
+        scorer = _FitScorer(shapes, target.e, stacked)
         x = scorer.starts.copy()
-        best = np.full(len(matches), np.nan)
-        step = np.full(len(matches), _START_STEP)
-        _descend(scorer, x, best, step, np.arange(len(matches)), _COARSE_STEP)
+        best = np.full(len(shapes), np.nan)
+        step = np.full(len(shapes), _START_STEP)
+        _descend(scorer, x, best, step, np.arange(len(shapes)), _COARSE_STEP)
         order = np.argsort(best, kind="stable")
         full = order[:_FULL_FITS]
         _descend(scorer, x, best, step, full, _FULL_STEP)
@@ -870,7 +861,7 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
         # only admissible fits rank: a refused one (score inf) has no map
         ranked = ranked[best[ranked] < math.inf]
     for s in ranked:
-        spec = _with_parameters(matches[s], scorer.parameters(s, x[s]))
+        spec = _with_parameters(shapes[s], scorer.parameters(s, x[s]))
         if measure_wrapping_rational(spec).values == w.values:
             _REALIZE_CACHE[key] = spec
             return spec

@@ -164,13 +164,21 @@ def test_construct_unsupported_class_exit_code():
 
 
 @pytest.mark.parametrize("payload, reason", [
-    # the only matching bulk shape has complex start parameters closer than
-    # a fit admits, so every fit is refused
+    # the only bulk shape has complex start parameters closer than a fit
+    # admits, so it is not built
     ('{"e":[1,1,1],"k":[3,3,12],"omega_units":-57}', "no rational representative"),
     ('{"e":[1,1,1],"k":[-2,-2,2],"omega_units":-1}', "modulus-inverting reflection"),
-    # its bulk k=(0,0,20) has degree 81: the shape scan stops at its limit
-    ('{"e":[1,1,1],"k":[-20,-20,20],"omega_units":-81}', "MAX_SHAPES = 100000"),
-], ids=["all-fits-refused", "mixed-kink-signs", "shape-scan-limit"])
+    # its bulk k=(0,0,20) of degree 81 has no shape with at most 5 complex
+    # factors; a scan of its shapes used to take seconds
+    ('{"e":[1,1,1],"k":[-20,-20,20],"omega_units":-81}', "no rational representative found"),
+    # no shape of at most 9 edge factors has the edge kink 40; a scan of
+    # every shape of degree 32001 used to hang
+    ('{"e":[1,1,1],"k":[40,0,0],"omega_units":-32001}', "no rational representative found"),
+    # its power of degree near 10^6 winds the arc about 250,000 turns past
+    # k_z = 0, which 5 complex factors cannot take back; that scan also hung
+    ('{"e":[1,1,1],"k":[1,1,0],"omega_units":-1000001}', "no rational representative found"),
+], ids=["all-fits-refused", "mixed-kink-signs", "shape-scan-limit", "long-edge-kink",
+        "degree-1000001"])
 def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
     assert main(["verify", "--json", payload, "--grid-level", "1"]) == 4
     err = capsys.readouterr().err
@@ -211,6 +219,13 @@ def test_construct_checks_the_normalized_class(payload, reflections, tmp_path):
 
 def test_verify_flipped_general_sign_stacks():
     payload = '{"e":[1,1,1],"k":[-1,-1,-1],"omega_units":-5}'
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 0
+
+
+def test_verify_conformal_class_whose_first_shapes_had_too_many_complex_factors():
+    # its first 400 shapes by scan all had 9 or more complex factors, whose
+    # fits start inadmissible; the 35 shapes with at most 5 are built and fit
+    payload = '{"e":[1,1,1],"k":[0,0,3],"omega_units":-61}'
     assert main(["verify", "--json", payload, "--grid-level", "1"]) == 0
 
 

@@ -21,11 +21,18 @@ from octfield.geometry import relocate, relocate_inverse
 from octfield.rational import (
     _COARSE_STEP,
     _FULL_STEP,
+    _MAX_COMPLEX,
+    _MAX_EDGE,
     _RESIDUE_REACH,
     _START_STEP,
+    _T_ARG,
+    _T_RADIUS,
+    _T_SPAN,
     _FitScorer,
     _descend,
-    _matching_shapes,
+    _factor_shapes,
+    _imag_sequences,
+    _real_sequences,
     _singular_points,
     _spread,
     _start_vector,
@@ -256,12 +263,105 @@ def _sequential_descent(shape, e, stacked, min_step):
     return best, x
 
 
+def _orientation_and_degree(target):
+    """The orientation and covering count of a one-signed class."""
+    w = wrapping_from_invariants(target)
+    orientation = "conformal" if all(v <= 0 for v in w.values) else "anticonformal"
+    return orientation, w.total_absolute()
+
+
 def _bulk_shapes(target, stacked):
     """Every factor shape ``realize`` fits for a bulk class, with its e and
     stacked vertices."""
-    w = wrapping_from_invariants(target)
-    orientation = "conformal" if all(v <= 0 for v in w.values) else "anticonformal"
-    return _matching_shapes(orientation, target, w.total_absolute()), target.e, stacked
+    orientation, degree = _orientation_and_degree(target)
+    shapes = itertools.islice(_factor_shapes(orientation, target, degree), 400)
+    return list(shapes), target.e, stacked
+
+
+def _scanned_shapes(orientation, target, degree):
+    """The reference for ``_factor_shapes``, by scan and filter: every shape
+    of the covering count with at most ``_MAX_COMPLEX`` complex factors
+    whose edge signs and edge kinks are the target's, kept when
+    ``predict_invariants`` gives the target's invariants."""
+    e, k = target.e, target.k
+    wanted = (tuple(target.e), tuple(target.k), target.omega_units)
+    for t_edge in range(min(_MAX_EDGE, (degree - 1) // 2) + 1):
+        rest_e = degree - 2 * t_edge
+        for c in range(min(_MAX_COMPLEX, (rest_e - 1) // 4) + 1):
+            q = rest_e - 4 * c
+            m = (q - 1) // 2 if e[2] > 0 else -(q + 1) // 2
+            ts = [
+                (0.3 + 0.45 * i / max(c - 1, 1)) * complex(math.cos(0.9), math.sin(0.9))
+                for i in range(c)
+            ]
+            for a in range(t_edge + 1):
+                b = t_edge - a
+                for sign in (1, -1):
+                    ey = sign * (-1) ** ((m % 2) + b)
+                    if orientation == "anticonformal":
+                        ey = -ey
+                    if sign * (-1) ** a != e[0] or ey != e[1]:
+                        continue
+                    for rho in _real_sequences(a, m, sign, k[1]):
+                        for sig in _imag_sequences(b, m, sign, orientation, k[0]):
+                            for tau in itertools.product((1, -1), repeat=c):
+                                spec = RationalMapSpec(
+                                    sign=sign,
+                                    m=m,
+                                    real_factors=tuple(zip(_spread(a), rho)),
+                                    imag_factors=tuple(zip(_spread(b), sig)),
+                                    complex_factors=tuple(zip(ts, tau)),
+                                    orientation=orientation,
+                                )
+                                predicted = predict_invariants(spec)
+                                if (predicted.e, predicted.k, predicted.omega_units) == wanted:
+                                    yield spec
+
+
+@st.composite
+def one_signed_classes(draw):
+    """Classes with one-signed wrapping numbers, |k| <= 4 and
+    |omega_units| <= 40, of either orientation."""
+    e = draw(st.tuples(_SIGNS, _SIGNS, _SIGNS))
+    k = draw(st.tuples(*[st.integers(-4, 4)] * 3))
+    # omega_units = 4 (k_x + k_y + k_z) - e_x e_y e_z (mod 8)
+    omega_units = 8 * draw(st.integers(-5, 5)) + (4 * sum(k) - e[0] * e[1] * e[2]) % 8
+    assume(abs(omega_units) <= 40)
+    target = OctantTopology(e, k, omega_units)
+    w = wrapping_from_invariants(target).values
+    assume(all(v <= 0 for v in w) or all(v >= 0 for v in w))
+    return target
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_signed_classes())
+# the degree-29 bulk of the sweep, anticonformal
+@example(OctantTopology((-1, 1, 1), (3, 2, 2), 29))
+# conformal, 1,584 shapes with up to 5 complex factors of mixed exponents
+@example(OctantTopology((1, 1, 1), (0, 0, 3), -29))
+def test_factor_shapes_are_the_scanned_matches(target):
+    orientation, degree = _orientation_and_degree(target)
+    built = list(_factor_shapes(orientation, target, degree))
+    assert built == list(_scanned_shapes(orientation, target, degree))
+    for shape in built:
+        predicted = predict_invariants(shape)
+        assert (predicted.e, predicted.k, predicted.omega_units) == (
+            target.e, target.k, target.omega_units
+        )
+
+
+def test_complex_factor_bound_is_where_fits_start():
+    # complex start parameters spread over one ray, as ``_factor_shapes``
+    # places them: the bound's are admissible, one more and the start row
+    # scores inf, so no descent could ever move it
+    ray = complex(math.cos(_T_ARG), math.sin(_T_ARG))
+    for c, admissible in ((_MAX_COMPLEX, True), (_MAX_COMPLEX + 1, False)):
+        shape = RationalMapSpec(complex_factors=tuple(
+            ((_T_RADIUS + _T_SPAN * i / (c - 1)) * ray, 1) for i in range(c)
+        ))
+        assert (_with_parameters(shape, _start_vector(shape)) is not None) == admissible
+        score = _FitScorer([shape], (1, 1, 1), ()).scores(_start_vector(shape)[None], [0])[0]
+        assert (score < math.inf) == admissible
 
 
 def test_full_fit_continues_the_coarse_fit():
@@ -328,9 +428,10 @@ def test_realize_rejects_nonconformal():
 
 
 def test_realize_refuses_a_class_whose_fits_are_all_inadmissible():
-    # the case-2a bulk of k = (3,3,12), n = 1 has one matching shape, whose
-    # complex start parameters lie 0.05 apart on one ray, closer than a fit
-    # admits; every fit of it is refused, so no map can be accepted
+    # the case-2a bulk of k = (3,3,12), n = 1 has one factor shape, with 10
+    # complex factors, whose start parameters lie 0.05 apart on one ray,
+    # closer than a fit admits; no such shape is built, so no map can be
+    # accepted
     with pytest.raises(ConstructionError, match="no rational representative"):
         realize(OctantTopology((1, 1, 1), (3, 2, 11), -57), stacked=("x",))
 
