@@ -13,9 +13,9 @@ valid class, an unreadable class file, prism lengths not in the order
 Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
 ``--format`` name, or a bad word; a word may have at most
 ``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
-4 unsupported class for construction (including a general-sign class whose
-search tries ``patchwork.MAX_SPLITS`` stack counts without success, and a
-class whose bulk has no factor shape that ``rational.realize`` can fit),
+4 unsupported class for construction (including a general-sign class for
+which no stack counts satisfy the coverage identity, and a class whose bulk
+has no factor shape that ``rational.realize`` can fit),
 5 invariant failure (a failed check, energy below the infimum included,
 measured windings of a built map that fit no wrapping numbers, or a
 verification integral that does not converge, such as a trapped area more

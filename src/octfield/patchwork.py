@@ -2,16 +2,20 @@
 
 Given a nonconformal class (edge signs normalized to (+,+,+)), ``select_case``
 picks the vertex stacks from the tabulated construction (positive ordered
-kinks) or from the general-sign search.  The stacks describe the whole
-construction: their layer counts are M = (M_x, M_y, M_z), and the bulk
-conformal/anticonformal class H0 is what they leave of the target,
-w_{sigma,0} = w_sigma - sum_j d_j(sigma) with d_j the j-stack's degree
-table.  ``select_case`` verifies before returning that
+kinks) or solves them for every other class (the general-sign recipe).  The
+stacks describe the whole construction: their layer counts are
+M = (M_x, M_y, M_z), and the bulk conformal/anticonformal class H0 is what
+they leave of the target, w_{sigma,0} = w_sigma - sum_j d_j(sigma) with d_j
+the j-stack's degree table.  ``select_case`` verifies before returning that
 
 - H0 is one-signed,
 - the bulk edge signs satisfy e_{0j} = (-1)^{M_j}: -1 exactly where the
   j-stack's top layer is odd, with large moduli at the collar,
 - the coverage identity sum|w_0| + 2 sum M_j = sum|w| + Delta.
+
+The general-sign recipe's standard stacks move w_0 by one on a fixed pair of
+sectors per layer, so for a given bulk sign and layer parities the coverage
+identity is linear in M and the least M is solved (``_least_stack_counts``).
 
 Stacks have two scales (see ``stacks``): the chart radius epsilon and the
 layer ratio delta.  ``select_case`` sets delta = epsilon^3
@@ -42,6 +46,7 @@ the cut discs and the pieces that replace them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -78,7 +83,6 @@ __all__ = [
     "UnsupportedClassError",
     "InternalConsistencyError",
     "MeshUnavailableError",
-    "MAX_SPLITS",
     "select_case",
     "assemble_patchwork",
     "identity_map",
@@ -87,10 +91,6 @@ __all__ = [
 ]
 
 AXES = ("x", "y", "z")
-
-# stack counts the general-sign search tries before it refuses a class
-MAX_SPLITS = 10**5
-
 
 class NotApplicableError(ValueError):
     """The class is conformal or anticonformal: no patchwork is needed."""
@@ -256,40 +256,51 @@ def _build_stacks(case_id: str, M, epsilon: float, k, n: int) -> dict:
     return stacks
 
 
-def _standard_tables(axis: str, flip, epsilon: float, most: int) -> list:
-    """Degree tables (in SECTORS order) of the standard j-vertex stacks
-    ``alternating(m, flip)`` for m = 0..most; only m = 0 when flip is None.
-    A table is a sum over layers, and layers of one parity cover alike, so
-    each further pair of layers adds the two-layer table."""
-    tables = [(0,) * len(SECTORS)]
-    for m in range(1, most + 1 if flip is not None else 1):
-        if m <= 2:
-            stack = _stack(alternating(m, flip), epsilon)
-            tables.append(tuple(stack_degree_table(stack, axis).values()))
-        else:
-            tables.append(tuple(a + b for a, b in zip(tables[m - 2], tables[2])))
-    return tables
+def _least_stack_counts(w, sigma_minus, flips, expected_total: int):
+    """The least stack counts M, by total and then lex, whose standard stacks
+    leave a one-signed bulk meeting the coverage identity; None if none do.
 
+    The j-stack's p_j = ceil(M_j/2) odd layers raise w0 by one at sigma_- and
+    at sigma_- with j flipped, its q_j = floor(M_j/2) even layers lower it by
+    one at the antipodes of these two.  For a bulk sign s (s w0 >= 0) and
+    parities o_j = M_j mod 2 (0 where the flip is None), q_j = p_j - o_j and
+    the coverage identity fixes P = sum p_j: 4P = E - s sum w + 2(1 - s)
+    sum o.  Each sector then bounds P or one p_j, so the least-lex p in the
+    box summing to P is greedy, and M = 2p - o.  M is the least over the
+    (at most 16) patterns of s and o.  Each layer flips its vertex's edge
+    sign, so the bulk's edge signs are (-1)^M; ``_verify_spec`` checks it."""
+    def at(axes, sign=1):  # w at sign * (sigma_- with the components on axes flipped)
+        return w[tuple(sign * (-v if i in axes else v) for i, v in enumerate(sigma_minus))]
 
-def _layer_splits(budget: int, caps):
-    """Stack counts M with at most ``budget`` layers in all and at most
-    caps[j] on axis j, by total, then lex."""
-    cx, cy, cz = caps
-    for total in range(min(budget, cx + cy + cz) + 1):
-        for mx in range(max(0, total - cy - cz), min(total, cx) + 1):
-            for my in range(max(0, total - mx - cz), min(total - mx, cy) + 1):
-                yield mx, my, total - mx - my
+    def box(sign, low, high):  # x with sign (low + x) >= 0 and sign (high - x) >= 0
+        return (-low, high) if sign > 0 else (high, -low)
+
+    solutions = []
+    for sign, odd in itertools.product((1, -1), itertools.product((0, 1), repeat=3)):
+        P, rest = divmod(expected_total - sign * sum(w.values) + 2 * (1 - sign) * sum(odd), 4)
+        lo, hi = box(sign, at(()), at((), -1) + sum(odd))
+        bounds = [box(sign, at((j,)), at((j,), -1) + o) for j, o in enumerate(odd)]
+        bounds = [(max(l, o), h if f is not None else min(h, 0))
+                  for (l, h), o, f in zip(bounds, odd, flips)]
+        if (rest or not lo <= P <= hi or any(l > h for l, h in bounds)
+                or not sum(l for l, _ in bounds) <= P <= sum(h for _, h in bounds)):
+            continue
+        p = []
+        for j, (l, _) in enumerate(bounds):
+            p.append(max(l, P - sum(p) - sum(h for _, h in bounds[j + 1:])))
+        solutions.append(tuple(2 * pj - o for pj, o in zip(p, odd)))
+    return min(solutions, key=lambda M: (sum(M), M), default=None)
 
 
 def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
-    """Search stack counts M for classes outside the tabulated branch
-    (unsorted, negative, or zero kinks).  For each candidate sigma_- (at the
-    extremal wrapping sectors), every vertex gets the standard stack whose
-    odd layers cover the relocated pair of sigma_- (``_stack_flip``); a
-    vertex whose pair needs a modulus-inverting reflection gets none.  The
-    first M, by total and then lex, whose bulk class is one-signed, has the
-    edge signs of M's parities and meets the coverage identity wins.  At most
-    ``MAX_SPLITS`` counts are tried."""
+    """Stack counts M for classes outside the tabulated branch (unsorted,
+    negative, or zero kinks).  For each candidate sigma_- (at the extremal
+    wrapping sectors), every vertex gets the standard stack whose odd layers
+    cover the relocated pair of sigma_- (``_stack_flip``); a vertex whose
+    pair needs a modulus-inverting reflection gets none.  The counts are
+    solved from the coverage identity (``_least_stack_counts``): the first
+    candidate with a solution gives the least M, by total and then lex,
+    whose bulk class is one-signed and meets the identity."""
     candidates = []
     if all(v != 0 for v in target.k):
         candidates.append(tuple(-1 if v > 0 else 1 for v in target.k))
@@ -297,42 +308,17 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
     if sm is not None and tuple(-s for s in sm) == sp and sm not in candidates:
         candidates.append(sm)
     expected_total = w.total_absolute() + delta_invariant(w, c)
-    budget = expected_total // 2
-    unreachable, tried = [], 0
+    unreachable = []
     for sigma_minus in candidates:
         flips = [_stack_flip(axis, sigma_minus) for axis in AXES]
         unreachable += [a for a, f in zip(AXES, flips) if f is None and a not in unreachable]
-        # tables up to the largest total among the first MAX_SPLITS + 1
-        # splits (C(t - 1 + free, free) splits precede the first of total t),
-        # so that a search the limit cuts short reaches it
-        free, most = sum(f is not None for f in flips), 0
-        while free and most < budget and math.comb(most + free, free) <= MAX_SPLITS:
-            most += 1
-        tx, ty, tz = (_standard_tables(axis, flip, epsilon, most)
-                      for axis, flip in zip(AXES, flips))
-        for M in _layer_splits(budget, (len(tx) - 1, len(ty) - 1, len(tz) - 1)):
-            tried += 1
-            if tried > MAX_SPLITS:
-                raise UnsupportedClassError(
-                    f"no stack counts found in MAX_SPLITS = {MAX_SPLITS} tries for "
-                    f"k={target.k}, omega_units={target.omega_units}"
-                )
-            mx, my, mz = M
-            w0 = tuple(v - a - b - d for v, a, b, d in zip(w.values, tx[mx], ty[my], tz[mz]))
-            if not (all(v <= 0 for v in w0) or all(v >= 0 for v in w0)):
-                continue
-            if sum(abs(v) for v in w0) + 2 * sum(M) != expected_total:
-                continue
-            try:
-                h0 = invariants_from_wrapping(WrappingNumbers(w0))
-            except InvalidWrappingError:
-                continue
-            if h0.e == tuple(-1 if m % 2 else 1 for m in M):
-                stacks = {axis: _stack(alternating(m, flip), epsilon)
-                          for axis, m, flip in zip(AXES, M, flips) if m}
-                spec = PatchworkSpec(target, "general-sign", epsilon, stacks)
-                _verify_spec(spec, w, c)
-                return spec
+        M = _least_stack_counts(w, sigma_minus, flips, expected_total)
+        if M is not None:
+            stacks = {axis: _stack(alternating(m, flip), epsilon)
+                      for axis, m, flip in zip(AXES, M, flips) if m}
+            spec = PatchworkSpec(target, "general-sign", epsilon, stacks)
+            _verify_spec(spec, w, c)
+            return spec
     reach = (f"; the {', '.join(unreachable)} vertex stacks would need a "
              "modulus-inverting reflection" if unreachable else "")
     raise UnsupportedClassError(
@@ -346,11 +332,12 @@ def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
 
     The target must be nonconformal with edge signs (+,+,+) (normalize first
     with ``topology.normalize_edge_signs``).  Sorted positive kinks use the
-    tabulated cases 1a..2f; everything else goes through the general-sign
-    search.  Raises ``UnsupportedClassError`` when no stack counts satisfy
-    the coverage identity with stacks at the vertices that modulus-preserving
-    reflections reach, or when the search tries ``MAX_SPLITS`` counts
-    without success.
+    tabulated cases 1a..2f; everything else gets standard stacks whose
+    counts are solved from the coverage identity (``_general_sign_spec``): at
+    most 16 patterns of bulk sign and layer parities per candidate sigma_-,
+    each solved in closed form.  Raises ``UnsupportedClassError`` when no
+    stack counts satisfy the coverage identity with stacks at the vertices
+    that modulus-preserving reflections reach.
     """
     if not 0 < epsilon < 0.125:
         raise ValueError("epsilon must lie in (0, 1/8)")

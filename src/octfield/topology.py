@@ -23,7 +23,7 @@ from .words import (
     ClassProductSpec,
     Word,
     inverse,
-    min_spelling_over_product,
+    product_lower_bound,
     word,
 )
 
@@ -343,15 +343,13 @@ def _route_bound(w: WrappingNumbers, k, family: str) -> int:
     # one factor of each class, which lowers the certified value by at most
     # 2 (its shape term by 2; the crude and abelian terms and the parity
     # stay) while D0 rises by 2, so the least is at D0 = |d|.  The certified
-    # value does not depend on the conjugators, so the class-product search
-    # runs with trivial conjugators only.
+    # value does not depend on the conjugators, so no product is searched.
     d0 = abs(d_s0)
     spec = ClassProductSpec(
         base=boundary,
         factors=((inverse(c0), (d0 + d_s0) // 2), (c0, (d0 - d_s0) // 2)),
-        search_budget=0,
     )
-    return outside + d0 + min_spelling_over_product(spec).lower
+    return outside + d0 + product_lower_bound(spec)
 
 
 def spelling_lower_bound_check(t: OctantTopology) -> int:

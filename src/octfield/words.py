@@ -40,6 +40,7 @@ __all__ = [
     "apply_homomorphism",
     "cyclic_canonical",
     "certified_lower_bound",
+    "product_lower_bound",
     "min_spelling_over_product",
     "reduced_words",
     "parse_word",
@@ -442,9 +443,9 @@ def _assignments_by_cost(lengths: list[int], multiplicities: list[int]):
         yield from fill(0, 0, cost)
 
 
-def _pq_shape(base: Word, classes: list[tuple[tuple[int, ...], int]]):
-    """Recognize the <A^i B^j C^k><F>^p<F^-1>^n shape; return
-    (i, j, k, p, n, variant) or None."""
+def _pq_shape(base: Word, merged: dict):
+    """Recognize the <A^i B^j C^k><F>^p<F^-1>^n shape of base times the
+    merged classes; return (i, j, k, p, n, variant) or None."""
     if base.alphabet_size != 3:
         return None
     letters = free_reduce(base).letters
@@ -461,7 +462,7 @@ def _pq_shape(base: Word, classes: list[tuple[tuple[int, ...], int]]):
     abc = cyclic_canonical(word(3, (1, 2, 3)))
     abc_inv = cyclic_canonical(word(3, (-3, -2, -1)))
     p_cba = n_cba = p_abc = n_abc = 0
-    for canon, mult in classes:
+    for canon, (_, mult) in merged.items():
         if canon == cba:
             p_cba += mult
         elif canon == cba_inv:
@@ -480,6 +481,41 @@ def _pq_shape(base: Word, classes: list[tuple[tuple[int, ...], int]]):
     return None
 
 
+def _merged_classes(spec: ClassProductSpec) -> dict:
+    """Factor occurrences merged by conjugacy class: cyclic canonical form ->
+    (first word of the class, total multiplicity)."""
+    merged: dict[tuple[int, ...], tuple[Word, int]] = {}
+    for f, mult in spec.factors:
+        if mult:
+            canon = cyclic_canonical(f)
+            first, seen = merged.get(canon, (f, 0))
+            merged[canon] = (first, seen + mult)
+    return merged
+
+
+def _lower_bounds(base: Word, merged: dict) -> tuple[int, int | None]:
+    """The certified lower bound on the spelling length over base times the
+    merged classes: the certified value when the product matches the
+    <A^i B^j C^k><CBA-type>^p<...>^n shape, else the abelian bound; and the
+    conjectured (unproven, never certified) strengthening, or None."""
+    shape = _pq_shape(base, merged)
+    if shape is None:
+        total_degrees = list(generator_degrees(base))
+        for f, mult in merged.values():
+            for g, d in enumerate(generator_degrees(f)):
+                total_degrees[g] += mult * d
+        return sum(abs(d) for d in total_degrees), None
+    i, j, k, p, n, variant = shape
+    conjectured = i + j + k - n if variant == "P" and p > 0 else None
+    return certified_lower_bound(i, j, k, p, n, variant), conjectured
+
+
+def product_lower_bound(spec: ClassProductSpec) -> int:
+    """The certified lower bound that ``min_spelling_over_product`` reports,
+    computed without searching."""
+    return _lower_bounds(spec.base, _merged_classes(spec))[0]
+
+
 def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     """Search the set product for the minimal spelling length.
 
@@ -487,8 +523,7 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     base * h1 f1 h1^-1 * ... with conjugators enumerated as reduced words of
     at most ``search_budget`` letters (conjugators within one conjugacy class
     are unordered, since set products of conjugation-invariant sets commute).
-    The lower bound is the certified value when the product matches the
-    <A^i B^j C^k><CBA-type>^p<...>^n shape, else the abelian bound.
+    The lower bound is ``product_lower_bound``'s, known before the search.
 
     Assignments of conjugators are tried by increasing total conjugator
     length, ties in lexicographic order of the conjugator indices (reduced
@@ -501,45 +536,18 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     assignments exceeds MAX_ASSIGNMENTS.
     """
     n_gen = spec.base.alphabet_size
-
-    # Merge factor occurrences by conjugacy class (cyclic canonical form).
-    merged: dict[tuple[int, ...], tuple[Word, int]] = {}
-    for f, mult in spec.factors:
-        if mult == 0:
-            continue
-        canon = cyclic_canonical(f)
-        if canon in merged:
-            merged[canon] = (merged[canon][0], merged[canon][1] + mult)
-        else:
-            merged[canon] = (f, mult)
-    classes = [(canon, mult) for canon, (_, mult) in merged.items()]
-
+    merged = _merged_classes(spec)
     n_conjugators = _reduced_word_count(n_gen, spec.search_budget)
-    count = math.prod(math.comb(n_conjugators + mult - 1, mult) for _, mult in classes)
+    count = math.prod(math.comb(n_conjugators + mult - 1, mult) for _, mult in merged.values())
     if count > MAX_ASSIGNMENTS:
         raise SearchTooLargeError(
             f"{count} conjugator assignments exceed the limit of {MAX_ASSIGNMENTS}; "
             "lower the search budget or the multiplicities"
         )
-
-    shape = _pq_shape(spec.base, classes)
-    total_degrees = list(generator_degrees(spec.base))
-    for canon, (f, mult) in merged.items():
-        for g, d in enumerate(generator_degrees(f)):
-            total_degrees[g] += mult * d
-    abelian = sum(abs(d) for d in total_degrees)
-
-    conjectured = None
-    if shape is not None:
-        i, j, k, p, n, variant = shape
-        lower = certified_lower_bound(i, j, k, p, n, variant)
-        if variant == "P" and p > 0:
-            conjectured = i + j + k - n  # unproven strengthening; never certified
-    else:
-        lower = abelian
+    lower, conjectured = _lower_bounds(spec.base, merged)
 
     # without classes only the empty assignment exists, whatever the budget
-    conjugators = list(reduced_words(n_gen, spec.search_budget if classes else 0))
+    conjugators = list(reduced_words(n_gen, spec.search_budget if merged else 0))
     slot_factors = [f.letters for f, mult in merged.values() for _ in range(mult)]
 
     best_lam: int | None = None
@@ -547,7 +555,7 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     seen: set[tuple[int, ...]] = set()
     exhausted = True
     for assignment in _assignments_by_cost([len(h) for h in conjugators],
-                                           [mult for _, mult in classes]):
+                                           [mult for _, mult in merged.values()]):
         letters: list[int] = list(spec.base.letters)
         for f, idx in zip(slot_factors, assignment):
             h = conjugators[idx]

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from octfield.geometry import chordal_distance, relocate, relocate_inverse
 from octfield.numerics import boundary_residual, dirichlet_energy, trapped_area
@@ -20,6 +23,7 @@ from octfield.patchwork import (
 )
 from octfield.rational import RationalMapSpec, evaluate_rational, realize
 from octfield.topology import (
+    SECTORS,
     OctantTopology,
     classify,
     delta_invariant,
@@ -159,41 +163,25 @@ def test_stack_pair_needing_a_modulus_inverting_reflection_is_refused():
         select_case(t, epsilon=0.05)
 
 
-@pytest.mark.parametrize("k, omega_units, budget", [
-    ((-20, -20, -20), 239, 120),  # stacks at all three vertices: 3e5 counts
-    ((-10**5, -10**5, 10**5), 7, 300001),  # the z vertex alone
+@pytest.mark.parametrize("k, omega_units", [
+    ((-20, -20, -20), 239),  # stacks at all three vertices, up to 120 layers
+    ((-10**5, -10**5, 10**5), 7),  # the z vertex alone, up to 300001 layers
 ])
-def test_general_sign_search_stops_at_the_split_limit(k, omega_units, budget):
-    from octfield.patchwork import MAX_SPLITS
-
+def test_general_sign_class_without_stack_counts_is_refused_at_once(k, omega_units):
     t = OctantTopology((1, 1, 1), k, omega_units)
-    w = wrapping_from_invariants(t)
-    assert (w.total_absolute() + delta_invariant(w, classify(w, t))) // 2 == budget
-    with pytest.raises(UnsupportedClassError, match=f"MAX_SPLITS = {MAX_SPLITS}"):
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedClassError, match="no stack counts satisfy the coverage identity"):
         select_case(t, epsilon=0.05)
-
-
-def test_standard_tables_are_the_stacks_degree_tables():
-    from octfield.patchwork import _stack, _standard_tables
-    from octfield.stacks import alternating, stack_degree_table
-
-    for axis in ("x", "y", "z"):
-        for flip in (1, -1):
-            tables = _standard_tables(axis, flip, 0.05, 7)
-            assert len(tables) == 8 and tables[0] == (0,) * 8
-            for m in range(1, 8):
-                stack = _stack(alternating(m, flip), 0.05)
-                assert tables[m] == tuple(stack_degree_table(stack, axis).values())
-        assert _standard_tables(axis, None, 0.05, 7) == [(0,) * 8]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stack_flip_covers_the_pair_of_sigma_minus():
     # the odd layer of alternating(1, flip) covers sigma_- and sigma_- with
-    # its j component flipped; there is no flip when sigma_-'s other two
+    # its j component flipped, and the even layer of alternating(2, flip)
+    # the antipodal pair; there is no flip when sigma_-'s other two
     # components differ
     from octfield.patchwork import _stack, _stack_flip
     from octfield.stacks import alternating, stack_degree_table
-    from octfield.topology import SECTORS
 
     for j, axis in enumerate(("x", "y", "z")):
         for sigma in SECTORS:
@@ -203,8 +191,126 @@ def test_stack_flip_covers_the_pair_of_sigma_minus():
             if flip is None:
                 continue
             flipped = tuple(-s if i == j else s for i, s in enumerate(sigma))
-            table = stack_degree_table(_stack(alternating(1, flip), 0.05), axis)
-            assert {sec: v for sec, v in table.items() if v} == {sigma: -1, flipped: -1}
+            one, two = (stack_degree_table(_stack(alternating(m, flip), 0.05), axis)
+                        for m in (1, 2))
+            assert {sec: v for sec, v in one.items() if v} == {sigma: -1, flipped: -1}
+            even = {sec: two[sec] - one[sec] for sec in SECTORS if two[sec] != one[sec]}
+            assert even == {tuple(-s for s in sigma): 1, tuple(-s for s in flipped): 1}
+
+
+_ORACLE_MOST_LAYERS = 48  # sum|w| <= 73 in the drawn classes, plus up to 16
+
+
+def _first_split(w, flips, expected):
+    """The split enumeration the general-sign solve replaced, kept as its
+    oracle: with the standard stack of each vertex's flip (none where the
+    flip is None), stack counts M are tried by total, then lex, up to
+    expected/2 layers in all; the first whose bulk is one-signed, has
+    sum|w0| + 2 sum M = expected and the edge signs (-1)^M wins.  None when
+    no counts qualify.  Totals above 2 _ORACLE_MOST_LAYERS + 1 are out of the
+    oracle's reach."""
+    from octfield.patchwork import _stack
+    from octfield.stacks import alternating, stack_degree_table
+    from octfield.topology import InvalidWrappingError, WrappingNumbers, invariants_from_wrapping
+
+    budget = expected // 2
+    assert budget <= _ORACLE_MOST_LAYERS, "out of the oracle's reach"
+    tables = [np.array([(0,) * 8] + [
+        list(stack_degree_table(_stack(alternating(m, flip), 0.05), axis).values())
+        for m in range(1, budget + 1 if flip is not None else 1)])
+        for axis, flip in zip(("x", "y", "z"), flips)]
+    M = np.indices([len(table) for table in tables]).reshape(3, -1).T
+    M = M[M.sum(axis=1) <= budget]
+    M = M[np.lexsort((M[:, 2], M[:, 1], M[:, 0], M.sum(axis=1)))]
+    w0 = np.array(w.values) - sum(table[M[:, j]] for j, table in enumerate(tables))
+    qualifies = (((w0 >= 0).all(axis=1) | (w0 <= 0).all(axis=1))
+                 & (np.abs(w0).sum(axis=1) + 2 * M.sum(axis=1) == expected))
+    for m, bulk in zip(M[qualifies], w0[qualifies]):
+        try:
+            h0 = invariants_from_wrapping(WrappingNumbers(tuple(bulk)))
+        except InvalidWrappingError:
+            continue
+        if h0.e == tuple(-1 if v % 2 else 1 for v in m):
+            return tuple(int(v) for v in m)
+    return None
+
+
+def _split_search(t):
+    """The general-sign recipe by enumeration: for each candidate sigma_-
+    (the sector of signs opposite to the kinks', then sigma_- when it is
+    antipodal to sigma_+), every vertex takes the standard stack of
+    ``_stack_flip``, and the first candidate with qualifying counts wins.
+    Returns (M, flips), or None when no candidate has counts."""
+    from octfield.patchwork import _stack_flip
+
+    w = wrapping_from_invariants(t)
+    c = classify(w, t)
+    candidates = []
+    if all(v != 0 for v in t.k):
+        candidates.append(tuple(-1 if v > 0 else 1 for v in t.k))
+    if tuple(-s for s in c.sigma_minus) == c.sigma_plus and c.sigma_minus not in candidates:
+        candidates.append(c.sigma_minus)
+    for sigma_minus in candidates:
+        flips = [_stack_flip(axis, sigma_minus) for axis in ("x", "y", "z")]
+        M = _first_split(w, flips, w.total_absolute() + delta_invariant(w, c))
+        if M is not None:
+            return M, flips
+    return None
+
+
+@st.composite
+def general_sign_classes(draw):
+    """Nonconformal (+,+,+) classes outside the tabulated branch, with
+    |k_j| <= 6 and |omega_units| <= 120."""
+    k = draw(st.tuples(*[st.integers(-6, 6)] * 3))
+    assume(not 0 < k[0] <= k[1] <= k[2])
+    residue = (4 * sum(k) - 1) % 8
+    t = OctantTopology((1, 1, 1), k, residue + 8 * draw(st.integers(-15, 14)))
+    assume(classify(wrapping_from_invariants(t), t).kind == "nonconformal")
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_sign_classes())
+@example(OctantTopology((1, 1, 1), (2, 1, 1), -1))
+@example(OctantTopology((1, 1, 1), (-2, -2, 2), -1))
+def test_general_sign_solve_matches_the_split_enumeration(t):
+    from octfield.stacks import alternating
+
+    found = _split_search(t)
+    if found is None:
+        with pytest.raises(UnsupportedClassError, match="no stack counts satisfy the coverage identity"):
+            select_case(t, epsilon=0.05)
+        return
+    M, flips = found
+    spec = select_case(t, epsilon=0.05)
+    assert spec.case_id == "general-sign" and spec.M == M
+    for axis, m, flip in zip(("x", "y", "z"), M, flips):
+        if m:
+            assert spec.stacks[axis].covers == alternating(m, flip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_sign_classes(), st.sampled_from(SECTORS), st.integers(0, 16))
+def test_least_stack_counts_is_the_first_split_for_any_pair_and_total(t, sigma_minus, excess):
+    # any sigma_- and any coverage total from sum|w| up, not only the
+    # class's own: the solve returns the enumeration's first split
+    from octfield.patchwork import _least_stack_counts, _stack_flip
+
+    w = wrapping_from_invariants(t)
+    flips = [_stack_flip(axis, sigma_minus) for axis in ("x", "y", "z")]
+    expected = w.total_absolute() + excess
+    assert _least_stack_counts(w, sigma_minus, flips, expected) == _first_split(w, flips, expected)
+
+
+def test_general_sign_solve_reaches_counts_deep_in_the_split_order():
+    # 109,736 splits precede its M in (total, lex) order, beyond what an
+    # enumeration can try for every class
+    t = OctantTopology((1, 1, 1), (55, 42, 5), -57)
+    spec = select_case(t, epsilon=0.05)
+    assert spec.case_id == "general-sign" and spec.M == (0, 4, 82)
+    assert spec.H0 == OctantTopology((1, 1, 1), (12, 1, 3), -57)
+    assert spec.stacks["y"].covers[:2] == spec.stacks["z"].covers[:2] == ((-1, -1), (1, 1))
 
 
 def test_trivial_patchwork_is_bulk_everywhere():

@@ -28,6 +28,14 @@ def test_worked_example_reaches_seven():
     assert spelling_lower_bound_check(t) == 7
 
 
+def test_class_bound_of_large_kinks_is_read_without_a_search():
+    # the plus family's class product has 1,200 factor slots; the bound is
+    # the certified value alone, so no spelling DP runs and nothing recurses
+    # once per slot
+    t = OctantTopology((1, 1, 1), (400, 400, 400), 4807)
+    assert spelling_lower_bound_check(t) == 4807
+
+
 def test_plus_family_alone_reproduces_abelian_bound():
     # the (+++)-side loops alone only certify the abelian value for the
     # worked example; the (---)-side supplies the nonabelian excess
