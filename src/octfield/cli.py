@@ -12,15 +12,17 @@ Exit codes: 0 success, 2 invalid input (a class that is not valid JSON of a
 valid class, an unreadable class file, prism lengths not in the order
 Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
 ``--format`` name, or a bad word; a word may have at most
-``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern,
-4 unsupported class for construction (including a general-sign class for
-which no stack counts satisfy the coverage identity, and a class whose bulk
-has no factor shape that ``rational.realize`` can fit),
-5 invariant failure (a failed check, energy below the infimum included,
-measured windings of a built map that fit no wrapping numbers, or a
-verification integral that does not converge, such as a trapped area more
-than 0.3 from a multiple of pi/2 or boundary windings needing more than
-``numerics.MAX_BOUNDARY_POINTS`` points).
+``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern (for
+``spelling``, kinks of mixed sign or zero once the class is reflected to
+edge signs (+,+,+)), 4 unsupported class for construction (including a
+general-sign class for which no stack counts satisfy the coverage identity,
+and a class whose bulk has no factor shape that ``rational.realize`` can
+fit), 5 invariant failure (a failed check, energy below the infimum
+included, a spelling bound above the energy formula, measured windings of a
+built map that fit no wrapping numbers, or a verification integral that
+does not converge, such as a trapped area more than 0.3 from a multiple of
+pi/2 or boundary windings needing more than ``numerics.MAX_BOUNDARY_POINTS``
+points).
 """
 
 from __future__ import annotations
@@ -152,11 +154,14 @@ def cmd_spelling(args) -> int:
         return EXIT_UNSUPPORTED_SIGNS
     c = classify(w, t)
     energy = infimum_energy(w, c)
+    if bound > energy:
+        print(f"invariant failure: spelling bound {bound} pi exceeds the energy "
+              f"formula {energy} pi", file=sys.stderr)
+        return EXIT_INVARIANT_FAILURE
     report = {
         "class": reports.class_to_dict(t, w),
         "spelling_bound_pi_units": bound,
         "energy_pi_units": energy,
-        "certified": bound <= energy,
         "tight": bound == energy,
     }
     print(f"spelling bound = {bound} pi (energy formula {energy} pi)")

@@ -11,9 +11,13 @@ arithmetic finite-safe.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
+    "ChartMonomial",
     "stereographic",
     "stereographic_inverse",
     "sector_of",
@@ -127,6 +131,55 @@ def relocate_inverse(axis: str, w):
     for _ in range(p):
         out = _gamma_core(out)
     return complex(out) if np.ndim(np.asarray(w)) == 0 else out
+
+
+@dataclass(frozen=True)
+class ChartMonomial:
+    """The map g(u) = c v^power of a chart point u, with v = u, or conj(u)
+    when ``conjugate``, and power +1 or -1: conformal exactly when not
+    conjugated, and one-to-one.
+
+    c = seam^-power / root with ``seam`` real and nonzero, so g has modulus
+    1/root on the circle |u| = |seam| and c has the sign of ``seam``.  g is
+    evaluated as v / (root seam) or seam / (root v).
+    """
+
+    seam: float
+    root: float
+    power: int
+    conjugate: bool
+
+    def __post_init__(self):
+        if self.power not in (1, -1):
+            raise ValueError("a chart monomial has power +1 or -1")
+        if not (self.seam != 0 and math.isfinite(self.seam) and 0 < self.root < math.inf):
+            raise ValueError("a chart monomial needs a finite nonzero seam and root")
+
+    @property
+    def conformal(self) -> bool:
+        return not self.conjugate
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=complex)
+        v = np.conj(u) if self.conjugate else u
+        if self.power > 0:
+            return v / (self.root * self.seam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.seam / (self.root * v)
+
+    def modulus(self, r: float) -> float:
+        """|g| on the circle |u| = r."""
+        if self.power > 0:
+            return r / (self.root * abs(self.seam))
+        return abs(self.seam) / (self.root * r) if r else math.inf
+
+    def preimage(self, value: complex) -> complex:
+        """The chart point u with g(u) = value, for finite nonzero values."""
+        if self.power > 0:
+            v = value * (self.root * self.seam)
+        else:
+            v = self.seam / (self.root * value)
+        return v.conjugate() if self.conjugate else v
 
 
 def chordal_distance(a, b):

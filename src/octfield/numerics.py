@@ -10,16 +10,30 @@ Maps are consumed through a light protocol: an object with
 - ``evaluate(w)``: vectorized evaluation on complex points of the quarter
   disc, read by ``boundary_residual``.
 
-All three integrals read the same regions.  A region whose ``wrapping`` is
-set is a rational conformal or anticonformal map on the whole quarter disc
-with those one-signed wrapping numbers w_sigma, and it enters in closed form
-with no grid: energy pi sum |w_sigma|, raw trapped area (pi/2) sum w_sigma,
-and -w_sigma coverings of each sector sigma.  Every other region is
-integrated on its grid.  Degree counts and the trapped area triangulate
-each grid: the map is evaluated once at the grid vertices, and the image
-triangles share one cross product per grid edge (``_ImageMesh``), so both
-read the same edge normals.  A cut disc and its replacement share their rim
-grids, so preimages near the rims cancel and the weighted counts are exact.
+All three integrals read the same regions.  A conformal or anticonformal
+piece has energy twice its spherical image area, counted with multiplicity,
+so two kinds of region enter in closed form with no grid:
+
+- a region whose ``wrapping`` is set is a rational map on the whole quarter
+  disc with those one-signed wrapping numbers w_sigma: energy
+  pi sum |w_sigma|, raw trapped area (pi/2) sum w_sigma, and -w_sigma
+  coverings of each sector sigma;
+- a region whose ``monomial`` g is set (a stack layer, c u^{+-1} or
+  c conj(u)^{+-1} on a quarter annulus) maps its image moduli mu_lo, mu_hi
+  at the rims onto a quarter zone of area A = pi |1/(1 + mu_lo^2) -
+  1/(1 + mu_hi^2)|: energy 2 A, signed image area +A when conformal and -A
+  when not, and one covering of each target whose chart value has its
+  preimage under g inside the quarter annulus.
+
+Every other region is integrated on its grid.  Degree counts and the
+trapped area triangulate each grid: the map is evaluated once at the grid
+vertices, and the image triangles share one cross product per grid edge
+(``_ImageMesh``), so both read the same edge normals.  A cut disc and its
+replacement share their rim grids, so preimages near the rims cancel and the
+weighted counts are exact.  A layer's rims are exact circular arcs where its
+gridded neighbours have chords, so the trapped area of a map with layers
+misses a multiple of pi/2 by the slivers between them (at most 6.4e-6 on
+the benchmark's classes).
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -37,7 +51,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import sector_centroid, stereographic, stereographic_inverse
+from .geometry import ChartMonomial, sector_centroid, stereographic, stereographic_inverse
 from .topology import SECTORS, sector_name
 
 __all__ = [
@@ -97,6 +111,13 @@ class Region:
     anticonformal map whose eight one-signed wrapping numbers (in SECTORS
     order) are known: the integrals take its closed form and build no grid
     for it.  Only the whole identity-chart quarter disc can carry it.
+
+    ``monomial``, when set, declares the region a chart monomial g (a
+    ``geometry.ChartMonomial``) on the quarter annulus r_lo <= |u| <= r_hi,
+    0 <= arg u <= pi/2: ``evaluate`` is u -> chart^-1(g(u)), and the chart is
+    a rotation of the sphere (None, or a vertex relocation), which keeps
+    energy, area and coverings.  The integrals take its closed form and
+    build no grid for it.  A region carries at most one closed form.
     """
 
     name: str
@@ -112,8 +133,19 @@ class Region:
     center_scale: float = math.inf
     chart: object = None
     wrapping: tuple | None = None
+    monomial: ChartMonomial | None = None
 
     def __post_init__(self):
+        if self.monomial is not None:
+            if self.wrapping is not None:
+                raise ValueError(f"region {self.name}: at most one closed form")
+            if not isinstance(self.monomial, ChartMonomial):
+                raise ValueError(f"region {self.name}: monomial must be a ChartMonomial")
+            if not (0 <= self.r_lo < self.r_hi < math.inf
+                    and (self.phi_lo, self.phi_hi) == (0.0, math.pi / 2)):
+                raise ValueError(
+                    f"region {self.name}: a monomial region is a quarter annulus"
+                )
         w = self.wrapping
         if w is None:
             return
@@ -310,18 +342,34 @@ def _region_energy(grid: QuadratureGrid) -> float:
     return float(w_r @ (dens * r) @ w_phi)
 
 
+def _is_closed(region: Region) -> bool:
+    return region.wrapping is not None or region.monomial is not None
+
+
 def _closed_and_grids(regions, level: int):
     """(the closed-form regions, the grids of all the others)."""
-    closed = [region for region in regions if region.wrapping is not None]
-    return closed, build_grids([region for region in regions if region.wrapping is None], level)
+    closed = [region for region in regions if _is_closed(region)]
+    return closed, build_grids([region for region in regions if not _is_closed(region)], level)
+
+
+def _closed_form(region: Region):
+    """(energy, raw trapped area) of a closed-form region, before its
+    weight: pi sum |w| and (pi/2) sum w for wrapping numbers w; 2 A and -+A
+    (- when conformal) for a monomial, A its image area."""
+    if region.wrapping is not None:
+        return math.pi * sum(map(abs, region.wrapping)), math.pi / 2 * sum(region.wrapping)
+    g = region.monomial
+    q_lo, q_hi = (1 / (1 + g.modulus(r) ** 2) for r in (region.r_lo, region.r_hi))
+    area = math.pi * abs(q_lo - q_hi)
+    return 2 * area, -area if g.conformal else area
 
 
 def dirichlet_energy(sampled_map, level: int = 3) -> float:
-    """Dirichlet energy over the map's weighted regions: pi sum |w_sigma| for
-    a closed-form region, and the tensor quadratic rule on each other
-    region's cells (see ``_quadratic_weights``)."""
+    """Dirichlet energy over the map's weighted regions: the closed form of
+    each closed-form region (see ``_closed_form``), and the tensor quadratic
+    rule on each other region's cells (see ``_quadratic_weights``)."""
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    total = math.pi * sum(region.weight * sum(map(abs, region.wrapping)) for region in closed)
+    total = sum(region.weight * _closed_form(region)[0] for region in closed)
     for grid in grids:
         total += grid.region.weight * _region_energy(grid)
     return total
@@ -471,8 +519,7 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     flag is set if the target lies within tolerance of an image-triangle
     edge after three perturbation retries.  Each gridded region is one
     ``_ImageMesh``, whose edge normals every target shares; a closed-form
-    region covers sector sigma -w_sigma times, positively where that is
-    positive.
+    region counts its coverings exactly (``_closed_counts``).
     """
     regions = sampled_map.regions
     if sum(region.weight < 0 and region.r_lo == 0 for region in regions) > 1:
@@ -490,20 +537,42 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
         # a stream per sector: a retry in one sector moves no other's sample
         rng = np.random.default_rng([20240811, i])
         base = sector_centroid(sector)
-        exact = sum(region.weight * np.array([max(-region.wrapping[i], 0),
-                                              max(region.wrapping[i], 0), 0])
-                    for region in closed)
         confident = False
         for attempt in range(4):
             p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
+            sample = complex(stereographic(p))
             meshed = weights @ np.reshape([count(p) for count in counters], (-1, 3))
-            n_pos, n_neg, near = (int(n) for n in exact + meshed)
+            n_pos, n_neg, near = (int(n) for n in _closed_counts(closed, i, sample) + meshed)
             if not near:
                 confident = True
                 break
         report[sector] = SectorDegree(d=n_pos - n_neg, D=n_pos + n_neg,
-                                      sample=complex(stereographic(p)), confident=confident)
+                                      sample=sample, confident=confident)
     return DegreeReport(report)
+
+
+def _closed_counts(closed, i: int, value: complex) -> np.ndarray:
+    """Weighted (positive, negative, near) coverings of ``value``, a point of
+    sector SECTORS[i], by the closed-form regions.  A wrapping region covers
+    it -w_i times, positively where that is positive.  A monomial region
+    covers it once, positively when conformal, where the preimage u of its
+    chart value lies in the quarter annulus: r_lo < |u| <= r_hi and
+    0 < arg u < pi/2."""
+    counts = np.zeros(3, dtype=int)
+    charted = {}
+    for region in closed:
+        if region.wrapping is not None:
+            w = region.wrapping[i]
+            counts[0] += region.weight * max(-w, 0)
+            counts[1] += region.weight * max(w, 0)
+            continue
+        if region.chart not in charted:
+            charted[region.chart] = value if region.chart is None else region.chart(value)
+        g = region.monomial
+        u = g.preimage(charted[region.chart])
+        if region.r_lo < abs(u) <= region.r_hi and u.real > 0 and u.imag > 0:
+            counts[0 if g.conformal else 1] += region.weight
+    return counts
 
 
 def _perturb_in_sector(base, sector, rng):
@@ -517,15 +586,18 @@ def _perturb_in_sector(base, sector, rng):
 def trapped_area(sampled_map, level: int = 3):
     """Signed image area with the trapped-area sign convention.
 
-    A closed-form region contributes (pi/2) sum w_sigma.  Each other region
-    contributes the solid angles of its image triangles, taken from the
-    shared edge normals of its ``_ImageMesh``.  The sum depends only on the
-    region's boundary image, so the weighted regions give an exact
-    decomposition.  Returns (omega, residual): omega snapped to the nearest
-    multiple of pi/2 and the absolute deviation of the raw integral from it.
+    A closed-form region contributes its raw area (``_closed_form``): (pi/2)
+    sum w_sigma for wrapping numbers, minus the signed image area of a
+    monomial.  Each other region contributes the solid angles of its image
+    triangles, taken from the shared edge normals of its ``_ImageMesh``.
+    The sum depends only on the regions' boundary images, so the weighted
+    regions give an exact decomposition, up to the slivers between a
+    monomial region's arcs and its gridded neighbours' chords.  Returns
+    (omega, residual): omega snapped to the nearest multiple of pi/2 and the
+    absolute deviation of the raw integral from it.
     """
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    raw = math.pi / 2 * sum(region.weight * sum(region.wrapping) for region in closed)
+    raw = sum(region.weight * _closed_form(region)[1] for region in closed)
     for grid in grids:
         raw -= grid.region.weight * _grid_mesh(grid).signed_area()
     units = round(raw / (math.pi / 2))
@@ -568,22 +640,29 @@ def lemma1_lower_bound(report: DegreeReport) -> float:
 # Brouwer degrees from boundary windings
 # ---------------------------------------------------------------------------
 
-def _arg_steps(values: np.ndarray, targets, reference: complex) -> np.ndarray:
-    """(targets x samples) argument increments along the closed curve of
-    ``values``, for each target in its Moebius chart sending the target to 0
-    and ``reference`` to infinity.  A row sums to 2 pi times the curve's
-    winding around the target relative to the reference; on the sphere a
-    winding is only defined in the twice-punctured complement, and for a map
-    whose boundary values avoid both points it equals d(target) -
-    d(reference), the difference of signed preimage counts.  The last sample
-    is joined to the first."""
+def _arguments(values: np.ndarray, targets, reference: complex) -> np.ndarray:
+    """(targets x samples) arguments of ``values``, for each target in its
+    Moebius chart sending the target to 0 and ``reference`` to infinity.
+    Along a closed curve their increments (``_steps``) sum to 2 pi times the
+    curve's winding around the target relative to the reference; on the
+    sphere a winding is only defined in the twice-punctured complement, and
+    for a map whose boundary values avoid both points it equals d(target) -
+    d(reference), the difference of signed preimage counts.  Each sample's
+    arguments depend on that sample alone."""
     z = np.asarray(values, dtype=complex)
     finite = np.isfinite(z)
     zf = np.where(finite, z, 0.0)
     args = np.empty((len(targets), len(z)))
     with np.errstate(divide="ignore", invalid="ignore"):
+        to_reference = zf - reference
         for row, target in zip(args, targets):
-            row[:] = np.angle(np.where(finite, (zf - target) / (zf - reference), 1.0 + 0j))
+            row[:] = np.angle(np.where(finite, (zf - target) / to_reference, 1.0 + 0j))
+    return args
+
+
+def _steps(args: np.ndarray) -> np.ndarray:
+    """Argument increments along each row of ``_arguments``, in (-pi, pi];
+    the last sample is joined to the first."""
     d = np.diff(args, axis=1, append=args[:, :1])
     return (d + math.pi) % (2 * math.pi) - math.pi
 
@@ -602,18 +681,22 @@ def degree_differences_by_winding(evaluator, params, targets, reference, period:
     is below 0.9 rad for every target AND the windings are stable under one
     further global bisection (a whole aliased loop between two samples shows
     as a small step, so step size alone is not a safe criterion; seed the
-    parameters densely near known fast structure).  Valid for any continuous
-    map whose boundary values avoid the targets and the reference.  Raises
-    ``IntegrationError`` instead of bisecting past ``MAX_BOUNDARY_POINTS``.
+    parameters densely near known fast structure).  A bisection evaluates
+    only its new midpoints and keeps the arguments of the earlier samples.
+    Valid for any continuous map whose boundary values avoid the targets and
+    the reference.  Raises ``IntegrationError`` instead of bisecting past
+    ``MAX_BOUNDARY_POINTS``.
     """
     params = np.sort(np.unique(np.asarray(params, dtype=float) % period))
+    args = _arguments(evaluator(params), targets, reference)
 
-    def measure(p):
-        """(windings, largest argument step) of the loop sampled at p."""
-        steps = _arg_steps(evaluator(p), targets, reference)
+    def measure(args):
+        """(windings, largest argument step) of the loop sampled with args."""
+        steps = _steps(args)
         return np.sum(steps, axis=1) / (2 * math.pi), float(np.max(np.abs(steps)))
 
-    def bisect(p):
+    def bisect(p, args):
+        """The bisected parameters and their arguments."""
         if 2 * len(p) > MAX_BOUNDARY_POINTS:
             raise IntegrationError(
                 f"boundary windings unresolved at {len(p)} points; a bisection "
@@ -621,12 +704,17 @@ def degree_differences_by_winding(evaluator, params, targets, reference, period:
             )
         closing = p[0] + period
         mids = 0.5 * (p + np.concatenate([p[1:], [closing]]))
-        return np.sort(np.unique(np.concatenate([p, mids % period])))
+        points, first = np.unique(np.concatenate([p, mids % period]), return_index=True)
+        fresh = first >= len(p)
+        merged = np.empty((len(targets), len(points)))
+        merged[:, ~fresh] = args[:, first[~fresh]]
+        merged[:, fresh] = _arguments(evaluator(points[fresh]), targets, reference)
+        return points, merged
 
-    current, worst = measure(params)
+    current, worst = measure(args)
     for _ in range(16):
-        params = bisect(params)
-        refined, refined_worst = measure(params)
+        params, args = bisect(params, args)
+        refined, refined_worst = measure(args)
         stable = worst < 0.9 and bool(np.all(np.abs(current - refined) < 0.05))
         current, worst = refined, refined_worst
         if stable:

@@ -40,8 +40,9 @@ vertex's stack layers, interpolants and collar.  The list is the only
 description of the map: ``SampledMap`` evaluates and tags points from it,
 and energy, trapped area and degree counts integrate over it.  The bulk
 region carries H0's wrapping numbers (``realize`` has measured them on the
-fitted bulk), so those integrals take the bulk in closed form and grid only
-the cut discs and the pieces that replace them.
+fitted bulk) and each layer region its chart monomial, so those integrals
+take the bulk and the layers in closed form and grid only the cut discs,
+the interpolants and the collars.
 """
 
 from __future__ import annotations
@@ -465,9 +466,11 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     (``switch(x)``), all in the vertex chart.
 
     The bulk region carries the wrapping numbers of H0, which ``realize``
-    has checked against the fitted bulk's measured ones, so energy, trapped
-    area and degree counts integrate over it in closed form; only the cut
-    discs and the stack pieces are gridded."""
+    has checked against the fitted bulk's measured ones, and each layer
+    region its ``stacks.QuarterSphereStack.layer_monomial``, with the vertex
+    chart, whose inverse relocates the layer's values, so energy, trapped
+    area and degree counts take both in closed form; only the cut discs,
+    interpolants and collars are gridded."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
@@ -487,6 +490,7 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
             regions.append(Region(
                 f"{kind}({axis},{index})", lambda u, a=axis, f=formula: relocate(a, f(u)),
                 r_lo, r_hi, "log", chart=chart, center_scale=st.inner_scale(),
+                monomial=formula if kind == "annulus" else None,
             ))
 
         def collar(u, a=axis, s=st):

@@ -8,7 +8,7 @@ are the two diagonal ones (1, 1), (-1, -1) and the antidiagonal (1, -1).
 A stack with L layers lives on the chart disc |u| <= epsilon of its vertex.
 Layer m occupies the annulus 2 rho_{m-1} <= |u| <= rho_m with radii
 rho_m = epsilon * delta^(L-m) (rho_0 = 0).  Odd layers have large moduli at
-their outer seam (-a u on a diagonal quadrant, conj(u) on (1, -1)), even
+their outer seam (a u on a diagonal quadrant, conj(u) on (1, -1)), even
 layers small ones (a / conj(u) on a diagonal quadrant, 1/u on (1, -1)), so
 a layer is conformal exactly when it covers a diagonal quadrant at odd m or
 (1, -1) at even m; conformal layers count -1 in their sectors'
@@ -38,6 +38,7 @@ from functools import partial
 
 import numpy as np
 
+from .geometry import ChartMonomial
 from .topology import SECTORS
 
 __all__ = ["QuarterSphereStack", "alternating", "stack_degree_table", "PERMUTATIONS"]
@@ -108,9 +109,10 @@ class QuarterSphereStack:
     def pieces(self) -> list:
         """The stack's formulas on the chart disc |u| <= epsilon, one per
         annulus, from the center out: (kind, index, r_lo, r_hi, formula) for
-        layer m ("annulus", 2 rho_{m-1} <= |u| <= rho_m) and for the
-        interpolant n between layers n and n+1 ("interp", rho_n <= |u| <=
-        2 rho_n).  The annuli tile [0, epsilon]."""
+        layer m ("annulus", 2 rho_{m-1} <= |u| <= rho_m, its formula the
+        ``ChartMonomial`` of ``layer_monomial``) and for the interpolant n
+        between layers n and n+1 ("interp", rho_n <= |u| <= 2 rho_n).  The
+        annuli tile [0, epsilon]."""
         out = []
         for m in range(1, self.layers + 1):
             if m > 1:
@@ -118,7 +120,7 @@ class QuarterSphereStack:
                 out.append(("interp", n, self.radius(n), 2 * self.radius(n),
                             partial(self.interpolant_value, n)))
             out.append(("annulus", m, 2 * self.radius(m - 1), self.radius(m),
-                        partial(self.layer_value, m)))
+                        self.layer_monomial(m)))
         return out
 
     def seams(self) -> tuple:
@@ -127,21 +129,23 @@ class QuarterSphereStack:
 
     # -- layer and interpolant formulas ------------------------------------
 
-    def layer_value(self, m: int, u):
-        """Map of layer m evaluated at chart points (valid on 2rho_{m-1} <= |u| <= rho_m)."""
+    def layer_monomial(self, m: int) -> ChartMonomial:
+        """The chart monomial of layer m, the one source of its formula:
+        a u / (sqrt(delta) rho_m) on a diagonal quadrant (a, a) and
+        conj(u) / (sqrt(delta) rho_m) on (1, -1) at odd m;
+        a rho_{m-1} / (sqrt(delta) conj(u)) and rho_{m-1} / (sqrt(delta) u)
+        at even m."""
         if not 1 <= m <= self.layers:
             raise ValueError(f"layer {m} outside stack of {self.layers}")
-        u = np.asarray(u, dtype=complex)
-        root = math.sqrt(self.delta)
         a, b = self.covers[m - 1]
-        if m % 2:
-            if a == b:
-                return -a * (-u) / (root * self.radius(m))
-            return np.conj(u) / (root * self.radius(m))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if a == b:
-                return a * self.radius(m - 1) / (root * np.conj(u))
-            return self.radius(m - 1) / (root * u)
+        odd = m % 2 == 1
+        seam = (a if a == b else 1) * self.radius(m if odd else m - 1)
+        return ChartMonomial(seam, math.sqrt(self.delta), 1 if odd else -1,
+                             conjugate=(a == b) != odd)
+
+    def layer_value(self, m: int, u):
+        """Map of layer m evaluated at chart points (valid on 2rho_{m-1} <= |u| <= rho_m)."""
+        return self.layer_monomial(m)(u)
 
     def interpolant_value(self, n: int, u):
         """Blend between layers n and n+1 on rho_n <= |u| <= 2 rho_n."""

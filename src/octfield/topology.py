@@ -357,12 +357,16 @@ def spelling_lower_bound_check(t: OctantTopology) -> int:
     machinery: the better of the two loop-family bounds, floored by the
     abelian bound sum |w_sigma|.
 
-    Requires all kink numbers nonzero with a uniform sign.
+    The loop families' boundary words hold for edge signs (+,+,+), so the
+    bound is read on the class reflected to them (``normalize_edge_signs``;
+    reflections keep the energy).  Requires the reflected class's kink
+    numbers nonzero with a uniform sign.
     """
-    kx, ky, kz = t.k
+    t, _ = normalize_edge_signs(t)
     if not (all(v > 0 for v in t.k) or all(v < 0 for v in t.k)):
         raise UnsupportedSignPatternError(
-            f"kink signs {t.k} not uniformly positive or negative"
+            f"kink signs {t.k} of the class reflected to edge signs (+,+,+) "
+            "not uniformly positive or negative"
         )
     w = wrapping_from_invariants(t)
     bounds = [w.total_absolute()]

@@ -423,24 +423,34 @@ def _assignments_by_cost(lengths: list[int], multiplicities: list[int]):
     # per slot: does it start its class, how many slots of its class follow
     slots = [(r == 0, m - 1 - r) for m in multiplicities for r in range(m)]
     total = len(slots)
+    if not total:
+        yield ()
+        return
     chosen = [0] * total
+    left = [0] * total  # length left for slots s, s+1, ...
 
-    def fill(s: int, lo: int, spend: int):
-        if s == total:
-            yield tuple(chosen)
-            return
-        starts, same_after = slots[s]
-        idx = max(0 if starts else lo, first[max(0, spend - (total - s - 1) * longest)])
-        while idx < len(lengths):
-            length = lengths[idx]
-            if length * (same_after + 1) > spend:
-                break
-            chosen[s] = idx
-            yield from fill(s + 1, idx, spend - length)
-            idx += 1
+    def start(s: int) -> int:
+        """The first index slot s may take."""
+        lo = 0 if slots[s][0] else chosen[s - 1]
+        return max(lo, first[max(0, left[s] - (total - s - 1) * longest)])
 
     for cost in range(total * longest + 1):
-        yield from fill(0, 0, cost)
+        # depth-first over the slots in one loop, so no call stack grows with them
+        s, left[0] = 0, cost
+        idx = start(0)
+        while s >= 0:
+            if idx < len(lengths) and lengths[idx] * (slots[s][1] + 1) <= left[s]:
+                chosen[s] = idx
+                if s + 1 < total:
+                    left[s + 1] = left[s] - lengths[idx]
+                    s += 1
+                    idx = start(s)
+                    continue
+                yield tuple(chosen)
+                idx += 1
+            else:
+                s -= 1  # back to the previous slot's next index; -1 ends
+                idx = chosen[s] + 1
 
 
 def _pq_shape(base: Word, merged: dict):

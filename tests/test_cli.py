@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from octfield import cli
 from octfield.cli import main
 
 WORKED_JSON = '{"e":[1,1,1],"k":[1,1,1],"omega_units":3}'
@@ -119,6 +120,24 @@ def test_spelling_class_bound(capsys):
 def test_spelling_rejects_mixed_kinks():
     payload = '{"e":[1,1,1],"k":[1,1,-1],"omega_units":3}'
     assert main(["spelling", "--json", payload]) == 3
+
+
+def test_spelling_reads_the_bound_on_the_reflected_class(capsys):
+    # reflected to edge signs (+,+,+), (1,1,-1) kinks (1,1,1) become mixed
+    payload = '{"e":[1,1,-1],"k":[1,1,1],"omega_units":13}'
+    assert main(["spelling", "--json", payload]) == 3
+    assert "reflected" in capsys.readouterr().err
+    # the unreflected loop words read 16 pi here, above the infimum
+    payload = '{"e":[-1,-1,-1],"k":[-2,-2,-2],"omega_units":1}'
+    assert main(["spelling", "--json", payload]) == 0
+    out = capsys.readouterr().out
+    assert "spelling bound = 13 pi (energy formula 13 pi)" in out
+
+
+def test_spelling_bound_above_the_formula_is_an_invariant_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "spelling_lower_bound_check", lambda t: 9)
+    assert main(["spelling", "--json", WORKED_JSON]) == 5
+    assert "exceeds the energy formula 7 pi" in capsys.readouterr().err
 
 
 def test_spelling_bound_matches_energy_for_double_kinks(capsys):

@@ -389,7 +389,7 @@ def _chart_steps_reference(values, target, reference):
 
 def test_argument_steps_of_all_targets_equal_the_per_target_ones():
     from octfield.geometry import sector_centroid_complex
-    from octfield.numerics import _arg_steps
+    from octfield.numerics import _arguments, _steps
     from octfield.topology import SECTORS
 
     rng = np.random.default_rng(5)
@@ -398,10 +398,35 @@ def test_argument_steps_of_all_targets_equal_the_per_target_ones():
     loop = np.exp(1j * np.linspace(0.0, 6 * math.pi, 997))
     for values in (3 * loop, loop / 3 + 0.2, rng.normal(size=500) + 1j * rng.normal(size=500)):
         values[::97] = np.inf
-        steps = _arg_steps(values, targets, reference)
+        steps = _steps(_arguments(values, targets, reference))
         # the windings sum each row in one call; they must equal each
         # target's own sum bit for bit
         for row, total, target in zip(steps, np.sum(steps, axis=1), targets):
             expected = _chart_steps_reference(values, target, reference)
             assert np.array_equal(row, expected)
             assert float(total) == float(np.sum(expected))
+
+
+def test_winding_bisection_evaluates_each_point_once():
+    # each bisection evaluates its new midpoints only
+    from octfield.geometry import sector_centroid_complex
+    from octfield.numerics import degree_differences_by_winding
+    from octfield.rational import boundary_points, evaluate_rational
+    from octfield.topology import SECTORS
+
+    spec = realize(OctantTopology((1, 1, 1), (0, 0, -1), -5))
+    evaluated = []
+
+    def curve(p):
+        evaluated.append(np.array(p))
+        return evaluate_rational(spec, boundary_points(p))
+
+    targets = [sector_centroid_complex(s) for s in SECTORS]
+    reference = targets[-1]
+    seed = np.linspace(0.0, 3.0, 7, endpoint=False)
+    diffs = degree_differences_by_winding(curve, seed, targets, reference, 3.0)
+    points = np.concatenate(evaluated)
+    assert len(evaluated) > 2 and len(np.unique(points)) == len(points)
+    # d = -w: d(sigma) - d(---) = w(---) - w(sigma)
+    w = wrapping_from_invariants(OctantTopology((1, 1, 1), (0, 0, -1), -5))
+    assert diffs == [w[(-1, -1, -1)] - w[s] for s in SECTORS]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from octfield.topology import (
     adjacent,
     classify,
     infimum_energy,
+    normalize_edge_signs,
     spelling_lower_bound_check,
     wrapping_from_invariants,
 )
@@ -80,6 +82,52 @@ def test_negative_kinks_supported():
     t = OctantTopology((1, 1, 1), (-1, -1, -1), -4 * 3 - 1 + 8 * 2)
     bound = spelling_lower_bound_check(t)
     w = wrapping_from_invariants(t)
+    assert bound <= infimum_energy(w, classify(w, t))
+
+
+def test_bound_is_read_on_the_reflected_class():
+    # reflections keep the energy; the loop words hold for edge signs (+,+,+)
+    t = OctantTopology((-1, -1, -1), (-2, -2, -2), 1)
+    assert spelling_lower_bound_check(t) == spelling_lower_bound_check(
+        normalize_edge_signs(t)[0]) == 13
+    with pytest.raises(UnsupportedSignPatternError):
+        spelling_lower_bound_check(OctantTopology((1, 1, -1), (1, 1, 1), 13))
+
+
+def test_reflected_bounds_are_tight_or_refused():
+    # e != (+,+,+), one-signed k in [-3,3]^3, |omega_units| <= 40
+    tight = refused = 0
+    for e in itertools.product((1, -1), repeat=3):
+        for k in itertools.product(range(-3, 4), repeat=3):
+            if e == (1, 1, 1) or not (all(v > 0 for v in k) or all(v < 0 for v in k)):
+                continue
+            for omega_units in range(-40, 41):
+                try:
+                    t = OctantTopology(e, k, omega_units)
+                    w = wrapping_from_invariants(t)
+                except ValueError:
+                    continue
+                try:
+                    bound = spelling_lower_bound_check(t)
+                except UnsupportedSignPatternError:
+                    refused += 1
+                    continue
+                assert bound == infimum_energy(w, classify(w, t)), t
+                tight += 1
+    assert (tight, refused) == (540, 3240)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(itertools.product((1, -1), repeat=3))),
+       st.tuples(*[st.integers(-6, 6)] * 3), st.integers(-10, 10))
+def test_bound_never_exceeds_the_energy_formula(e, k, n):
+    # omega_units = 4 sum(k) - e_x e_y e_z (mod 8) makes the class valid
+    t = OctantTopology(e, k, (4 * sum(k) - math.prod(e)) % 8 + 8 * n)
+    w = wrapping_from_invariants(t)
+    try:
+        bound = spelling_lower_bound_check(t)
+    except UnsupportedSignPatternError:
+        return
     assert bound <= infimum_energy(w, classify(w, t))
 
 

@@ -2,11 +2,12 @@
 fixed set of maps, against ``data/verification_numerics.json``.
 
 The triangulated invariants must not move when their kernel is rewritten;
-this pins them to the last bit.  An assembled map's bulk enters the integrals
-in closed form, with no grid, so the assembled cases strip its wrapping
-numbers to keep the kernel pinned on the whole map; one further case keeps
-the closed-form bulk.  Re-record the file (only when a change of the numbers
-is intended) with
+this pins them to the last bit.  An assembled map's bulk and stack layers
+enter the integrals in closed form, with no grid, so the assembled cases
+strip the bulk's wrapping numbers and the layers' monomials to keep the
+kernel pinned on the whole map; one further case keeps the closed-form
+bulk, and one keeps both closed forms.  Re-record the file (only when a
+change of the numbers is intended) with
 
     PYTHONPATH=src python tests/test_verification_numerics.py
 """
@@ -27,9 +28,16 @@ DATA = Path(__file__).parent / "data" / "verification_numerics.json"
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
 
+def _quadrature_layers(sm):
+    """The map with its stack layers integrated on grids, not in closed form."""
+    return dataclasses.replace(
+        sm, regions=[dataclasses.replace(region, monomial=None) for region in sm.regions])
+
+
 def _quadrature_bulk(sm):
-    """The map with its bulk integrated on a grid, not in closed form."""
-    bulk, *pieces = sm.regions
+    """The map with its bulk and its stack layers integrated on grids, not
+    in closed form."""
+    bulk, *pieces = _quadrature_layers(sm).regions
     return dataclasses.replace(sm, regions=[dataclasses.replace(bulk, wrapping=None), *pieces])
 
 
@@ -51,6 +59,9 @@ CASES = {
         lambda: _patchwork(OctantTopology((1, 1, 1), (3, 3, 3), -5), 0.05), 2, False
     ),
     "worked eps=0.05 closed-form bulk": (
+        lambda: _quadrature_layers(assemble_patchwork(select_case(WORKED, epsilon=0.05))), 3, True
+    ),
+    "worked eps=0.05 closed-form bulk and layers": (
         lambda: assemble_patchwork(select_case(WORKED, epsilon=0.05)), 3, True
     ),
 }

@@ -317,7 +317,7 @@ def test_reduced_words_count():
 @pytest.mark.parametrize(
     "budget, multiplicities",
     [(b, m) for b in (0, 1, 2) for m in ((1,), (2,), (1, 1), (2, 1))]
-    + [(3, (1,)), (3, (1, 1))],
+    + [(3, (1,)), (3, (1, 1)), (0, ()), (1, (3,)), (1, (2, 2)), (1, (1, 2, 1)), (2, (3,))],
 )
 def test_assignments_by_cost_match_sorted_product(budget, multiplicities):
     conjugators = list(reduced_words(3, budget))
@@ -332,6 +332,15 @@ def test_assignments_by_cost_match_sorted_product(budget, multiplicities):
     expected = [sum(a, ()) for a in sorted(product, key=lambda a: (cost(a), a))]
     lengths = [len(h) for h in conjugators]
     assert list(words._assignments_by_cost(lengths, list(multiplicities))) == expected
+
+
+def test_assignments_of_a_thousand_slots_need_no_call_per_slot():
+    # one assignment of 1,000 slots used to recurse once per slot
+    f = word(3, (3, 2, 1))
+    spec = ClassProductSpec(base=word(3, (1, 2, 3)), factors=((f, 1000),), search_budget=0)
+    assert list(words._assignments_by_cost([0], [1000])) == [(0,) * 1000]
+    res = min_spelling_over_product(spec)
+    assert res.lower <= res.upper == spelling_length(res.witness)
 
 
 def test_oversized_search_refused_before_enumeration(monkeypatch):
