@@ -27,6 +27,7 @@ __all__ = [
     "gamma_inverse",
     "relocate",
     "relocate_inverse",
+    "relocation_coefficients",
     "chordal_distance",
     "in_quarter_disc",
 ]
@@ -123,6 +124,14 @@ def relocate(axis: str, w):
     for _ in range(p):
         out = _gamma_core(out)
     return complex(out) if np.ndim(np.asarray(w)) == 0 else out
+
+
+def relocation_coefficients(axis: str) -> tuple:
+    """(a, b, c, d) with relocate(axis, u) = (a u + b) / (c u + d)."""
+    m = np.eye(2, dtype=complex)
+    for _ in range(_POWERS[axis]):
+        m = np.array([[-1, 1j], [1, 1j]]) @ m  # gamma(w) = (i - w) / (i + w)
+    return tuple(m.ravel().tolist())
 
 
 def relocate_inverse(axis: str, w):

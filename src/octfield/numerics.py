@@ -12,7 +12,7 @@ Maps are consumed through a light protocol: an object with
 
 All three integrals read the same regions.  A conformal or anticonformal
 piece has energy twice its spherical image area, counted with multiplicity,
-so two kinds of region enter in closed form with no grid:
+so three kinds of region enter in closed form with no grid:
 
 - a region whose ``wrapping`` is set is a rational map on the whole quarter
   disc with those one-signed wrapping numbers w_sigma: energy
@@ -23,17 +23,26 @@ so two kinds of region enter in closed form with no grid:
   at the rims onto a quarter zone of area A = pi |1/(1 + mu_lo^2) -
   1/(1 + mu_hi^2)|: energy 2 A, signed image area +A when conformal and -A
   when not, and one covering of each target whose chart value has its
-  preimage under g inside the quarter annulus.
+  preimage under g inside the quarter annulus;
+- a region whose ``rational`` F is set (a cut disc piece: the bulk in a
+  vertex chart on a quarter annulus) has signed image area A = the
+  boundary integral of alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G, G the
+  rotation sending a sector centroid p to infinity, plus 4 pi per
+  preimage of p inside (``_chart_area``): energy 2 |A|, raw trapped area
+  -A, and one covering of each target per preimage inside, conformal or
+  not as F is.
 
-Every other region is integrated on its grid.  Degree counts and the
-trapped area triangulate each grid: the map is evaluated once at the grid
-vertices, and the image triangles share one cross product per grid edge
-(``_ImageMesh``), so both read the same edge normals.  A cut disc and its
-replacement share their rim grids, so preimages near the rims cancel and the
-weighted counts are exact.  A layer's rims are exact circular arcs where its
-gridded neighbours have chords, so the trapped area of a map with layers
-misses a multiple of pi/2 by the slivers between them (at most 6.4e-6 on
-the benchmark's classes).
+Every other region, an interpolant or a collar, is integrated on its grid.
+Degree counts and the trapped area triangulate each grid: the map is
+evaluated once at the grid vertices, and the image triangles share one
+cross product per grid edge (``_ImageMesh``), so both read the same edge
+normals.  A cut disc takes each rim a grid shares as that grid's geodesic
+polygon in the trapped area, and counts a preimage within twice the rim
+chords' sagitta as near, so its rims cancel against its replacement's
+mesh and the weighted counts are exact.  A layer's rims are exact circular
+arcs where its gridded neighbours have chords, so the trapped area of a map
+with layers misses a multiple of pi/2 by the slivers between them (at most
+6.4e-6 on the benchmark's classes).
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -45,6 +54,8 @@ under which the density is invariant.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -62,6 +73,7 @@ __all__ = [
     "IntegrationError",
     "MeshUnavailableError",
     "MAX_BOUNDARY_POINTS",
+    "MAX_CONTOUR_PANELS",
     "dirichlet_energy",
     "degree_count",
     "degree_differences_by_winding",
@@ -117,7 +129,15 @@ class Region:
     0 <= arg u <= pi/2: ``evaluate`` is u -> chart^-1(g(u)), and the chart is
     a rotation of the sphere (None, or a vertex relocation), which keeps
     energy, area and coverings.  The integrals take its closed form and
-    build no grid for it.  A region carries at most one closed form.
+    build no grid for it.
+
+    ``rational``, when set, declares the region a rational map F in a
+    vertex chart (a ``rational.ChartRational``, the bulk of a patchwork
+    seen from a stacked vertex) on a quarter annulus with r_hi <= 1, and
+    ``evaluate`` is F: the integrals take its image area from a contour
+    integral along its boundary and its coverings from F's preimages, and
+    build no grid for it (``_chart_area``).  A region carries at most one
+    closed form.
     """
 
     name: str
@@ -134,18 +154,27 @@ class Region:
     chart: object = None
     wrapping: tuple | None = None
     monomial: ChartMonomial | None = None
+    rational: object = None
 
     def __post_init__(self):
+        if sum(form is not None for form in (self.wrapping, self.monomial, self.rational)) > 1:
+            raise ValueError(f"region {self.name}: at most one closed form")
+        quarter = (self.phi_lo, self.phi_hi) == (0.0, math.pi / 2)
         if self.monomial is not None:
-            if self.wrapping is not None:
-                raise ValueError(f"region {self.name}: at most one closed form")
             if not isinstance(self.monomial, ChartMonomial):
                 raise ValueError(f"region {self.name}: monomial must be a ChartMonomial")
-            if not (0 <= self.r_lo < self.r_hi < math.inf
-                    and (self.phi_lo, self.phi_hi) == (0.0, math.pi / 2)):
+            if not (0 <= self.r_lo < self.r_hi < math.inf and quarter):
                 raise ValueError(
                     f"region {self.name}: a monomial region is a quarter annulus"
                 )
+        if self.rational is not None:
+            from .rational import ChartRational  # rational imports this module
+
+            if not isinstance(self.rational, ChartRational):
+                raise ValueError(f"region {self.name}: rational must be a ChartRational")
+            if not (0 <= self.r_lo < self.r_hi <= 1 and quarter):
+                raise ValueError(f"region {self.name}: a rational region is a quarter "
+                                 "annulus inside the unit circle")
         w = self.wrapping
         if w is None:
             return
@@ -343,36 +372,307 @@ def _region_energy(grid: QuadratureGrid) -> float:
 
 
 def _is_closed(region: Region) -> bool:
-    return region.wrapping is not None or region.monomial is not None
+    return (region.wrapping is not None or region.monomial is not None
+            or region.rational is not None)
 
 
 def _closed_and_grids(regions, level: int):
-    """(the closed-form regions, the grids of all the others)."""
-    closed = [region for region in regions if _is_closed(region)]
+    """(the closed-form regions, the grids of all the others).  Rational
+    regions of one map, weight and chart that meet at a rim are taken as
+    one annulus: both pieces of a cut disc are the whole disc, and their
+    shared rim adds nothing to energy, trapped area or coverings."""
+    closed = []
+    for region in regions:
+        if not _is_closed(region):
+            continue
+        last = closed[-1] if closed else None
+        if (region.rational is not None and last is not None
+                and (last.rational, last.weight, last.chart, last.r_hi)
+                == (region.rational, region.weight, region.chart, region.r_lo)):
+            closed[-1] = dataclasses.replace(last, name=f"{last.name}+{region.name}",
+                                             r_hi=region.r_hi)
+        else:
+            closed.append(region)
     return closed, build_grids([region for region in regions if not _is_closed(region)], level)
 
 
-def _closed_form(region: Region):
-    """(energy, raw trapped area) of a closed-form region, before its
-    weight: pi sum |w| and (pi/2) sum w for wrapping numbers w; 2 A and -+A
-    (- when conformal) for a monomial, A its image area."""
-    if region.wrapping is not None:
-        return math.pi * sum(map(abs, region.wrapping)), math.pi / 2 * sum(region.wrapping)
+def _monomial_area(region: Region) -> float:
+    """Image area A = pi |1/(1 + mu_lo^2) - 1/(1 + mu_hi^2)| of a monomial
+    region whose rims have image moduli mu_lo and mu_hi."""
     g = region.monomial
     q_lo, q_hi = (1 / (1 + g.modulus(r) ** 2) for r in (region.r_lo, region.r_hi))
-    area = math.pi * abs(q_lo - q_hi)
-    return 2 * area, -area if g.conformal else area
+    return math.pi * abs(q_lo - q_hi)
+
+
+def _closed_energy(region: Region) -> float:
+    """Energy of a closed-form region, before its weight: pi sum |w| for
+    wrapping numbers w, twice the image area otherwise."""
+    if region.wrapping is not None:
+        return math.pi * sum(map(abs, region.wrapping))
+    if region.monomial is not None:
+        return 2 * _monomial_area(region)
+    return 2 * abs(_chart_area(region))
+
+
+def _closed_trapped_area(region: Region, grids) -> float:
+    """Raw trapped area of a closed-form region, before its weight: (pi/2)
+    sum w for wrapping numbers w, minus the signed image area otherwise.  A
+    rational region's rims that a grid shares are that grid's geodesic
+    polygons (``_shared_rims``)."""
+    if region.wrapping is not None:
+        return math.pi / 2 * sum(region.wrapping)
+    if region.monomial is not None:
+        area = _monomial_area(region)
+        return -area if region.monomial.conformal else area
+    return -_chart_area(region, _shared_rims(region, grids))
 
 
 def dirichlet_energy(sampled_map, level: int = 3) -> float:
     """Dirichlet energy over the map's weighted regions: the closed form of
-    each closed-form region (see ``_closed_form``), and the tensor quadratic
-    rule on each other region's cells (see ``_quadratic_weights``)."""
+    each closed-form region (see ``_closed_energy``), and the tensor
+    quadratic rule on each other region's cells (see ``_quadratic_weights``)."""
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    total = sum(region.weight * _closed_form(region)[0] for region in closed)
+    total = sum(region.weight * _closed_energy(region) for region in closed)
     for grid in grids:
         total += grid.region.weight * _region_energy(grid)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Rational chart regions: image area from a boundary contour
+# ---------------------------------------------------------------------------
+
+def _gauss_legendre_rule(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton steps on the Legendre polynomial P_n from the classic starts
+    cos(pi (i - 1/4) / (n + 1/2)), weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):  # quadratic convergence from these starts
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (x * p - p_prev) / (x * x - 1)
+        x = x - p / slope
+    return x, 2 / ((1 - x * x) * slope * slope)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre_rule(10)
+_CONTOUR_TOL = 1e-11  # absolute error allowed on each boundary segment
+# most panels one boundary segment may reach; beyond it IntegrationError
+MAX_CONTOUR_PANELS = 2**13
+_LADDER_FLOOR = 1e-14  # innermost ladder step, relative to the segment
+_LADDER_PER_DECADE = 3
+_CENTROID_VALUES = [complex(stereographic(sector_centroid(s))) for s in SECTORS]
+
+
+def _boundary(lo: float, hi: float):
+    """The boundary of the quarter annulus lo <= |u| <= hi, counterclockwise,
+    as segments (radius, direction, sign, span): the real edge (radius 0,
+    direction 1), the outer arc, the imaginary edge (direction i) and the
+    inner arc if lo > 0, each traversed forward (sign +1) or backward (-1)
+    along its parameter t in [0, span].  An arc of radius r is the path
+    r e^{it}, an edge the path direction (lo + t)."""
+    segments = [(0.0, 1, 1, hi - lo), (hi, 1, 1, math.pi / 2), (0.0, 1j, -1, hi - lo)]
+    if lo > 0:
+        segments.append((lo, 1, -1, math.pi / 2))
+    return segments
+
+
+def _panel_edges(points, radius, direction, span, lo):
+    """Initial panel edges of a segment: four equal panels, and a geometric
+    ladder, three steps a decade from the point's distance (at least
+    ``_LADDER_FLOOR`` of the span) up to the span, on both sides of the
+    nearest parameter of each chart point within a span of the segment.
+    The map's fastest structure (the bumps of its zeros and poles, and of
+    the reference's preimages, ``_chart_contour``) lies there, however
+    small its scale."""
+    if radius:
+        t = np.clip(np.angle(points), 0.0, span)
+        d = np.abs(points - radius * np.exp(1j * t)) / radius
+    else:
+        along = points / direction
+        t = np.clip(along.real - lo, 0.0, span)
+        d = np.abs(along - (lo + t))
+    near = d < span
+    t, inner = t[near], np.maximum(d[near], _LADDER_FLOOR * span)
+    steps = inner[:, None] * 10 ** (np.arange(15 * _LADDER_PER_DECADE) / _LADDER_PER_DECADE)
+    ladder = np.where(steps < span, steps, 0.0)
+    edges = np.concatenate([np.linspace(0.0, span, 5), t,
+                            (t[:, None] - ladder).ravel(), (t[:, None] + ladder).ravel()])
+    edges = np.unique(np.clip(edges, 0.0, span))
+    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-15 * span])]
+    edges[-1] = span
+    return edges
+
+
+def _contour_integrals(density, segments, edges) -> np.ndarray:
+    """Integral of density along each segment (radius, direction, sign,
+    span) over its panel edges, by composite Gauss-Legendre panels (10
+    nodes), all segments' panels evaluated together: each panel is halved
+    until its two passes agree to ``_CONTOUR_TOL`` times its share of its
+    segment's span, or to rounding.  density(t, radius, direction) takes
+    parameters and per-panel columns of the segment's path.  Raises
+    ``IntegrationError`` past ``MAX_CONTOUR_PANELS`` panels a segment."""
+    radius, direction, _, span = (np.array(column) for column in zip(*segments))
+    seg = np.concatenate([np.full(len(e) - 1, i) for i, e in enumerate(edges)])
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+
+    def passes(lo, hi, seg):
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        values = density(t, radius[seg][:, None], direction[seg][:, None])
+        return (values @ _GL_WEIGHTS) * half, (np.abs(values) @ _GL_WEIGHTS) * half
+
+    whole, _ = passes(lo, hi, seg)
+    totals = np.zeros(len(segments))
+    panels = np.bincount(seg, minlength=len(segments))
+    while len(lo):
+        if np.any(panels > MAX_CONTOUR_PANELS):
+            raise IntegrationError(
+                f"boundary contour unresolved at {MAX_CONTOUR_PANELS} panels"
+            )
+        mid = 0.5 * (lo + hi)
+        n = len(lo)
+        halves, sizes = passes(np.r_[lo, mid], np.r_[mid, hi], np.r_[seg, seg])
+        refined = halves[:n] + halves[n:]
+        err = np.abs(refined - whole)
+        done = ((err <= _CONTOUR_TOL * (hi - lo) / span[seg])
+                | (err <= 1e-13 * (sizes[:n] + sizes[n:])))
+        totals += np.bincount(seg[done], weights=refined[done], minlength=len(segments))
+        more = ~done
+        lo, hi = np.r_[lo[more], mid[more]], np.r_[mid[more], hi[more]]
+        seg, whole = np.r_[seg[more], seg[more]], np.r_[halves[:n][more], halves[n:][more]]
+        panels += np.bincount(seg, minlength=len(segments))
+    return totals
+
+
+def _area_density(f, p: complex, r_lo: float):
+    """The density of alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G along the
+    boundary segments of ``_boundary`` (t, and per-panel radius and
+    direction), with G = (conj(p) H + 1) / (p - H) the rotation of the
+    sphere sending p to infinity and H = f(u).  Where |H| > 1 it is computed
+    from K = 1/H, G = (conj(p) + K) / (p K - 1), so poles of f need no
+    special case: d log G = (1 + |p|^2) K d log H / (num den) in both
+    forms."""
+    pc, scale = p.conjugate(), 1 + abs(p) ** 2
+
+    def density(t, radius, direction):
+        arc = np.exp(1j * t) * radius
+        u = np.where(radius > 0, arc, direction * (r_lo + t))
+        du = np.where(radius > 0, 1j * arc, direction)
+        h, dlog = f.value_and_log_derivative(u, du)
+        big = ~(np.abs(h) <= 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            k = np.where(big, 1 / h, h)
+        num = np.where(big, pc + k, pc * k + 1)
+        den = np.where(big, p * k - 1, p - k)
+        num2 = num.real ** 2 + num.imag ** 2
+        cap = num2 / (num2 + den.real ** 2 + den.imag ** 2)
+        with np.errstate(invalid="ignore"):
+            out = 2 * cap * (scale * k * dlog / (num * den)).imag
+        # a node on an exact zero or pole of f (K = 0 or undefined, d log H
+        # infinite) lies in a panel narrowed to rounding, at a corner or a
+        # ladder center
+        return np.where((k == 0) | ~np.isfinite(k), 0.0, out)
+
+    return density
+
+
+def _arc_distance(points, radius: float) -> np.ndarray:
+    """Distance of chart points to the rim arc |u| = radius, 0 <= arg u <= pi/2."""
+    inside = (points.real >= 0) & (points.imag >= 0)
+    ends = np.minimum(np.abs(points - radius), np.abs(points - 1j * radius))
+    return np.where(inside, np.abs(np.abs(points) - radius), ends)
+
+
+def _inside(points, lo: float, hi: float) -> int:
+    """How many chart points lie in the quarter annulus lo < |u| <= hi,
+    0 < arg u < pi/2, the coverings' half-open convention."""
+    r = np.abs(points)
+    return int(np.count_nonzero((lo < r) & (r <= hi) & (points.real > 0) & (points.imag > 0)))
+
+
+def _reference_sector(f, rims) -> int:
+    """The index of the sector centroid whose preimages under f lie
+    farthest from the rims, relative to each rim's radius."""
+    preimages = [f.preimages(value) for value in _CENTROID_VALUES]
+    points = np.concatenate(preimages)
+    clearance = np.min([_arc_distance(points, r) / r for r in rims], axis=0)
+    sector = np.repeat(np.arange(len(SECTORS)), [len(u) for u in preimages])
+    nearest = np.full(len(SECTORS), np.inf)
+    np.minimum.at(nearest, sector, clearance)
+    return int(np.argmax(nearest))
+
+
+@functools.lru_cache(maxsize=1024)
+def _chart_contour(f, r_lo: float, r_hi: float, sector: int | None):
+    """(i, base, segments) of a rational chart region: the index i of the
+    reference centroid p (by default ``_reference_sector``'s), base = 4 pi
+    times the signed count of preimages of p inside, and per boundary
+    segment (sign, radius, integral of alpha_p).  Energy and trapped area
+    of a map read the same contour."""
+    i = _reference_sector(f, [r for r in (r_lo, r_hi) if r > 0]) if sector is None else sector
+    p = _CENTROID_VALUES[i]
+    preimages = f.preimages(p)
+    inside = _inside(preimages, r_lo, r_hi)
+    points = f.singular_points()
+    points = np.concatenate([points[np.isfinite(points)], preimages])
+    segments = _boundary(r_lo, r_hi)
+    edges = [_panel_edges(points, radius, direction, span, r_lo)
+             for radius, direction, _, span in segments]
+    integrals = _contour_integrals(_area_density(f, p, r_lo), segments, edges)
+    return (i, 4 * math.pi * (inside if f.conformal else -inside),
+            tuple((sign, radius, float(v)) for (radius, _, sign, _), v in zip(segments, integrals)))
+
+
+def _chart_area(region: Region, polygons=None, sector: int | None = None) -> float:
+    """Signed spherical image area A of a rational chart region, its
+    coverings counted with their orientation: A = the contour integral of
+    alpha_p along the boundary (``_area_density``) plus 4 pi times the signed
+    count of preimages of p inside (``_chart_contour``).  alpha_p is a
+    primitive of the area form singular only at p, and the boundary images
+    never meet p.
+
+    p is the centroid of SECTORS[sector], by default the one whose
+    preimages lie farthest from the rims (``_reference_sector``).
+    ``polygons`` maps a rim radius to angular edges: that rim's image is the
+    geodesic polygon through its vertices' images instead of the exact arc,
+    and contributes the fan of solid angles from -p, where alpha_p vanishes
+    along every geodesic.
+    """
+    f, polygons = region.rational, polygons or {}
+    i, area, segments = _chart_contour(f, region.r_lo, region.r_hi, sector)
+    for sign, radius, integral in segments:
+        if radius in polygons:
+            u = radius * np.exp(1j * polygons[radius])
+            vertices = stereographic_inverse(np.asarray(f(u), dtype=complex))
+            integral = _fan(-sector_centroid(SECTORS[i]), vertices)
+        area += sign * integral
+    return area
+
+
+def _fan(apex, vertices) -> float:
+    """Sum of the signed solid angles of the triangles (apex, P_j, P_j+1)
+    along the vertex rows P."""
+    a, b, c = apex, vertices[:-1], vertices[1:]
+    triple = np.einsum("j,ij->i", a, np.cross(b, c))
+    denom = 1.0 + b @ a + np.einsum("ij,ij->i", b, c) + c @ a
+    return float(np.sum(2.0 * np.arctan2(triple, denom)))
+
+
+def _shared_rims(region: Region, grids) -> dict:
+    """Rims of a rational chart region that a grid of its chart shares, as
+    {radius: that grid's angular edges}: there the grid's triangles end on
+    the geodesic polygon through its rim vertices' images."""
+    rims = {}
+    for r in (region.r_lo, region.r_hi):
+        for grid in grids:
+            if r > 0 and grid.region.chart is region.chart and r in (
+                    grid.region.r_lo, grid.region.r_hi):
+                rims[r] = grid.phi_edges
+                break
+    return rims
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +811,17 @@ def _grid_mesh(grid: QuadratureGrid) -> _ImageMesh:
 
 
 def degree_count(sampled_map, level: int = 3) -> DegreeReport:
-    """Triangulate each region, push vertices through the map, and count signed
-    and unsigned coverings of one regular value per sector, its centroid.
+    """Count signed and unsigned coverings of one regular value per sector,
+    its centroid: each gridded region by triangulating it and pushing its
+    vertices through the map, each closed-form region exactly
+    (``_closed_counts``; a cut disc from the preimages of the target).
 
-    Each region's positive, negative and near counts enter with its weight,
-    so a cut disc cancels the bulk's coverings inside it.  A low-confidence
-    flag is set if the target lies within tolerance of an image-triangle
-    edge after three perturbation retries.  Each gridded region is one
-    ``_ImageMesh``, whose edge normals every target shares; a closed-form
-    region counts its coverings exactly (``_closed_counts``).
+    Each region's positive and negative counts enter with its weight, so a
+    cut disc cancels the bulk's coverings inside it.  A low-confidence flag
+    is set if the target lies within tolerance of an image-triangle edge,
+    or has a cut disc preimage within the sagitta band of a rim a grid
+    shares, after three perturbation retries.  Each gridded region is one
+    ``_ImageMesh``, whose edge normals every target shares.
     """
     regions = sampled_map.regions
     if sum(region.weight < 0 and region.r_lo == 0 for region in regions) > 1:
@@ -530,6 +832,8 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
             "degree counts are limited to maps with at most one cut disc"
         )
     closed, grids = _closed_and_grids(regions, level)
+    rims = [_shared_rims(region, grids) if region.rational is not None else {}
+            for region in closed]
     weights = np.array([g.region.weight for g in grids], dtype=int)
     counters = [_grid_mesh(g).covering() for g in grids]
     report = {}
@@ -542,7 +846,8 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
             p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
             sample = complex(stereographic(p))
             meshed = weights @ np.reshape([count(p) for count in counters], (-1, 3))
-            n_pos, n_neg, near = (int(n) for n in _closed_counts(closed, i, sample) + meshed)
+            n_pos, n_neg, near = (
+                int(n) for n in _closed_counts(closed, rims, i, sample) + meshed)
             if not near:
                 confident = True
                 break
@@ -551,20 +856,31 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     return DegreeReport(report)
 
 
-def _closed_counts(closed, i: int, value: complex) -> np.ndarray:
+def _closed_counts(closed, rims, i: int, value: complex) -> np.ndarray:
     """Weighted (positive, negative, near) coverings of ``value``, a point of
     sector SECTORS[i], by the closed-form regions.  A wrapping region covers
     it -w_i times, positively where that is positive.  A monomial region
     covers it once, positively when conformal, where the preimage u of its
     chart value lies in the quarter annulus: r_lo < |u| <= r_hi and
-    0 < arg u < pi/2."""
+    0 < arg u < pi/2.  A rational region covers it once per preimage in its
+    quarter annulus, positively when conformal; a preimage within twice the
+    sagitta of a rim a grid shares (``rims``, one dict per region) is near,
+    since the grid's triangles end on chords there, not on the arc."""
     counts = np.zeros(3, dtype=int)
     charted = {}
-    for region in closed:
+    for region, shared in zip(closed, rims):
         if region.wrapping is not None:
             w = region.wrapping[i]
             counts[0] += region.weight * max(-w, 0)
             counts[1] += region.weight * max(w, 0)
+            continue
+        if region.rational is not None:
+            u = region.rational.preimages(value)
+            counts[0 if region.rational.conformal else 1] += (
+                region.weight * _inside(u, region.r_lo, region.r_hi))
+            for r, phi in shared.items():
+                sagitta = r * (1 - math.cos(float(np.max(np.diff(phi))) / 2))
+                counts[2] += np.count_nonzero(_arc_distance(u, r) <= 2 * sagitta)
             continue
         if region.chart not in charted:
             charted[region.chart] = value if region.chart is None else region.chart(value)
@@ -586,18 +902,21 @@ def _perturb_in_sector(base, sector, rng):
 def trapped_area(sampled_map, level: int = 3):
     """Signed image area with the trapped-area sign convention.
 
-    A closed-form region contributes its raw area (``_closed_form``): (pi/2)
-    sum w_sigma for wrapping numbers, minus the signed image area of a
-    monomial.  Each other region contributes the solid angles of its image
-    triangles, taken from the shared edge normals of its ``_ImageMesh``.
-    The sum depends only on the regions' boundary images, so the weighted
-    regions give an exact decomposition, up to the slivers between a
-    monomial region's arcs and its gridded neighbours' chords.  Returns
-    (omega, residual): omega snapped to the nearest multiple of pi/2 and the
-    absolute deviation of the raw integral from it.
+    A closed-form region contributes its raw area
+    (``_closed_trapped_area``): (pi/2) sum w_sigma for wrapping numbers,
+    minus the signed image area of a monomial or rational chart region.
+    Each other region contributes the solid angles of its image triangles,
+    taken from the shared edge normals of its ``_ImageMesh``.  The sum
+    depends only on the regions' boundary images, so the weighted regions
+    give an exact decomposition, up to the slivers between a monomial
+    region's arcs and its gridded neighbours' chords; a rational region
+    takes the rims a grid shares as that grid's polygons, so its slivers
+    cancel.  Returns (omega, residual): omega snapped to the nearest
+    multiple of pi/2 and the absolute deviation of the raw integral from
+    it.
     """
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    raw = sum(region.weight * _closed_form(region)[1] for region in closed)
+    raw = sum(region.weight * _closed_trapped_area(region, grids) for region in closed)
     for grid in grids:
         raw -= grid.region.weight * _grid_mesh(grid).signed_area()
     units = round(raw / (math.pi / 2))
@@ -661,10 +980,14 @@ def _arguments(values: np.ndarray, targets, reference: complex) -> np.ndarray:
 
 
 def _steps(args: np.ndarray) -> np.ndarray:
-    """Argument increments along each row of ``_arguments``, in (-pi, pi];
-    the last sample is joined to the first."""
+    """Argument increments along each row of ``_arguments``, in [-pi, pi);
+    the last sample is joined to the first.  Arguments lie in [-pi, pi], so
+    a raw increment lies in [-2 pi, 2 pi] and one shift by 2 pi brings it
+    into range."""
     d = np.diff(args, axis=1, append=args[:, :1])
-    return (d + math.pi) % (2 * math.pi) - math.pi
+    d[d >= math.pi] -= 2 * math.pi
+    d[d < -math.pi] += 2 * math.pi
+    return d
 
 
 # most boundary points a winding bisection may reach; the benchmark's

@@ -40,9 +40,10 @@ vertex's stack layers, interpolants and collar.  The list is the only
 description of the map: ``SampledMap`` evaluates and tags points from it,
 and energy, trapped area and degree counts integrate over it.  The bulk
 region carries H0's wrapping numbers (``realize`` has measured them on the
-fitted bulk) and each layer region its chart monomial, so those integrals
-take the bulk and the layers in closed form and grid only the cut discs,
-the interpolants and the collars.
+fitted bulk), each layer region its chart monomial and each cut disc piece
+the bulk in its vertex chart (``rational.ChartRational``), so those
+integrals take the bulk, the layers and the cut discs in closed form and
+grid only the interpolants and the collars.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import numpy as np
 from .geometry import relocate, relocate_inverse
 from .numerics import IntegrationError, MeshUnavailableError, Region
 from .rational import (
+    ChartRational,
     RationalMapSpec,
     boundary_seed_for_spec,
     evaluate_rational,
@@ -466,11 +468,12 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     (``switch(x)``), all in the vertex chart.
 
     The bulk region carries the wrapping numbers of H0, which ``realize``
-    has checked against the fitted bulk's measured ones, and each layer
-    region its ``stacks.QuarterSphereStack.layer_monomial``, with the vertex
-    chart, whose inverse relocates the layer's values, so energy, trapped
-    area and degree counts take both in closed form; only the cut discs,
-    interpolants and collars are gridded."""
+    has checked against the fitted bulk's measured ones, each layer region
+    its ``stacks.QuarterSphereStack.layer_monomial``, with the vertex chart,
+    whose inverse relocates the layer's values, and each cut disc piece the
+    bulk in the vertex chart (``rational.ChartRational``, also its
+    evaluator), so energy, trapped area and degree counts take all three in
+    closed form; only the interpolants and collars are gridded."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
@@ -481,10 +484,11 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
                       wrapping=wrapping_from_invariants(spec.H0).values)]
     for axis, st in stacks.items():
         chart = partial(relocate_inverse, axis)
-        cut = lambda u, a=axis: evaluate_rational(bulk_spec, relocate(a, u))
+        cut = ChartRational(bulk_spec, axis)
         regions += [
-            Region(f"cut({axis})", cut, 0.0, epsilon, "log", -1, chart=chart),
-            Region(f"cut(switch({axis}))", cut, epsilon, 2 * epsilon, "log", -1, chart=chart),
+            Region(f"cut({axis})", cut, 0.0, epsilon, "log", -1, chart=chart, rational=cut),
+            Region(f"cut(switch({axis}))", cut, epsilon, 2 * epsilon, "log", -1, chart=chart,
+                   rational=cut),
         ]
         for kind, index, r_lo, r_hi, formula in st.pieces():
             regions.append(Region(

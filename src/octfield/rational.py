@@ -31,8 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import relocate, relocate_inverse, sector_centroid_complex
-from .numerics import degree_differences_by_winding
+from .geometry import (
+    relocate,
+    relocate_inverse,
+    relocation_coefficients,
+    sector_centroid_complex,
+)
+from .numerics import IntegrationError, degree_differences_by_winding
 from .topology import (
     SECTORS,
     OctantTopology,
@@ -41,6 +46,8 @@ from .topology import (
 )
 
 __all__ = [
+    "ChartRational",
+    "MAX_PREIMAGE_DEGREE",
     "RationalMapSpec",
     "InvalidSpecError",
     "ConstructionError",
@@ -176,6 +183,162 @@ def _product_values(z, sign, p, real, imag, complex_):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _factor_squares(spec: RationalMapSpec) -> tuple:
+    """(sign, q, ex) with f = sign z^(2m+1) prod ((z^2 - q) / (q z^2 - 1))^ex
+    in the product variable z (conjugated for anticonformal maps): a real
+    factor is one term with q = r^2, an imaginary one is minus one term with
+    q = -s^2, a complex one two terms with q = t^2 and conj(t)^2."""
+    pairs = [(r * r, rho) for r, rho in spec.real_factors]
+    pairs += [(-s * s, sig) for s, sig in spec.imag_factors]
+    for t, tau in spec.complex_factors:
+        pairs += [(q, tau) for q in _complex_squares(complex(t))]
+    q = np.array([complex(q) for q, _ in pairs], dtype=complex)
+    ex = np.array([ex for _, ex in pairs], dtype=int)
+    return spec.sign * (-1) ** len(spec.imag_factors), q, ex
+
+
+def _value_and_log_derivative(spec: RationalMapSpec, z):
+    """(f, d log f / dz) at points z of the product variable, from one
+    broadcast over the factor terms of ``_factor_squares`` (f to rounding,
+    not in ``evaluate_rational``'s order of operations)."""
+    sign, q, ex = _factor_squares(spec)
+    power = 2 * spec.m + 1
+    z2 = (z * z)[..., None]
+    top, bottom = z2 - q, q * z2 - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = sign * z**power * np.prod(np.where(ex > 0, top / bottom, bottom / top), axis=-1)
+        dlog = power / z + 2 * z * np.sum(ex * (1 / top - q / bottom), axis=-1)
+    return values, dlog
+
+
+# largest covering count whose preimages are solved for: a root solve
+# compares every pair of roots each round, so beyond it the work and memory
+# grow with its square and the closed forms that need preimages refuse
+MAX_PREIMAGE_DEGREE = 256
+
+
+@functools.lru_cache(maxsize=256)
+def _poles(spec: RationalMapSpec) -> tuple:
+    """(points, multiplicities) of the finite poles of the product form in
+    the product variable: +-1/sqrt(q) for a term of exponent +1, +-sqrt(q)
+    for one of exponent -1, and 0 for a negative power."""
+    _, q, ex = _factor_squares(spec)
+    roots = np.where(ex > 0, 1 / np.sqrt(q), np.sqrt(q))
+    points, multiplicities = [roots, -roots], [np.ones(2 * len(q))]
+    if 2 * spec.m + 1 < 0:
+        points.append([0j])
+        multiplicities.append([-(2 * spec.m + 1)])
+    return np.concatenate(points), np.concatenate(multiplicities)
+
+
+def _roots_of_values(spec: RationalMapSpec, values) -> np.ndarray:
+    """The points w of the plane with f(w) = value, one row per value (each
+    finite and not a critical value), all ``degree`` of them.
+
+    They are the roots z of the polynomial P = N - value D, found by
+    Aberth-Ehrlich iteration of all rows at once from the unit circle,
+    to about 1e-12 relative, and conjugated back for anticonformal maps.
+    P'/P = f'/(f - value) + D'/D is taken from the product form and its
+    poles, so no coefficient is ever expanded.  Raises ``IntegrationError``
+    above ``MAX_PREIMAGE_DEGREE`` or when 200 rounds do not settle."""
+    n = spec.degree()
+    if n > MAX_PREIMAGE_DEGREE:
+        raise IntegrationError(
+            f"preimages of a degree-{n} map exceed the limit of {MAX_PREIMAGE_DEGREE}"
+        )
+    values = np.asarray(values, dtype=complex)[:, None]
+    poles, multiplicities = _poles(spec)
+    z = np.tile(np.exp(2j * math.pi * (np.arange(n) + 0.25) / n), (len(values), 1))
+    running = np.ones(len(values), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            x, target = z[running], values[running]
+            f, dlog = _value_and_log_derivative(spec, x)
+            slope = f * dlog / (f - target) + np.sum(
+                multiplicities / (x[..., None] - poles), axis=-1)
+            gaps = x[:, :, None] - x[:, None, :]
+            gaps[:, np.arange(n), np.arange(n)] = np.inf
+            # a root hit exactly (f = value) stays where it is
+            step = np.where(f == target, 0, 1 / (slope - np.sum(1 / gaps, axis=2)))
+            z[running] = x - step
+            running[running] = ~np.all(np.abs(step) <= 1e-12 * np.abs(x - step), axis=1)
+            if not running.any():
+                return np.conj(z) if spec.orientation == "anticonformal" else z
+    raise IntegrationError(f"preimages of a degree-{n} map unresolved after 200 rounds")
+
+
+@functools.lru_cache(maxsize=256)
+def _centroid_roots(spec: RationalMapSpec) -> tuple:
+    """The preimages in the plane of each sector centroid, in SECTORS
+    order: one root solve per spec, which every vertex chart reads."""
+    return tuple(_roots_of_values(spec, [_CENTROIDS[s] for s in SECTORS]))
+
+
+@functools.lru_cache(maxsize=256)
+def _chart_centroid_preimages(spec: RationalMapSpec, axis: str) -> tuple:
+    return tuple(relocate_inverse(axis, roots) for roots in _centroid_roots(spec))
+
+
+@dataclass(frozen=True)
+class ChartRational:
+    """The rational map of ``spec`` in the chart of the vertex ``axis``:
+    F(u) = f(relocate(axis, u)), evaluated as the patchwork's cut discs are.
+
+    The relocation is a rotation of the sphere, so F is conformal or
+    anticonformal as f is.  Besides its values, F gives the closed-form
+    integrals of ``numerics`` its log-derivative along chart steps, its
+    zeros and poles, and the preimages of any value, all as chart points.
+    """
+
+    spec: RationalMapSpec
+    axis: str
+
+    def __post_init__(self):
+        if not isinstance(self.spec, RationalMapSpec):
+            raise InvalidSpecError("a chart rational map needs a RationalMapSpec")
+        if self.axis not in _AXES:
+            raise InvalidSpecError(f"axis must be one of x, y, z, got {self.axis!r}")
+
+    @property
+    def conformal(self) -> bool:
+        return self.spec.orientation == "conformal"
+
+    def __call__(self, u):
+        return evaluate_rational(self.spec, relocate(self.axis, u))
+
+    def value_and_log_derivative(self, u, du):
+        """(F(u), d log F along chart steps du) at chart points u (F to
+        rounding, not in ``__call__``'s order of operations)."""
+        a, b, c, d = relocation_coefficients(self.axis)
+        den = c * u + d
+        w, dw = (a * u + b) / den, (a * d - b * c) / (den * den) * du
+        if not self.conformal:
+            w, dw = np.conj(w), np.conj(dw)
+        values, dlog = _value_and_log_derivative(self.spec, w)
+        return values, dlog * dw
+
+    def singular_points(self) -> np.ndarray:
+        """Chart points of all zeros and poles of F on the sphere (the ones
+        at infinity of the plane w included)."""
+        spec = self.spec
+        points = [r for r, _ in spec.real_factors] + [1 / r for r, _ in spec.real_factors]
+        points += [1j * s for s, _ in spec.imag_factors] + [1j / s for s, _ in spec.imag_factors]
+        for t, _ in spec.complex_factors:
+            points += [t, np.conj(t), 1 / t, 1 / np.conj(t)]
+        w = np.asarray(points, dtype=complex)
+        # f(-w) = -f(w): each zero or pole has its negative as a partner
+        return relocate_inverse(self.axis, np.concatenate([[0j, complex(np.inf)], w, -w]))
+
+    def preimages(self, value: complex) -> np.ndarray:
+        """Chart points u with F(u) = value; the sector centroids' are
+        computed once per spec."""
+        index = _CENTROID_INDEX.get(value)
+        if index is not None:
+            return _chart_centroid_preimages(self.spec, self.axis)[index]
+        return relocate_inverse(self.axis, _roots_of_values(self.spec, [value])[0])
+
+
 def boundary_points(t):
     """Counterclockwise boundary of Q parametrized on [0, 3):
     real edge, arc, then imaginary edge back to the origin."""
@@ -193,6 +356,7 @@ def boundary_points(t):
 _CENTROIDS = {s: sector_centroid_complex(s) for s in SECTORS}
 # reference point for winding pairs: interior of the (---) sector
 _REFERENCE = _CENTROIDS[(-1, -1, -1)]
+_CENTROID_INDEX = {_CENTROIDS[s]: i for i, s in enumerate(SECTORS)}
 
 
 def measure_degree_differences(evaluator, params=None):

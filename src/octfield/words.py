@@ -163,10 +163,20 @@ def _canonical_form(letters) -> tuple[tuple[int, ...], tuple[int, ...], list[tup
     return tuple(kept[r:] + kept[:r]), tuple(where[r:] + where[:r]), cancelled
 
 
+# The canonical letters of the most recent word only: the class-product
+# search canonicalises each candidate for its ``seen`` set, and
+# ``spelling_length`` of the same candidate asks again.
+_LAST_CANONICAL: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 def cyclic_canonical(u: Word) -> tuple[int, ...]:
     """Canonical representative of the conjugacy class: cyclically reduced,
     lexicographically smallest rotation (letters ordered 1, -1, 2, -2, ...)."""
-    return _canonical_form(u.letters)[0]
+    canon = _LAST_CANONICAL.get(u.letters)
+    if canon is None:
+        _LAST_CANONICAL.clear()
+        canon = _LAST_CANONICAL[u.letters] = _canonical_form(u.letters)[0]
+    return canon
 
 
 _LAMBDA_CACHE: dict[tuple[int, ...], int] = {}

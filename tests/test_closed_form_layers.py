@@ -62,7 +62,8 @@ def test_layer_closed_forms_equal_their_quadrature(t, epsilon, level):
 
 
 def test_no_layer_is_gridded(monkeypatch):
-    # k=(3,3,3), omega_units=11 has one stack of five layers (M = (5,0,0))
+    # neither layers nor cut discs: k=(3,3,3), omega_units=11 has one stack
+    # of five layers (M = (5,0,0))
     sm = _assembled(OctantTopology((1, 1, 1), (3, 3, 3), 11), 0.05)
     built = []
     real = numerics.build_grids
@@ -73,7 +74,7 @@ def test_no_layer_is_gridded(monkeypatch):
     trapped_area(sm, 1)
     degree_count(sm, 1)
     kinds = {name.split("(")[0] for name in built}
-    assert kinds == {"cut", "interp", "switch"}
+    assert kinds == {"interp", "switch"}
     assert sum(name.startswith("annulus(") for name in
                (region.name for region in sm.regions)) == 5
 

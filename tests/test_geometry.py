@@ -8,6 +8,7 @@ from octfield.geometry import (
     in_quarter_disc,
     relocate,
     relocate_inverse,
+    relocation_coefficients,
     sector_centroid,
     sector_of,
     stereographic,
@@ -86,3 +87,10 @@ def test_chordal_distance_properties():
     assert chordal_distance(0, np.inf) == pytest.approx(2.0)
     assert chordal_distance(np.inf, np.inf) == 0
     assert chordal_distance(1, -1) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_relocation_coefficients_are_the_relocation(axis):
+    a, b, c, d = relocation_coefficients(axis)
+    u = np.array([0.0, 0.03 + 0.02j, 0.2j, 0.7 * np.exp(0.4j)])
+    assert np.allclose((a * u + b) / (c * u + d), relocate(axis, u), rtol=1e-14, atol=1e-15)

@@ -384,7 +384,21 @@ def _chart_steps_reference(values, target, reference):
         chart = np.where(finite, (zf - complex(target)) / (zf - complex(reference)), 1.0 + 0j)
     args = np.angle(chart)
     d = np.diff(np.concatenate([args, args[:1]]))
-    return (d + math.pi) % (2 * math.pi) - math.pi
+    return np.where(d >= math.pi, d - 2 * math.pi, np.where(d < -math.pi, d + 2 * math.pi, d))
+
+
+def test_argument_steps_are_half_open_and_equal_the_remainder_form():
+    # the steps lie in [-pi, pi), as the float remainder puts them, and
+    # differ from it by rounding only
+    from octfield.numerics import _steps
+
+    rng = np.random.default_rng(7)
+    args = rng.uniform(-math.pi, math.pi, size=(8, 400))
+    args[:, ::9], args[:, 4::9] = math.pi, -math.pi
+    steps = _steps(args)
+    d = np.diff(args, axis=1, append=args[:, :1])
+    assert steps.min() >= -math.pi and steps.max() < math.pi
+    assert np.allclose(steps, (d + math.pi) % (2 * math.pi) - math.pi, rtol=0, atol=1e-14)
 
 
 def test_argument_steps_of_all_targets_equal_the_per_target_ones():

@@ -19,6 +19,7 @@ from octfield.rational import (
 )
 from octfield.geometry import relocate, relocate_inverse
 from octfield.rational import (
+    _CENTROIDS,
     _COARSE_STEP,
     _FULL_STEP,
     _MAX_COMPLEX,
@@ -29,16 +30,20 @@ from octfield.rational import (
     _T_RADIUS,
     _T_SPAN,
     _FitScorer,
+    _centroid_roots,
     _descend,
     _factor_shapes,
     _imag_sequences,
     _real_sequences,
+    _roots_of_values,
     _singular_points,
     _spread,
     _start_vector,
+    _value_and_log_derivative,
     _with_parameters,
 )
 from octfield.topology import (
+    SECTORS,
     OctantTopology,
     invariants_from_wrapping,
     wrapping_from_invariants,
@@ -460,3 +465,35 @@ def test_realize_fits_bulk_to_stacked_vertices():
     assert measure_wrapping_rational(fitted).values == wrapping_from_invariants(bulk_class).values
     with pytest.raises(ValueError):
         realize(bulk_class, stacked=("w",))
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_specs(), st.sampled_from(SECTORS))
+def test_preimages_of_a_centroid_are_all_its_roots(spec, sector):
+    # the Aberth solve finds every preimage in the plane, each once, to a
+    # Newton correction of 1e-9 (a preimage next to a pole of tiny residue
+    # leaves a large value residual); the cached centroid rows are the same
+    # solve
+    value = _CENTROIDS[sector]
+    roots = _roots_of_values(spec, [value])[0]
+    assert len(roots) == spec.degree()
+    f, dlog = _value_and_log_derivative(spec, np.conj(roots) if spec.orientation ==
+                                        "anticonformal" else roots)
+    assert np.all(np.abs((f - value) / (f * dlog)) <= 1e-9 * np.maximum(np.abs(roots), 1))
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
+    assert gaps.min() > 1e-9
+    assert np.allclose(_centroid_roots(spec)[SECTORS.index(sector)], roots, rtol=1e-10)
+
+
+def test_preimages_above_the_degree_limit_are_refused():
+    # a pairwise root solve of a degree-1001 map would hold 8 x 1001^2
+    # complex gaps; it is refused before any work
+    from octfield.numerics import IntegrationError
+    from octfield.rational import MAX_PREIMAGE_DEGREE
+
+    spec = RationalMapSpec(m=500)
+    assert spec.degree() > MAX_PREIMAGE_DEGREE
+    with pytest.raises(IntegrationError):
+        _roots_of_values(spec, [0.5])
+    largest = RationalMapSpec(m=(MAX_PREIMAGE_DEGREE - 1) // 2)
+    assert len(_roots_of_values(largest, [0.5])[0]) == largest.degree()

@@ -2,12 +2,13 @@
 fixed set of maps, against ``data/verification_numerics.json``.
 
 The triangulated invariants must not move when their kernel is rewritten;
-this pins them to the last bit.  An assembled map's bulk and stack layers
-enter the integrals in closed form, with no grid, so the assembled cases
-strip the bulk's wrapping numbers and the layers' monomials to keep the
-kernel pinned on the whole map; one further case keeps the closed-form
-bulk, and one keeps both closed forms.  Re-record the file (only when a
-change of the numbers is intended) with
+this pins them to the last bit.  An assembled map's bulk, stack layers and
+cut discs enter the integrals in closed form, with no grid, so the
+assembled cases strip the bulk's wrapping numbers, the layers' monomials
+and the cut discs' chart rational maps to keep the kernel pinned on the
+whole map; further cases keep the closed-form bulk, the bulk and layers,
+and every closed form.  Re-record the file (only when a change of the
+numbers is intended) with
 
     PYTHONPATH=src python tests/test_verification_numerics.py
 """
@@ -28,21 +29,16 @@ DATA = Path(__file__).parent / "data" / "verification_numerics.json"
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
 
-def _quadrature_layers(sm):
-    """The map with its stack layers integrated on grids, not in closed form."""
-    return dataclasses.replace(
-        sm, regions=[dataclasses.replace(region, monomial=None) for region in sm.regions])
-
-
-def _quadrature_bulk(sm):
-    """The map with its bulk and its stack layers integrated on grids, not
-    in closed form."""
-    bulk, *pieces = _quadrature_layers(sm).regions
-    return dataclasses.replace(sm, regions=[dataclasses.replace(bulk, wrapping=None), *pieces])
+def _gridded(sm, *forms):
+    """The map with the named closed forms of its regions stripped (all of
+    them by default), so that those regions are integrated on grids."""
+    forms = forms or ("wrapping", "monomial", "rational")
+    return dataclasses.replace(sm, regions=[
+        dataclasses.replace(region, **dict.fromkeys(forms)) for region in sm.regions])
 
 
 def _patchwork(t, epsilon):
-    return _quadrature_bulk(assemble_patchwork(select_case(t, epsilon=epsilon)))
+    return _gridded(assemble_patchwork(select_case(t, epsilon=epsilon)))
 
 
 # name -> (map factory, grid level, whether degree_count counts the map)
@@ -51,7 +47,7 @@ CASES = {
     "rational k=(0,0,-1) omega=-5": (
         lambda: rational_map(realize(OctantTopology((1, 1, 1), (0, 0, -1), -5))), 3, True
     ),
-    "vertex_stack_map": (lambda: _quadrature_bulk(fixtures.vertex_stack_map()), 3, True),
+    "vertex_stack_map": (lambda: _gridded(fixtures.vertex_stack_map()), 3, True),
     "insertion_comparison_map": (fixtures.insertion_comparison_map, 3, True),
     "worked eps=0.05": (lambda: _patchwork(WORKED, 0.05), 3, True),
     "worked eps=0.00625": (lambda: _patchwork(WORKED, 0.00625), 3, True),
@@ -59,9 +55,14 @@ CASES = {
         lambda: _patchwork(OctantTopology((1, 1, 1), (3, 3, 3), -5), 0.05), 2, False
     ),
     "worked eps=0.05 closed-form bulk": (
-        lambda: _quadrature_layers(assemble_patchwork(select_case(WORKED, epsilon=0.05))), 3, True
+        lambda: _gridded(assemble_patchwork(select_case(WORKED, epsilon=0.05)),
+                         "monomial", "rational"), 3, True
     ),
     "worked eps=0.05 closed-form bulk and layers": (
+        lambda: _gridded(assemble_patchwork(select_case(WORKED, epsilon=0.05)), "rational"),
+        3, True
+    ),
+    "worked eps=0.05 every closed form": (
         lambda: assemble_patchwork(select_case(WORKED, epsilon=0.05)), 3, True
     ),
 }
