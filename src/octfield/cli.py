@@ -28,6 +28,7 @@ points).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -364,7 +365,10 @@ def cmd_sweep(args) -> int:
     return EXIT_INVARIANT_FAILURE if failed else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="octfield",
         description="Energies and homotopy invariants of tangent fields on the octant",
@@ -409,7 +413,11 @@ def main(argv=None) -> int:
     p_sw.add_argument("--out", help="output directory")
     add_numeric_opts(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if hasattr(args, "epsilon") and not 0 < args.epsilon < 0.125:
         parser.error("epsilon must lie in (0, 1/8)")

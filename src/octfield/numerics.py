@@ -10,9 +10,10 @@ Maps are consumed through a light protocol: an object with
 - ``evaluate(w)``: vectorized evaluation on complex points of the quarter
   disc, read by ``boundary_residual``.
 
-All three integrals read the same regions.  A conformal or anticonformal
-piece has energy twice its spherical image area, counted with multiplicity,
-so three kinds of region enter in closed form with no grid:
+All three integrals read the same regions, each as it is given.  A
+conformal or anticonformal piece has energy twice its spherical image area,
+counted with multiplicity, so three kinds of region enter in closed form
+with no grid:
 
 - a region whose ``wrapping`` is set is a rational map on the whole quarter
   disc with those one-signed wrapping numbers w_sigma: energy
@@ -24,8 +25,8 @@ so three kinds of region enter in closed form with no grid:
   1/(1 + mu_hi^2)|: energy 2 A, signed image area +A when conformal and -A
   when not, and one covering of each target whose chart value has its
   preimage under g inside the quarter annulus;
-- a region whose ``rational`` F is set (a cut disc piece: the bulk in a
-  vertex chart on a quarter annulus) has signed image area A = the
+- a region whose ``rational`` F is set (a cut disc: the bulk in a vertex
+  chart on a quarter annulus) has signed image area A = the
   boundary integral of alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G, G the
   rotation sending a sector centroid p to infinity, plus 4 pi per
   preimage of p inside (``_chart_area``): energy 2 |A|, raw trapped area
@@ -54,7 +55,6 @@ under which the density is invariant.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -377,22 +377,8 @@ def _is_closed(region: Region) -> bool:
 
 
 def _closed_and_grids(regions, level: int):
-    """(the closed-form regions, the grids of all the others).  Rational
-    regions of one map, weight and chart that meet at a rim are taken as
-    one annulus: both pieces of a cut disc are the whole disc, and their
-    shared rim adds nothing to energy, trapped area or coverings."""
-    closed = []
-    for region in regions:
-        if not _is_closed(region):
-            continue
-        last = closed[-1] if closed else None
-        if (region.rational is not None and last is not None
-                and (last.rational, last.weight, last.chart, last.r_hi)
-                == (region.rational, region.weight, region.chart, region.r_lo)):
-            closed[-1] = dataclasses.replace(last, name=f"{last.name}+{region.name}",
-                                             r_hi=region.r_hi)
-        else:
-            closed.append(region)
+    """(the closed-form regions as given, the grids of all the others)."""
+    closed = [region for region in regions if _is_closed(region)]
     return closed, build_grids([region for region in regions if not _is_closed(region)], level)
 
 
@@ -462,7 +448,9 @@ _CONTOUR_TOL = 1e-11  # absolute error allowed on each boundary segment
 MAX_CONTOUR_PANELS = 2**13
 _LADDER_FLOOR = 1e-14  # innermost ladder step, relative to the segment
 _LADDER_PER_DECADE = 3
-_CENTROID_VALUES = [complex(stereographic(sector_centroid(s))) for s in SECTORS]
+# the sector centroids' chart values, in SECTORS order: the one table that
+# degree counts, contour references and preimage caches all read
+CENTROID_VALUES = tuple(complex(stereographic(sector_centroid(s))) for s in SECTORS)
 
 
 def _boundary(lo: float, hi: float):
@@ -596,7 +584,7 @@ def _inside(points, lo: float, hi: float) -> int:
 def _reference_sector(f, rims) -> int:
     """The index of the sector centroid whose preimages under f lie
     farthest from the rims, relative to each rim's radius."""
-    preimages = [f.preimages(value) for value in _CENTROID_VALUES]
+    preimages = [f.preimages(value) for value in CENTROID_VALUES]
     points = np.concatenate(preimages)
     clearance = np.min([_arc_distance(points, r) / r for r in rims], axis=0)
     sector = np.repeat(np.arange(len(SECTORS)), [len(u) for u in preimages])
@@ -613,7 +601,7 @@ def _chart_contour(f, r_lo: float, r_hi: float, sector: int | None):
     segment (sign, radius, integral of alpha_p).  Energy and trapped area
     of a map read the same contour."""
     i = _reference_sector(f, [r for r in (r_lo, r_hi) if r > 0]) if sector is None else sector
-    p = _CENTROID_VALUES[i]
+    p = CENTROID_VALUES[i]
     preimages = f.preimages(p)
     inside = _inside(preimages, r_lo, r_hi)
     points = f.singular_points()

@@ -31,16 +31,16 @@ epsilon.
 ``assemble_patchwork`` realizes the bulk rational map with its free
 parameters fitted to the stacked vertices (``rational.realize``), relocates
 the stacks to their vertices with the Moebius rotations, and glues across
-the collar annuli epsilon <= |u| <= 2 epsilon with the switching function
-s = (|u| - epsilon)/epsilon, reciprocally for odd M_j (pole-side values) and
-linearly for even M_j.  The map is a list of signed regions, each one closed
-formula on one annulus of a chart: the bulk, minus each stacked vertex's
-chart disc |u| <= 2 epsilon (cut at epsilon into two pieces), plus that
-vertex's stack layers, interpolants and collar.  The list is the only
-description of the map: ``SampledMap`` evaluates and tags points from it,
-and energy, trapped area and degree counts integrate over it.  The bulk
-region carries H0's wrapping numbers (``realize`` has measured them on the
-fitted bulk), each layer region its chart monomial and each cut disc piece
+the collar annuli epsilon <= |u| <= 2 epsilon with the stack's own switch
+(``QuarterSphereStack.switch`` of its top layer into the bulk),
+reciprocally for odd M_j (pole-side values) and linearly for even M_j.  The
+map is a list of signed regions, each one closed formula on one annulus of
+a chart: the bulk, minus each stacked vertex's chart disc |u| <= 2 epsilon,
+plus that vertex's stack layers, interpolants and collar.  The list is the
+only description of the map: ``SampledMap`` evaluates and tags points from
+it, and energy, trapped area and degree counts integrate over it.  The
+bulk region carries H0's wrapping numbers (``realize`` has measured them on
+the fitted bulk), each layer region its chart monomial and each cut disc
 the bulk in its vertex chart (``rational.ChartRational``), so those
 integrals take the bulk, the layers and the cut discs in closed form and
 grid only the interpolants and the collars.
@@ -55,7 +55,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .geometry import relocate, relocate_inverse
+from .geometry import AXES, relocate, relocate_inverse
 from .numerics import IntegrationError, MeshUnavailableError, Region
 from .rational import (
     ChartRational,
@@ -66,7 +66,7 @@ from .rational import (
     quadrature_clusters,
     realize,
 )
-from .stacks import PERMUTATIONS, QuarterSphereStack, alternating, blend, stack_degree_table
+from .stacks import QuarterSphereStack, alternating, chart_sector, stack_degree_table
 from .topology import (
     SECTORS,
     Classification,
@@ -93,7 +93,6 @@ __all__ = [
     "measure_map_wrapping",
 ]
 
-AXES = ("x", "y", "z")
 
 class NotApplicableError(ValueError):
     """The class is conformal or anticonformal: no patchwork is needed."""
@@ -160,7 +159,7 @@ def _stack_flip(axis: str, sigma_minus):
     chart that pair is the quadrant (a, b) of sigma_-'s other two components,
     and the odd layers cover (-flip, -flip).  None when a != b: only a
     modulus-inverting reflection reaches that quadrant."""
-    a, b = PERMUTATIONS[{"x": "y", "y": "x", "z": "z"}[axis]](sigma_minus)[:2]
+    a, b = chart_sector(axis, sigma_minus)[:2]
     return -a if a == b else None
 
 
@@ -297,24 +296,24 @@ def _least_stack_counts(w, sigma_minus, flips, expected_total: int):
 
 def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
     """Stack counts M for classes outside the tabulated branch (unsorted,
-    negative, or zero kinks).  For each candidate sigma_- (at the extremal
-    wrapping sectors), every vertex gets the standard stack whose odd layers
-    cover the relocated pair of sigma_- (``_stack_flip``); a vertex whose
-    pair needs a modulus-inverting reflection gets none.  The counts are
-    solved from the coverage identity (``_least_stack_counts``): the first
-    candidate with a solution gives the least M, by total and then lex,
-    whose bulk class is one-signed and meets the identity."""
-    candidates = []
+    negative, or zero kinks).  sigma_- is the sector of signs opposite to
+    the kinks' when no kink is zero, else the class's sigma_- when it is
+    antipodal to sigma_+; otherwise there is none.  Every vertex gets the
+    standard stack whose odd layers cover the relocated pair of sigma_-
+    (``_stack_flip``); a vertex whose pair needs a modulus-inverting
+    reflection gets none.  The counts are solved from the coverage identity
+    (``_least_stack_counts``): the least M, by total and then lex, whose
+    bulk class is one-signed and meets the identity."""
+    sigma_minus = None
     if all(v != 0 for v in target.k):
-        candidates.append(tuple(-1 if v > 0 else 1 for v in target.k))
-    sp, sm = c.sigma_plus, c.sigma_minus
-    if sm is not None and tuple(-s for s in sm) == sp and sm not in candidates:
-        candidates.append(sm)
-    expected_total = w.total_absolute() + delta_invariant(w, c)
+        sigma_minus = tuple(-1 if v > 0 else 1 for v in target.k)
+    elif c.sigma_minus is not None and tuple(-s for s in c.sigma_minus) == c.sigma_plus:
+        sigma_minus = c.sigma_minus
     unreachable = []
-    for sigma_minus in candidates:
+    if sigma_minus is not None:
         flips = [_stack_flip(axis, sigma_minus) for axis in AXES]
-        unreachable += [a for a, f in zip(AXES, flips) if f is None and a not in unreachable]
+        unreachable = [a for a, f in zip(AXES, flips) if f is None]
+        expected_total = w.total_absolute() + delta_invariant(w, c)
         M = _least_stack_counts(w, sigma_minus, flips, expected_total)
         if M is not None:
             stacks = {axis: _stack(alternating(m, flip), epsilon)
@@ -337,10 +336,10 @@ def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
     with ``topology.normalize_edge_signs``).  Sorted positive kinks use the
     tabulated cases 1a..2f; everything else gets standard stacks whose
     counts are solved from the coverage identity (``_general_sign_spec``): at
-    most 16 patterns of bulk sign and layer parities per candidate sigma_-,
-    each solved in closed form.  Raises ``UnsupportedClassError`` when no
-    stack counts satisfy the coverage identity with stacks at the vertices
-    that modulus-preserving reflections reach.
+    most 16 patterns of bulk sign and layer parities, each solved in closed
+    form.  Raises ``UnsupportedClassError`` when no stack counts satisfy the
+    coverage identity with stacks at the vertices that modulus-preserving
+    reflections reach.
     """
     if not 0 < epsilon < 0.125:
         raise ValueError("epsilon must lie in (0, 1/8)")
@@ -433,17 +432,6 @@ def rational_map(spec: RationalMapSpec) -> SampledMap:
     )
 
 
-def _collar_chart_value(bulk_spec, axis, st, epsilon, u):
-    """Collar blend in the vertex chart: the switch between the stack's top
-    layer and the chart-pulled bulk map.  Blending in the rotated chart (not
-    in w) is what preserves the tangent boundary conditions on the arc."""
-    u = np.asarray(u, dtype=complex)
-    g = st.layer_value(st.layers, u)
-    f = relocate_inverse(axis, evaluate_rational(bulk_spec, relocate(axis, u)))
-    s = (np.abs(u) - epsilon) / epsilon
-    return blend(g, f, s, odd=st.top_is_conformal)
-
-
 def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
     """Boundary parameters (period 3) log-refined into every stack annulus and
     into the bulk map's edge zeros and poles.  Each vertex ladder reaches a
@@ -463,17 +451,17 @@ def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
 def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     """Build the evaluable representative for a verified PatchworkSpec: the
     bulk, minus the disc of chart radius 2 epsilon around each stacked
-    vertex (as two pieces, inside and outside epsilon), plus one region per
-    stack piece (``annulus(x,m)``, ``interp(x,n)``) and the collar
-    (``switch(x)``), all in the vertex chart.
+    vertex (``cut(x)``), plus one region per stack piece (``annulus(x,m)``,
+    ``interp(x,n)``) and the collar (``switch(x)``, the stack's top layer
+    switched into the cut disc's map), all in the vertex chart.
 
     The bulk region carries the wrapping numbers of H0, which ``realize``
     has checked against the fitted bulk's measured ones, each layer region
     its ``stacks.QuarterSphereStack.layer_monomial``, with the vertex chart,
-    whose inverse relocates the layer's values, and each cut disc piece the
-    bulk in the vertex chart (``rational.ChartRational``, also its
-    evaluator), so energy, trapped area and degree counts take all three in
-    closed form; only the interpolants and collars are gridded."""
+    whose inverse relocates the layer's values, and each cut disc the bulk
+    in the vertex chart (``rational.ChartRational``, also its evaluator), so
+    energy, trapped area and degree counts take all three in closed form;
+    only the interpolants and collars are gridded."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
@@ -485,11 +473,8 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     for axis, st in stacks.items():
         chart = partial(relocate_inverse, axis)
         cut = ChartRational(bulk_spec, axis)
-        regions += [
-            Region(f"cut({axis})", cut, 0.0, epsilon, "log", -1, chart=chart, rational=cut),
-            Region(f"cut(switch({axis}))", cut, epsilon, 2 * epsilon, "log", -1, chart=chart,
-                   rational=cut),
-        ]
+        regions.append(Region(f"cut({axis})", cut, 0.0, 2 * epsilon, "log", -1, chart=chart,
+                              rational=cut))
         for kind, index, r_lo, r_hi, formula in st.pieces():
             regions.append(Region(
                 f"{kind}({axis},{index})", lambda u, a=axis, f=formula: relocate(a, f(u)),
@@ -497,8 +482,10 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
                 monomial=formula if kind == "annulus" else None,
             ))
 
-        def collar(u, a=axis, s=st):
-            return relocate(a, _collar_chart_value(bulk_spec, a, s, epsilon, u))
+        def collar(u, a=axis, s=st, f=cut):
+            # blended in the vertex chart, not in w, which keeps the tangent
+            # boundary conditions on the arc
+            return relocate(a, s.switch(s.layers, u, relocate_inverse(a, f(u))))
 
         regions.append(Region(f"switch({axis})", collar, epsilon, 2 * epsilon, chart=chart))
 

@@ -31,13 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    relocate,
-    relocate_inverse,
-    relocation_coefficients,
-    sector_centroid_complex,
-)
-from .numerics import IntegrationError, degree_differences_by_winding
+from .geometry import AXES, relocate, relocate_inverse, relocation_coefficients
+from .numerics import CENTROID_VALUES, IntegrationError, degree_differences_by_winding
 from .topology import (
     SECTORS,
     OctantTopology,
@@ -272,7 +267,7 @@ def _roots_of_values(spec: RationalMapSpec, values) -> np.ndarray:
 def _centroid_roots(spec: RationalMapSpec) -> tuple:
     """The preimages in the plane of each sector centroid, in SECTORS
     order: one root solve per spec, which every vertex chart reads."""
-    return tuple(_roots_of_values(spec, [_CENTROIDS[s] for s in SECTORS]))
+    return tuple(_roots_of_values(spec, CENTROID_VALUES))
 
 
 @functools.lru_cache(maxsize=256)
@@ -297,7 +292,7 @@ class ChartRational:
     def __post_init__(self):
         if not isinstance(self.spec, RationalMapSpec):
             raise InvalidSpecError("a chart rational map needs a RationalMapSpec")
-        if self.axis not in _AXES:
+        if self.axis not in AXES:
             raise InvalidSpecError(f"axis must be one of x, y, z, got {self.axis!r}")
 
     @property
@@ -353,10 +348,9 @@ def boundary_points(t):
     return w
 
 
-_CENTROIDS = {s: sector_centroid_complex(s) for s in SECTORS}
 # reference point for winding pairs: interior of the (---) sector
-_REFERENCE = _CENTROIDS[(-1, -1, -1)]
-_CENTROID_INDEX = {_CENTROIDS[s]: i for i, s in enumerate(SECTORS)}
+_REFERENCE = CENTROID_VALUES[SECTORS.index((-1, -1, -1))]
+_CENTROID_INDEX = {value: i for i, value in enumerate(CENTROID_VALUES)}
 
 
 def measure_degree_differences(evaluator, params=None):
@@ -371,11 +365,10 @@ def measure_degree_differences(evaluator, params=None):
     """
     if params is None:
         params = np.linspace(0.0, 3.0, 600, endpoint=False)
-    targets = [_CENTROIDS[s] for s in SECTORS]
     return degree_differences_by_winding(
         lambda p: evaluator(boundary_points(p)),
         params,
-        targets,
+        CENTROID_VALUES,
         _REFERENCE,
         period=3.0,
     )
@@ -698,9 +691,8 @@ _START_STEP = 0.16  # first step of every fit
 _COARSE_STEP = 0.08  # smallest step of the coarse fit every shape gets
 _FULL_STEP = 0.01  # smallest step of the full fits
 _FULL_FITS = 3  # shapes then fitted to full resolution
-_AXES = ("x", "y", "z")
 _RING = _COLLAR_RING * np.exp(1j * np.linspace(0.0, math.pi / 2, 9))
-_RING_IN_W = {axis: relocate(axis, _RING) for axis in _AXES}
+_RING_IN_W = {axis: relocate(axis, _RING) for axis in AXES}
 
 
 def _factor_counts(shape: RationalMapSpec) -> tuple:
@@ -845,7 +837,7 @@ class _FitScorer:
         self.stacked = stacked
         self.rings = np.array([_RING_IN_W[axis] for axis in stacked], dtype=complex).ravel()
         # per ring point: does the stack's top layer meet a bulk zero there
-        self.zero_top = np.repeat([e[_AXES.index(axis)] > 0 for axis in stacked], len(_RING))
+        self.zero_top = np.repeat([e[AXES.index(axis)] > 0 for axis in stacked], len(_RING))
 
     def parameters(self, s: int, row) -> np.ndarray:
         """Shape s's own free parameters in the padded row."""
@@ -993,7 +985,7 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     collars only.
     """
     stacked = tuple(sorted(set(stacked)))
-    if any(axis not in _AXES for axis in stacked):
+    if any(axis not in AXES for axis in stacked):
         raise ValueError(f"stacked vertices must be among x, y, z, got {stacked}")
     key = (target.e, target.k, target.omega_units, stacked)
     if key in _REALIZE_CACHE:

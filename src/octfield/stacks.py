@@ -14,12 +14,15 @@ a layer is conformal exactly when it covers a diagonal quadrant at odd m or
 (1, -1) at even m; conformal layers count -1 in their sectors'
 wrapping numbers, anticonformal ones +1.  The standard stack (``alternating``)
 covers (-1, -1) at odd and (1, 1) at even layers, or the opposite diagonal
-pair when flipped.  Between consecutive layers the interpolation annuli
-rho_n <= |u| <= 2 rho_n blend the neighbors, reciprocally after odd layers
-(where moduli are large) and linearly after even ones (moduli small): the
-blend follows the parity, not the orientation.  ``pieces`` lists these
-formulas with their annuli, one per annulus from the center out; each becomes
-one region of the assembled map (see ``patchwork``).
+pair when flipped.  Past each layer n the switch annulus
+rho_n <= |u| <= 2 rho_n blends it into what lies outside (``switch``),
+reciprocally after odd layers (where moduli are large) and linearly after
+even ones (moduli small): the blend follows the parity, not the
+orientation.  Between consecutive layers the switch is the interpolant into
+layer n + 1; past the top layer, rho_L = epsilon, it is the collar into the
+bulk, the outermost switch.  ``pieces`` lists the layers and interpolants
+with their annuli, one per annulus from the center out; each becomes one
+region of the assembled map, as does the collar (see ``patchwork``).
 
 Two scales enter: the chart radius epsilon, where the top layer meets the
 collar, and the layer ratio delta, which sets every layer's moduli through
@@ -41,7 +44,8 @@ import numpy as np
 from .geometry import ChartMonomial
 from .topology import SECTORS
 
-__all__ = ["QuarterSphereStack", "alternating", "stack_degree_table", "PERMUTATIONS"]
+__all__ = ["QuarterSphereStack", "alternating", "chart_sector", "stack_degree_table",
+           "PERMUTATIONS"]
 
 # sector permutations induced by the vertex rotations: gamma_j maps the
 # pre-relocation sector tau onto p_j(tau)
@@ -50,8 +54,15 @@ PERMUTATIONS = {
     "y": lambda s: (s[1], s[2], s[0]),
     "z": lambda s: (s[0], s[1], s[2]),
 }
-_INVERSE_AXIS = {"x": "y", "y": "x", "z": "z"}
 _QUADRANTS = ((1, 1), (-1, -1), (1, -1))  # chart quadrants a layer can cover
+
+
+def chart_sector(axis: str, sector) -> tuple:
+    """p_j^-1(sector): the sector of the j-vertex chart that gamma_j maps
+    onto ``sector``.  p_j is a cyclic shift of order 3, so its inverse is
+    p_j applied twice."""
+    p = PERMUTATIONS[axis]
+    return p(p(sector))
 
 
 def alternating(layers: int, flip: int = 1) -> tuple:
@@ -98,14 +109,6 @@ class QuarterSphereStack:
         layer, the finest scale of the stack."""
         return math.sqrt(self.delta) * self.radius(1)
 
-    @property
-    def top_is_conformal(self) -> bool:
-        """Odd top layers have large moduli at the collar seam, so the bulk
-        there must be near a pole (edge sign -1); even tops pair with a bulk
-        zero (edge sign +1).  In every stack the construction builds, the top
-        layer covers a diagonal quadrant, where odd means conformal."""
-        return self.layers % 2 == 1
-
     def pieces(self) -> list:
         """The stack's formulas on the chart disc |u| <= epsilon, one per
         annulus, from the center out: (kind, index, r_lo, r_hi, formula) for
@@ -147,43 +150,46 @@ class QuarterSphereStack:
         """Map of layer m evaluated at chart points (valid on 2rho_{m-1} <= |u| <= rho_m)."""
         return self.layer_monomial(m)(u)
 
-    def interpolant_value(self, n: int, u):
-        """Blend between layers n and n+1 on rho_n <= |u| <= 2 rho_n."""
-        if not 1 <= n <= self.layers - 1:
-            raise ValueError(f"interpolant {n} outside stack of {self.layers}")
+    def switch(self, n: int, u, outer):
+        """Layer n switched into ``outer`` (values at the same chart points)
+        on rho_n <= |u| <= 2 rho_n, with s = (|u| - rho_n) / rho_n:
+        reciprocally after odd layers, linearly after even ones.  Between
+        layers ``outer`` is layer n + 1 (``interpolant_value``); past the top
+        layer, where rho_L = epsilon, it is the bulk in the vertex chart and
+        the switch is the collar.  Odd layers have large moduli at their
+        outer seam, so an odd top meets the bulk near a pole (edge sign -1)
+        and an even top meets it near a zero (edge sign +1)."""
+        if not 1 <= n <= self.layers:
+            raise ValueError(f"switch {n} outside stack of {self.layers}")
         u = np.asarray(u, dtype=complex)
         s = (np.abs(u) - self.radius(n)) / self.radius(n)
         a = self.layer_value(n, u)
-        b = self.layer_value(n + 1, u)
-        # reciprocal blending after odd layers, whose moduli are large at
-        # the seam, linear after even ones
-        return blend(a, b, s, odd=n % 2 == 1)
-
-
-def blend(a, b, s, odd: bool):
-    """Switching-function blend: reciprocal for odd seams (large moduli),
-    linear for even seams (small moduli)."""
-    if odd:
+        if n % 2 == 0:
+            return (1 - s) * a + s * outer
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = (1 - s) / a + s / b
+            inv = (1 - s) / a + s / outer
             out = 1.0 / inv
         out = np.where(inv == 0, np.inf + 0j, out)
         # endpoints where one side dominates entirely
         out = np.where(s == 0, a, out)
-        out = np.where(s == 1, b, out)
-        return out
-    return (1 - s) * a + s * b
+        return np.where(s == 1, outer, out)
+
+    def interpolant_value(self, n: int, u):
+        """Blend between layers n and n+1 on rho_n <= |u| <= 2 rho_n."""
+        if not 1 <= n <= self.layers - 1:
+            raise ValueError(f"interpolant {n} outside stack of {self.layers}")
+        return self.switch(n, u, self.layer_value(n + 1, u))
 
 
 def _pre_relocation_table(stack: QuarterSphereStack) -> dict:
     """Covering contribution of each layer in the vertex chart, in wrapping
-    convention: layer m covers both sectors of its quadrant, -1 each when it
-    is conformal (a diagonal quadrant at odd m, (1, -1) at even m), else +1."""
+    convention: layer m covers both sectors of its quadrant, -1 each when its
+    monomial is conformal, else +1."""
     table: dict = {}
     for m, (a, b) in enumerate(stack.covers, start=1):
-        conformal = (a == b) == (m % 2 == 1)
+        count = -1 if stack.layer_monomial(m).conformal else 1
         for sz in (1, -1):
-            table[(a, b, sz)] = table.get((a, b, sz), 0) + (-1 if conformal else 1)
+            table[(a, b, sz)] = table.get((a, b, sz), 0) + count
     return table
 
 
@@ -196,5 +202,4 @@ def stack_degree_table(stack: QuarterSphereStack, axis: str) -> dict:
     if axis not in PERMUTATIONS:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     pre = _pre_relocation_table(stack)
-    inv = PERMUTATIONS[_INVERSE_AXIS[axis]]
-    return {sector: pre.get(inv(sector), 0) for sector in SECTORS}
+    return {sector: pre.get(chart_sector(axis, sector), 0) for sector in SECTORS}

@@ -50,6 +50,22 @@ def test_spelling_word(capsys):
     assert "lambda=2" in out
 
 
+def test_main_runs_different_subcommands_in_one_process(tmp_path, capsys):
+    # the parser is built once; a second call keeps nothing of the first's
+    # options (here --out), and a bad epsilon still exits 2
+    assert main(["classify", "--json", WORKED_JSON, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "classify.json").read_text())["energy_pi_units"] == 7
+    capsys.readouterr()
+    assert main(["spelling", "--word", "a b a' b'"]) == 0
+    out = capsys.readouterr().out
+    assert "lambda=2" in out and json.loads(out.split("\n", 1)[1])["spelling_length"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["classify.json"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--json", WORKED_JSON, "--epsilon", "0.2"])
+    assert exit_info.value.code == 2
+    assert cli._parser() is cli._parser()
+
+
 def test_spelling_empty_word(capsys):
     assert main(["spelling", "--word", "e"]) == 0
     assert "lambda=0" in capsys.readouterr().out

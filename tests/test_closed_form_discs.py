@@ -1,11 +1,12 @@
 """Closed-form cut discs against the quadrature of the same regions.
 
 Each stacked vertex cuts the bulk's disc of chart radius 2 epsilon out of
-the map in two pieces, and each piece is the bulk rational map in the
-vertex chart, so energy, trapped area and degree counts take it from a
-boundary contour and the map's preimages (``numerics._chart_area``).  These
-tests hold the closed forms to the gridded integrals of the very same
-regions, with the chart rational map stripped, on the benchmark's classes:
+the map as one region, the bulk rational map in the vertex chart, so
+energy, trapped area and degree counts take it from a boundary contour and
+the map's preimages (``numerics._chart_area``).  These tests hold the
+closed forms to the gridded integrals of the same disc's two pieces inside
+and outside epsilon, with the chart rational map stripped, on the
+benchmark's classes:
 the kmax-3 sweep at epsilon 0.05 (grid level 2) and the kmax-2 classes at
 four epsilons (grid level 3).  On the whole quarter disc the closed form
 must give the exact identities of a rational map's wrapping numbers.
@@ -58,15 +59,20 @@ def _discs(sm, axis=None):
             and axis in (None, region.rational.axis)]
 
 
+def _pieces(disc):
+    """The disc's pieces inside and outside epsilon, half its radius."""
+    epsilon = disc.r_hi / 2
+    return [dataclasses.replace(disc, r_hi=epsilon), dataclasses.replace(disc, r_lo=epsilon)]
+
+
 @pytest.mark.parametrize("t, epsilon, level", CLASSES, ids=[
     f"k={t.k} omega={t.omega_units} eps={eps}" for t, eps, _ in CLASSES])
 def test_cut_disc_closed_forms_equal_their_quadrature(t, epsilon, level):
     sm = _assembled(t, epsilon)
     discs = _discs(sm)
     assert [region.name for region in discs] == [
-        name for axis in select_case(t, epsilon=epsilon).stacks
-        for name in (f"cut({axis})", f"cut(switch({axis}))")]
-    for region in discs:
+        f"cut({axis})" for axis in select_case(t, epsilon=epsilon).stacks]
+    for region in (piece for disc in discs for piece in _pieces(disc)):
         # counted alone with weight +1: a lone subtractive piece has
         # negative coverings
         region = dataclasses.replace(region, weight=1)
@@ -90,9 +96,10 @@ def test_closed_form_discs_keep_the_whole_map_counts(t):
     # near bands for the counts, so the whole map's snapped area and
     # degrees are those of its gridded discs
     sm = _assembled(t, 0.05)
-    # the integrals take a disc's two pieces as one annulus
+    # a disc's closed form is its two pieces' closed forms added
     assert dirichlet_energy(SampledMap(_discs(sm))) == pytest.approx(
-        sum(dirichlet_energy(SampledMap([region])) for region in _discs(sm)), abs=1e-10)
+        sum(dirichlet_energy(SampledMap([piece]))
+            for disc in _discs(sm) for piece in _pieces(disc)), abs=1e-10)
     gridded = dataclasses.replace(sm, regions=[
         dataclasses.replace(region, rational=None) for region in sm.regions])
     omega, residual = trapped_area(sm, 2)
@@ -183,7 +190,7 @@ def test_chart_rational_map_values_and_preimages():
     assert np.allclose(values, _F(u), rtol=1e-13)
     slope = (np.log(_F(u[1:])) - np.log(_F(u[0]))) / (u[1:] - u[0])
     assert np.allclose(slope, dlog[0], rtol=1e-5)
-    for value in (numerics._CENTROID_VALUES[3], 0.3 - 0.2j):
+    for value in (numerics.CENTROID_VALUES[3], 0.3 - 0.2j):
         preimages = _F.preimages(value)
         assert len(preimages) == _F.spec.degree()
         assert np.allclose(_F(preimages), value, rtol=1e-10)

@@ -99,22 +99,26 @@ def test_boundary_residual_detects_broken_map():
 
 
 def test_grids_respect_seams():
-    # the cut disc is two pieces, [0, eps] and [eps, 2 eps]: their grids meet
-    # the stack's top layer on the eps circle and the collar on both circles,
-    # on the same angular lines, so the pieces' image meshes share their rims
+    # the cut disc is one region, [0, 2 eps]: its grid meets the stack's
+    # innermost layer at the center and the collar on the 2 eps circle, and
+    # the top layer meets the collar on the eps circle, on the same angular
+    # lines; the closed-form disc takes its 2 eps rim as the collar's polygon
+    from octfield.numerics import _closed_and_grids, _shared_rims
     from octfield.patchwork import assemble_patchwork, select_case
 
     eps = 0.05
     sm = assemble_patchwork(select_case(OctantTopology((1, 1, 1), (2, 2, 2), 7), eps))
     grids = {grid.region.name: grid for grid in build_grids(sm.regions, 2)}
-    inner, outer = grids["cut(x)"], grids["cut(switch(x))"]
-    top, collar = grids["annulus(x,3)"], grids["switch(x)"]
-    assert inner.r_edges[0] == 0.0 == grids["annulus(x,1)"].r_edges[0]
-    assert inner.r_edges[-1] == top.r_edges[-1] == eps
-    assert outer.r_edges[0] == collar.r_edges[0] == eps
-    assert outer.r_edges[-1] == collar.r_edges[-1] == 2 * eps
-    for grid in (inner, outer, top):
+    cut, top, collar = grids["cut(x)"], grids["annulus(x,3)"], grids["switch(x)"]
+    assert cut.r_edges[0] == 0.0 == grids["annulus(x,1)"].r_edges[0]
+    assert top.r_edges[-1] == collar.r_edges[0] == eps
+    assert cut.r_edges[-1] == collar.r_edges[-1] == 2 * eps
+    for grid in (cut, top):
         assert np.array_equal(grid.phi_edges, collar.phi_edges)
+    closed, gridded = _closed_and_grids(sm.regions, 2)
+    disc, = [region for region in closed if region.rational is not None]
+    rims = _shared_rims(disc, gridded)
+    assert list(rims) == [2 * eps] and np.array_equal(rims[2 * eps], collar.phi_edges)
 
 
 def test_degree_count_perturbs_near_edge_targets():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -250,6 +251,8 @@ def _split_search(t):
         candidates.append(tuple(-1 if v > 0 else 1 for v in t.k))
     if tuple(-s for s in c.sigma_minus) == c.sigma_plus and c.sigma_minus not in candidates:
         candidates.append(c.sigma_minus)
+    # the two candidates never meet, so the recipe makes one choice
+    assert len(candidates) <= 1
     for sigma_minus in candidates:
         flips = [_stack_flip(axis, sigma_minus) for axis in ("x", "y", "z")]
         M = _first_split(w, flips, w.total_absolute() + delta_invariant(w, c))
@@ -544,6 +547,50 @@ def test_region_evaluators_match_map_off_the_seams():
             u = r[keep] * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, keep.sum()))
             jump = chordal_distance(region.evaluate(u), sm.evaluate(relocate(axis, u)))
             assert float(np.max(jump)) < 1e-9, region.name
+
+
+def _collar_formula(bulk_spec, axis, stack, epsilon, u):
+    """The collar written out on its own: the top layer g and the bulk f in
+    the vertex chart, blended with s = (|u| - eps) / eps, reciprocally for
+    an odd top and linearly for an even one."""
+    u = np.asarray(u, dtype=complex)
+    g = stack.layer_value(stack.layers, u)
+    f = relocate_inverse(axis, evaluate_rational(bulk_spec, relocate(axis, u)))
+    s = (np.abs(u) - epsilon) / epsilon
+    if stack.layers % 2 == 0:
+        return (1 - s) * g + s * f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = (1 - s) / g + s / f
+        out = 1.0 / inv
+    out = np.where(inv == 0, np.inf + 0j, out)
+    out = np.where(s == 0, g, out)
+    return np.where(s == 1, f, out)
+
+
+def test_each_stacked_vertex_has_one_cut_disc_and_the_collar_is_its_switch():
+    # on the kmax-3 sweep: one negative region per stacked vertex, the whole
+    # chart disc [0, 2 eps] carrying the bulk in that vertex's chart, and a
+    # collar equal to the written-out formula to the last bit
+    from octfield.rational import ChartRational
+
+    rng = np.random.default_rng(23)
+    for k in itertools.combinations_with_replacement(range(1, 4), 3):
+        for n in range(1, sum(k) - 1):
+            spec = select_case(_class(k, n), epsilon=0.05)
+            sm = assemble_patchwork(spec)
+            bulk_spec = sm.regions[0].evaluate.args[0]
+            negative = [region for region in sm.regions if region.weight < 0]
+            assert [region.name for region in negative] == [f"cut({a})" for a in spec.stacks]
+            for axis, stack in spec.stacks.items():
+                disc, = [region for region in negative if region.name == f"cut({axis})"]
+                assert (disc.r_lo, disc.r_hi) == (0.0, 2 * spec.epsilon)
+                assert disc.rational == ChartRational(bulk_spec, axis)
+                collar, = [region for region in sm.regions if region.name == f"switch({axis})"]
+                r = spec.epsilon * rng.uniform(1 + 1e-6, 2 - 1e-6, 200)
+                u = r * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, 200))
+                expected = relocate(axis, _collar_formula(bulk_spec, axis, stack,
+                                                          spec.epsilon, u))
+                assert np.array_equal(collar.evaluate(u), expected), (k, n, axis)
 
 
 def test_pieces_tile_the_vertex_disc_and_own_their_outer_edges():

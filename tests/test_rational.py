@@ -17,9 +17,9 @@ from octfield.rational import (
     predict_invariants,
     realize,
 )
-from octfield.geometry import relocate, relocate_inverse
+from octfield.geometry import AXES, relocate, relocate_inverse
+from octfield.numerics import CENTROID_VALUES
 from octfield.rational import (
-    _CENTROIDS,
     _COARSE_STEP,
     _FULL_STEP,
     _MAX_COMPLEX,
@@ -186,7 +186,6 @@ def test_shape_parameters_round_trip(spec):
         assert abs(t_back - t) <= 1e-15
 
 
-_AXES = ("x", "y", "z")
 _COLLAR_RING = 0.1 * np.exp(1j * np.linspace(0.0, math.pi / 2, 9))
 
 
@@ -203,7 +202,7 @@ def _reference_score(spec, e, stacked):
         for axis in stacked:
             values = evaluate_rational(spec, relocate(axis, _COLLAR_RING))
             chart = np.abs(relocate_inverse(axis, values))
-            m2 = chart**2 if e[_AXES.index(axis)] > 0 else 1.0 / chart**2
+            m2 = chart**2 if e[AXES.index(axis)] > 0 else 1.0 / chart**2
             score += float(np.mean(np.where(np.isfinite(m2), m2 / (1.0 + m2), 1.0)))
     return score
 
@@ -219,7 +218,7 @@ _OFFSETS = st.sampled_from((0.0, 0.01, -0.02, 0.04, -0.04, 0.08, -0.16, 0.3, -0.
 def test_scorer_rows_equal_the_score_formula(orientation, e, stacks, data):
     # one batch mixes rows of up to four shapes of one orientation, whose
     # factor counts, powers and signs may all differ
-    stacked = tuple(axis for axis, stack in zip(_AXES, stacks) if stack)
+    stacked = tuple(axis for axis, stack in zip(AXES, stacks) if stack)
     shapes = data.draw(st.lists(product_specs(orientation), min_size=1, max_size=4))
     scorer = _FitScorer(shapes, e, stacked)
     owner, rows = [], []
@@ -474,7 +473,7 @@ def test_preimages_of_a_centroid_are_all_its_roots(spec, sector):
     # Newton correction of 1e-9 (a preimage next to a pole of tiny residue
     # leaves a large value residual); the cached centroid rows are the same
     # solve
-    value = _CENTROIDS[sector]
+    value = CENTROID_VALUES[SECTORS.index(sector)]
     roots = _roots_of_values(spec, [value])[0]
     assert len(roots) == spec.degree()
     f, dlog = _value_and_log_derivative(spec, np.conj(roots) if spec.orientation ==

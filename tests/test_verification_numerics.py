@@ -31,10 +31,20 @@ WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
 def _gridded(sm, *forms):
     """The map with the named closed forms of its regions stripped (all of
-    them by default), so that those regions are integrated on grids."""
+    them by default), so that those regions are integrated on grids.  A
+    stripped cut disc is gridded in two pieces split at epsilon, half its
+    radius, where the collar starts: the grids the recording was made on."""
     forms = forms or ("wrapping", "monomial", "rational")
-    return dataclasses.replace(sm, regions=[
-        dataclasses.replace(region, **dict.fromkeys(forms)) for region in sm.regions])
+    regions = []
+    for region in sm.regions:
+        stripped = dataclasses.replace(region, **dict.fromkeys(forms))
+        if region.rational is None or "rational" not in forms:
+            regions.append(stripped)
+            continue
+        epsilon = region.r_hi / 2
+        regions += [dataclasses.replace(stripped, r_hi=epsilon),
+                    dataclasses.replace(stripped, r_lo=epsilon)]
+    return dataclasses.replace(sm, regions=regions)
 
 
 def _patchwork(t, epsilon):
