@@ -12,17 +12,19 @@ Exit codes: 0 success, 2 invalid input (a class that is not valid JSON of a
 valid class, an unreadable class file, prism lengths not in the order
 Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
 ``--format`` name, or a bad word; a word may have at most
-``words.MAX_WORD_LETTERS`` letters), 3 unsupported kink sign pattern (for
-``spelling``, kinks of mixed sign or zero once the class is reflected to
-edge signs (+,+,+)), 4 unsupported class for construction (including a
-general-sign class for which no stack counts satisfy the coverage identity,
-and a class whose bulk has no factor shape that ``rational.realize`` can
-fit), 5 invariant failure (a failed check, energy below the infimum
-included, a spelling bound above the energy formula, measured windings of a
-built map that fit no wrapping numbers, or a verification integral that
-does not converge, such as a trapped area more than 0.3 from a multiple of
-pi/2 or boundary windings needing more than ``numerics.MAX_BOUNDARY_POINTS``
-points).
+``words.MAX_WORD_LETTERS`` letters and its alphabet as many generators), 3
+unsupported kink sign pattern (for ``spelling``, kinks of mixed sign or
+zero once the class is reflected to edge signs (+,+,+)), 4 unsupported
+class for construction (including a general-sign class for which no stack
+counts satisfy the coverage identity, a class whose bulk has no factor
+shape that ``rational.realize`` can fit, and an ``--epsilon`` so small that
+a stack's innermost layer falls below double precision), 5 invariant
+failure (a failed check, energy below the infimum included, a spelling
+bound above the energy formula, measured windings of a built map that fit
+no wrapping numbers, or a verification integral that does not converge,
+such as a trapped area more than 0.3 from a multiple of pi/2, boundary
+windings needing more than ``numerics.MAX_BOUNDARY_POINTS`` points, or the
+preimages of a bulk above ``rational.MAX_PREIMAGE_DEGREE``).
 """
 
 from __future__ import annotations
@@ -128,10 +130,11 @@ def cmd_spelling(args) -> int:
         except ValueError as e:
             print(f"invalid word: {e}", file=sys.stderr)
             return EXIT_INVALID_INPUT
-        if len(u.letters) > MAX_WORD_LETTERS:
-            print(f"invalid word: {len(u.letters)} letters, at most {MAX_WORD_LETTERS}",
-                  file=sys.stderr)
-            return EXIT_INVALID_INPUT
+        for size, what in ((len(u.letters), "letters"), (u.alphabet_size, "generators")):
+            if size > MAX_WORD_LETTERS:
+                print(f"invalid word: {size} {what}, at most {MAX_WORD_LETTERS}",
+                      file=sys.stderr)
+                return EXIT_INVALID_INPUT
         lam = spelling_length(u)
         pairing = sorted(tuple(sorted(p)) for p in optimal_pairing(u))
         degs = generator_degrees(u)

@@ -12,26 +12,25 @@ Maps are consumed through a light protocol: an object with
 
 All three integrals read the same regions, each as it is given.  A
 conformal or anticonformal piece has energy twice its spherical image area,
-counted with multiplicity, so three kinds of region enter in closed form
-with no grid:
+counted with multiplicity, so two kinds of region enter in closed form with
+no grid:
 
-- a region whose ``wrapping`` is set is a rational map on the whole quarter
-  disc with those one-signed wrapping numbers w_sigma: energy
-  pi sum |w_sigma|, raw trapped area (pi/2) sum w_sigma, and -w_sigma
-  coverings of each sector sigma;
 - a region whose ``monomial`` g is set (a stack layer, c u^{+-1} or
   c conj(u)^{+-1} on a quarter annulus) maps its image moduli mu_lo, mu_hi
   at the rims onto a quarter zone of area A = pi |1/(1 + mu_lo^2) -
   1/(1 + mu_hi^2)|: energy 2 A, signed image area +A when conformal and -A
   when not, and one covering of each target whose chart value has its
   preimage under g inside the quarter annulus;
-- a region whose ``rational`` F is set (a cut disc: the bulk in a vertex
-  chart on a quarter annulus) has signed image area A = the
-  boundary integral of alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G, G the
-  rotation sending a sector centroid p to infinity, plus 4 pi per
-  preimage of p inside (``_chart_area``): energy 2 |A|, raw trapped area
-  -A, and one covering of each target per preimage inside, conformal or
-  not as F is.
+- a region whose ``rational`` F is set (a rational map in a vertex chart:
+  the bulk in the z-chart on the whole quarter disc, or a cut disc in its
+  vertex's chart) has a signed image area A (``_closed_area``): energy
+  2 |A|, raw trapped area -A, and one covering of each target per preimage
+  inside, conformal or not as F is.  On the whole quarter disc the tangent
+  boundary conditions map the boundary into the sector boundaries, so
+  A = (pi/2) sum_sigma d_sigma, d_sigma the signed count of centroid-sigma
+  preimages inside; on a cut disc A is the boundary integral of
+  alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G, G the rotation sending a
+  sector centroid p to infinity, plus 4 pi per preimage of p inside.
 
 Every other region, an interpolant or a collar, is integrated on its grid.
 Degree counts and the trapped area triangulate each grid: the map is
@@ -58,7 +57,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -119,11 +117,6 @@ class Region:
     starts a decade below it, or at ``_LOG_FLOOR`` times its outer radius if
     that is lower.
 
-    ``wrapping``, when set, declares the region a rational conformal or
-    anticonformal map whose eight one-signed wrapping numbers (in SECTORS
-    order) are known: the integrals take its closed form and build no grid
-    for it.  Only the whole identity-chart quarter disc can carry it.
-
     ``monomial``, when set, declares the region a chart monomial g (a
     ``geometry.ChartMonomial``) on the quarter annulus r_lo <= |u| <= r_hi,
     0 <= arg u <= pi/2: ``evaluate`` is u -> chart^-1(g(u)), and the chart is
@@ -132,12 +125,13 @@ class Region:
     build no grid for it.
 
     ``rational``, when set, declares the region a rational map F in a
-    vertex chart (a ``rational.ChartRational``, the bulk of a patchwork
-    seen from a stacked vertex) on a quarter annulus with r_hi <= 1, and
-    ``evaluate`` is F: the integrals take its image area from a contour
-    integral along its boundary and its coverings from F's preimages, and
-    build no grid for it (``_chart_area``).  A region carries at most one
-    closed form.
+    vertex chart (a ``rational.ChartRational``: a patchwork's bulk in the
+    z-chart, or seen from a stacked vertex) on a quarter annulus with
+    r_hi <= 1, and ``evaluate`` is F: the integrals take its image area from
+    its preimages and, short of the whole quarter disc, a contour integral
+    along its boundary, and its coverings from F's preimages, and build no
+    grid for it (``_closed_area``).  A region carries at most one closed
+    form.
     """
 
     name: str
@@ -152,12 +146,11 @@ class Region:
     phi_clusters: tuple = ()
     center_scale: float = math.inf
     chart: object = None
-    wrapping: tuple | None = None
     monomial: ChartMonomial | None = None
     rational: object = None
 
     def __post_init__(self):
-        if sum(form is not None for form in (self.wrapping, self.monomial, self.rational)) > 1:
+        if self.monomial is not None and self.rational is not None:
             raise ValueError(f"region {self.name}: at most one closed form")
         quarter = (self.phi_lo, self.phi_hi) == (0.0, math.pi / 2)
         if self.monomial is not None:
@@ -175,19 +168,6 @@ class Region:
             if not (0 <= self.r_lo < self.r_hi <= 1 and quarter):
                 raise ValueError(f"region {self.name}: a rational region is a quarter "
                                  "annulus inside the unit circle")
-        w = self.wrapping
-        if w is None:
-            return
-        if len(w) != len(SECTORS) or not all(isinstance(v, Integral) for v in w):
-            raise ValueError(f"region {self.name}: wrapping must be {len(SECTORS)} integers")
-        if not (all(v <= 0 for v in w) or all(v >= 0 for v in w)):
-            raise ValueError(f"region {self.name}: wrapping numbers must be one-signed")
-        if (self.chart, self.r_lo, self.r_hi, self.phi_lo, self.phi_hi) != (
-            None, 0.0, 1.0, 0.0, math.pi / 2
-        ):
-            raise ValueError(
-                f"region {self.name}: a closed-form region is the whole quarter disc"
-            )
 
 
 # resolution constants per grid level (level 1..5)
@@ -372,8 +352,7 @@ def _region_energy(grid: QuadratureGrid) -> float:
 
 
 def _is_closed(region: Region) -> bool:
-    return (region.wrapping is not None or region.monomial is not None
-            or region.rational is not None)
+    return region.monomial is not None or region.rational is not None
 
 
 def _closed_and_grids(regions, level: int):
@@ -382,43 +361,33 @@ def _closed_and_grids(regions, level: int):
     return closed, build_grids([region for region in regions if not _is_closed(region)], level)
 
 
-def _monomial_area(region: Region) -> float:
-    """Image area A = pi |1/(1 + mu_lo^2) - 1/(1 + mu_hi^2)| of a monomial
-    region whose rims have image moduli mu_lo and mu_hi."""
+def _closed_area(region: Region, grids=()) -> float:
+    """Signed image area of a closed-form region, before its weight: its
+    energy is twice the modulus, its raw trapped area minus it.  A monomial
+    region whose rims have image moduli mu_lo and mu_hi covers A = pi
+    |1/(1 + mu_lo^2) - 1/(1 + mu_hi^2)|, +A when conformal.  A rational
+    region on the whole quarter disc covers A = (pi/2) sum_sigma d_sigma:
+    the tangent boundary conditions map the boundary into the sector
+    boundaries, so the degree is constant on each open sector
+    (``quarter_disc_degrees``).  Any other rational region takes
+    ``_chart_area``, its rims that one of the ``grids`` shares being that
+    grid's geodesic polygons (``_shared_rims``)."""
     g = region.monomial
+    if g is None:
+        if (region.r_lo, region.r_hi) == (0.0, 1.0):
+            return math.pi / 2 * sum(quarter_disc_degrees(region.rational))
+        return _chart_area(region, _shared_rims(region, grids))
     q_lo, q_hi = (1 / (1 + g.modulus(r) ** 2) for r in (region.r_lo, region.r_hi))
-    return math.pi * abs(q_lo - q_hi)
-
-
-def _closed_energy(region: Region) -> float:
-    """Energy of a closed-form region, before its weight: pi sum |w| for
-    wrapping numbers w, twice the image area otherwise."""
-    if region.wrapping is not None:
-        return math.pi * sum(map(abs, region.wrapping))
-    if region.monomial is not None:
-        return 2 * _monomial_area(region)
-    return 2 * abs(_chart_area(region))
-
-
-def _closed_trapped_area(region: Region, grids) -> float:
-    """Raw trapped area of a closed-form region, before its weight: (pi/2)
-    sum w for wrapping numbers w, minus the signed image area otherwise.  A
-    rational region's rims that a grid shares are that grid's geodesic
-    polygons (``_shared_rims``)."""
-    if region.wrapping is not None:
-        return math.pi / 2 * sum(region.wrapping)
-    if region.monomial is not None:
-        area = _monomial_area(region)
-        return -area if region.monomial.conformal else area
-    return -_chart_area(region, _shared_rims(region, grids))
+    area = math.pi * abs(q_lo - q_hi)
+    return area if g.conformal else -area
 
 
 def dirichlet_energy(sampled_map, level: int = 3) -> float:
     """Dirichlet energy over the map's weighted regions: the closed form of
-    each closed-form region (see ``_closed_energy``), and the tensor
+    each closed-form region (twice its ``_closed_area``), and the tensor
     quadratic rule on each other region's cells (see ``_quadratic_weights``)."""
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    total = sum(region.weight * _closed_energy(region) for region in closed)
+    total = sum(region.weight * 2 * abs(_closed_area(region)) for region in closed)
     for grid in grids:
         total += grid.region.weight * _region_energy(grid)
     return total
@@ -612,6 +581,14 @@ def _chart_contour(f, r_lo: float, r_hi: float, sector: int | None):
     integrals = _contour_integrals(_area_density(f, p, r_lo), segments, edges)
     return (i, 4 * math.pi * (inside if f.conformal else -inside),
             tuple((sign, radius, float(v)) for (radius, _, sign, _), v in zip(segments, integrals)))
+
+
+def quarter_disc_degrees(f) -> tuple:
+    """The signed degrees d_sigma, in SECTORS order, of a rational chart
+    map f on the whole quarter disc: the count of its centroid-sigma
+    preimages inside (``_inside``), positive when f is conformal."""
+    sign = 1 if f.conformal else -1
+    return tuple(sign * _inside(f.preimages(p), 0.0, 1.0) for p in CENTROID_VALUES)
 
 
 def _chart_area(region: Region, polygons=None, sector: int | None = None) -> float:
@@ -846,8 +823,7 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
 
 def _closed_counts(closed, rims, i: int, value: complex) -> np.ndarray:
     """Weighted (positive, negative, near) coverings of ``value``, a point of
-    sector SECTORS[i], by the closed-form regions.  A wrapping region covers
-    it -w_i times, positively where that is positive.  A monomial region
+    sector SECTORS[i], by the closed-form regions.  A monomial region
     covers it once, positively when conformal, where the preimage u of its
     chart value lies in the quarter annulus: r_lo < |u| <= r_hi and
     0 < arg u < pi/2.  A rational region covers it once per preimage in its
@@ -857,11 +833,6 @@ def _closed_counts(closed, rims, i: int, value: complex) -> np.ndarray:
     counts = np.zeros(3, dtype=int)
     charted = {}
     for region, shared in zip(closed, rims):
-        if region.wrapping is not None:
-            w = region.wrapping[i]
-            counts[0] += region.weight * max(-w, 0)
-            counts[1] += region.weight * max(w, 0)
-            continue
         if region.rational is not None:
             u = region.rational.preimages(value)
             counts[0 if region.rational.conformal else 1] += (
@@ -891,8 +862,8 @@ def trapped_area(sampled_map, level: int = 3):
     """Signed image area with the trapped-area sign convention.
 
     A closed-form region contributes its raw area
-    (``_closed_trapped_area``): (pi/2) sum w_sigma for wrapping numbers,
-    minus the signed image area of a monomial or rational chart region.
+    (``_closed_area``): minus the signed image area of a monomial or
+    rational chart region.
     Each other region contributes the solid angles of its image triangles,
     taken from the shared edge normals of its ``_ImageMesh``.  The sum
     depends only on the regions' boundary images, so the weighted regions
@@ -904,7 +875,7 @@ def trapped_area(sampled_map, level: int = 3):
     it.
     """
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    raw = sum(region.weight * _closed_trapped_area(region, grids) for region in closed)
+    raw = -sum(region.weight * _closed_area(region, grids) for region in closed)
     for grid in grids:
         raw -= grid.region.weight * _grid_mesh(grid).signed_area()
     units = round(raw / (math.pi / 2))

@@ -39,17 +39,18 @@ a chart: the bulk, minus each stacked vertex's chart disc |u| <= 2 epsilon,
 plus that vertex's stack layers, interpolants and collar.  The list is the
 only description of the map: ``SampledMap`` evaluates and tags points from
 it, and energy, trapped area and degree counts integrate over it.  The
-bulk region carries H0's wrapping numbers (``realize`` has measured them on
-the fitted bulk), each layer region its chart monomial and each cut disc
-the bulk in its vertex chart (``rational.ChartRational``), so those
-integrals take the bulk, the layers and the cut discs in closed form and
-grid only the interpolants and the collars.
+bulk region is the bulk rational map in the z-chart and each cut disc the
+same map in its vertex chart (``rational.ChartRational``), and each layer
+region carries its chart monomial, so those integrals take the bulk, the
+layers and the cut discs in closed form and grid only the interpolants and
+the collars.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -231,12 +232,21 @@ def _layer_ratio(epsilon: float, layers: int) -> float:
     rho_1 = epsilon * delta^(L-1), stays at or above _MIN_INNER_SCALE, and
     never above epsilon.
     """
-    floor = (_MIN_INNER_SCALE / epsilon) ** (1.0 / (layers - 0.5))
+    try:
+        floor = (_MIN_INNER_SCALE / epsilon) ** (1.0 / (layers - 0.5))
+    except OverflowError:  # a tiny epsilon: the floor lies far above it
+        return epsilon
     return min(max(epsilon**_LAYER_RATIO_POWER, floor), epsilon)
 
 
 def _stack(covers, epsilon: float) -> QuarterSphereStack:
-    return QuarterSphereStack(covers, epsilon, _layer_ratio(epsilon, len(covers)))
+    stack = QuarterSphereStack(covers, epsilon, _layer_ratio(epsilon, len(covers)))
+    if stack.inner_scale() < sys.float_info.min:
+        raise UnsupportedClassError(
+            f"a {len(covers)}-layer stack at epsilon={epsilon} has its innermost "
+            "layer below double precision"
+        )
+    return stack
 
 
 def _build_stacks(case_id: str, M, epsilon: float, k, n: int) -> dict:
@@ -455,21 +465,22 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     ``interp(x,n)``) and the collar (``switch(x)``, the stack's top layer
     switched into the cut disc's map), all in the vertex chart.
 
-    The bulk region carries the wrapping numbers of H0, which ``realize``
-    has checked against the fitted bulk's measured ones, each layer region
-    its ``stacks.QuarterSphereStack.layer_monomial``, with the vertex chart,
-    whose inverse relocates the layer's values, and each cut disc the bulk
-    in the vertex chart (``rational.ChartRational``, also its evaluator), so
-    energy, trapped area and degree counts take all three in closed form;
-    only the interpolants and collars are gridded."""
+    The bulk region and each cut disc carry the bulk rational map in their
+    chart (``rational.ChartRational``, also their evaluator: the z-chart,
+    which is the domain's own, for the bulk), and each layer region its
+    ``stacks.QuarterSphereStack.layer_monomial``, with the vertex chart,
+    whose inverse relocates the layer's values, so energy, trapped area and
+    degree counts take all three in closed form; only the interpolants and
+    collars are gridded.  The bulk's closed form counts the same preimages
+    that ``realize`` checked against H0's wrapping numbers."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
     bulk_r_cl, bulk_phi_cl = quadrature_clusters(bulk_spec)
 
-    regions = [Region("bulk", partial(evaluate_rational, bulk_spec), 0.0, 1.0,
-                      r_clusters=bulk_r_cl, phi_clusters=bulk_phi_cl,
-                      wrapping=wrapping_from_invariants(spec.H0).values)]
+    bulk = ChartRational(bulk_spec, "z")  # gamma_z is the identity
+    regions = [Region("bulk", bulk, 0.0, 1.0, r_clusters=bulk_r_cl, phi_clusters=bulk_phi_cl,
+                      rational=bulk)]
     for axis, st in stacks.items():
         chart = partial(relocate_inverse, axis)
         cut = ChartRational(bulk_spec, axis)

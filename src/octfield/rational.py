@@ -19,7 +19,8 @@ values), so the class's invariants determine those discrete shapes.  The
 free values are then a design choice, always fitted: away from
 near-cancelling zero/pole pairs (whose energy bumps no grid resolves) and,
 for the bulk of a patchwork, so that the bulk meets each stack's collar on
-the correct side of unit modulus.  Measured wrapping numbers confirm a fit.
+the correct side of unit modulus.  Preimage counts of the sector centroids
+confirm a fit's wrapping numbers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import AXES, relocate, relocate_inverse, relocation_coefficients
-from .numerics import CENTROID_VALUES, IntegrationError, degree_differences_by_winding
+from .numerics import (
+    CENTROID_VALUES,
+    IntegrationError,
+    degree_differences_by_winding,
+    quarter_disc_degrees,
+)
 from .topology import (
     SECTORS,
     OctantTopology,
@@ -376,7 +382,9 @@ def measure_degree_differences(evaluator, params=None):
 
 def measure_wrapping(evaluator, total_signed_degree: int, params=None) -> WrappingNumbers:
     """Wrapping numbers (w_sigma = -d(sigma)) from boundary windings, anchored
-    by the known sum of signed degrees over the eight sector centroids."""
+    by the known sum of signed degrees over the eight sector centroids: the
+    measure of any map with the tangent boundary conditions, such as an
+    assembled patchwork."""
     diffs = measure_degree_differences(evaluator, params)
     anchor, remainder = divmod(total_signed_degree - sum(diffs), 8)
     if remainder:
@@ -421,9 +429,8 @@ def singular_structure(spec: RationalMapSpec) -> tuple:
     Near an edge zero or pole the energy density is a bump of this scale; the
     scale can be many orders of magnitude below any uniform grid (residues
     shrink with the product of the other factors), so quadrature grids cluster
-    lines around these points.  The quadrature clusters, the boundary seed
-    and ``realize``'s wrapping check all ask for it, so each spec's structure
-    is computed once.
+    lines around these points.  The quadrature clusters and the boundary
+    seed both ask for it, so each spec's structure is computed once.
     """
     points, _, directions = _singular_points(spec)
     out = []
@@ -485,18 +492,13 @@ def boundary_seed_for_spec(spec: RationalMapSpec) -> np.ndarray:
 
 
 def measure_wrapping_rational(spec: RationalMapSpec) -> WrappingNumbers:
-    """Measured wrapping numbers of a rational map.
-
-    The sum of signed degrees over the eight sector centroids anchors the
-    winding differences: the product family is equivariant under the eight
-    reflections of the sphere (f(conj w) = conj f(w), f(-w) = -f(w),
-    f(1/w) = 1/f(w)), so every centroid orbit has exactly ``degree``
-    preimages on the whole sphere, all of one orientation.
-    """
-    total = spec.degree() if spec.orientation == "conformal" else -spec.degree()
-    return measure_wrapping(
-        lambda w: evaluate_rational(spec, w), total, boundary_seed_for_spec(spec)
-    )
+    """Measured wrapping numbers w_sigma = -d_sigma of a rational map, with
+    d_sigma its signed count of centroid-sigma preimages in the quarter disc
+    (``numerics.quarter_disc_degrees`` of the z-chart map, whose root solve
+    is cached per spec).  These are exactly the numbers from which the
+    integrals take the closed form of a patchwork's bulk region.  Raises
+    ``IntegrationError`` above ``MAX_PREIMAGE_DEGREE``."""
+    return WrappingNumbers(tuple(-d for d in quarter_disc_degrees(ChartRational(spec, "z"))))
 
 
 # ---------------------------------------------------------------------------
@@ -965,8 +967,11 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     (``_factor_shapes``; the class fixes the covering count, sum |w_sigma| =
     |omega_units|, and the invariants classify, so each shape is a
     representative), fits their free parameters, and verifies the winner's
-    measured wrapping numbers.  A class without a shape, or without a fit
-    whose windings match, is refused with ``ConstructionError``.
+    measured wrapping numbers, counted from its centroid preimages
+    (``measure_wrapping_rational``): the numbers the closed form of a
+    patchwork's bulk region integrates.  A class without a shape, or without
+    a fit whose counts match, is refused with ``ConstructionError``; a bulk
+    above ``MAX_PREIMAGE_DEGREE`` raises ``IntegrationError``.
 
     ``stacked`` names the vertices (``"x"``, ``"y"``, ``"z"``) that carry
     stacks.  The free parameters of every shape are fitted to one
@@ -975,8 +980,8 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     of the best ``_FULL_FITS``, each resuming its shape's coarse state.
     Every round of a descent scores the trials of all shapes still running
     in one call, the start rows in the first, and each shape follows the
-    trajectory it would follow alone.  The best fit whose measured wrapping
-    numbers match wins.  With stacks the score keeps the bulk on the correct
+    trajectory it would follow alone.  The best fit whose preimage counts
+    match wins.  With stacks the score keeps the bulk on the correct
     side of unit modulus on the collar ring of each stacked vertex.  Without
     stacks only its residue term acts: parameters leave their start only to
     clear near-cancelling zero/pole pairs, and ties go to the earliest shape

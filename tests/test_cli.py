@@ -85,6 +85,8 @@ def test_spelling_rejects_invalid_word(args, capsys):
     (["verify", "--json", "[1, 2]"], "a class must be a JSON object, got list"),
     (["classify", "missing-class.json"], "missing-class.json"),
     (["spelling", "--word", "a b", "--alphabet", "0"], "alphabet"),
+    (["spelling", "--word", "c1 c2", "--alphabet", "10000000"],
+     "10000000 generators, at most 1000"),
     (["classify", "--json", '{"e":[1,1,1],"k":[1,1,1],"omega_units":3.7}'],
      "omega_units must be an integer, got 3.7"),
     (["classify", "--json", '{"e":[1,1,1],"k":[1.5,1,1],"omega_units":3}'],
@@ -101,7 +103,7 @@ def test_spelling_rejects_invalid_word(args, capsys):
     (["classify", "--json", WORKED_JSON, "--prism", "1e308", "1e308", "1e308"],
      "are not finite"),
 ], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
-        "alphabet-0", "fractional-omega", "fractional-kink", "short-kinks",
+        "alphabet-0", "alphabet-huge", "fractional-omega", "fractional-kink", "short-kinks",
         "missing-kinks", "missing-sectors", "wrapping-with-partial-class",
         "unknown-format", "misspelt-format", "prism-infinite", "prism-overflow"])
 def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
@@ -383,6 +385,27 @@ def test_unresolved_windings_exit_before_the_point_cap(monkeypatch, capsys):
     assert main(["verify", "--json", payload, "--epsilon", "0.0001",
                  "--grid-level", "1"]) == 5
     assert "boundary windings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, epsilon, code, message", [
+    # the layer-ratio floor would overflow: delta = epsilon, and the
+    # windings stop at the point cap
+    ('{"e":[1,1,1],"k":[1,1,1],"omega_units":3}', "1e-200", 5, "boundary windings"),
+    # the innermost layer, or a layer seam, underflows
+    ('{"e":[1,1,1],"k":[1,1,1],"omega_units":3}', "1e-300", 4, "below double precision"),
+    ('{"e":[1,1,1],"k":[3,3,3],"omega_units":-13}', "1e-300", 4, "below double precision"),
+], ids=["one-layer-1e-200", "one-layer-1e-300", "four-layers-1e-300"])
+def test_a_tiny_epsilon_exits_with_a_documented_code(payload, epsilon, code, message, capsys):
+    assert main(["verify", "--json", payload, "--epsilon", epsilon, "--grid-level", "1"]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_a_bulk_above_the_preimage_limit_is_an_invariant_failure(capsys):
+    # w^257: realize counts its fit's wrapping numbers from centroid
+    # preimages, which are not solved above degree 256
+    payload = '{"e":[1,1,1],"k":[0,0,-64],"omega_units":-257}'
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 5
+    assert "preimages of a degree-257 map exceed the limit of 256" in capsys.readouterr().err
 
 
 def test_unconverged_trapped_area_is_an_invariant_failure(monkeypatch, tmp_path, capsys):

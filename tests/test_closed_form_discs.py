@@ -9,7 +9,9 @@ and outside epsilon, with the chart rational map stripped, on the
 benchmark's classes:
 the kmax-3 sweep at epsilon 0.05 (grid level 2) and the kmax-2 classes at
 four epsilons (grid level 3).  On the whole quarter disc the closed form
-must give the exact identities of a rational map's wrapping numbers.
+must give the exact identities of a rational map's wrapping numbers, from
+the preimage counts that the bulk region's closed form takes and from the
+boundary contour alike.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import octfield.numerics as numerics
-from octfield.geometry import relocate_inverse
+from octfield.geometry import ChartMonomial, relocate_inverse
 from octfield.numerics import (
     IntegrationError,
     Region,
@@ -55,8 +57,10 @@ def _assembled(t, epsilon):
 
 
 def _discs(sm, axis=None):
+    """The cut discs: the subtractive rational regions (the bulk is the
+    positive one)."""
     return [region for region in sm.regions if region.rational is not None
-            and axis in (None, region.rational.axis)]
+            and region.weight < 0 and axis in (None, region.rational.axis)]
 
 
 def _pieces(disc):
@@ -100,8 +104,9 @@ def test_closed_form_discs_keep_the_whole_map_counts(t):
     assert dirichlet_energy(SampledMap(_discs(sm))) == pytest.approx(
         sum(dirichlet_energy(SampledMap([piece]))
             for disc in _discs(sm) for piece in _pieces(disc)), abs=1e-10)
-    gridded = dataclasses.replace(sm, regions=[
-        dataclasses.replace(region, rational=None) for region in sm.regions])
+    gridded = dataclasses.replace(sm, regions=[  # the bulk stays closed-form
+        dataclasses.replace(region, rational=None) if region.weight < 0 else region
+        for region in sm.regions])
     omega, residual = trapped_area(sm, 2)
     assert omega == trapped_area(gridded, 2)[0] and residual < 1e-4
     closed, counted = degree_count(sm, 2), degree_count(gridded, 2)
@@ -115,7 +120,7 @@ def test_edge_pole_disc_quadrature_approaches_the_closed_form():
     # bulk pole w = 0.65 on its straight edge: grid levels 2-6 read 3.73,
     # 4.41, 4.76, 4.86 and 4.88, while the closed form needs no grid
     sm = assemble_patchwork(select_case(OctantTopology((1, 1, 1), (1, 3, 3), -13), 0.12))
-    bulk = sm.regions[0].evaluate.args[0]
+    bulk = sm.regions[0].rational.spec
     assert (0.65, -1) in bulk.real_factors
     pole = complex(relocate_inverse("x", 0.65))  # on the chart's imaginary edge
     assert abs(pole.real) < 1e-15 and 0 < pole.imag < 0.24
@@ -143,15 +148,18 @@ def _bulk_classes():
        st.integers(0, len(SECTORS) - 1))
 def test_whole_quarter_disc_gives_the_wrapping_identities(bulk, axis, sector):
     # the whole quarter disc in a vertex chart is the quarter disc rotated
-    # onto itself: image area -(pi/2) sum w, -w_sigma coverings of each
-    # sector, and the same area whichever centroid the contour avoids
+    # onto itself: image area -(pi/2) sum w from the preimage counts, the
+    # same from the contour whichever centroid it avoids, and -w_sigma
+    # coverings of each sector
     target, stacked = bulk
     w = wrapping_from_invariants(target).values
     f = ChartRational(realize(target, stacked=stacked), axis)
     region = Region("whole", f, 0.0, 1.0, rational=f)
-    area = numerics._chart_area(region)
-    assert area == pytest.approx(-math.pi / 2 * sum(w), abs=1e-9)
-    assert numerics._chart_area(region, sector=sector) == pytest.approx(area, abs=1e-10)
+    area = numerics._closed_area(region)
+    assert area == -math.pi / 2 * sum(w)
+    contour = numerics._chart_area(region)
+    assert contour == pytest.approx(area, abs=1e-9)
+    assert numerics._chart_area(region, sector=sector) == pytest.approx(contour, abs=1e-10)
     report = degree_count(SampledMap([region]), 1)
     for i, s in enumerate(SECTORS):
         assert (report[s].d, report[s].D, report[s].confident) == (-w[i], abs(w[i]), True)
@@ -173,7 +181,7 @@ _F = ChartRational(realize(OctantTopology((1, 1, 1), (0, 0, -1), -5)), "x")
 
 @pytest.mark.parametrize("where", [
     {"phi_lo": 0.1}, {"r_hi": 1.5}, {"r_lo": 0.3, "r_hi": 0.2},
-    {"wrapping": (-1, 0, 0, 0, 0, 0, 0, 0)}, {"rational": (_F.spec, "x")},
+    {"monomial": ChartMonomial(0.1, 1.0, 1, False)}, {"rational": (_F.spec, "x")},
 ])
 def test_region_refuses_an_invalid_chart_rational_map(where):
     region = {"name": "cut", "evaluate": _F, "r_lo": 0.0, "r_hi": 0.1, "rational": _F}

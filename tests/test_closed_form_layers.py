@@ -20,6 +20,7 @@ import octfield.numerics as numerics
 from octfield.geometry import ChartMonomial
 from octfield.numerics import Region, degree_count, dirichlet_energy, trapped_area
 from octfield.patchwork import SampledMap, assemble_patchwork, select_case
+from octfield.rational import ChartRational, RationalMapSpec
 from octfield.stacks import QuarterSphereStack, stack_degree_table
 from octfield.topology import SECTORS, OctantTopology
 
@@ -112,7 +113,7 @@ _G = ChartMonomial(0.01, 0.1, 1, False)
 
 @pytest.mark.parametrize("where", [
     {"phi_lo": 0.1}, {"phi_hi": math.pi}, {"r_lo": 0.02}, {"r_hi": math.inf},
-    {"wrapping": (-1, 0, 0, 0, 0, 0, 0, 0)},
+    {"rational": ChartRational(RationalMapSpec(), "z")},
 ])
 def test_region_refuses_an_invalid_monomial(where):
     region = {"name": "annulus", "evaluate": _G, "r_lo": 0.0, "r_hi": 0.01}

@@ -8,11 +8,19 @@ Re-record the file (only when a change of the fitted bulks is intended) with
 
 import itertools
 import json
+from functools import partial
 from pathlib import Path
 
 from octfield import rational
 from octfield.patchwork import select_case
-from octfield.rational import realize
+from octfield.rational import (
+    RationalMapSpec,
+    boundary_seed_for_spec,
+    evaluate_rational,
+    measure_wrapping,
+    measure_wrapping_rational,
+    realize,
+)
 from octfield.topology import (
     OctantTopology,
     classify,
@@ -96,6 +104,27 @@ def test_fitted_bulks_match_the_recording():
         got_x, want_x = _parameters(got), _parameters(want)
         assert len(got_x) == len(want_x), key
         assert all(abs(g - w) <= 1e-12 for g, w in zip(got_x, want_x)), key
+
+
+def _spec(entry):
+    return RationalMapSpec(
+        sign=entry["sign"], m=entry["m"], orientation=entry["orientation"],
+        real_factors=tuple(map(tuple, entry["real_factors"])),
+        imag_factors=tuple(map(tuple, entry["imag_factors"])),
+        complex_factors=tuple((complex(*t), ex) for t, ex in entry["complex_factors"]),
+    )
+
+
+def test_preimage_counts_are_the_boundary_windings():
+    # realize and the bulk's closed form read a bulk's wrapping numbers from
+    # its centroid preimages; the boundary windings, anchored by the signed
+    # covering count, are the independent reference
+    for entry in json.loads(DATA.read_text()):
+        spec = _spec(entry["spec"])
+        degree = spec.degree() if spec.orientation == "conformal" else -spec.degree()
+        windings = measure_wrapping(partial(evaluate_rational, spec), degree,
+                                    boundary_seed_for_spec(spec))
+        assert measure_wrapping_rational(spec).values == windings.values, entry["key"]
 
 
 def test_stacked_bulks_fit_in_few_scorer_calls(monkeypatch):

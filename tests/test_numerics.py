@@ -16,7 +16,7 @@ from octfield.numerics import (
     trapped_area,
 )
 from octfield.patchwork import SampledMap, identity_map, rational_map
-from octfield.rational import RationalMapSpec, realize
+from octfield.rational import ChartRational, RationalMapSpec, realize
 from octfield.topology import SECTORS, OctantTopology, wrapping_from_invariants
 
 
@@ -116,9 +116,11 @@ def test_grids_respect_seams():
     for grid in (cut, top):
         assert np.array_equal(grid.phi_edges, collar.phi_edges)
     closed, gridded = _closed_and_grids(sm.regions, 2)
-    disc, = [region for region in closed if region.rational is not None]
+    bulk, disc = [region for region in closed if region.rational is not None]
     rims = _shared_rims(disc, gridded)
     assert list(rims) == [2 * eps] and np.array_equal(rims[2 * eps], collar.phi_edges)
+    # the bulk's rim, the arc, is shared by no grid
+    assert bulk.name == "bulk" and _shared_rims(bulk, gridded) == {}
 
 
 def test_degree_count_perturbs_near_edge_targets():
@@ -176,25 +178,12 @@ def test_patchwork_bulk_energy_at_level_two(k, n):
     assert abs(E - exact) / exact < 0.004
 
 
-_IDENTITY_WRAPPING = (-1, 0, 0, 0, 0, 0, 0, 0)  # one positive covering of (+++)
-
-
-@pytest.mark.parametrize("wrapping, where", [
-    ((-1, 1, 0, 0, 0, 0, 0, 0), {}),  # mixed signs
-    ((-1, 0, 0, 0, 0, 0, 0), {}),  # seven numbers
-    ((-0.5, 0, 0, 0, 0, 0, 0, 0), {}),  # not integers
-    (_IDENTITY_WRAPPING, {"r_lo": 0.5}),
-    (_IDENTITY_WRAPPING, {"r_hi": 0.5}),
-    (_IDENTITY_WRAPPING, {"phi_lo": 0.1}),
-    (_IDENTITY_WRAPPING, {"phi_hi": math.pi}),
-    (_IDENTITY_WRAPPING, {"chart": np.conj}),
-])
-def test_region_refuses_an_invalid_closed_form(wrapping, where):
-    # the closed form is a rational map's on the whole quarter disc
-    region = {"name": "bulk", "evaluate": np.asarray, "r_lo": 0.0, "r_hi": 1.0, **where}
-    Region(**region)
-    with pytest.raises(ValueError):
-        Region(**region, wrapping=wrapping)
+def _closed_bulk(sm, spec):
+    # the bulk region as a patchwork carries it: its rational map in the
+    # z-chart, which is the domain's own
+    bulk, *pieces = sm.regions
+    f = ChartRational(spec, "z")
+    return SampledMap([dataclasses.replace(bulk, evaluate=f, rational=f), *pieces])
 
 
 def test_a_map_of_closed_form_regions_builds_no_grid(monkeypatch):
@@ -206,7 +195,7 @@ def test_a_map_of_closed_form_regions_builds_no_grid(monkeypatch):
     real = numerics.build_grids
     monkeypatch.setattr(numerics, "build_grids",
                         lambda regions, level: built.extend(regions) or real(regions, level))
-    closed = SampledMap([dataclasses.replace(identity.regions[0], wrapping=_IDENTITY_WRAPPING)])
+    closed = _closed_bulk(identity, RationalMapSpec())  # f(w) = w
     rep = degree_count(closed, level=2)
     for sector, entry in reference.by_sector.items():
         assert (rep[sector].d, rep[sector].D, rep[sector].confident) == (
@@ -214,11 +203,6 @@ def test_a_map_of_closed_form_regions_builds_no_grid(monkeypatch):
     assert trapped_area(closed, level=2) == (-math.pi / 2, 0.0)
     assert dirichlet_energy(closed, level=2) == math.pi
     assert not built
-
-
-def _with_bulk_wrapping(sm, wrapping):
-    bulk, *pieces = sm.regions
-    return SampledMap([dataclasses.replace(bulk, wrapping=wrapping), *pieces])
 
 
 @pytest.mark.parametrize("t", [
@@ -232,13 +216,16 @@ def test_closed_form_region_is_the_quadrature_of_its_rational_map(t):
     # covers each sector -w times positively, an anticonformal one w times
     # negatively, and its raw trapped area is (pi/2) sum w
     w = wrapping_from_invariants(t).values
-    quadrature = rational_map(realize(t))
-    closed = _with_bulk_wrapping(quadrature, w)
+    spec = realize(t)
+    quadrature = rational_map(spec)
+    closed = _closed_bulk(quadrature, spec)
     counted, exact = degree_count(quadrature, level=2), degree_count(closed, level=2)
     for sector, v in zip(SECTORS, w):
         assert (counted[sector].d, counted[sector].D) == (-v, abs(v)), sector
         assert (exact[sector].d, exact[sector].D) == (-v, abs(v)), sector
+    assert trapped_area(closed, level=2) == (math.pi / 2 * sum(w), 0.0)
     assert trapped_area(closed, level=2)[0] == trapped_area(quadrature, level=2)[0]
+    assert dirichlet_energy(closed, level=2) == math.pi * sum(map(abs, w))
     assert dirichlet_energy(closed, level=2) == pytest.approx(
         dirichlet_energy(quadrature, level=2), rel=5e-3)
 

@@ -394,10 +394,13 @@ def test_closed_form_bulk_totals_match_the_whole_map_quadrature(t):
     # degrees
     from octfield.numerics import MeshUnavailableError, degree_count
 
-    sm = assemble_patchwork(select_case(t, epsilon=0.05))
+    from octfield.rational import ChartRational
+
+    spec = select_case(t, epsilon=0.05)
+    sm = assemble_patchwork(spec)
     bulk, *pieces = sm.regions
-    assert bulk.wrapping is not None
-    whole = dataclasses.replace(sm, regions=[dataclasses.replace(bulk, wrapping=None), *pieces])
+    assert bulk.rational == ChartRational(realize(spec.H0, stacked=tuple(spec.stacks)), "z")
+    whole = dataclasses.replace(sm, regions=[dataclasses.replace(bulk, rational=None), *pieces])
     assert dirichlet_energy(sm, level=2) == pytest.approx(
         dirichlet_energy(whole, level=2), rel=5e-3)
     assert trapped_area(sm, level=2)[0] == trapped_area(whole, level=2)[0]
@@ -578,7 +581,7 @@ def test_each_stacked_vertex_has_one_cut_disc_and_the_collar_is_its_switch():
         for n in range(1, sum(k) - 1):
             spec = select_case(_class(k, n), epsilon=0.05)
             sm = assemble_patchwork(spec)
-            bulk_spec = sm.regions[0].evaluate.args[0]
+            bulk_spec = sm.regions[0].rational.spec
             negative = [region for region in sm.regions if region.weight < 0]
             assert [region.name for region in negative] == [f"cut({a})" for a in spec.stacks]
             for axis, stack in spec.stacks.items():

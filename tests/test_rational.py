@@ -496,3 +496,36 @@ def test_preimages_above_the_degree_limit_are_refused():
         _roots_of_values(spec, [0.5])
     largest = RationalMapSpec(m=(MAX_PREIMAGE_DEGREE - 1) // 2)
     assert len(_roots_of_values(largest, [0.5])[0]) == largest.degree()
+
+
+@pytest.mark.parametrize("t", [
+    OctantTopology((-1, 1, 1), (1, 2, 5), 33),
+    OctantTopology((-1, -1, 1), (0, 3, 5), 31),
+])
+def test_realize_builds_bulks_whose_boundary_windings_reach_the_point_cap(t):
+    # unstacked anticonformal bulks of degree 33 and 31: their boundary
+    # windings stop unresolved at 999,439 and 523,784 points, where one more
+    # bisection would pass the 10^6-point cap, while their centroid
+    # preimages count their wrapping numbers at once
+    spec = realize(t)
+    assert spec.orientation == "anticonformal" and spec.degree() == abs(t.omega_units)
+    assert predict_invariants(spec) == t
+    assert measure_wrapping_rational(spec).values == wrapping_from_invariants(t).values
+
+
+def test_realize_reads_no_boundary_windings(monkeypatch):
+    # a cold realize checks its fits by their preimage counts alone
+    from octfield import numerics, rational
+
+    keys = [(OctantTopology((1, 1, 1), (0, 0, -1), -5), ()),
+            (OctantTopology((1, 1, 1), (1, 1, 1), -5), ("x", "y", "z"))]
+    warm = [realize(t, stacked=stacked) for t, stacked in keys]
+
+    def no_windings(*args, **kwargs):
+        raise AssertionError("boundary windings reached")
+
+    monkeypatch.setattr(numerics, "degree_differences_by_winding", no_windings)
+    monkeypatch.setattr(rational, "degree_differences_by_winding", no_windings)
+    monkeypatch.setattr(rational, "_REALIZE_CACHE", {})
+    rational._centroid_roots.cache_clear()
+    assert [realize(t, stacked=stacked) for t, stacked in keys] == warm
