@@ -177,7 +177,8 @@ def _max_seam_jump(sm) -> float:
     """Chordal discontinuity across the seams of every vertex chart: the two
     region formulas that meet at each seam radius, evaluated at the same
     chart points.  The outermost positive region meets the bulk, which in
-    the chart is the negative region ending at the same radius."""
+    the chart is the negative region ending at the same radius.  Each
+    region is evaluated once, at every rim point it is compared at."""
     import numpy as np
 
     from .geometry import chordal_distance
@@ -185,16 +186,25 @@ def _max_seam_jump(sm) -> float:
     charts = {}
     for region in sm.regions[1:]:
         charts.setdefault(region.chart, []).append(region)
-    worst = 0.0
+    seams = []  # (inner, outer, chart points on their common rim)
     for regions in charts.values():
         pieces = sorted((r for r in regions if r.weight > 0), key=lambda r: r.r_lo)
         rim = pieces[-1].r_hi
         bulk = next(r for r in regions if r.weight < 0 and r.r_hi == rim)
         for inner, outer in zip(pieces, pieces[1:] + [bulk]):
             phis = np.linspace(inner.phi_lo + 0.01, inner.phi_hi - 0.01, 333)
-            u = inner.r_hi * np.exp(1j * phis)
-            jump = chordal_distance(inner.evaluate(u), outer.evaluate(u))
-            worst = max(worst, float(np.max(jump)))
+            seams.append((inner, outer, inner.r_hi * np.exp(1j * phis)))
+    points = {}
+    for inner, outer, u in seams:
+        for region in (inner, outer):
+            points.setdefault(region, []).append(u)
+    # each region's values on its rims, handed out in the order of the seams
+    values = {region: iter(np.split(np.asarray(region.evaluate(np.concatenate(us))), len(us)))
+              for region, us in points.items()}
+    worst = 0.0
+    for inner, outer, _ in seams:
+        jump = chordal_distance(next(values[inner]), next(values[outer]))
+        worst = max(worst, float(np.max(jump)))
     return worst
 
 
@@ -237,6 +247,14 @@ def _construct_and_verify(t, w, args):
         t_norm, w_check = t, w
         checks["lemma2_identity"] = True
 
+    # the energy first: the grids it builds at the verification level are
+    # the ones the trapped area and the degree counts then read.  Its
+    # failure is raised where the energy check stands, so a failure of the
+    # area or the windings is still the one reported.
+    try:
+        energy = numerics.dirichlet_energy(sm, level=args.grid_level)
+    except numerics.IntegrationError as e:
+        energy = e
     area = numerics.trapped_area(sm, level=min(args.grid_level, 3))
     try:
         w_meas = measure_map_wrapping(sm, area)
@@ -251,7 +269,8 @@ def _construct_and_verify(t, w, args):
     seam_jump = _max_seam_jump(sm)
     checks["seam_continuity"] = seam_jump < 1e-6
     report["seam_jump"] = seam_jump
-    energy = numerics.dirichlet_energy(sm, level=args.grid_level)
+    if isinstance(energy, numerics.IntegrationError):
+        raise energy
     report["energy_quadrature"] = energy
     checks["energy_not_below_infimum"] = (
         energy >= (1 - ENERGY_QUADRATURE_SLACK) * energy_units * math.pi

@@ -33,16 +33,20 @@ no grid:
   sector centroid p to infinity, plus 4 pi per preimage of p inside.
 
 Every other region, an interpolant or a collar, is integrated on its grid.
-Degree counts and the trapped area triangulate each grid: the map is
-evaluated once at the grid vertices, and the image triangles share one
-cross product per grid edge (``_ImageMesh``), so both read the same edge
-normals.  A cut disc takes each rim a grid shares as that grid's geodesic
-polygon in the trapped area, and counts a preimage within twice the rim
-chords' sagitta as near, so its rims cancel against its replacement's
-mesh and the weighted counts are exact.  A layer's rims are exact circular
-arcs where its gridded neighbours have chords, so the trapped area of a map
-with layers misses a multiple of pi/2 by the slivers between them (at most
-6.4e-6 on the benchmark's classes).
+Each grid is built and meshed once per map and level
+(``_closed_and_grids``), and all three integrals read it: the energy
+evaluates the region once at the cell centers and their stencil points, and
+degree counts and the trapped area triangulate the grid through its
+``mesh``, the region evaluated once at the grid vertices, whose image
+triangles share one cross product per grid edge (``_ImageMesh``), so both
+read the same edge normals and the degree counts push all eight sector
+targets through it at once.  A cut disc takes each rim a grid shares as
+that grid's geodesic polygon in the trapped area, and counts a preimage
+within twice the rim chords' sagitta as near, so its rims cancel against
+its replacement's mesh and the weighted counts are exact.  A layer's rims
+are exact circular arcs where its gridded neighbours have chords, so the
+trapped area of a map with layers misses a multiple of pi/2 by the slivers
+between them (at most 6.4e-6 on the benchmark's classes).
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -227,7 +231,7 @@ def _radial_edges(region: Region, level: int) -> np.ndarray:
 @dataclass
 class QuadratureGrid:
     """Prepared cells for one region, with their center nodes; ``weights``
-    gives the tensor quadratic rule."""
+    gives the tensor quadratic rule and ``mesh`` the image triangles."""
 
     region: Region
     r_edges: np.ndarray
@@ -238,6 +242,12 @@ class QuadratureGrid:
     def __post_init__(self):
         self.r_mid = 0.5 * (self.r_edges[:-1] + self.r_edges[1:])
         self.phi_mid = 0.5 * (self.phi_edges[:-1] + self.phi_edges[1:])
+
+    @functools.cached_property
+    def mesh(self) -> _ImageMesh:
+        """The image mesh, the region evaluated once at the grid vertices."""
+        w = self.r_edges[:, None] * np.exp(1j * self.phi_edges)
+        return _ImageMesh(np.asarray(self.region.evaluate(w), dtype=complex))
 
     def weights(self):
         """(radial, angular) weight vectors of the tensor quadratic rule."""
@@ -300,20 +310,25 @@ def _reciprocal(values: np.ndarray) -> np.ndarray:
 
 
 def _density(center, right, left, up, down, h):
-    """Energy density from five-point stencils, reciprocal chart where |K| > 1."""
+    """Energy density from five-point stencils, reciprocal chart where |K| > 1.
+
+    A difference that overflows gives a non-finite density, which
+    ``_region_energy`` subdivides and then refuses, so overflow is not
+    warned about here."""
     stacked = [center, right, left, up, down]
     flip = ~np.isfinite(center) | (np.abs(center) > 1.0)
     vals = [np.where(flip, _reciprocal(v), v) for v in stacked]
     c, r, l, u, d = vals
-    du = (r - l) / (2 * h)
-    dv = (u - d) / (2 * h)
-    kw = 0.5 * (du - 1j * dv)
-    kwb = 0.5 * (du + 1j * dv)
-    return (
-        ENERGY_DENSITY_COEFF
-        * (np.abs(kw) ** 2 + np.abs(kwb) ** 2)
-        / (1.0 + np.abs(c) ** 2) ** 2
-    )
+    with np.errstate(over="ignore"):
+        du = (r - l) / (2 * h)
+        dv = (u - d) / (2 * h)
+        kw = 0.5 * (du - 1j * dv)
+        kwb = 0.5 * (du + 1j * dv)
+        return (
+            ENERGY_DENSITY_COEFF
+            * (np.abs(kw) ** 2 + np.abs(kwb) ** 2)
+            / (1.0 + np.abs(c) ** 2) ** 2
+        )
 
 
 def _region_energy(grid: QuadratureGrid) -> float:
@@ -325,12 +340,10 @@ def _region_energy(grid: QuadratureGrid) -> float:
     w = r * np.exp(1j * phi)
     h = np.minimum(dr, r * dphi) / 6.0
     f = region.evaluate
-    center = np.asarray(f(w), dtype=complex)
-    right = np.asarray(f(w + h), dtype=complex)
-    left = np.asarray(f(w - h), dtype=complex)
-    up = np.asarray(f(w + 1j * h), dtype=complex)
-    down = np.asarray(f(w - 1j * h), dtype=complex)
-    dens = _density(center, right, left, up, down, h)
+    # the center and its four stencil points in one call: every evaluator
+    # is elementwise
+    stencil = np.stack([w, w + h, w - h, w + 1j * h, w - 1j * h])
+    dens = _density(*np.asarray(f(stencil), dtype=complex), h)
     for i, j in np.argwhere(~np.isfinite(dens)):
         # subdivide offending cells once (2x2 midpoints)
         sub = 0.0
@@ -355,10 +368,28 @@ def _is_closed(region: Region) -> bool:
     return region.monomial is not None or region.rational is not None
 
 
+# (the regions of the last map the integrals read, its (closed-form
+# regions, grids) per level), replaced as one tuple
+_last_map = ((), {})
+
+
 def _closed_and_grids(regions, level: int):
-    """(the closed-form regions as given, the grids of all the others)."""
-    closed = [region for region in regions if _is_closed(region)]
-    return closed, build_grids([region for region in regions if not _is_closed(region)], level)
+    """(the closed-form regions as given, the grids of all the others),
+    built once per map and level: energy, trapped area and degree counts of
+    one map read the same grids, and each grid's ``mesh``.  The last map's
+    regions are held, so they stay the very objects a later call compares:
+    any other list of regions builds afresh."""
+    global _last_map
+    regions = tuple(regions)
+    held, by_level = _last_map
+    if len(held) != len(regions) or any(a is not b for a, b in zip(held, regions)):
+        by_level = {}
+        _last_map = regions, by_level
+    if level not in by_level:
+        closed = [region for region in regions if _is_closed(region)]
+        by_level[level] = closed, build_grids(
+            [region for region in regions if not _is_closed(region)], level)
+    return by_level[level]
 
 
 def _closed_area(region: Region, grids=()) -> float:
@@ -736,7 +767,8 @@ class _ImageMesh:
         return float(np.sum(np.concatenate(parts)))
 
     def covering(self):
-        """A function p -> (positive, negative, near) counts of kept triangles.
+        """A function p -> (positive, negative, near) counts of kept
+        triangles, one row per column of the points p (shape (3, n)).
 
         The all-positive hemisphere test identifies the triangle region only
         for counterclockwise triples (for clockwise ones it picks up the
@@ -750,29 +782,25 @@ class _ImageMesh:
         gates = [(keep & up, keep & ~up) for keep, up in zip(self.keep, ccw)]
 
         def count(p):
+            p = p[:, :, None, None]  # a leading axis of points on every plane
             along_r, along_phi, across = _dot(radial, p), _dot(angular, p), _dot(diagonal, p)
-            pos = neg = near = 0
+            counts = np.zeros((p.shape[1], 3), dtype=int)
             for sides, (up, down) in zip(
-                ((along_r[:, :-1], along_phi[1:], -across),
-                 (across, -along_r[:, 1:], -along_phi[:-1])), gates
+                ((along_r[..., :-1], along_phi[:, 1:], -across),
+                 (across, -along_r[..., 1:], -along_phi[:, :-1])), gates
             ):
                 lo = np.minimum(np.minimum(sides[0], sides[1]), sides[2])
                 hi = np.maximum(np.maximum(sides[0], sides[1]), sides[2])
-                n_pos = np.count_nonzero((lo > tol) & up)
-                n_neg = np.count_nonzero((hi < -tol) & down)
-                pos, neg = pos + n_pos, neg + n_neg
+                n_pos = np.count_nonzero((lo > tol) & up, axis=(1, 2))
+                n_neg = np.count_nonzero((hi < -tol) & down, axis=(1, 2))
+                counts[:, 0] += n_pos
+                counts[:, 1] += n_neg
                 # near: within tol of an edge of a potentially containing triangle
-                near += np.count_nonzero((lo > -tol) & up) - n_pos
-                near += np.count_nonzero((hi < tol) & down) - n_neg
-            return int(pos), int(neg), int(near)
+                counts[:, 2] += np.count_nonzero((lo > -tol) & up, axis=(1, 2)) - n_pos
+                counts[:, 2] += np.count_nonzero((hi < tol) & down, axis=(1, 2)) - n_neg
+            return counts
 
         return count
-
-
-def _grid_mesh(grid: QuadratureGrid) -> _ImageMesh:
-    """The image mesh of one grid, its region evaluated once at the vertices."""
-    w = grid.r_edges[:, None] * np.exp(1j * grid.phi_edges)
-    return _ImageMesh(np.asarray(grid.region.evaluate(w), dtype=complex))
 
 
 def degree_count(sampled_map, level: int = 3) -> DegreeReport:
@@ -785,8 +813,9 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     cut disc cancels the bulk's coverings inside it.  A low-confidence flag
     is set if the target lies within tolerance of an image-triangle edge,
     or has a cut disc preimage within the sagitta band of a rim a grid
-    shares, after three perturbation retries.  Each gridded region is one
-    ``_ImageMesh``, whose edge normals every target shares.
+    shares, after three perturbation retries.  Each gridded region is its
+    grid's one ``mesh``, shared with the trapped area, and each round's
+    targets go through it at once.
     """
     regions = sampled_map.regions
     if sum(region.weight < 0 and region.r_lo == 0 for region in regions) > 1:
@@ -799,25 +828,33 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     closed, grids = _closed_and_grids(regions, level)
     rims = [_shared_rims(region, grids) if region.rational is not None else {}
             for region in closed]
-    weights = np.array([g.region.weight for g in grids], dtype=int)
-    counters = [_grid_mesh(g).covering() for g in grids]
+    counters = [(g.region.weight, g.mesh.covering()) for g in grids]
+    bases = [sector_centroid(sector) for sector in SECTORS]
+    points, rngs, samples, counts = list(bases), {}, {}, {}
+    pending = range(len(SECTORS))
+    for attempt in range(4):
+        if attempt:
+            for i in pending:
+                # a stream per sector, made on its first retry: a retry in
+                # one sector moves no other's sample
+                if i not in rngs:
+                    rngs[i] = np.random.default_rng([20240811, i])
+                points[i] = _perturb_in_sector(bases[i], SECTORS[i], rngs[i])
+        # every pending target through each mesh at once
+        batch = np.stack([points[i] for i in pending], axis=1)
+        meshed = sum((weight * count(batch) for weight, count in counters),
+                     np.zeros((len(pending), 3), dtype=int))
+        for i, row in zip(pending, meshed):
+            samples[i] = complex(stereographic(points[i]))
+            counts[i] = _closed_counts(closed, rims, i, samples[i]) + row
+        pending = [i for i in pending if counts[i][2]]  # near an edge: retry
+        if not pending:
+            break
     report = {}
     for i, sector in enumerate(SECTORS):
-        # a stream per sector: a retry in one sector moves no other's sample
-        rng = np.random.default_rng([20240811, i])
-        base = sector_centroid(sector)
-        confident = False
-        for attempt in range(4):
-            p = base if attempt == 0 else _perturb_in_sector(base, sector, rng)
-            sample = complex(stereographic(p))
-            meshed = weights @ np.reshape([count(p) for count in counters], (-1, 3))
-            n_pos, n_neg, near = (
-                int(n) for n in _closed_counts(closed, rims, i, sample) + meshed)
-            if not near:
-                confident = True
-                break
+        n_pos, n_neg, near = (int(n) for n in counts[i])
         report[sector] = SectorDegree(d=n_pos - n_neg, D=n_pos + n_neg,
-                                      sample=sample, confident=confident)
+                                      sample=samples[i], confident=not near)
     return DegreeReport(report)
 
 
@@ -877,7 +914,7 @@ def trapped_area(sampled_map, level: int = 3):
     closed, grids = _closed_and_grids(sampled_map.regions, level)
     raw = -sum(region.weight * _closed_area(region, grids) for region in closed)
     for grid in grids:
-        raw -= grid.region.weight * _grid_mesh(grid).signed_area()
+        raw -= grid.region.weight * grid.mesh.signed_area()
     units = round(raw / (math.pi / 2))
     omega = units * math.pi / 2
     return omega, abs(raw - omega)
@@ -891,22 +928,13 @@ def boundary_residual(sampled_map) -> float:
     measures distance to the same great circle and stays finite at poles.
     """
     t = (np.arange(1000) + 0.5) / 1000
-    f = sampled_map.evaluate
-
-    def datum(values, kind):
-        values = np.asarray(values, dtype=complex)
-        flip = ~np.isfinite(values) | (np.abs(values) > 1.0)
-        z = np.where(flip, _reciprocal(values), values)
-        if kind == "real":
-            return np.abs(z.imag)
-        if kind == "imag":
-            return np.abs(z.real)
-        return np.abs(np.abs(z) - 1.0)
-
-    res_real = datum(f(t + 0j), "real")
-    res_arc = datum(f(np.exp(1j * (math.pi / 2) * t)), "arc")
-    res_imag = datum(f(1j * t), "imag")
-    return float(max(res_real.max(), res_arc.max(), res_imag.max()))
+    # the real edge, the arc and the imaginary edge in one call
+    values = np.asarray(sampled_map.evaluate(
+        np.concatenate([t + 0j, np.exp(1j * (math.pi / 2) * t), 1j * t])), dtype=complex)
+    flip = ~np.isfinite(values) | (np.abs(values) > 1.0)
+    real, arc, imag = np.split(np.where(flip, _reciprocal(values), values), 3)
+    return float(max(np.abs(real.imag).max(), np.abs(np.abs(arc) - 1.0).max(),
+                     np.abs(imag.real).max()))
 
 
 def lemma1_lower_bound(report: DegreeReport) -> float:

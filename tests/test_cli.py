@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,19 @@ def test_unresolved_windings_exit_before_the_point_cap(monkeypatch, capsys):
 def test_a_tiny_epsilon_exits_with_a_documented_code(payload, epsilon, code, message, capsys):
     assert main(["verify", "--json", payload, "--epsilon", epsilon, "--grid-level", "1"]) == code
     assert message in capsys.readouterr().err
+
+
+def test_an_overflowing_energy_density_is_refused_without_a_warning(capsys):
+    # at epsilon = 1e-50 a stencil difference of the innermost interpolant
+    # overflows: the density is non-finite, subdivided, then refused, and
+    # NumPy's overflow warning stays off stderr
+    payload = '{"e":[1,1,1],"k":[3,3,3],"omega_units":-13}'
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--json", payload, "--epsilon", "1e-50",
+                     "--grid-level", "1"]) == 5
+    assert "non-finite energy density" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_a_bulk_above_the_preimage_limit_is_an_invariant_failure(capsys):

@@ -286,7 +286,8 @@ def test_containment_matches_barycentric_reference(triangles, target):
                     if np.min(np.abs(coeffs)) * abs(det) < 1e-6:
                         continue  # within tolerance of an edge plane
                     inside = bool(np.all(coeffs > 0))
-                    assert count(p) == (int(inside and det > 0), int(inside and det < 0), 0)
+                    assert count(p[:, None]).tolist() == [
+                        [int(inside and det > 0), int(inside and det < 0), 0]]
 
 
 def _reference_triangles(values):
@@ -336,8 +337,8 @@ def test_shared_edge_mesh_matches_per_triangle_reference(
 ):
     # the shared-edge kernel against the per-triangle formulas it replaced:
     # np.cross normals, einsum dot products and the degenerate drop.  Counts
-    # must agree exactly and the signed area bit for bit (up to the sign of
-    # an exactly zero sum)
+    # must agree exactly, all targets through the mesh at once, and the
+    # signed area bit for bit (up to the sign of an exactly zero sum)
     from octfield.geometry import sector_centroid
     from octfield.numerics import _ImageMesh
     from octfield.topology import SECTORS
@@ -362,8 +363,8 @@ def test_shared_edge_mesh_matches_per_triangle_reference(
     targets = [sector_centroid(s) for s in SECTORS] + [np.array([0.0, 0.0, -1.0])]
     targets += [v / np.linalg.norm(v) for v in rng.normal(size=(3, 3))]
     targets += list(mesh.vertices[:, rng.integers(0, nr + 1), :].T)  # on image edges
-    for p in targets:
-        assert count(p) == _reference_counts(va, vb, vc, p)
+    assert [tuple(row) for row in count(np.column_stack(targets)).tolist()] == [
+        _reference_counts(va, vb, vc, p) for p in targets]
 
 
 def _chart_steps_reference(values, target, reference):
