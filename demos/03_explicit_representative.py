@@ -13,6 +13,7 @@ from octfield import (
     assemble_patchwork,
     boundary_residual,
     classify,
+    degree_count,
     dirichlet_energy,
     infimum_energy,
     measure_map_wrapping,
@@ -30,13 +31,13 @@ spec = select_case(t, epsilon=0.05)
 print(f"case {spec.case_id}: bulk {spec.H0}, stacks M = {spec.M}")
 
 sm = assemble_patchwork(spec)
-area = trapped_area(sm, level=2)  # anchors the windings, reported below
-measured = measure_map_wrapping(sm, area)
+# w = -d, the signed sector coverings its regions count
+measured = measure_map_wrapping(degree_count(sm, level=2))
 print("measured wrapping:", measured.as_dict())
 assert measured.values == w.values
 
 print(f"boundary residual: {boundary_residual(sm):.2e}")
-omega, res = area
+omega, res = trapped_area(sm, level=2)  # its own check: omega = 3 pi/2
 print(f"trapped area: {omega / math.pi:.3f} pi (residual {res:.1e})")
 
 print("energy under epsilon refinement:")

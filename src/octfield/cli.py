@@ -20,11 +20,11 @@ counts satisfy the coverage identity, a class whose bulk has no factor
 shape that ``rational.realize`` can fit, and an ``--epsilon`` so small that
 a stack's innermost layer falls below double precision), 5 invariant
 failure (a failed check, energy below the infimum included, a spelling
-bound above the energy formula, measured windings of a built map that fit
-no wrapping numbers, or a verification integral that does not converge,
-such as a trapped area more than 0.3 from a multiple of pi/2, boundary
-windings needing more than ``numerics.MAX_BOUNDARY_POINTS`` points, or the
-preimages of a bulk above ``rational.MAX_PREIMAGE_DEGREE``).
+bound above the energy formula, degree counts of a built map that stay
+low-confidence after their retries, or a verification integral that does
+not converge, such as an energy density that stays non-finite, a boundary
+contour past ``numerics.MAX_CONTOUR_PANELS`` panels, or the preimages of a
+bulk above ``rational.MAX_PREIMAGE_DEGREE``).
 """
 
 from __future__ import annotations
@@ -250,16 +250,23 @@ def _construct_and_verify(t, w, args):
     # the energy first: the grids it builds at the verification level are
     # the ones the trapped area and the degree counts then read.  Its
     # failure is raised where the energy check stands, so a failure of the
-    # area or the windings is still the one reported.
+    # area or the degree counts is still the one reported.
     try:
         energy = numerics.dirichlet_energy(sm, level=args.grid_level)
     except numerics.IntegrationError as e:
         energy = e
-    area = numerics.trapped_area(sm, level=min(args.grid_level, 3))
+    level = min(args.grid_level, 3)
+    area = numerics.trapped_area(sm, level=level)
     try:
-        w_meas = measure_map_wrapping(sm, area)
+        degree_report = degrees = numerics.degree_count(sm, level=level)
+    except numerics.MeshUnavailableError:
+        # the same count, left out of the report (ROADMAP item 9)
+        degree_report, degrees = None, numerics.region_degrees(sm, level=level)
+    try:
+        # the wrapping numbers are the negated signed counts of the regions
+        w_meas = measure_map_wrapping(degrees)
     except ConstructionError as e:
-        # the map is built: windings that fit no wrapping fail its degree check
+        # the map is built: counts not to be trusted fail its degree check
         w_meas = None
         report["wrapping_error"] = str(e)
     checks["degrees_match"] = w_meas is not None and w_meas.values == w_check.values
@@ -288,14 +295,11 @@ def _construct_and_verify(t, w, args):
     report["trapped_area"] = omega
     report["trapped_area_residual"] = omega_res
     report["measured_wrapping"] = None if w_meas is None else w_meas.as_dict()
-    try:
-        degree_report = numerics.degree_count(sm, level=min(args.grid_level, 3))
+    if degree_report is None:
+        report["degree_report"] = None
+    else:
         report["degree_report"] = degree_report.as_dict()
         report["lemma1_lower_bound"] = numerics.lemma1_lower_bound(degree_report)
-    except numerics.MeshUnavailableError:
-        # multi-stack maps are not counted; windings above already
-        # established the signed degrees
-        report["degree_report"] = None
     report["checks"] = checks
     return report, sm, checks
 

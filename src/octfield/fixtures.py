@@ -19,7 +19,7 @@ import numpy as np
 
 from .numerics import Region
 from .patchwork import PatchworkSpec, SampledMap, assemble_patchwork
-from .rational import boundary_seed_for_spec, evaluate_rational, quadrature_clusters, realize
+from .rational import evaluate_rational, quadrature_clusters, realize
 from .stacks import QuarterSphereStack
 from .topology import OctantTopology
 
@@ -70,7 +70,7 @@ def insertion_comparison_map(epsilon: float = 0.01) -> SampledMap:
         Region("switch(insertion)", collar, epsilon, 2 * epsilon, "linear", 1, *disc,
                chart=chart),
     ]
-    return SampledMap(regions, boundary_seed=boundary_seed_for_spec(bulk))
+    return SampledMap(regions)
 
 
 def vertex_stack_map(epsilon: float = 0.05) -> SampledMap:

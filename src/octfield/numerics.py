@@ -78,6 +78,7 @@ __all__ = [
     "MAX_CONTOUR_PANELS",
     "dirichlet_energy",
     "degree_count",
+    "region_degrees",
     "degree_differences_by_winding",
     "trapped_area",
     "boundary_residual",
@@ -95,9 +96,9 @@ class MeshUnavailableError(RuntimeError):
     """``degree_count`` does not count maps with more than one cut disc (a
     negative-weight region reaching r = 0).
 
-    The signed regions count such maps correctly; only the benchmark's
-    self-test (``perfbench/selftest.py``) still holds this refusal, and it
-    goes with the next benchmark change (ROADMAP item 9)."""
+    The signed regions count such maps correctly (``region_degrees``); only
+    the benchmark's self-test (``perfbench/selftest.py``) still holds this
+    refusal, and it goes with the next benchmark change (ROADMAP item 9)."""
 
 
 @dataclass(frozen=True)
@@ -804,10 +805,26 @@ class _ImageMesh:
 
 
 def degree_count(sampled_map, level: int = 3) -> DegreeReport:
+    """The map's ``region_degrees``, for maps with at most one cut disc (a
+    negative-weight region reaching r = 0); ``MeshUnavailableError`` for
+    any other."""
+    if sum(region.weight < 0 and region.r_lo == 0 for region in sampled_map.regions) > 1:
+        # the signed regions count such maps correctly too; only the
+        # benchmark self-test still pins this refusal, and lifting it waits
+        # for the next benchmark change (ROADMAP item 9)
+        raise MeshUnavailableError(
+            "degree counts are limited to maps with at most one cut disc"
+        )
+    return region_degrees(sampled_map, level)
+
+
+def region_degrees(sampled_map, level: int = 3) -> DegreeReport:
     """Count signed and unsigned coverings of one regular value per sector,
     its centroid: each gridded region by triangulating it and pushing its
     vertices through the map, each closed-form region exactly
     (``_closed_counts``; a cut disc from the preimages of the target).
+    The signed counts are the map's degrees d_sigma, so its wrapping
+    numbers are w_sigma = -d_sigma (``patchwork.measure_map_wrapping``).
 
     Each region's positive and negative counts enter with its weight, so a
     cut disc cancels the bulk's coverings inside it.  A low-confidence flag
@@ -817,15 +834,7 @@ def degree_count(sampled_map, level: int = 3) -> DegreeReport:
     grid's one ``mesh``, shared with the trapped area, and each round's
     targets go through it at once.
     """
-    regions = sampled_map.regions
-    if sum(region.weight < 0 and region.r_lo == 0 for region in regions) > 1:
-        # the signed regions count such maps correctly too; only the
-        # benchmark self-test still pins this refusal, and lifting it waits
-        # for the next benchmark change (ROADMAP item 9)
-        raise MeshUnavailableError(
-            "degree counts are limited to maps with at most one cut disc"
-        )
-    closed, grids = _closed_and_grids(regions, level)
+    closed, grids = _closed_and_grids(sampled_map.regions, level)
     rims = [_shared_rims(region, grids) if region.rational is not None else {}
             for region in closed]
     counters = [(g.region.weight, g.mesh.covering()) for g in grids]
@@ -943,7 +952,8 @@ def lemma1_lower_bound(report: DegreeReport) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brouwer degrees from boundary windings
+# Brouwer degrees from boundary windings: an independent measurement of the
+# degrees that ``region_degrees`` counts, which the tests hold it to
 # ---------------------------------------------------------------------------
 
 def _arguments(values: np.ndarray, targets, reference: complex) -> np.ndarray:

@@ -23,10 +23,10 @@ layer ratio delta.  ``select_case`` sets delta = epsilon^3
 gap is set by the collars.  A floor keeps the innermost layer resolvable in
 double precision: delta is raised where needed so that the innermost layer's
 unit-modulus radius sqrt(delta) * rho_1, with rho_1 = epsilon * delta^(L-1),
-stays at or above 1e-13 (boundary windings sample the loop in a parameter
-whose spacing near a vertex is about 4e-16; below the floor they cannot
-resolve the innermost layer and bisect without end).  delta never exceeds
-epsilon.
+stays at or above 1e-13 (boundary windings, the tests' independent measure
+of the wrapping numbers, sample the loop in a parameter whose spacing near a
+vertex is about 4e-16; below the floor they cannot resolve the innermost
+layer).  delta never exceeds epsilon.
 
 ``assemble_patchwork`` realizes the bulk rational map with its free
 parameters fitted to the stacked vertices (``rational.realize``), relocates
@@ -43,7 +43,8 @@ bulk region is the bulk rational map in the z-chart and each cut disc the
 same map in its vertex chart (``rational.ChartRational``), and each layer
 region carries its chart monomial, so those integrals take the bulk, the
 layers and the cut discs in closed form and grid only the interpolants and
-the collars.
+the collars.  The map's wrapping numbers are read from the same regions'
+signed coverings (``measure_map_wrapping``).
 """
 
 from __future__ import annotations
@@ -57,13 +58,11 @@ from functools import cached_property, partial
 import numpy as np
 
 from .geometry import AXES, relocate, relocate_inverse
-from .numerics import IntegrationError, MeshUnavailableError, Region
+from .numerics import DegreeReport, MeshUnavailableError, Region
 from .rational import (
     ChartRational,
+    ConstructionError,
     RationalMapSpec,
-    boundary_seed_for_spec,
-    evaluate_rational,
-    measure_wrapping,
     quadrature_clusters,
     realize,
 )
@@ -77,6 +76,7 @@ from .topology import (
     classify,
     delta_invariant,
     invariants_from_wrapping,
+    sector_name,
     wrapping_from_invariants,
 )
 
@@ -383,13 +383,11 @@ class SampledMap:
     subdomain tags: the first region, the bulk, holds every point, and a
     point takes the value and the name of the last positive region whose
     half-open chart annulus r_lo < |u| <= r_hi (closed at r_lo = 0) holds
-    its chart point u.  ``boundary_seed`` parametrizes the boundary loop
-    (period 3) with enough resolution to see all annuli.
+    its chart point u.
     """
 
     regions: list
     metadata: object = None
-    boundary_seed: np.ndarray | None = None
 
     def _owners(self, w):
         """(index of the region holding each point of w, chart points of w
@@ -433,29 +431,15 @@ def identity_map() -> SampledMap:
 
 
 def rational_map(spec: RationalMapSpec) -> SampledMap:
+    """The rational map of ``spec`` as one closed-form region, as a
+    patchwork's bulk is: energy, trapped area and degree counts read its
+    centroid preimages and build no grid."""
     r_cl, phi_cl = quadrature_clusters(spec)
+    bulk = ChartRational(spec, "z")  # gamma_z is the identity
     return SampledMap(
-        [Region("bulk", partial(evaluate_rational, spec), 0.0, 1.0,
-                r_clusters=r_cl, phi_clusters=phi_cl)],
+        [Region("bulk", bulk, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl, rational=bulk)],
         metadata=spec,
-        boundary_seed=boundary_seed_for_spec(spec),
     )
-
-
-def _boundary_seed(bulk_spec, stacks, epsilon) -> np.ndarray:
-    """Boundary parameters (period 3) log-refined into every stack annulus and
-    into the bulk map's edge zeros and poles.  Each vertex ladder reaches a
-    decade below the innermost layer's unit-modulus radius sqrt(delta) rho_1,
-    where the boundary image passes the sector centroids."""
-    params = [boundary_seed_for_spec(bulk_spec)]
-    vertex_param = {"z": 0.0, "x": 1.0, "y": 2.0}
-    for axis, st in stacks.items():
-        r_min = 0.1 * st.inner_scale()
-        ladder = np.geomspace(r_min, 6 * epsilon, 240)
-        t0 = vertex_param[axis]
-        params.append((t0 + ladder) % 3.0)
-        params.append((t0 - ladder) % 3.0)
-    return np.sort(np.unique(np.concatenate(params)))
 
 
 def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
@@ -500,20 +484,16 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
 
         regions.append(Region(f"switch({axis})", collar, epsilon, 2 * epsilon, chart=chart))
 
-    return SampledMap(regions, metadata=spec,
-                      boundary_seed=_boundary_seed(bulk_spec, stacks, epsilon))
+    return SampledMap(regions, metadata=spec)
 
 
-def measure_map_wrapping(sampled_map: SampledMap, area) -> WrappingNumbers:
-    """Wrapping numbers of an assembled map, measured numerically.
-
-    Boundary windings give the pairwise degree differences exactly; the
-    absolute anchor comes from the trapped area ``area``, the map's
-    ``numerics.trapped_area`` result (omega, residual), whose pi/2-multiple
-    rounding fixes the sum of signed degrees (sum_sigma d_sigma = -omega_units).
-    """
-    omega, residual = area
-    if residual > 0.3:
-        raise IntegrationError(f"trapped area did not converge (residual {residual:.3f})")
-    units = round(omega / (math.pi / 2))
-    return measure_wrapping(sampled_map.evaluate, -units, sampled_map.boundary_seed)
+def measure_map_wrapping(report: DegreeReport) -> WrappingNumbers:
+    """Wrapping numbers w_sigma = -d_sigma of a map, d_sigma the signed
+    coverings of the sector centroids that its regions count
+    (``numerics.region_degrees`` or ``numerics.degree_count``).  A count
+    whose target stayed near an image-triangle edge through every retry is
+    not trusted: ``ConstructionError`` names those sectors."""
+    unsure = [sector_name(s) for s, entry in report.by_sector.items() if not entry.confident]
+    if unsure:
+        raise ConstructionError(f"degree counts not confident in sectors {', '.join(unsure)}")
+    return WrappingNumbers(tuple(-report[sector].d for sector in SECTORS))

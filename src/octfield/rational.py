@@ -384,7 +384,8 @@ def measure_wrapping(evaluator, total_signed_degree: int, params=None) -> Wrappi
     """Wrapping numbers (w_sigma = -d(sigma)) from boundary windings, anchored
     by the known sum of signed degrees over the eight sector centroids: the
     measure of any map with the tangent boundary conditions, such as an
-    assembled patchwork."""
+    assembled patchwork.  It reads only boundary values, so the tests hold
+    the counts of ``numerics.region_degrees`` to it."""
     diffs = measure_degree_differences(evaluator, params)
     anchor, remainder = divmod(total_signed_degree - sum(diffs), 8)
     if remainder:
@@ -429,8 +430,7 @@ def singular_structure(spec: RationalMapSpec) -> tuple:
     Near an edge zero or pole the energy density is a bump of this scale; the
     scale can be many orders of magnitude below any uniform grid (residues
     shrink with the product of the other factors), so quadrature grids cluster
-    lines around these points.  The quadrature clusters and the boundary
-    seed both ask for it, so each spec's structure is computed once.
+    lines around these points.  Each spec's structure is computed once.
     """
     points, _, directions = _singular_points(spec)
     out = []
@@ -469,26 +469,6 @@ def quadrature_clusters(spec: RationalMapSpec):
     """(r_clusters, phi_clusters) resolving the map's singular structure in
     the standard polar chart of the quarter disc."""
     return _clusters(singular_structure(spec))
-
-
-def boundary_seed_for_spec(spec: RationalMapSpec) -> np.ndarray:
-    """Boundary parameters with geometric ladders into the three vertices and
-    every edge zero/pole, where the boundary image runs around a fast
-    sub-loop that uniform sampling would alias away.  Ladders start at 1e-9,
-    or at an edge point a decade below the scale on which |f| passes unit
-    modulus there (``singular_structure``) when that is smaller."""
-    parts = [np.linspace(0.0, 3.0, 1200, endpoint=False)]
-    starts = [(0.0, 1e-9), (1.0, 1e-9), (2.0, 1e-9)]  # vertices
-    for w0, scale in singular_structure(spec):
-        if w0.imag == 0 and 0 < w0.real < 1:
-            starts.append((w0.real, min(1e-9, scale / 10)))  # real edge: t = r
-        elif w0.real == 0 and 0 < w0.imag < 1:
-            starts.append((3.0 - w0.imag, min(1e-9, scale / 10)))  # imaginary edge: t = 3 - s
-    for t0, start in starts:
-        ladder = np.geomspace(start, 0.2, 48)
-        parts.append((t0 + ladder) % 3.0)
-        parts.append((t0 - ladder) % 3.0)
-    return np.sort(np.unique(np.concatenate(parts)))
 
 
 def measure_wrapping_rational(spec: RationalMapSpec) -> WrappingNumbers:

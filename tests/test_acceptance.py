@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from octfield.numerics import (
     Region,
     degree_count,
     dirichlet_energy,
+    region_degrees,
     trapped_area,
 )
 from octfield.patchwork import (
@@ -222,7 +224,7 @@ def test_criterion_5_identities_and_degrees():
         ), (t.k, t.omega_units)
         sm = assemble_patchwork(spec)
         # measured per-sector signed degrees equal the target
-        measured = measure_map_wrapping(sm, trapped_area(sm, level=2))
+        measured = measure_map_wrapping(region_degrees(sm, level=2))
         assert measured.values == w.values, t.k
     _verdict("5a", True, "(identities exact, measured degrees match targets)")
 
@@ -273,13 +275,21 @@ def test_criterion_6_conformal_classes():
         w = measure_wrapping_rational(spec)
         assert all(v <= 0 for v in w.values), spec
         t = invariants_from_wrapping(w)
-        sm = rational_map(spec)
-        energy = dirichlet_energy(sm, level=3)
         target = w.total_absolute() * math.pi
+        # the quadrature, on the map's one region gridded: rational_map's
+        # closed form reads the same centroid preimages as w, so it holds
+        # only to the exact values
+        closed = rational_map(spec)
+        (bulk,) = closed.regions
+        sm = dataclasses.replace(closed, regions=[dataclasses.replace(bulk, rational=None)])
+        energy = dirichlet_energy(sm, level=3)
         assert abs(energy - target) / target < 0.02, spec
         omega, residual = trapped_area(sm, level=3)
         assert residual < 0.02, spec
         assert round(omega / (math.pi / 2)) == t.omega_units, spec
+        assert dirichlet_energy(closed, level=3) == pytest.approx(target, rel=1e-12), spec
+        assert trapped_area(closed, level=3)[0] == pytest.approx(
+            t.omega_units * math.pi / 2, rel=1e-12), spec
     _verdict(6, True, f"({len(specs)} conformal representatives)")
 
 

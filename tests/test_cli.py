@@ -1,7 +1,6 @@
 import json
 import warnings
 
-import numpy as np
 import pytest
 
 from octfield import cli
@@ -223,21 +222,75 @@ def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
     assert err.startswith("unsupported class: ") and reason in err
 
 
-def test_built_map_with_inconsistent_windings_exits_5(tmp_path, capsys):
-    # case 2e builds this class; at grid level 1 its boundary windings fit no
-    # wrapping numbers with the trapped area's total degree: a failed check
-    # of a built map, not exit 4
+def test_built_map_whose_counts_miss_the_class_exits_5(tmp_path, capsys):
+    # case 2e builds this class; at grid level 1 its regions count wrapping
+    # numbers other than the class's: a failed check of a built map, not
+    # exit 4
+    from octfield.topology import OctantTopology, wrapping_from_invariants
+
     payload = '{"e":[1,1,1],"k":[1,2,4],"omega_units":11}'
     assert main(["construct", "--json", payload, "--grid-level", "1",
                  "--out", str(tmp_path)]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("invariant failure: ")
-    assert "inconsistent with total degree -7" in err
+    assert err.startswith("invariant failure: ") and "degrees_match" in err
     report = json.loads((tmp_path / "construct.json").read_text())
     assert report["patchwork"]["case_id"] == "2e"
     assert report["checks"]["degrees_match"] is False
-    assert report["measured_wrapping"] is None
+    assert "wrapping_error" not in report
+    target = wrapping_from_invariants(OctantTopology((1, 1, 1), (1, 2, 4), 11))
+    assert report["measured_wrapping"] != target.as_dict()
     assert main(["verify", "--json", payload, "--grid-level", "1"]) == 5
+
+
+def test_low_confidence_counts_fail_the_degree_check(monkeypatch, tmp_path, capsys):
+    # a sector whose target stays near an image-triangle edge through every
+    # retry is not trusted: its wrapping number is not read
+    import dataclasses
+
+    from octfield import numerics
+
+    real = numerics.degree_count
+
+    def unsure(*args, **kwargs):
+        report = real(*args, **kwargs)
+        by_sector = dict(report.by_sector)
+        by_sector[(1, -1, 1)] = dataclasses.replace(by_sector[(1, -1, 1)], confident=False)
+        return numerics.DegreeReport(by_sector)
+
+    monkeypatch.setattr(numerics, "degree_count", unsure)
+    assert main(["construct", "--json", WORKED_JSON, "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert "degrees_match" in err and "not confident in sectors +-+" in err
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert report["measured_wrapping"] is None
+    assert [k for k, v in report["checks"].items() if not v] == ["degrees_match"]
+
+
+@pytest.mark.parametrize("payload", [
+    WORKED_JSON,  # one stack
+    '{"e":[1,1,1],"k":[2,2,2],"omega_units":-1}',  # three stacks, not in the report
+    '{"e":[1,1,1],"k":[0,0,-1],"omega_units":-5}',  # conformal
+], ids=["one-stack", "three-stacks", "conformal"])
+def test_construct_reads_no_boundary_windings(payload, monkeypatch, tmp_path):
+    # the wrapping numbers come from the regions' signed counts, one count
+    # per map
+    from octfield import numerics, rational
+
+    def no_windings(*args, **kwargs):
+        raise AssertionError("boundary windings reached")
+
+    monkeypatch.setattr(numerics, "degree_differences_by_winding", no_windings)
+    monkeypatch.setattr(rational, "degree_differences_by_winding", no_windings)
+    counted = []
+    real = numerics.region_degrees
+    monkeypatch.setattr(numerics, "region_degrees",
+                        lambda *args, **kwargs: counted.append(1) or real(*args, **kwargs))
+    assert main(["construct", "--json", payload, "--grid-level", "2",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert all(report["checks"].values()), report["checks"]
+    assert len(counted) == 1
 
 @pytest.mark.parametrize("payload, reflections", [
     ('{"e":[1,1,-1],"k":[-2,-2,0],"omega_units":-7}', [1, 1, -1]),
@@ -368,30 +421,24 @@ def test_energy_below_infimum_fails_the_checks(monkeypatch, capsys):
     assert "energy_not_below_infimum" in capsys.readouterr().err
 
 
-def test_unresolved_windings_exit_before_the_point_cap(monkeypatch, capsys):
+def test_a_class_beyond_the_windings_verifies_from_its_region_counts(tmp_path):
     # at epsilon = 1e-4 the boundary loop's parameter cannot resolve this
-    # class's innermost stack layers: the bisection stops at the cap with
-    # exit 5 instead of growing the loop until memory runs out
-    from octfield import rational
-    from octfield.numerics import MAX_BOUNDARY_POINTS
-
-    real = rational.boundary_points
-
-    def capped(t):
-        assert np.size(t) <= MAX_BOUNDARY_POINTS
-        return real(t)
-
-    monkeypatch.setattr(rational, "boundary_points", capped)
+    # class's innermost stack layers (its windings stop at the
+    # numerics.MAX_BOUNDARY_POINTS cap); its regions count in chart
+    # coordinates, so it verifies
     payload = '{"e":[1,1,1],"k":[1,2,3],"omega_units":-1}'
-    assert main(["verify", "--json", payload, "--epsilon", "0.0001",
-                 "--grid-level", "1"]) == 5
-    assert "boundary windings" in capsys.readouterr().err
+    assert main(["construct", "--json", payload, "--epsilon", "0.0001",
+                 "--grid-level", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert all(report["checks"].values()), report["checks"]
+    assert 0 < report["energy_gap_relative"] < 0.001
 
 
 @pytest.mark.parametrize("payload, epsilon, code, message", [
     # the layer-ratio floor would overflow: delta = epsilon, and the
-    # windings stop at the point cap
-    ('{"e":[1,1,1],"k":[1,1,1],"omega_units":3}', "1e-200", 5, "boundary windings"),
+    # collar's energy density overflows
+    ('{"e":[1,1,1],"k":[1,1,1],"omega_units":3}', "1e-200", 5,
+     "non-finite energy density persists in region switch(x)"),
     # the innermost layer, or a layer seam, underflows
     ('{"e":[1,1,1],"k":[1,1,1],"omega_units":3}', "1e-300", 4, "below double precision"),
     ('{"e":[1,1,1],"k":[3,3,3],"omega_units":-13}', "1e-300", 4, "below double precision"),
@@ -423,8 +470,8 @@ def test_a_bulk_above_the_preimage_limit_is_an_invariant_failure(capsys):
 
 
 def test_unconverged_trapped_area_is_an_invariant_failure(monkeypatch, tmp_path, capsys):
-    # a trapped area too far from a multiple of pi/2 cannot anchor the
-    # wrapping numbers: construct exits 5 and sweep lists the class as failed
+    # a trapped area too far from a multiple of pi/2 fails its own check,
+    # and no other: construct exits 5 and sweep lists the class as failed
     from octfield import numerics
 
     real = numerics.trapped_area
@@ -435,23 +482,23 @@ def test_unconverged_trapped_area_is_an_invariant_failure(monkeypatch, tmp_path,
 
     monkeypatch.setattr(numerics, "trapped_area", unconverged)
     assert main(["verify", "--json", WORKED_JSON, "--grid-level", "1"]) == 5
-    assert "trapped area did not converge" in capsys.readouterr().err
+    assert "invariant failure: ['trapped_area']" in capsys.readouterr().err
     assert main(["sweep", "--kmax", "1", "--grid-level", "1",
                  "--out", str(tmp_path)]) == 5
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert data["unsupported"] == []
-    assert [(f["k"], f["n"]) for f in data["failed"]] == [([1, 1, 1], 1)]
+    assert data["failed"] == [{"k": [1, 1, 1], "n": 1, "reason": "failed checks: trapped_area"}]
 
 
-def test_sweep_reports_integration_failures(monkeypatch, tmp_path):
-    from octfield import numerics
-
-    monkeypatch.setattr(numerics, "MAX_BOUNDARY_POINTS", 100)
-    assert main(["sweep", "--kmax", "1", "--grid-level", "1",
+def test_sweep_reports_integration_failures(tmp_path):
+    # at epsilon = 1e-200 the collar's energy density overflows, and the
+    # energy integral refuses the class
+    assert main(["sweep", "--kmax", "1", "--grid-level", "1", "--epsilon", "1e-200",
                  "--out", str(tmp_path)]) == 5
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert data["results"] == []
     assert [(f["k"], f["n"]) for f in data["failed"]] == [([1, 1, 1], 1)]
+    assert "non-finite energy density" in data["failed"][0]["reason"]
 
 
 def test_sweep_fails_classes_that_fail_their_checks(monkeypatch, tmp_path, capsys):

@@ -15,7 +15,6 @@ from octfield import rational
 from octfield.patchwork import select_case
 from octfield.rational import (
     RationalMapSpec,
-    boundary_seed_for_spec,
     evaluate_rational,
     measure_wrapping,
     measure_wrapping_rational,
@@ -27,6 +26,7 @@ from octfield.topology import (
     normalize_edge_signs,
     wrapping_from_invariants,
 )
+from windings import rational_seed
 
 DATA = Path(__file__).parent / "data" / "fitted_bulks.json"
 EPSILON = 0.05
@@ -123,7 +123,7 @@ def test_preimage_counts_are_the_boundary_windings():
         spec = _spec(entry["spec"])
         degree = spec.degree() if spec.orientation == "conformal" else -spec.degree()
         windings = measure_wrapping(partial(evaluate_rational, spec), degree,
-                                    boundary_seed_for_spec(spec))
+                                    rational_seed(spec))
         assert measure_wrapping_rational(spec).values == windings.values, entry["key"]
 
 

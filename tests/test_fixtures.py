@@ -10,8 +10,9 @@ from octfield.numerics import (
     lemma1_lower_bound,
     trapped_area,
 )
-from octfield.patchwork import measure_map_wrapping
+from octfield.rational import realize
 from octfield.topology import OctantTopology, sector_name, wrapping_from_invariants
+from windings import both_ways
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
@@ -31,8 +32,10 @@ def test_insertion_fixture_energy_and_topology():
     E = dirichlet_energy(sm, level=3)
     assert abs(E - 19 * math.pi) / (19 * math.pi) < 0.05
     assert boundary_residual(sm) < 1e-9
-    w = measure_map_wrapping(sm, trapped_area(sm, level=3))
-    assert w.values == wrapping_from_invariants(WORKED).values
+    # the insertion keeps the anticonformal bulk's boundary values
+    bulk = realize(OctantTopology((1, 1, 1), (1, 1, 1), 11))
+    w = wrapping_from_invariants(WORKED).values
+    assert both_ways(sm, level=3, bulk=bulk) == (w, w)
 
 
 def test_vertex_fixture_counts_double_one_sector():

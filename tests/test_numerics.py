@@ -20,6 +20,13 @@ from octfield.rational import ChartRational, RationalMapSpec, realize
 from octfield.topology import SECTORS, OctantTopology, wrapping_from_invariants
 
 
+def _gridded(spec):
+    """The rational map of spec with its one region on a grid: the
+    quadrature that ``rational_map``'s closed form is held to."""
+    (bulk,) = rational_map(spec).regions
+    return SampledMap([dataclasses.replace(bulk, rational=None)], spec)
+
+
 def _layer_energy_exact(eps):
     return 2 * math.pi * (1 - 4 * eps**2) / ((1 + eps) * (1 + 4 * eps))
 
@@ -49,7 +56,7 @@ def test_quarter_sphere_layer_closed_form():
 def test_conformal_representative_energy_matches_coverage():
     t = OctantTopology((1, 1, 1), (0, 0, -1), -5)
     w = wrapping_from_invariants(t)
-    sm = rational_map(realize(t))
+    sm = _gridded(realize(t))
     E = dirichlet_energy(sm, level=3)
     assert abs(E - w.total_absolute() * math.pi) / (w.total_absolute() * math.pi) < 0.02
 
@@ -81,7 +88,7 @@ def test_trapped_area_identity():
 
 
 def test_trapped_area_cubic_power():
-    sm = rational_map(RationalMapSpec(m=1))
+    sm = _gridded(RationalMapSpec(m=1))
     omega, residual = trapped_area(sm, level=3)
     assert omega == pytest.approx(-3 * math.pi / 2)
     assert residual < 0.01
@@ -174,16 +181,8 @@ def test_patchwork_bulk_energy_at_level_two(k, n):
     spec = select_case(OctantTopology((1, 1, 1), k, 8 * n + 7 - 4 * sum(k)), 0.05)
     bulk = realize(spec.H0, stacked=tuple(spec.stacks))
     exact = wrapping_from_invariants(spec.H0).total_absolute() * math.pi
-    E = dirichlet_energy(rational_map(bulk), level=2)
+    E = dirichlet_energy(_gridded(bulk), level=2)
     assert abs(E - exact) / exact < 0.004
-
-
-def _closed_bulk(sm, spec):
-    # the bulk region as a patchwork carries it: its rational map in the
-    # z-chart, which is the domain's own
-    bulk, *pieces = sm.regions
-    f = ChartRational(spec, "z")
-    return SampledMap([dataclasses.replace(bulk, evaluate=f, rational=f), *pieces])
 
 
 def test_a_map_of_closed_form_regions_builds_no_grid(monkeypatch):
@@ -195,7 +194,7 @@ def test_a_map_of_closed_form_regions_builds_no_grid(monkeypatch):
     real = numerics.build_grids
     monkeypatch.setattr(numerics, "build_grids",
                         lambda regions, level: built.extend(regions) or real(regions, level))
-    closed = _closed_bulk(identity, RationalMapSpec())  # f(w) = w
+    closed = rational_map(RationalMapSpec())  # f(w) = w, in closed form
     rep = degree_count(closed, level=2)
     for sector, entry in reference.by_sector.items():
         assert (rep[sector].d, rep[sector].D, rep[sector].confident) == (
@@ -217,8 +216,8 @@ def test_closed_form_region_is_the_quadrature_of_its_rational_map(t):
     # negatively, and its raw trapped area is (pi/2) sum w
     w = wrapping_from_invariants(t).values
     spec = realize(t)
-    quadrature = rational_map(spec)
-    closed = _closed_bulk(quadrature, spec)
+    quadrature, closed = _gridded(spec), rational_map(spec)
+    assert closed.regions[0].rational == ChartRational(spec, "z")
     counted, exact = degree_count(quadrature, level=2), degree_count(closed, level=2)
     for sector, v in zip(SECTORS, w):
         assert (counted[sector].d, counted[sector].D) == (-v, abs(v)), sector
@@ -411,6 +410,28 @@ def test_argument_steps_of_all_targets_equal_the_per_target_ones():
             expected = _chart_steps_reference(values, target, reference)
             assert np.array_equal(row, expected)
             assert float(total) == float(np.sum(expected))
+
+
+def test_winding_bisection_stops_at_the_point_cap(monkeypatch):
+    # a loop that spirals 10^4 times around one target never resolves: the
+    # bisection raises before it would pass MAX_BOUNDARY_POINTS
+    import octfield.numerics as numerics
+    from octfield.geometry import sector_centroid_complex
+    from octfield.numerics import IntegrationError, degree_differences_by_winding
+    from octfield.topology import SECTORS
+
+    monkeypatch.setattr(numerics, "MAX_BOUNDARY_POINTS", 100)
+    targets = [sector_centroid_complex(s) for s in SECTORS]
+    evaluated = []
+
+    def curve(p):
+        evaluated.append(len(p))
+        return targets[0] + 0.01 * np.exp(2j * math.pi * 10**4 * np.asarray(p) / 3)
+
+    seed = np.linspace(0.0, 3.0, 7, endpoint=False)
+    with pytest.raises(IntegrationError, match="unresolved at 56 points"):
+        degree_differences_by_winding(curve, seed, targets, targets[-1], 3.0)
+    assert sum(evaluated) == 56
 
 
 def test_winding_bisection_evaluates_each_point_once():

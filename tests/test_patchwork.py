@@ -18,7 +18,6 @@ from octfield.patchwork import (
     UnsupportedClassError,
     assemble_patchwork,
     identity_map,
-    measure_map_wrapping,
     rational_map,
     select_case,
 )
@@ -30,6 +29,7 @@ from octfield.topology import (
     delta_invariant,
     wrapping_from_invariants,
 )
+from windings import both_ways
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
@@ -123,7 +123,7 @@ def test_unsorted_positive_kinks_route_through_general_recipe():
         w.total_absolute() + delta_invariant(w, c)
     )
     sm = assemble_patchwork(spec)
-    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
+    assert both_ways(sm) == (w.values, w.values)
 
 
 def test_negative_kinks_are_constructed_or_reported():
@@ -140,7 +140,7 @@ def test_negative_kinks_are_constructed_or_reported():
         return
     assert spec.case_id == "general-sign"
     sm = assemble_patchwork(spec)
-    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
+    assert both_ways(sm) == (w.values, w.values)
 
 
 def test_mixed_sign_kinks_reported_unsupported_never_silent():
@@ -155,7 +155,7 @@ def test_mixed_sign_kinks_reported_unsupported_never_silent():
     except UnsupportedClassError:
         return
     sm = assemble_patchwork(spec)
-    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
+    assert both_ways(sm) == (w.values, w.values)
 
 
 def test_stack_pair_needing_a_modulus_inverting_reflection_is_refused():
@@ -430,10 +430,25 @@ def test_assembled_bulk_builds_no_grid(monkeypatch):
     assert built and "bulk" not in built
 
 
+SWEEP_K3 = [(k, n) for k in itertools.combinations_with_replacement((1, 2, 3), 3)
+            for n in range(1, sum(k) - 1)]
+
+
+@pytest.mark.parametrize("k, n", SWEEP_K3, ids=[f"k={k}-n={n}" for k, n in SWEEP_K3])
+def test_region_counts_are_the_boundary_windings_on_the_sweep_grid(k, n):
+    # verify reads the wrapping numbers from the regions' signed counts; the
+    # boundary windings, which share no grid, mesh or preimage with them,
+    # measure the same numbers on all 40 classes of the kmax-3 sweep
+    t = _class(k, n)
+    sm = assemble_patchwork(select_case(t, epsilon=0.05))
+    w = wrapping_from_invariants(t).values
+    assert both_ways(sm, level=2) == (w, w)
+
+
 def test_worked_example_wrapping_and_energy():
     sm = assemble_patchwork(select_case(WORKED, epsilon=0.05))
     w = wrapping_from_invariants(WORKED)
-    assert measure_map_wrapping(sm, trapped_area(sm, level=3)).values == w.values
+    assert both_ways(sm, level=3) == (w.values, w.values)
     energy = dirichlet_energy(sm, level=3)
     assert abs(energy - 7 * math.pi) / (7 * math.pi) < 0.05
 
@@ -503,7 +518,7 @@ def test_verifier_rejects_tampered_tabulated_spec(M, restack):
         return
     _verify_spec(restacked, w, c)
     sm = assemble_patchwork(restacked)
-    assert measure_map_wrapping(sm, trapped_area(sm, level=2)).values == w.values
+    assert both_ways(sm) == (w.values, w.values)
 
 
 def test_verifier_rejects_tampered_general_sign_spec():

@@ -46,7 +46,7 @@ def _counted(sm, calls):
 
     regions = [dataclasses.replace(r, evaluate=counting(r.name, r.evaluate))
                if _is_gridded(r) else r for r in sm.regions]
-    return SampledMap(regions, sm.metadata, sm.boundary_seed)
+    return SampledMap(regions, sm.metadata)
 
 
 @pytest.mark.parametrize("t", [WORKED, THREE_LAYERS], ids=["worked", "three-layers"])

@@ -4,10 +4,10 @@ fixed set of maps, against ``data/verification_numerics.json``.
 The triangulated invariants must not move when their kernel is rewritten;
 this pins them to the last bit.  An assembled map's bulk, stack layers and
 cut discs enter the integrals in closed form, with no grid, so the
-assembled cases strip the bulk's and the cut discs' chart rational maps and
-the layers' monomials to keep the kernel pinned on the whole map; further
-cases keep the closed-form bulk, the bulk and layers, and every closed
-form.  Re-record the file (only when a change of the
+assembled cases, and the rational map (one closed-form region), strip the
+bulk's and the cut discs' chart rational maps and the layers' monomials to
+keep the kernel pinned on the whole map; further cases keep the
+closed-form bulk, the bulk and layers, and every closed form.  Re-record the file (only when a change of the
 numbers is intended) with
 
     PYTHONPATH=src python tests/test_verification_numerics.py
@@ -51,6 +51,10 @@ def _gridded(sm, *forms):
     return dataclasses.replace(sm, regions=regions)
 
 
+def _rational():
+    return rational_map(realize(OctantTopology((1, 1, 1), (0, 0, -1), -5)))
+
+
 def _patchwork(t, epsilon):
     return _gridded(assemble_patchwork(select_case(t, epsilon=epsilon)))
 
@@ -58,9 +62,8 @@ def _patchwork(t, epsilon):
 # name -> (map factory, grid level, whether degree_count counts the map)
 CASES = {
     "identity": (identity_map, 3, True),
-    "rational k=(0,0,-1) omega=-5": (
-        lambda: rational_map(realize(OctantTopology((1, 1, 1), (0, 0, -1), -5))), 3, True
-    ),
+    "rational k=(0,0,-1) omega=-5": (lambda: _gridded(_rational()), 3, True),
+    "rational k=(0,0,-1) omega=-5 closed form": (_rational, 3, True),
     "vertex_stack_map": (lambda: _gridded(fixtures.vertex_stack_map()), 3, True),
     "insertion_comparison_map": (fixtures.insertion_comparison_map, 3, True),
     "worked eps=0.05": (lambda: _patchwork(WORKED, 0.05), 3, True),
