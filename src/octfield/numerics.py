@@ -302,7 +302,8 @@ def build_grids(regions, level: int):
 def _reciprocal(values: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     finite = np.isfinite(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # values below about 1e-308 overflow to a non-finite reciprocal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out[finite] = 1.0 / values[finite]
     out[~finite] = 0.0
     zero = finite & (values == 0)

@@ -14,6 +14,8 @@ Text format for words: generators as lowercase letters ``a b c ...`` or
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -139,7 +141,8 @@ def abelian_bound(u: Word) -> int:
     return sum(abs(d) for d in generator_degrees(u))
 
 
-def _canonical_form(letters) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, int]]]:
+def _canonical_form(letters) -> tuple[tuple[int, ...], tuple[int, ...],
+                                      tuple[tuple[int, int], ...]]:
     """Free reduction, cyclic reduction and the least rotation of ``letters``.
 
     Returns the canonical letters (as ``cyclic_canonical``), the 0-based raw
@@ -147,7 +150,12 @@ def _canonical_form(letters) -> tuple[tuple[int, ...], tuple[int, ...], list[tup
     that the free and cyclic reductions cancel.  The cancelled pairs are
     nested or disjoint, and no surviving letter lies inside one of them.
     """
-    kept, where, cancelled = _reduce_letters(letters)
+    return _cyclic_form(*_reduce_letters(letters))
+
+
+def _cyclic_form(kept: list[int], where: list[int], cancelled: list[tuple[int, int]]):
+    """``_canonical_form`` from the freely reduced letters, as ``_reduce_letters``
+    returns them; ``cancelled`` is extended in place."""
     # a reduced word stays reduced when inverse end pairs are trimmed off
     i, j = 0, len(kept)
     while j - i >= 2 and kept[i] == -kept[j - 1]:
@@ -156,27 +164,47 @@ def _canonical_form(letters) -> tuple[tuple[int, ...], tuple[int, ...], list[tup
         j -= 1
     kept, where = kept[i:j], where[i:j]
     if not kept:
-        return (), (), cancelled
-    # letters ordered 1, -1, 2, -2, ...; the first least rotation wins
-    keys = [2 * abs(x) - (x > 0) for x in kept]
-    r = min(range(len(keys)), key=lambda s: keys[s:] + keys[:s])
-    return tuple(kept[r:] + kept[:r]), tuple(where[r:] + where[:r]), cancelled
+        return (), (), tuple(cancelled)
+    r = _least_rotation(kept)
+    return tuple(kept[r:] + kept[:r]), tuple(where[r:] + where[:r]), tuple(cancelled)
 
 
-# The canonical letters of the most recent word only: the class-product
-# search canonicalises each candidate for its ``seen`` set, and
-# ``spelling_length`` of the same candidate asks again.
-_LAST_CANONICAL: dict[tuple[int, ...], tuple[int, ...]] = {}
+def _least_rotation(kept: list[int]) -> int:
+    """The first start of the least rotation, letters ordered 1, -1, 2, -2, ...
+
+    Only a position holding the least letter can start it, and the earliest
+    of those whose rotation is least is the first least start overall.
+    """
+    n = len(kept)
+    keys = [2 * x - 1 if x > 0 else -2 * x for x in kept]
+    least = min(keys)
+    starts = [s for s in range(n) if keys[s] == least]
+    if len(starts) == 1:  # most search candidates: no rotation to compare
+        return starts[0]
+    doubled = keys + keys
+    return min(starts, key=lambda s: doubled[s:s + n])
+
+
+# ``_canonical_form``'s whole (canon, where, cancelled) triple for the most
+# recent letters only: ``cyclic_canonical``, ``spelling_length`` and
+# ``optimal_pairing`` of one word read it from here, and the class-product
+# search leaves each new candidate's triple here for ``spelling_length``.
+_LAST_CANONICAL: dict[tuple[int, ...], tuple] = {}
+
+
+def _canonical(letters: tuple[int, ...]) -> tuple:
+    """``_canonical_form(letters)``, computed once for consecutive calls."""
+    form = _LAST_CANONICAL.get(letters)
+    if form is None:
+        _LAST_CANONICAL.clear()
+        form = _LAST_CANONICAL[letters] = _canonical_form(letters)
+    return form
 
 
 def cyclic_canonical(u: Word) -> tuple[int, ...]:
     """Canonical representative of the conjugacy class: cyclically reduced,
     lexicographically smallest rotation (letters ordered 1, -1, 2, -2, ...)."""
-    canon = _LAST_CANONICAL.get(u.letters)
-    if canon is None:
-        _LAST_CANONICAL.clear()
-        canon = _LAST_CANONICAL[u.letters] = _canonical_form(u.letters)[0]
-    return canon
+    return _canonical(u.letters)[0]
 
 
 _LAMBDA_CACHE: dict[tuple[int, ...], int] = {}
@@ -253,7 +281,7 @@ def optimal_pairing(u: Word) -> Pairing:
     stays non-crossing in every rotation, so mapping it back to the raw
     positions keeps it valid.
     """
-    w, where, cancelled = _canonical_form(u.letters)
+    w, where, cancelled = _canonical(u.letters)
     lam = _table(w)
     pairs = {(a + 1, b + 1) for a, b in cancelled}
     stack = [(0, len(w))]
@@ -406,6 +434,16 @@ def reduced_words(alphabet_size: int, max_len: int):
         frontier = nxt
 
 
+# The conjugators of the last few (alphabet size, budget) pairs, listed once
+# per pair: (h, h^-1) letter-tuple pairs in ``reduced_words`` order, and the
+# length of each h.
+@functools.lru_cache(maxsize=8)
+def _conjugators(alphabet_size: int, max_len: int) -> tuple[tuple, tuple[int, ...]]:
+    pairs = tuple((h, tuple(-x for x in reversed(h)))
+                  for h in reduced_words(alphabet_size, max_len))
+    return pairs, tuple(len(h) for h, _ in pairs)
+
+
 def _reduced_word_count(alphabet_size: int, max_len: int) -> int:
     """len(list(reduced_words(alphabet_size, max_len))), without listing."""
     return 1 + sum(2 * alphabet_size * (2 * alphabet_size - 1) ** (n - 1)
@@ -427,9 +465,7 @@ def _assignments_by_cost(lengths: list[int], multiplicities: list[int]):
     class, at most the longest length for every later slot).
     """
     longest = lengths[-1]
-    first = {}
-    for idx, length in enumerate(lengths):
-        first.setdefault(length, idx)
+    first = [bisect.bisect_left(lengths, length) for length in range(longest + 1)]
     # per slot: does it start its class, how many slots of its class follow
     slots = [(r == 0, m - 1 - r) for m in multiplicities for r in range(m)]
     total = len(slots)
@@ -463,12 +499,21 @@ def _assignments_by_cost(lengths: list[int], multiplicities: list[int]):
                 idx = chosen[s] + 1
 
 
+# The canonical forms of the four reference classes that ``_pq_shape``
+# recognizes, each with its variant and whether it is F or F^-1.
+_PQ_CLASSES = {
+    _canonical_form(letters)[0]: key
+    for letters, key in (((3, 2, 1), ("P", 1)), ((-1, -2, -3), ("P", -1)),
+                         ((1, 2, 3), ("Q", 1)), ((-3, -2, -1), ("Q", -1)))
+}
+
+
 def _pq_shape(base: Word, merged: dict):
     """Recognize the <A^i B^j C^k><F>^p<F^-1>^n shape of base times the
     merged classes; return (i, j, k, p, n, variant) or None."""
     if base.alphabet_size != 3:
         return None
-    letters = free_reduce(base).letters
+    letters = _reduce_letters(base.letters)[0]
     counts = [0, 0, 0]
     pos = 0
     for g in (1, 2, 3):
@@ -477,27 +522,16 @@ def _pq_shape(base: Word, merged: dict):
             pos += 1
     if pos != len(letters):
         return None
-    cba = cyclic_canonical(word(3, (3, 2, 1)))
-    cba_inv = cyclic_canonical(word(3, (-1, -2, -3)))
-    abc = cyclic_canonical(word(3, (1, 2, 3)))
-    abc_inv = cyclic_canonical(word(3, (-3, -2, -1)))
-    p_cba = n_cba = p_abc = n_abc = 0
+    mults = dict.fromkeys(_PQ_CLASSES.values(), 0)
     for canon, (_, mult) in merged.items():
-        if canon == cba:
-            p_cba += mult
-        elif canon == cba_inv:
-            n_cba += mult
-        elif canon == abc:
-            p_abc += mult
-        elif canon == abc_inv:
-            n_abc += mult
-        else:
+        key = _PQ_CLASSES.get(canon)
+        if key is None:
             return None
+        mults[key] += mult
     i, j, k = counts
-    if p_abc == 0 and n_abc == 0:
-        return (i, j, k, p_cba, n_cba, "P")
-    if p_cba == 0 and n_cba == 0:
-        return (i, j, k, p_abc, n_abc, "Q")
+    for variant, other in (("P", "Q"), ("Q", "P")):
+        if mults[other, 1] == 0 and mults[other, -1] == 0:
+            return (i, j, k, mults[variant, 1], mults[variant, -1], variant)
     return None
 
 
@@ -567,43 +601,43 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     lower, conjectured = _lower_bounds(spec.base, merged)
 
     # without classes only the empty assignment exists, whatever the budget
-    conjugators = list(reduced_words(n_gen, spec.search_budget if merged else 0))
+    conjugators, lengths = _conjugators(n_gen, spec.search_budget if merged else 0)
     slot_factors = [f.letters for f, mult in merged.values() for _ in range(mult)]
 
-    best_lam: int | None = None
-    best_witness: Word | None = None
+    # candidates stay letter tuples; a Word is built only for a new class
+    best: tuple | None = None  # (spelling length, word length, letters)
     seen: set[tuple[int, ...]] = set()
     exhausted = True
-    for assignment in _assignments_by_cost([len(h) for h in conjugators],
-                                           [mult for _, mult in merged.values()]):
+    for assignment in _assignments_by_cost(lengths, [mult for _, mult in merged.values()]):
         letters: list[int] = list(spec.base.letters)
         for f, idx in zip(slot_factors, assignment):
-            h = conjugators[idx]
-            letters.extend(h)
-            letters.extend(f)
-            letters.extend(-x for x in reversed(h))
-        candidate = free_reduce(Word(n_gen, tuple(letters)))
-        canon_c = cyclic_canonical(candidate)
+            h, h_inv = conjugators[idx]
+            letters += h
+            letters += f
+            letters += h_inv
+        kept = _reduce_letters(letters)[0]
+        reduced = tuple(kept)
+        # the candidate is reduced, so only the cyclic step is left; the
+        # cache hands its form to ``spelling_length`` of a new class
+        _LAST_CANONICAL.clear()
+        form = _LAST_CANONICAL[reduced] = _cyclic_form(kept, list(range(len(kept))), [])
+        canon_c = form[0]
         if canon_c in seen:
             continue
         seen.add(canon_c)
-        lam = spelling_length(candidate)
-        if best_lam is None or (lam, len(candidate.letters), candidate.letters) < (
-            best_lam,
-            len(best_witness.letters),
-            best_witness.letters,
-        ):
-            best_lam = lam
-            best_witness = candidate
-        if best_lam == lower:
+        lam = spelling_length(Word(n_gen, reduced))
+        if best is None or (lam, len(reduced), reduced) < best:
+            best = (lam, len(reduced), reduced)
+        if best[0] == lower:
             exhausted = False
             break
 
-    assert best_lam is not None and best_witness is not None
+    assert best is not None
+    best_lam = best[0]
     return SearchResult(
         upper=best_lam,
         lower=lower,
-        witness=best_witness,
+        witness=Word(n_gen, best[2]),
         exact=best_lam == lower,
         budget_exhausted=exhausted and best_lam != lower,
         conjectured_lower=conjectured,

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from octfield import numerics
 from octfield.numerics import (
     Region,
     boundary_residual,
@@ -92,6 +94,16 @@ def test_trapped_area_cubic_power():
     omega, residual = trapped_area(sm, level=3)
     assert omega == pytest.approx(-3 * math.pi / 2)
     assert residual < 0.01
+
+
+def test_reciprocal_of_subnormal_zero_and_infinite_values_warns_nothing():
+    # 1 / 1e-310 overflows: the chart flip takes it as a non-finite value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numerics._reciprocal(np.array([1e-310 + 0j, 0j, np.inf]))
+    assert not np.isfinite(out[0])
+    assert out[1] == np.inf
+    assert out[2] == 0
 
 
 def test_boundary_residual_identity():

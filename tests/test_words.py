@@ -224,6 +224,58 @@ def test_optimal_pairing_on_unreduced_conjugated_rotated_words(conjugator, core,
     assert all(key(canon) <= key(canon[s:] + canon[:s]) for s in range(len(canon)))
 
 
+def _scan_every_rotation(letters):
+    keys = [2 * abs(x) - (x > 0) for x in letters]
+    return min(range(len(keys)), key=lambda s: keys[s:] + keys[:s])
+
+
+# ties between equal rotations decide optimal_pairing's raw positions, so
+# periodic words, (ab)^k among them, and a^n b are drawn on purpose
+_rotation_words = st.one_of(
+    st.lists(_letter, min_size=1, max_size=30),
+    st.builds(lambda unit, k: unit * k, st.lists(_letter, min_size=1, max_size=4),
+              st.integers(min_value=1, max_value=8)),
+    st.builds(lambda a, n, b: [a] * n + [b], _letter, st.integers(min_value=1, max_value=10),
+              _letter),
+)
+
+
+@given(_rotation_words, st.integers(min_value=0))
+def test_least_rotation_starts_where_the_scan_of_every_rotation_does(letters, shift):
+    shift %= len(letters)
+    letters = letters[shift:] + letters[:shift]
+    assert words._least_rotation(letters) == _scan_every_rotation(letters)
+
+
+def test_least_rotation_of_periodic_words_is_the_first_least_start():
+    a, b = 1, 2
+    assert words._least_rotation([a, b] * 5) == 0
+    assert words._least_rotation([b, a] * 5) == 1
+    assert words._least_rotation([a] * 4 + [b]) == 0
+    assert words._least_rotation([b] + [a] * 4) == 1
+
+
+_WORD_CALLS = (cyclic_canonical, spelling_length, optimal_pairing)
+
+
+def _fresh_call(call, u):
+    words._LAST_CANONICAL.clear()
+    words._LAST_TABLE.clear()
+    words._LAMBDA_CACHE.clear()
+    return call(u)
+
+
+@given(st.lists(_letter, max_size=24), st.lists(_letter, max_size=24),
+       st.lists(st.tuples(st.sampled_from(_WORD_CALLS), st.sampled_from((0, 1))),
+                max_size=12))
+def test_interleaved_calls_on_two_words_equal_fresh_calls(first, second, calls):
+    pair = (word(3, first), word(3, second))
+    fresh = {(call, which): _fresh_call(call, pair[which])
+             for call in _WORD_CALLS for which in (0, 1)}
+    for call, which in calls:
+        assert call(pair[which]) == fresh[call, which]
+
+
 # -- homomorphisms -----------------------------------------------------------
 
 def test_homomorphism_cba_killed():
@@ -341,6 +393,28 @@ def test_assignments_of_a_thousand_slots_need_no_call_per_slot():
     assert list(words._assignments_by_cost([0], [1000])) == [(0,) * 1000]
     res = min_spelling_over_product(spec)
     assert res.lower <= res.upper == spelling_length(res.witness)
+
+
+def test_searches_with_one_alphabet_and_budget_list_the_conjugators_once(monkeypatch):
+    calls = []
+    listed = words.reduced_words
+
+    def counted(*args):
+        calls.append(args)
+        return listed(*args)
+
+    monkeypatch.setattr(words, "reduced_words", counted)
+    words._conjugators.cache_clear()
+    f = word(3, (3, 2, 1))
+    for base in ((1, 2), (1, 1, 3, 3)):
+        spec = ClassProductSpec(base=word(3, base), factors=((f, 1), (inverse(f), 2)),
+                                search_budget=2)
+        res = min_spelling_over_product(spec)
+        assert spelling_length(res.witness) == res.upper
+        # the form the search leaves behind is the fresh one of its letters
+        for letters, form in words._LAST_CANONICAL.items():
+            assert form == words._canonical_form(letters)
+    assert calls == [(3, 2)]
 
 
 def test_oversized_search_refused_before_enumeration(monkeypatch):
