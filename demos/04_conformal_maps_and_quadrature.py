@@ -4,8 +4,9 @@ Conformal representatives are rational maps whose zeros and poles respect the
 tangent boundary conditions; their energy is exactly pi per covered sector.
 A rational map is one closed-form region: its energy, trapped area and
 degree counts come from its centroid preimages, with no grid.  The
-quadrature, run on the same region gridded, reproduces those exact values,
-and the closed-form energy of a quarter-sphere layer.
+quadrature, run on the same region gridded with ladders of grid lines around
+the map's edge zeros and poles (``rational.quadrature_clusters``), reproduces
+those exact values, and the closed-form energy of a quarter-sphere layer.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from octfield import (
     trapped_area,
     rational_map,
 )
-from octfield.rational import measure_wrapping_rational
+from octfield.rational import measure_wrapping_rational, quadrature_clusters
 from octfield.topology import sector_name
 
 # a degree-5 conformal representative: cube power plus one real zero pair
@@ -33,7 +34,9 @@ print("wrapping numbers:", {k: v for k, v in w.as_dict().items() if v})
 
 closed = rational_map(spec)
 (bulk,) = closed.regions
-gridded = dataclasses.replace(closed, regions=[dataclasses.replace(bulk, rational=None)])
+r_clusters, phi_clusters = quadrature_clusters(spec)
+gridded = dataclasses.replace(closed, regions=[dataclasses.replace(
+    bulk, rational=None, r_clusters=r_clusters, phi_clusters=phi_clusters)])
 for label, sm in (("closed form", closed), ("quadrature", gridded)):
     energy = dirichlet_energy(sm, level=3)
     omega, residual = trapped_area(sm, level=3)

@@ -117,11 +117,6 @@ class Region:
     sharp energy peaks at map zeros/poles whose derivative scales can be far
     below any uniform resolution.
 
-    ``center_scale`` is the radius of the map's finest structure at r = 0 (a
-    stack's innermost unit-modulus circle): a log region reaching r = 0
-    starts a decade below it, or at ``_LOG_FLOOR`` times its outer radius if
-    that is lower.
-
     ``monomial``, when set, declares the region a chart monomial g (a
     ``geometry.ChartMonomial``) on the quarter annulus r_lo <= |u| <= r_hi,
     0 <= arg u <= pi/2: ``evaluate`` is u -> chart^-1(g(u)), and the chart is
@@ -149,7 +144,6 @@ class Region:
     phi_hi: float = math.pi / 2
     r_clusters: tuple = ()
     phi_clusters: tuple = ()
-    center_scale: float = math.inf
     chart: object = None
     monomial: ChartMonomial | None = None
     rational: object = None
@@ -218,7 +212,7 @@ def _radial_edges(region: Region, level: int) -> np.ndarray:
     _, n_lin, n_dec = _level_counts(level)
     a, b = region.r_lo, region.r_hi
     if region.spacing == "log":
-        a_eff = a if a > 0 else min(b * _LOG_FLOOR, region.center_scale / 10)
+        a_eff = a if a > 0 else b * _LOG_FLOOR
         n = max(4, int(math.ceil(n_dec * math.log10(b / a_eff))))
         edges = np.geomspace(a_eff, b, n + 1)
         if a <= 0:

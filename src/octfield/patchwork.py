@@ -26,7 +26,10 @@ unit-modulus radius sqrt(delta) * rho_1, with rho_1 = epsilon * delta^(L-1),
 stays at or above 1e-13 (boundary windings, the tests' independent measure
 of the wrapping numbers, sample the loop in a parameter whose spacing near a
 vertex is about 4e-16; below the floor they cannot resolve the innermost
-layer).  delta never exceeds epsilon.
+layer).  The floor also keeps the gridded interpolants' energy stencils
+finite: with the floor at 1e-300, k=(3,3,3), Omega_units=-5 at epsilon =
+1e-50 gets a non-finite energy density in interp(x,1).  delta never
+exceeds epsilon.
 
 ``assemble_patchwork`` realizes the bulk rational map with its free
 parameters fitted to the stacked vertices (``rational.realize``), relocates
@@ -63,7 +66,6 @@ from .rational import (
     ChartRational,
     ConstructionError,
     RationalMapSpec,
-    quadrature_clusters,
     realize,
 )
 from .stacks import QuarterSphereStack, alternating, chart_sector, stack_degree_table
@@ -230,7 +232,8 @@ def _layer_ratio(epsilon: float, layers: int) -> float:
     delta = epsilon^_LAYER_RATIO_POWER, raised where needed so the innermost
     layer's unit-modulus radius sqrt(delta) * rho_1, with
     rho_1 = epsilon * delta^(L-1), stays at or above _MIN_INNER_SCALE, and
-    never above epsilon.
+    never above epsilon.  The floor serves the tests' boundary windings and
+    keeps the energy stencils of the gridded interpolants finite.
     """
     try:
         floor = (_MIN_INNER_SCALE / epsilon) ** (1.0 / (layers - 0.5))
@@ -383,7 +386,8 @@ class SampledMap:
     subdomain tags: the first region, the bulk, holds every point, and a
     point takes the value and the name of the last positive region whose
     half-open chart annulus r_lo < |u| <= r_hi (closed at r_lo = 0) holds
-    its chart point u.
+    its chart point u.  ``metadata`` is an assembled map's
+    ``PatchworkSpec``, whose seams the domain picture draws.
     """
 
     regions: list
@@ -424,22 +428,15 @@ class SampledMap:
 
 
 def identity_map() -> SampledMap:
-    return SampledMap(
-        [Region("bulk", lambda w: np.asarray(w, dtype=complex), 0.0, 1.0)],
-        metadata="identity",
-    )
+    return SampledMap([Region("bulk", lambda w: np.asarray(w, dtype=complex), 0.0, 1.0)])
 
 
 def rational_map(spec: RationalMapSpec) -> SampledMap:
     """The rational map of ``spec`` as one closed-form region, as a
     patchwork's bulk is: energy, trapped area and degree counts read its
     centroid preimages and build no grid."""
-    r_cl, phi_cl = quadrature_clusters(spec)
     bulk = ChartRational(spec, "z")  # gamma_z is the identity
-    return SampledMap(
-        [Region("bulk", bulk, 0.0, 1.0, r_clusters=r_cl, phi_clusters=phi_cl, rational=bulk)],
-        metadata=spec,
-    )
+    return SampledMap([Region("bulk", bulk, 0.0, 1.0, rational=bulk)])
 
 
 def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
@@ -460,11 +457,9 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
-    bulk_r_cl, bulk_phi_cl = quadrature_clusters(bulk_spec)
 
     bulk = ChartRational(bulk_spec, "z")  # gamma_z is the identity
-    regions = [Region("bulk", bulk, 0.0, 1.0, r_clusters=bulk_r_cl, phi_clusters=bulk_phi_cl,
-                      rational=bulk)]
+    regions = [Region("bulk", bulk, 0.0, 1.0, rational=bulk)]
     for axis, st in stacks.items():
         chart = partial(relocate_inverse, axis)
         cut = ChartRational(bulk_spec, axis)
@@ -473,8 +468,7 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
         for kind, index, r_lo, r_hi, formula in st.pieces():
             regions.append(Region(
                 f"{kind}({axis},{index})", lambda u, a=axis, f=formula: relocate(a, f(u)),
-                r_lo, r_hi, "log", chart=chart, center_scale=st.inner_scale(),
-                monomial=formula if kind == "annulus" else None,
+                r_lo, r_hi, "log", chart=chart, monomial=formula if kind == "annulus" else None,
             ))
 
         def collar(u, a=axis, s=st, f=cut):

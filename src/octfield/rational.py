@@ -219,7 +219,6 @@ def _value_and_log_derivative(spec: RationalMapSpec, z):
 MAX_PREIMAGE_DEGREE = 256
 
 
-@functools.lru_cache(maxsize=256)
 def _poles(spec: RationalMapSpec) -> tuple:
     """(points, multiplicities) of the finite poles of the product form in
     the product variable: +-1/sqrt(q) for a term of exponent +1, +-sqrt(q)

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -52,6 +51,7 @@ from octfield.words import (
     spelling_length,
     word,
 )
+from gridded import gridded
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
@@ -280,8 +280,7 @@ def test_criterion_6_conformal_classes():
         # closed form reads the same centroid preimages as w, so it holds
         # only to the exact values
         closed = rational_map(spec)
-        (bulk,) = closed.regions
-        sm = dataclasses.replace(closed, regions=[dataclasses.replace(bulk, rational=None)])
+        sm = gridded(closed)
         energy = dirichlet_energy(sm, level=3)
         assert abs(energy - target) / target < 0.02, spec
         omega, residual = trapped_area(sm, level=3)

@@ -292,6 +292,25 @@ def test_construct_reads_no_boundary_windings(payload, monkeypatch, tmp_path):
     assert all(report["checks"].values()), report["checks"]
     assert len(counted) == 1
 
+
+@pytest.mark.parametrize("payload", [
+    WORKED_JSON,  # one stack
+    '{"e":[1,1,1],"k":[2,2,2],"omega_units":-1}',  # three stacks
+    '{"e":[1,1,1],"k":[0,0,-1],"omega_units":-5}',  # conformal
+], ids=["one-stack", "three-stacks", "conformal"])
+def test_verify_probes_no_singular_structure(payload, monkeypatch):
+    # the bulk, cut discs and layers are integrated in closed form, so the
+    # map carries no grid ladders around the bulk's edge zeros and poles;
+    # only a reference quadrature of those regions needs them
+    from octfield import rational
+
+    def no_probe(spec):
+        raise AssertionError("singular structure probed")
+
+    monkeypatch.setattr(rational, "singular_structure", no_probe)
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 0
+
+
 @pytest.mark.parametrize("payload, reflections", [
     ('{"e":[1,1,-1],"k":[-2,-2,0],"omega_units":-7}', [1, 1, -1]),
     ('{"e":[-1,1,1],"k":[-2,-1,1],"omega_units":-7}', [-1, 1, 1]),
@@ -442,10 +461,20 @@ def test_a_class_beyond_the_windings_verifies_from_its_region_counts(tmp_path):
     # the innermost layer, or a layer seam, underflows
     ('{"e":[1,1,1],"k":[1,1,1],"omega_units":3}', "1e-300", 4, "below double precision"),
     ('{"e":[1,1,1],"k":[3,3,3],"omega_units":-13}', "1e-300", 4, "below double precision"),
-], ids=["one-layer-1e-200", "one-layer-1e-300", "four-layers-1e-300"])
+    # the floor lies above epsilon, so delta = epsilon, which also keeps
+    # the gridded interpolants' stencils finite: the class verifies
+    ('{"e":[1,1,1],"k":[3,3,3],"omega_units":-5}', "1e-20", 0, "energy 17.0000 pi"),
+    ('{"e":[1,1,1],"k":[3,3,3],"omega_units":-5}', "1e-50", 0, "energy 17.0000 pi"),
+], ids=["one-layer-1e-200", "one-layer-1e-300", "four-layers-1e-300",
+        "two-stacks-1e-20", "two-stacks-1e-50"])
 def test_a_tiny_epsilon_exits_with_a_documented_code(payload, epsilon, code, message, capsys):
-    assert main(["verify", "--json", payload, "--epsilon", epsilon, "--grid-level", "1"]) == code
-    assert message in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--json", payload, "--epsilon", epsilon,
+                     "--grid-level", "1"]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_an_overflowing_energy_density_is_refused_without_a_warning(capsys):

@@ -5,8 +5,8 @@ the map as one region, the bulk rational map in the vertex chart, so
 energy, trapped area and degree counts take it from a boundary contour and
 the map's preimages (``numerics._chart_area``).  These tests hold the
 closed forms to the gridded integrals of the same disc's two pieces inside
-and outside epsilon, with the chart rational map stripped, on the
-benchmark's classes:
+and outside epsilon, with the chart rational map stripped
+(``gridded.gridded_regions``), on the benchmark's classes:
 the kmax-3 sweep at epsilon 0.05 (grid level 2) and the kmax-2 classes at
 four epsilons (grid level 3).  On the whole quarter disc the closed form
 must give the exact identities of a rational map's wrapping numbers, from
@@ -36,6 +36,7 @@ from octfield.numerics import (
 from octfield.patchwork import SampledMap, assemble_patchwork, select_case
 from octfield.rational import ChartRational, realize
 from octfield.topology import SECTORS, OctantTopology, wrapping_from_invariants
+from gridded import gridded, gridded_regions
 
 
 def _sweep(kmax):
@@ -76,18 +77,18 @@ def test_cut_disc_closed_forms_equal_their_quadrature(t, epsilon, level):
     discs = _discs(sm)
     assert [region.name for region in discs] == [
         f"cut({axis})" for axis in select_case(t, epsilon=epsilon).stacks]
-    for region in (piece for disc in discs for piece in _pieces(disc)):
-        # counted alone with weight +1: a lone subtractive piece has
-        # negative coverings
-        region = dataclasses.replace(region, weight=1)
-        closed = SampledMap([region])
-        gridded = SampledMap([dataclasses.replace(region, rational=None)])
-        assert dirichlet_energy(closed, level) == pytest.approx(
-            dirichlet_energy(gridded, level), abs=ENERGY_MARGIN[level]), region.name
-        exact, counted = degree_count(closed, level), degree_count(gridded, level)
-        for sector in SECTORS:
-            assert (exact[sector].d, exact[sector].D) == (
-                counted[sector].d, counted[sector].D), (region.name, sector)
+    for disc in discs:
+        for region, stripped in zip(_pieces(disc), gridded_regions(disc)):
+            # counted alone with weight +1: a lone subtractive piece has
+            # negative coverings
+            closed = SampledMap([dataclasses.replace(region, weight=1)])
+            quadrature = SampledMap([dataclasses.replace(stripped, weight=1)])
+            assert dirichlet_energy(closed, level) == pytest.approx(
+                dirichlet_energy(quadrature, level), abs=ENERGY_MARGIN[level]), region.name
+            exact, counted = degree_count(closed, level), degree_count(quadrature, level)
+            for sector in SECTORS:
+                assert (exact[sector].d, exact[sector].D) == (
+                    counted[sector].d, counted[sector].D), (region.name, sector)
 
 
 @pytest.mark.parametrize("t", [
@@ -104,12 +105,10 @@ def test_closed_form_discs_keep_the_whole_map_counts(t):
     assert dirichlet_energy(SampledMap(_discs(sm))) == pytest.approx(
         sum(dirichlet_energy(SampledMap([piece]))
             for disc in _discs(sm) for piece in _pieces(disc)), abs=1e-10)
-    gridded = dataclasses.replace(sm, regions=[  # the bulk stays closed-form
-        dataclasses.replace(region, rational=None) if region.weight < 0 else region
-        for region in sm.regions])
+    quadrature = gridded(sm, "cut")  # the bulk stays closed-form
     omega, residual = trapped_area(sm, 2)
-    assert omega == trapped_area(gridded, 2)[0] and residual < 1e-4
-    closed, counted = degree_count(sm, 2), degree_count(gridded, 2)
+    assert omega == trapped_area(quadrature, 2)[0] and residual < 1e-4
+    closed, counted = degree_count(sm, 2), degree_count(quadrature, 2)
     for sector in SECTORS:
         assert (closed[sector].d, closed[sector].D, closed[sector].confident) == (
             counted[sector].d, counted[sector].D, counted[sector].confident), sector
@@ -127,8 +126,8 @@ def test_edge_pole_disc_quadrature_approaches_the_closed_form():
     discs = _discs(sm, "x")
     closed = dirichlet_energy(SampledMap(discs))
     assert closed == pytest.approx(-4.8793, abs=1e-4)
-    gridded = SampledMap([dataclasses.replace(region, rational=None) for region in discs])
-    gaps = [abs(dirichlet_energy(gridded, level) - closed) for level in (4, 5, 6)]
+    quadrature = gridded(SampledMap(discs))
+    gaps = [abs(dirichlet_energy(quadrature, level) - closed) for level in (4, 5, 6)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 2e-3
 

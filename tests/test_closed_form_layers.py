@@ -3,12 +3,11 @@
 Each layer region of an assembled map is a chart monomial on a quarter
 annulus, and energy, trapped area and degree counts take it in closed form.
 These tests hold the closed forms to the gridded integrals of the very same
-regions, with the monomial stripped, on the benchmark's classes: the kmax-3
-sweep at epsilon 0.05 (grid level 2) and the kmax-2 classes at four
-epsilons (grid level 3).
+regions, with the monomial stripped (``gridded.gridded_regions``), on the
+benchmark's classes: the kmax-3 sweep at epsilon 0.05 (grid level 2) and
+the kmax-2 classes at four epsilons (grid level 3).
 """
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -23,6 +22,7 @@ from octfield.patchwork import SampledMap, assemble_patchwork, select_case
 from octfield.rational import ChartRational, RationalMapSpec
 from octfield.stacks import QuarterSphereStack, stack_degree_table
 from octfield.topology import SECTORS, OctantTopology
+from gridded import gridded_regions
 
 
 def _sweep(kmax):
@@ -47,8 +47,7 @@ def test_layer_closed_forms_equal_their_quadrature(t, epsilon, level):
     layers = [region for region in sm.regions if region.monomial is not None]
     assert len(layers) == sum(select_case(t, epsilon=epsilon).M)
     for region in layers:
-        closed = SampledMap([region])
-        gridded = SampledMap([dataclasses.replace(region, monomial=None)])
+        closed, gridded = SampledMap([region]), SampledMap(gridded_regions(region))
         assert dirichlet_energy(closed, level) == pytest.approx(
             dirichlet_energy(gridded, level), rel=1e-4), region.name
         exact, counted = degree_count(closed, level), degree_count(gridded, level)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -20,13 +19,7 @@ from octfield.numerics import (
 from octfield.patchwork import SampledMap, identity_map, rational_map
 from octfield.rational import ChartRational, RationalMapSpec, realize
 from octfield.topology import SECTORS, OctantTopology, wrapping_from_invariants
-
-
-def _gridded(spec):
-    """The rational map of spec with its one region on a grid: the
-    quadrature that ``rational_map``'s closed form is held to."""
-    (bulk,) = rational_map(spec).regions
-    return SampledMap([dataclasses.replace(bulk, rational=None)], spec)
+from gridded import gridded
 
 
 def _layer_energy_exact(eps):
@@ -58,7 +51,7 @@ def test_quarter_sphere_layer_closed_form():
 def test_conformal_representative_energy_matches_coverage():
     t = OctantTopology((1, 1, 1), (0, 0, -1), -5)
     w = wrapping_from_invariants(t)
-    sm = _gridded(realize(t))
+    sm = gridded(rational_map(realize(t)))
     E = dirichlet_energy(sm, level=3)
     assert abs(E - w.total_absolute() * math.pi) / (w.total_absolute() * math.pi) < 0.02
 
@@ -90,7 +83,7 @@ def test_trapped_area_identity():
 
 
 def test_trapped_area_cubic_power():
-    sm = _gridded(RationalMapSpec(m=1))
+    sm = gridded(rational_map(RationalMapSpec(m=1)))
     omega, residual = trapped_area(sm, level=3)
     assert omega == pytest.approx(-3 * math.pi / 2)
     assert residual < 0.01
@@ -193,7 +186,7 @@ def test_patchwork_bulk_energy_at_level_two(k, n):
     spec = select_case(OctantTopology((1, 1, 1), k, 8 * n + 7 - 4 * sum(k)), 0.05)
     bulk = realize(spec.H0, stacked=tuple(spec.stacks))
     exact = wrapping_from_invariants(spec.H0).total_absolute() * math.pi
-    E = dirichlet_energy(_gridded(bulk), level=2)
+    E = dirichlet_energy(gridded(rational_map(bulk)), level=2)
     assert abs(E - exact) / exact < 0.004
 
 
@@ -228,7 +221,8 @@ def test_closed_form_region_is_the_quadrature_of_its_rational_map(t):
     # negatively, and its raw trapped area is (pi/2) sum w
     w = wrapping_from_invariants(t).values
     spec = realize(t)
-    quadrature, closed = _gridded(spec), rational_map(spec)
+    closed = rational_map(spec)
+    quadrature = gridded(closed)
     assert closed.regions[0].rational == ChartRational(spec, "z")
     counted, exact = degree_count(quadrature, level=2), degree_count(closed, level=2)
     for sector, v in zip(SECTORS, w):

@@ -29,6 +29,7 @@ from octfield.topology import (
     delta_invariant,
     wrapping_from_invariants,
 )
+from gridded import gridded
 from windings import both_ways
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
@@ -398,9 +399,9 @@ def test_closed_form_bulk_totals_match_the_whole_map_quadrature(t):
 
     spec = select_case(t, epsilon=0.05)
     sm = assemble_patchwork(spec)
-    bulk, *pieces = sm.regions
-    assert bulk.rational == ChartRational(realize(spec.H0, stacked=tuple(spec.stacks)), "z")
-    whole = dataclasses.replace(sm, regions=[dataclasses.replace(bulk, rational=None), *pieces])
+    bulk = realize(spec.H0, stacked=tuple(spec.stacks))
+    assert sm.regions[0].rational == ChartRational(bulk, "z")
+    whole = gridded(sm, "bulk")
     assert dirichlet_energy(sm, level=2) == pytest.approx(
         dirichlet_energy(whole, level=2), rel=5e-3)
     assert trapped_area(sm, level=2)[0] == trapped_area(whole, level=2)[0]

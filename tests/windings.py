@@ -64,9 +64,9 @@ def patchwork_seed(spec: PatchworkSpec) -> np.ndarray:
 
 def winding_wrapping(sampled_map, level: int = 2, bulk: RationalMapSpec | None = None):
     """Wrapping numbers of a map from its boundary windings, anchored by its
-    trapped area at grid ``level``.  The loop is seeded from the map's
-    metadata (a ``PatchworkSpec`` or a ``RationalMapSpec``), or from the
-    rational ``bulk`` whose edges the map keeps."""
+    trapped area at grid ``level``.  The loop is seeded from an assembled
+    map's ``PatchworkSpec``, from the rational ``bulk`` whose edges the map
+    keeps, or else from the rational map of its first region."""
     omega, residual = trapped_area(sampled_map, level=level)
     if residual > 0.3:
         raise IntegrationError(f"trapped area did not converge (residual {residual:.3f})")
@@ -74,7 +74,7 @@ def winding_wrapping(sampled_map, level: int = 2, bulk: RationalMapSpec | None =
     if isinstance(meta, PatchworkSpec):
         seed = patchwork_seed(meta)
     else:
-        seed = rational_seed(bulk if bulk is not None else meta)
+        seed = rational_seed(bulk if bulk is not None else sampled_map.regions[0].rational.spec)
     return measure_wrapping(sampled_map.evaluate, -round(omega / (math.pi / 2)), seed)
 
 
