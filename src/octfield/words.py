@@ -214,10 +214,11 @@ _LAMBDA_CACHE: dict[tuple[int, ...], int] = {}
 _LAST_TABLE: dict[tuple[int, ...], list[list[int]]] = {}
 
 # Longest word the command line accepts: the interval DP is cubic in the
-# length.  On a 2-core VM with Python 3.11, ``octfield spelling --word``
-# spends 0.9 s of CPU on a random 1000-letter word over three generators (650
-# letters after reduction), and the DP plus pairing of a freely reduced
-# 1000-letter word take 1.3-2.4 s.
+# length in the worst case.  On a 2-core VM with Python 3.11, ``octfield
+# spelling --word`` spends 0.3-0.4 s of CPU on a random 1000-letter word over
+# three generators (662 letters after reduction).  The DP plus pairing take
+# 0.3-0.6 s on a cyclically reduced random 1000-letter word and 0.75-0.93 s
+# on (a b a' b')^250, where nearly every position is a partner.
 MAX_WORD_LETTERS = 1000
 
 
@@ -225,8 +226,23 @@ def _lambda_dp(w: tuple[int, ...]) -> list[list[int]]:
     """Interval DP table: lam[i][j] = spelling length of w[i:j].
 
     Rows are filled from the last down, so row i reads only rows below it.
-    Along row i, ``active`` gathers each partner t of w[i] (w[t] = w[i]^-1)
-    once j has passed it, as (lam[i+1][t], row t+1); only those are scanned.
+    Cell (i, j) takes the least of 1 + lam[i+1][j] (w[i] alone) and, for
+    each split candidate c of the row, lam[i][c+1] + lam[c+1][j].  A partner
+    t of w[i] (w[t] = w[i]^-1) is weighed at cell (i, t+1), where pairing
+    the two costs lam[i+1][t]; it joins the candidates only if that is
+    strictly below every option the row already has there, and then
+    lam[i][t+1] is that pairing value.
+
+    The table equals the dense rule, which scans every partner t < j, cell
+    for cell, because lam is subadditive: lam[a][b] <= lam[a][m] + lam[m][b].
+    A listed candidate's term is its pairing term, as lam[i][c+1] =
+    lam[i+1][c].  A partner left off is dominated at t+1 by w[i] alone or
+    by a candidate c, and at every later j its pairing term is at least
+    1 + lam[i+1][t+1] + lam[t+1][j] >= 1 + lam[i+1][j], or
+    lam[i][c+1] + lam[c+1][t+1] + lam[t+1][j] >= lam[i][c+1] + lam[c+1][j].
+    This is the candidate-list sparsification of Nussinov-type folding DPs
+    (Wexler, Zilberstein & Ziv-Ukelson, J. Comput. Biol. 2007; Backofen,
+    Tsur, Zakov & Ziv-Ukelson, J. Discrete Algorithms 2011).
     """
     k = len(w)
     lam = [[0] * (k + 1) for _ in range(k + 1)]
@@ -234,15 +250,16 @@ def _lambda_dp(w: tuple[int, ...]) -> list[list[int]]:
         below = lam[i + 1]
         first = -w[i]
         row = lam[i]
-        active: list[tuple[int, list[int]]] = []
+        candidates: list[tuple[int, list[int]]] = []
         for j in range(i + 1, k + 1):
-            if j - 1 > i and w[j - 1] == first:
-                active.append((below[j - 1], lam[j]))
             best = 1 + below[j]
-            for left, right in active:
+            for left, right in candidates:
                 cand = left + right[j]
                 if cand < best:
                     best = cand
+            if w[j - 1] == first and below[j - 1] < best:
+                best = below[j - 1]
+                candidates.append((best, lam[j]))
             row[j] = best
     return lam
 

@@ -193,6 +193,54 @@ def test_lambda_dp_table_matches_scan_every_t_oracle(letters):
     assert words._lambda_dp(w) == _scan_every_t_dp(w)
 
 
+def _structured_words(n):
+    """(a b a' b')^n, (a b c a' b' c')^(2n/3) and a^n b^n a^-n b^-n, of 4n
+    letters each: dense in partners, with many splits of equal value."""
+    return [
+        (1, 2, -1, -2) * n,
+        (1, 2, 3, -1, -2, -3) * (2 * n // 3),
+        (1,) * n + (2,) * n + (-1,) * n + (-2,) * n,
+    ]
+
+
+@st.composite
+def _words_over_small_alphabets(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    letter = st.integers(min_value=1, max_value=size).flatmap(
+        lambda g: st.sampled_from((g, -g)))
+    # the length is drawn first: a wrong candidate rule shows mostly above
+    # 20 letters, longer than plain list draws tend to be
+    length = draw(st.integers(min_value=0, max_value=60))
+    return word(size, draw(st.lists(letter, min_size=length, max_size=length)))
+
+
+@given(_words_over_small_alphabets())
+def test_lambda_dp_table_matches_the_oracle_over_alphabets_of_one_to_five(u):
+    # over one or two generators nearly every position is a partner
+    for w in (u.letters, cyclic_canonical(u)):
+        assert words._lambda_dp(w) == _scan_every_t_dp(w)
+
+
+@pytest.mark.parametrize("w", _structured_words(30))
+def test_lambda_dp_table_matches_the_oracle_on_structured_words(w):
+    assert words._lambda_dp(w) == _scan_every_t_dp(w)
+
+
+def test_pairing_consistency_on_long_words():
+    import random
+
+    rng = random.Random(29)
+    long_words = [
+        word(3, [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(300, 500))])
+        for _ in range(4)
+    ]
+    long_words += [word(3, w) for w in _structured_words(30) + _structured_words(90)]
+    for u in long_words:
+        pairing = optimal_pairing(u)
+        assert pairing_is_valid(u, pairing)
+        assert len(u) - 2 * len(pairing) == spelling_length(u)
+
+
 @given(st.lists(_letter, max_size=6), st.lists(_letter, max_size=14),
        st.integers(min_value=0), st.lists(st.tuples(_letter, st.integers(min_value=0)),
                                           max_size=3))
