@@ -2,11 +2,13 @@
 
 Conformal representatives are rational maps whose zeros and poles respect the
 tangent boundary conditions; their energy is exactly pi per covered sector.
-A rational map is one closed-form region: its energy, trapped area and
-degree counts come from its centroid preimages, with no grid.  The
-quadrature, run on the same region gridded with ladders of grid lines around
-the map's edge zeros and poles (``rational.quadrature_clusters``), reproduces
-those exact values, and the closed-form energy of a quarter-sphere layer.
+A rational map is one closed-form region, its ``evaluate`` the chart
+rational map itself: its energy, trapped area and degree counts come from
+its centroid preimages, with no grid.  The quadrature, run on the same
+region evaluated through a plain function and gridded with ladders of grid
+lines around the map's edge zeros and poles
+(``rational.quadrature_clusters``), reproduces those exact values, and the
+closed-form energy of a quarter-sphere layer.
 """
 
 import dataclasses
@@ -36,7 +38,8 @@ closed = rational_map(spec)
 (bulk,) = closed.regions
 r_clusters, phi_clusters = quadrature_clusters(spec)
 gridded = dataclasses.replace(closed, regions=[dataclasses.replace(
-    bulk, rational=None, r_clusters=r_clusters, phi_clusters=phi_clusters)])
+    bulk, evaluate=lambda u: bulk.evaluate(u), r_clusters=r_clusters,
+    phi_clusters=phi_clusters)])
 for label, sm in (("closed form", closed), ("quadrature", gridded)):
     energy = dirichlet_energy(sm, level=3)
     omega, residual = trapped_area(sm, level=3)

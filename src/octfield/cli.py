@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 success, 2 invalid input (a class that is not valid JSON of a
 valid class, an unreadable class file, prism lengths not in the order
 Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
-``--format`` name, or a bad word; a word may have at most
-``words.MAX_WORD_LETTERS`` letters and its alphabet as many generators), 3
+``--format`` name, a ``--grid-level`` outside 1-5, a ``sweep --kmax``
+outside 1-8 (8 sweeps 1,380 classes), or a bad word; a word may have at
+most ``words.MAX_WORD_LETTERS`` letters and its alphabet as many
+generators), 3
 unsupported kink sign pattern (for ``spelling``, kinks of mixed sign or
 zero once the class is reflected to edge signs (+,+,+)), 4 unsupported
 class for construction (including a general-sign class for which no stack
@@ -174,24 +176,18 @@ def cmd_spelling(args) -> int:
 
 
 def _max_seam_jump(sm) -> float:
-    """Chordal discontinuity across the seams of every vertex chart: the two
-    region formulas that meet at each seam radius, evaluated at the same
-    chart points.  The outermost positive region meets the bulk, which in
-    the chart is the negative region ending at the same radius.  Each
-    region is evaluated once, at every rim point it is compared at."""
+    """Chordal discontinuity across the seams of every vertex chart
+    (``SampledMap.seams``): the two region formulas that meet at each seam
+    radius, evaluated at the same chart points, the outermost piece against
+    the cut disc, which is the bulk in the chart.  Each region is evaluated
+    once, at every rim point it is compared at."""
     import numpy as np
 
     from .geometry import chordal_distance
 
-    charts = {}
-    for region in sm.regions[1:]:
-        charts.setdefault(region.chart, []).append(region)
     seams = []  # (inner, outer, chart points on their common rim)
-    for regions in charts.values():
-        pieces = sorted((r for r in regions if r.weight > 0), key=lambda r: r.r_lo)
-        rim = pieces[-1].r_hi
-        bulk = next(r for r in regions if r.weight < 0 and r.r_hi == rim)
-        for inner, outer in zip(pieces, pieces[1:] + [bulk]):
+    for pieces, cut in sm.seams().values():
+        for inner, outer in zip(pieces, pieces[1:] + [cut]):
             phis = np.linspace(inner.phi_lo + 0.01, inner.phi_hi - 0.01, 333)
             seams.append((inner, outer, inner.r_hi * np.exp(1j * phis)))
     points = {}
@@ -435,7 +431,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=lambda a: cmd_construct(a, verify_only=True))
 
     p_sw = sub.add_parser("sweep", help="construct a family of classes")
-    p_sw.add_argument("--kmax", type=int, default=2)
+    p_sw.add_argument("--kmax", type=int, default=2, choices=range(1, 9))
     p_sw.add_argument("--out", help="output directory")
     add_numeric_opts(p_sw)
     p_sw.set_defaults(func=cmd_sweep)

@@ -11,6 +11,7 @@ arithmetic finite-safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,11 +143,21 @@ def relocate_inverse(axis: str, w):
     return complex(out) if np.ndim(np.asarray(w)) == 0 else out
 
 
+@functools.lru_cache(maxsize=64)
+def _chart_value(axis: str, value: complex) -> complex:
+    """``relocate_inverse`` of one value: degree counts ask every vertex
+    chart of every map for the same sector centroids."""
+    return relocate_inverse(axis, value)
+
+
 @dataclass(frozen=True)
 class ChartMonomial:
     """The map g(u) = c v^power of a chart point u, with v = u, or conj(u)
     when ``conjugate``, and power +1 or -1: conformal exactly when not
-    conjugated, and one-to-one.
+    conjugated, and one-to-one.  Its values are relocated to the vertex
+    ``axis`` (``relocate``, a rotation of the sphere, so energy, area and
+    coverings are g's own); a stack builds its layers in the z-chart, where
+    the relocation is the identity.
 
     c = seam^-power / root with ``seam`` real and nonzero, so g has modulus
     1/root on the circle |u| = |seam| and c has the sign of ``seam``.  g is
@@ -157,12 +168,15 @@ class ChartMonomial:
     root: float
     power: int
     conjugate: bool
+    axis: str = "z"
 
     def __post_init__(self):
         if self.power not in (1, -1):
             raise ValueError("a chart monomial has power +1 or -1")
         if not (self.seam != 0 and math.isfinite(self.seam) and 0 < self.root < math.inf):
             raise ValueError("a chart monomial needs a finite nonzero seam and root")
+        if self.axis not in AXES:
+            raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
 
     @property
     def conformal(self) -> bool:
@@ -172,9 +186,11 @@ class ChartMonomial:
         u = np.asarray(u, dtype=complex)
         v = np.conj(u) if self.conjugate else u
         if self.power > 0:
-            return v / (self.root * self.seam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.seam / (self.root * v)
+            g = v / (self.root * self.seam)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = self.seam / (self.root * v)
+        return relocate(self.axis, g)
 
     def modulus(self, r: float) -> float:
         """|g| on the circle |u| = r."""
@@ -182,13 +198,15 @@ class ChartMonomial:
             return r / (self.root * abs(self.seam))
         return abs(self.seam) / (self.root * r) if r else math.inf
 
-    def preimage(self, value: complex) -> complex:
-        """The chart point u with g(u) = value, for finite nonzero values."""
+    def preimages(self, value: complex) -> np.ndarray:
+        """The chart points u with relocated value g(u) = ``value``: one,
+        for values whose chart value is finite and nonzero."""
+        value = _chart_value(self.axis, value)
         if self.power > 0:
             v = value * (self.root * self.seam)
         else:
             v = self.seam / (self.root * value)
-        return v.conjugate() if self.conjugate else v
+        return np.array([v.conjugate() if self.conjugate else v])
 
 
 def chordal_distance(a, b):

@@ -12,24 +12,22 @@ Maps are consumed through a light protocol: an object with
 
 All three integrals read the same regions, each as it is given.  A
 conformal or anticonformal piece has energy twice its spherical image area,
-counted with multiplicity, so two kinds of region enter in closed form with
-no grid:
+counted with multiplicity, so a region whose ``evaluate`` is its closed
+form (``_is_closed``) enters with no grid: energy 2 |A|, raw trapped area
+-A with A its signed image area (``_closed_area``), and one covering of
+each target per preimage of it (the formula's ``preimages``) inside the
+quarter annulus, positive when the formula is conformal.  The closed forms
+are of two kinds:
 
-- a region whose ``monomial`` g is set (a stack layer, c u^{+-1} or
-  c conj(u)^{+-1} on a quarter annulus) maps its image moduli mu_lo, mu_hi
-  at the rims onto a quarter zone of area A = pi |1/(1 + mu_lo^2) -
-  1/(1 + mu_hi^2)|: energy 2 A, signed image area +A when conformal and -A
-  when not, and one covering of each target whose chart value has its
-  preimage under g inside the quarter annulus;
-- a region whose ``rational`` F is set (a rational map in a vertex chart:
-  the bulk in the z-chart on the whole quarter disc, or a cut disc in its
-  vertex's chart) has a signed image area A (``_closed_area``): energy
-  2 |A|, raw trapped area -A, and one covering of each target per preimage
-  inside, conformal or not as F is.  On the whole quarter disc the tangent
-  boundary conditions map the boundary into the sector boundaries, so
-  A = (pi/2) sum_sigma d_sigma, d_sigma the signed count of centroid-sigma
-  preimages inside; on a cut disc A is the boundary integral of
-  alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G, G the rotation sending a
+- a ``geometry.ChartMonomial`` g (a stack layer, c u^{+-1} or
+  c conj(u)^{+-1}) maps its image moduli mu_lo, mu_hi at the rims onto a
+  quarter zone, A = +-pi |1/(1 + mu_lo^2) - 1/(1 + mu_hi^2)|;
+- a ``rational.ChartRational`` F (the bulk in the z-chart on the whole
+  quarter disc, or a cut disc in its vertex's chart).  On the whole quarter
+  disc the tangent boundary conditions map the boundary into the sector
+  boundaries, so A = (pi/2) sum_sigma d_sigma, d_sigma the signed count of
+  centroid-sigma preimages inside; on a cut disc A is the boundary integral
+  of alpha_p = 2 |G|^2 / (1 + |G|^2) d arg G, G the rotation sending a
   sector centroid p to infinity, plus 4 pi per preimage of p inside.
 
 Every other region, an interpolant or a collar, is integrated on its grid.
@@ -40,13 +38,14 @@ degree counts and the trapped area triangulate the grid through its
 ``mesh``, the region evaluated once at the grid vertices, whose image
 triangles share one cross product per grid edge (``_ImageMesh``), so both
 read the same edge normals and the degree counts push all eight sector
-targets through it at once.  A cut disc takes each rim a grid shares as
-that grid's geodesic polygon in the trapped area, and counts a preimage
-within twice the rim chords' sagitta as near, so its rims cancel against
-its replacement's mesh and the weighted counts are exact.  A layer's rims
-are exact circular arcs where its gridded neighbours have chords, so the
-trapped area of a map with layers misses a multiple of pi/2 by the slivers
-between them (at most 6.4e-6 on the benchmark's classes).
+targets through it at once.  A closed-form region counts a preimage within
+twice the chords' sagitta of a rim a grid shares as near, since the grid's
+triangles end on those chords, not on the arc.  A cut disc also takes each
+such rim as that grid's geodesic polygon in the trapped area, so its rims
+cancel against its replacement's mesh.  A layer's area keeps its exact rim
+arcs, so the trapped area of a map with layers misses a multiple of pi/2
+by the slivers between them and its gridded neighbours' chords (at most
+6.4e-6 on the benchmark's classes).
 
 The energy density in complex coordinates is
 8 (|dK/dw|^2 + |dK/dwbar|^2) / (1 + |K|^2)^2 with Wirtinger derivatives
@@ -110,28 +109,16 @@ class Region:
     ``evaluate`` maps chart points to extended-complex map values.  Charts
     are conformal, so the flat polar integrand equals the pulled back energy
     integrand.  ``weight`` of -1 marks a subtractive region (a disc cut out of
-    the bulk around a relocated vertex).
+    the bulk around a relocated vertex).  When ``evaluate`` is a closed form
+    (``_is_closed``: a stack layer's ``geometry.ChartMonomial`` or a
+    ``rational.ChartRational``), the region is a quarter annulus inside the
+    unit circle and the integrals take its image area and coverings from
+    the formula, with no grid.
 
     ``r_clusters`` and ``phi_clusters`` are (position, inner_scale) pairs
     around which geometric ladders of grid lines are inserted; they resolve
     sharp energy peaks at map zeros/poles whose derivative scales can be far
     below any uniform resolution.
-
-    ``monomial``, when set, declares the region a chart monomial g (a
-    ``geometry.ChartMonomial``) on the quarter annulus r_lo <= |u| <= r_hi,
-    0 <= arg u <= pi/2: ``evaluate`` is u -> chart^-1(g(u)), and the chart is
-    a rotation of the sphere (None, or a vertex relocation), which keeps
-    energy, area and coverings.  The integrals take its closed form and
-    build no grid for it.
-
-    ``rational``, when set, declares the region a rational map F in a
-    vertex chart (a ``rational.ChartRational``: a patchwork's bulk in the
-    z-chart, or seen from a stacked vertex) on a quarter annulus with
-    r_hi <= 1, and ``evaluate`` is F: the integrals take its image area from
-    its preimages and, short of the whole quarter disc, a contour integral
-    along its boundary, and its coverings from F's preimages, and build no
-    grid for it (``_closed_area``).  A region carries at most one closed
-    form.
     """
 
     name: str
@@ -145,28 +132,20 @@ class Region:
     r_clusters: tuple = ()
     phi_clusters: tuple = ()
     chart: object = None
-    monomial: ChartMonomial | None = None
-    rational: object = None
 
     def __post_init__(self):
-        if self.monomial is not None and self.rational is not None:
-            raise ValueError(f"region {self.name}: at most one closed form")
-        quarter = (self.phi_lo, self.phi_hi) == (0.0, math.pi / 2)
-        if self.monomial is not None:
-            if not isinstance(self.monomial, ChartMonomial):
-                raise ValueError(f"region {self.name}: monomial must be a ChartMonomial")
-            if not (0 <= self.r_lo < self.r_hi < math.inf and quarter):
-                raise ValueError(
-                    f"region {self.name}: a monomial region is a quarter annulus"
-                )
-        if self.rational is not None:
-            from .rational import ChartRational  # rational imports this module
+        if _is_closed(self) and not (0 <= self.r_lo < self.r_hi <= 1 and (
+                self.phi_lo, self.phi_hi) == (0.0, math.pi / 2)):
+            raise ValueError(f"region {self.name}: a closed form is taken on a quarter "
+                             "annulus inside the unit circle")
 
-            if not isinstance(self.rational, ChartRational):
-                raise ValueError(f"region {self.name}: rational must be a ChartRational")
-            if not (0 <= self.r_lo < self.r_hi <= 1 and quarter):
-                raise ValueError(f"region {self.name}: a rational region is a quarter "
-                                 "annulus inside the unit circle")
+
+def _is_closed(region: Region) -> bool:
+    """Whether the region's ``evaluate`` is a closed form the integrals take
+    without a grid: a chart monomial or a chart rational map."""
+    from .rational import ChartRational  # rational imports this module
+
+    return isinstance(region.evaluate, (ChartMonomial, ChartRational))
 
 
 # resolution constants per grid level (level 1..5)
@@ -360,10 +339,6 @@ def _region_energy(grid: QuadratureGrid) -> float:
     return float(w_r @ (dens * r) @ w_phi)
 
 
-def _is_closed(region: Region) -> bool:
-    return region.monomial is not None or region.rational is not None
-
-
 # (the regions of the last map the integrals read, its (closed-form
 # regions, grids) per level), replaced as one tuple
 _last_map = ((), {})
@@ -390,23 +365,23 @@ def _closed_and_grids(regions, level: int):
 
 def _closed_area(region: Region, grids=()) -> float:
     """Signed image area of a closed-form region, before its weight: its
-    energy is twice the modulus, its raw trapped area minus it.  A monomial
-    region whose rims have image moduli mu_lo and mu_hi covers A = pi
-    |1/(1 + mu_lo^2) - 1/(1 + mu_hi^2)|, +A when conformal.  A rational
-    region on the whole quarter disc covers A = (pi/2) sum_sigma d_sigma:
-    the tangent boundary conditions map the boundary into the sector
-    boundaries, so the degree is constant on each open sector
-    (``quarter_disc_degrees``).  Any other rational region takes
-    ``_chart_area``, its rims that one of the ``grids`` shares being that
-    grid's geodesic polygons (``_shared_rims``)."""
-    g = region.monomial
-    if g is None:
-        if (region.r_lo, region.r_hi) == (0.0, 1.0):
-            return math.pi / 2 * sum(quarter_disc_degrees(region.rational))
-        return _chart_area(region, _shared_rims(region, grids))
-    q_lo, q_hi = (1 / (1 + g.modulus(r) ** 2) for r in (region.r_lo, region.r_hi))
-    area = math.pi * abs(q_lo - q_hi)
-    return area if g.conformal else -area
+    energy is twice the modulus, its raw trapped area minus it.  A chart
+    monomial whose rims have image moduli mu_lo and mu_hi covers A = pi
+    |1/(1 + mu_lo^2) - 1/(1 + mu_hi^2)|, +A when conformal, between exact
+    arcs.  A chart rational map on the whole quarter disc covers
+    A = (pi/2) sum_sigma d_sigma: the tangent boundary conditions map the
+    boundary into the sector boundaries, so the degree is constant on each
+    open sector (``quarter_disc_degrees``).  On any other quarter annulus it
+    takes ``_chart_area``, its rims that one of the ``grids`` shares being
+    that grid's geodesic polygons (``_shared_rims``)."""
+    f = region.evaluate
+    if isinstance(f, ChartMonomial):
+        q_lo, q_hi = (1 / (1 + f.modulus(r) ** 2) for r in (region.r_lo, region.r_hi))
+        area = math.pi * abs(q_lo - q_hi)
+        return area if f.conformal else -area
+    if (region.r_lo, region.r_hi) == (0.0, 1.0):
+        return math.pi / 2 * sum(quarter_disc_degrees(f))
+    return _chart_area(region, _shared_rims(region, grids))
 
 
 def dirichlet_energy(sampled_map, level: int = 3) -> float:
@@ -633,7 +608,7 @@ def _chart_area(region: Region, polygons=None, sector: int | None = None) -> flo
     and contributes the fan of solid angles from -p, where alpha_p vanishes
     along every geodesic.
     """
-    f, polygons = region.rational, polygons or {}
+    f, polygons = region.evaluate, polygons or {}
     i, area, segments = _chart_contour(f, region.r_lo, region.r_hi, sector)
     for sign, radius, integral in segments:
         if radius in polygons:
@@ -654,7 +629,7 @@ def _fan(apex, vertices) -> float:
 
 
 def _shared_rims(region: Region, grids) -> dict:
-    """Rims of a rational chart region that a grid of its chart shares, as
+    """Rims of a closed-form region that a grid of its chart shares, as
     {radius: that grid's angular edges}: there the grid's triangles end on
     the geodesic polygon through its rim vertices' images."""
     rims = {}
@@ -824,14 +799,13 @@ def region_degrees(sampled_map, level: int = 3) -> DegreeReport:
     Each region's positive and negative counts enter with its weight, so a
     cut disc cancels the bulk's coverings inside it.  A low-confidence flag
     is set if the target lies within tolerance of an image-triangle edge,
-    or has a cut disc preimage within the sagitta band of a rim a grid
+    or has a closed-form preimage within the sagitta band of a rim a grid
     shares, after three perturbation retries.  Each gridded region is its
     grid's one ``mesh``, shared with the trapped area, and each round's
     targets go through it at once.
     """
     closed, grids = _closed_and_grids(sampled_map.regions, level)
-    rims = [_shared_rims(region, grids) if region.rational is not None else {}
-            for region in closed]
+    bands = [_near_bands(region, grids) for region in closed]
     counters = [(g.region.weight, g.mesh.covering()) for g in grids]
     bases = [sector_centroid(sector) for sector in SECTORS]
     points, rngs, samples, counts = list(bases), {}, {}, {}
@@ -850,7 +824,7 @@ def region_degrees(sampled_map, level: int = 3) -> DegreeReport:
                      np.zeros((len(pending), 3), dtype=int))
         for i, row in zip(pending, meshed):
             samples[i] = complex(stereographic(points[i]))
-            counts[i] = _closed_counts(closed, rims, i, samples[i]) + row
+            counts[i] = _closed_counts(closed, bands, samples[i]) + row
         pending = [i for i in pending if counts[i][2]]  # near an edge: retry
         if not pending:
             break
@@ -862,32 +836,27 @@ def region_degrees(sampled_map, level: int = 3) -> DegreeReport:
     return DegreeReport(report)
 
 
-def _closed_counts(closed, rims, i: int, value: complex) -> np.ndarray:
-    """Weighted (positive, negative, near) coverings of ``value``, a point of
-    sector SECTORS[i], by the closed-form regions.  A monomial region
-    covers it once, positively when conformal, where the preimage u of its
-    chart value lies in the quarter annulus: r_lo < |u| <= r_hi and
-    0 < arg u < pi/2.  A rational region covers it once per preimage in its
-    quarter annulus, positively when conformal; a preimage within twice the
-    sagitta of a rim a grid shares (``rims``, one dict per region) is near,
-    since the grid's triangles end on chords there, not on the arc."""
+def _near_bands(region: Region, grids) -> dict:
+    """{radius: band} of the rims of a closed-form region that a grid
+    shares (``_shared_rims``): the band is twice the sagitta of that grid's
+    rim chords, where its triangles end instead of on the arc."""
+    return {r: 2 * (r * (1 - math.cos(float(np.max(np.diff(phi))) / 2)))
+            for r, phi in _shared_rims(region, grids).items()}
+
+
+def _closed_counts(closed, bands, value: complex) -> np.ndarray:
+    """Weighted (positive, negative, near) coverings of ``value`` by the
+    closed-form regions: each covers it once per preimage of its formula in
+    its quarter annulus (``_inside``), positively when conformal.  A
+    preimage within the band of a rim a grid shares (``bands``, one
+    ``_near_bands`` per region) is near."""
     counts = np.zeros(3, dtype=int)
-    charted = {}
-    for region, shared in zip(closed, rims):
-        if region.rational is not None:
-            u = region.rational.preimages(value)
-            counts[0 if region.rational.conformal else 1] += (
-                region.weight * _inside(u, region.r_lo, region.r_hi))
-            for r, phi in shared.items():
-                sagitta = r * (1 - math.cos(float(np.max(np.diff(phi))) / 2))
-                counts[2] += np.count_nonzero(_arc_distance(u, r) <= 2 * sagitta)
-            continue
-        if region.chart not in charted:
-            charted[region.chart] = value if region.chart is None else region.chart(value)
-        g = region.monomial
-        u = g.preimage(charted[region.chart])
-        if region.r_lo < abs(u) <= region.r_hi and u.real > 0 and u.imag > 0:
-            counts[0 if g.conformal else 1] += region.weight
+    for region, near in zip(closed, bands):
+        f = region.evaluate
+        u = f.preimages(value)
+        counts[0 if f.conformal else 1] += region.weight * _inside(u, region.r_lo, region.r_hi)
+        for r, band in near.items():
+            counts[2] += np.count_nonzero(_arc_distance(u, r) <= band)
     return counts
 
 
@@ -902,16 +871,14 @@ def _perturb_in_sector(base, sector, rng):
 def trapped_area(sampled_map, level: int = 3):
     """Signed image area with the trapped-area sign convention.
 
-    A closed-form region contributes its raw area
-    (``_closed_area``): minus the signed image area of a monomial or
-    rational chart region.
+    A closed-form region contributes its raw area (``_closed_area``):
+    minus its signed image area.
     Each other region contributes the solid angles of its image triangles,
     taken from the shared edge normals of its ``_ImageMesh``.  The sum
     depends only on the regions' boundary images, so the weighted regions
-    give an exact decomposition, up to the slivers between a monomial
-    region's arcs and its gridded neighbours' chords; a rational region
-    takes the rims a grid shares as that grid's polygons, so its slivers
-    cancel.  Returns (omega, residual): omega snapped to the nearest
+    give an exact decomposition, up to the slivers between a layer's arcs
+    and its gridded neighbours' chords; a chart rational region takes the
+    rims a grid shares as that grid's polygons, so its slivers cancel.  Returns (omega, residual): omega snapped to the nearest
     multiple of pi/2 and the absolute deviation of the raw integral from
     it.
     """

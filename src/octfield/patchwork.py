@@ -41,13 +41,14 @@ map is a list of signed regions, each one closed formula on one annulus of
 a chart: the bulk, minus each stacked vertex's chart disc |u| <= 2 epsilon,
 plus that vertex's stack layers, interpolants and collar.  The list is the
 only description of the map: ``SampledMap`` evaluates and tags points from
-it, and energy, trapped area and degree counts integrate over it.  The
-bulk region is the bulk rational map in the z-chart and each cut disc the
-same map in its vertex chart (``rational.ChartRational``), and each layer
-region carries its chart monomial, so those integrals take the bulk, the
-layers and the cut discs in closed form and grid only the interpolants and
-the collars.  The map's wrapping numbers are read from the same regions'
-signed coverings (``measure_map_wrapping``).
+it and lists its seams, and energy, trapped area and degree counts
+integrate over it.  The bulk region is the bulk rational map in the
+z-chart and each cut disc the same map in its vertex chart
+(``rational.ChartRational``), and each layer region is its chart monomial
+relocated to its vertex (``geometry.ChartMonomial``), so those integrals
+take the bulk, the layers and the cut discs in closed form and grid only
+the interpolants and the collars.  The map's wrapping numbers are read
+from the same regions' signed coverings (``measure_map_wrapping``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -137,12 +138,6 @@ class PatchworkSpec:
 
     def stack_tables(self) -> dict:
         return {axis: stack_degree_table(st, axis) for axis, st in self.stacks.items()}
-
-    def seam_radii(self) -> dict:
-        """Chart radii where the map changes formula, per stacked vertex: the
-        stack's annulus boundaries, the last of which is the collar's inner
-        edge epsilon, and the collar's outer edge 2 epsilon."""
-        return {axis: st.seams() + (2 * self.epsilon,) for axis, st in self.stacks.items()}
 
     def as_dict(self) -> dict:
         return {
@@ -386,12 +381,10 @@ class SampledMap:
     subdomain tags: the first region, the bulk, holds every point, and a
     point takes the value and the name of the last positive region whose
     half-open chart annulus r_lo < |u| <= r_hi (closed at r_lo = 0) holds
-    its chart point u.  ``metadata`` is an assembled map's
-    ``PatchworkSpec``, whose seams the domain picture draws.
+    its chart point u.
     """
 
     regions: list
-    metadata: object = None
 
     def _owners(self, w):
         """(index of the region holding each point of w, chart points of w
@@ -421,6 +414,17 @@ class SampledMap:
             out[held] = self.regions[i].evaluate(points[i][held])
         return complex(out[0]) if scalar else out
 
+    def seams(self) -> dict:
+        """Per stacked vertex, keyed by the axis of its cut disc's closed
+        form: (the positive regions of its chart from the center out, the
+        cut disc).  Each region meets the next at its r_hi, where the map
+        changes formula, and the outermost meets the cut disc, the bulk in
+        the vertex chart.  Maps without cut discs have no seams."""
+        return {cut.evaluate.axis: ([r for r in self.regions[1:]
+                                     if r.weight > 0 and r.chart is cut.chart], cut)
+                for cut in self.regions
+                if cut.weight < 0 and isinstance(cut.evaluate, ChartRational)}
+
     def subdomain_tags(self, w):
         """The name of the region holding each point of w."""
         owner, _ = self._owners(np.atleast_1d(np.asarray(w, dtype=complex)))
@@ -435,8 +439,7 @@ def rational_map(spec: RationalMapSpec) -> SampledMap:
     """The rational map of ``spec`` as one closed-form region, as a
     patchwork's bulk is: energy, trapped area and degree counts read its
     centroid preimages and build no grid."""
-    bulk = ChartRational(spec, "z")  # gamma_z is the identity
-    return SampledMap([Region("bulk", bulk, 0.0, 1.0, rational=bulk)])
+    return SampledMap([Region("bulk", ChartRational(spec, "z"), 0.0, 1.0)])
 
 
 def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
@@ -446,30 +449,28 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
     ``interp(x,n)``) and the collar (``switch(x)``, the stack's top layer
     switched into the cut disc's map), all in the vertex chart.
 
-    The bulk region and each cut disc carry the bulk rational map in their
-    chart (``rational.ChartRational``, also their evaluator: the z-chart,
-    which is the domain's own, for the bulk), and each layer region its
-    ``stacks.QuarterSphereStack.layer_monomial``, with the vertex chart,
-    whose inverse relocates the layer's values, so energy, trapped area and
-    degree counts take all three in closed form; only the interpolants and
-    collars are gridded.  The bulk's closed form counts the same preimages
-    that ``realize`` checked against H0's wrapping numbers."""
+    The bulk region and each cut disc are the bulk rational map in their
+    chart (``rational.ChartRational``: the z-chart, which is the domain's
+    own, for the bulk), and each layer region its
+    ``stacks.QuarterSphereStack.layer_monomial`` relocated to the vertex,
+    so energy, trapped area and degree counts take all three in closed
+    form; only the interpolants and collars are gridded.  The bulk's closed
+    form counts the same preimages that ``realize`` checked against H0's
+    wrapping numbers."""
     stacks = spec.stacks
     bulk_spec = realize(spec.H0, stacked=tuple(stacks))
     epsilon = spec.epsilon
 
-    bulk = ChartRational(bulk_spec, "z")  # gamma_z is the identity
-    regions = [Region("bulk", bulk, 0.0, 1.0, rational=bulk)]
+    regions = [Region("bulk", ChartRational(bulk_spec, "z"), 0.0, 1.0)]
     for axis, st in stacks.items():
         chart = partial(relocate_inverse, axis)
         cut = ChartRational(bulk_spec, axis)
-        regions.append(Region(f"cut({axis})", cut, 0.0, 2 * epsilon, "log", -1, chart=chart,
-                              rational=cut))
+        regions.append(Region(f"cut({axis})", cut, 0.0, 2 * epsilon, "log", -1, chart=chart))
         for kind, index, r_lo, r_hi, formula in st.pieces():
-            regions.append(Region(
-                f"{kind}({axis},{index})", lambda u, a=axis, f=formula: relocate(a, f(u)),
-                r_lo, r_hi, "log", chart=chart, monomial=formula if kind == "annulus" else None,
-            ))
+            evaluate = (replace(formula, axis=axis) if kind == "annulus"
+                        else lambda u, a=axis, f=formula: relocate(a, f(u)))
+            regions.append(Region(f"{kind}({axis},{index})", evaluate, r_lo, r_hi, "log",
+                                  chart=chart))
 
         def collar(u, a=axis, s=st, f=cut):
             # blended in the vertex chart, not in w, which keeps the tangent
@@ -478,7 +479,7 @@ def assemble_patchwork(spec: PatchworkSpec) -> SampledMap:
 
         regions.append(Region(f"switch({axis})", collar, epsilon, 2 * epsilon, chart=chart))
 
-    return SampledMap(regions, metadata=spec)
+    return SampledMap(regions)
 
 
 def measure_map_wrapping(report: DegreeReport) -> WrappingNumbers:

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .geometry import relocate, stereographic_inverse
-from .patchwork import PatchworkSpec
 from .topology import (
     SECTORS,
     OctantTopology,
@@ -193,12 +192,10 @@ def domain_svg(sampled_map) -> str:
         f'<path d="M 0 {size} L {size} {size} L ' + arc.replace(",", " L") +
         f' L 0 {size} Z" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    # seam circles of the vertex charts
-    spec = sampled_map.metadata
-    seam_radii = spec.seam_radii() if isinstance(spec, PatchworkSpec) else {}
-    for ax, radii in seam_radii.items():
-        for radius in radii:
-            pts = relocate(ax, radius * np.exp(1j * np.linspace(0, math.pi / 2, 60)))
+    # seam circles of the vertex charts: each piece's outer rim
+    for ax, (pieces, _) in sampled_map.seams().items():
+        for piece in pieces:
+            pts = relocate(ax, piece.r_hi * np.exp(1j * np.linspace(0, math.pi / 2, 60)))
             path = " L ".join(
                 f"{p.real * size:.2f} {size - p.imag * size:.2f}" for p in pts
             )

@@ -126,10 +126,6 @@ class QuarterSphereStack:
                         self.layer_monomial(m)))
         return out
 
-    def seams(self) -> tuple:
-        """All annulus boundaries inside (0, epsilon]: 2 rho_{m-1} and rho_m."""
-        return tuple(piece[3] for piece in self.pieces())
-
     # -- layer and interpolant formulas ------------------------------------
 
     def layer_monomial(self, m: int) -> ChartMonomial:

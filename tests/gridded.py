@@ -3,8 +3,9 @@
 ``octfield`` integrates a map's bulk, cut discs and stack layers in closed
 form and builds no grid for them, so the map carries no grid hints for them.
 The tests hold those closed forms to the quadrature of the same regions,
-and this module strips a region's closed form and supplies the hints that
-its grid needs:
+and this module strips a region's closed form, its formula as ``evaluate``
+(``numerics._is_closed``), by evaluating it through a plain function, and
+supplies the hints that its grid needs:
 
 - the bulk (the positive rational region) gets geometric ladders around
   its map's edge zeros and poles (``rational.quadrature_clusters``);
@@ -20,34 +21,39 @@ from __future__ import annotations
 
 import dataclasses
 
-from octfield.numerics import _LOG_FLOOR
+from octfield.geometry import ChartMonomial
+from octfield.numerics import _LOG_FLOOR, _is_closed
 from octfield.rational import quadrature_clusters
 
 
 def _form(region):
-    """Which closed form ``region`` carries: "bulk", "monomial", "cut" or
-    None."""
-    if region.monomial is not None:
+    """Which closed form ``region`` is: "bulk", "monomial", "cut" or None."""
+    if not _is_closed(region):
+        return None
+    if isinstance(region.evaluate, ChartMonomial):
         return "monomial"
-    if region.rational is not None:
-        return "bulk" if region.weight > 0 else "cut"
-    return None
+    return "bulk" if region.weight > 0 else "cut"
+
+
+def _stripped(region, **changes):
+    """``region`` evaluated through a plain function, which the integrals
+    grid, with ``changes`` applied."""
+    f = region.evaluate
+    return dataclasses.replace(region, evaluate=lambda u: f(u), **changes)
 
 
 def gridded_regions(region) -> list:
     """``region`` without its closed form, as the regions to grid."""
-    form = _form(region)
+    form, f = _form(region), region.evaluate
     if form == "bulk":
-        r_clusters, phi_clusters = quadrature_clusters(region.rational.spec)
-        return [dataclasses.replace(region, rational=None, r_clusters=r_clusters,
-                                    phi_clusters=phi_clusters)]
+        r_clusters, phi_clusters = quadrature_clusters(f.spec)
+        return [_stripped(region, r_clusters=r_clusters, phi_clusters=phi_clusters)]
     if form == "monomial":
-        stripped, g = dataclasses.replace(region, monomial=None), region.monomial
-        split = g.root * abs(g.seam) / 10
+        stripped, split = _stripped(region), f.root * abs(f.seam) / 10
         if region.r_lo > 0 or split >= region.r_hi * _LOG_FLOOR:
             return [stripped]
     elif form == "cut":
-        stripped, split = dataclasses.replace(region, rational=None), region.r_hi / 2
+        stripped, split = _stripped(region), region.r_hi / 2
     else:
         return [region]
     return [dataclasses.replace(stripped, r_hi=split), dataclasses.replace(stripped, r_lo=split)]

@@ -404,6 +404,16 @@ def test_epsilon_validation():
         main(["construct", "--json", WORKED_JSON, "--epsilon", "0.2"])
 
 
+@pytest.mark.parametrize("kmax", ["0", "9", "100"])
+def test_sweep_kmax_outside_one_to_eight_exits_2(kmax, tmp_path, capsys):
+    # 0 would write an empty sweep, 100 would build 25,669,150 classes
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--kmax", kmax, "--grid-level", "1", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--kmax: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_sweep_small(tmp_path, capsys):
     assert main(["sweep", "--kmax", "1", "--grid-level", "1",
                  "--out", str(tmp_path)]) == 0

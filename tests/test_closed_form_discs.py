@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import octfield.numerics as numerics
-from octfield.geometry import ChartMonomial, relocate_inverse
+from octfield.geometry import relocate_inverse
 from octfield.numerics import (
     IntegrationError,
     Region,
@@ -60,8 +60,8 @@ def _assembled(t, epsilon):
 def _discs(sm, axis=None):
     """The cut discs: the subtractive rational regions (the bulk is the
     positive one)."""
-    return [region for region in sm.regions if region.rational is not None
-            and region.weight < 0 and axis in (None, region.rational.axis)]
+    return [region for region in sm.regions if isinstance(region.evaluate, ChartRational)
+            and region.weight < 0 and axis in (None, region.evaluate.axis)]
 
 
 def _pieces(disc):
@@ -119,7 +119,7 @@ def test_edge_pole_disc_quadrature_approaches_the_closed_form():
     # bulk pole w = 0.65 on its straight edge: grid levels 2-6 read 3.73,
     # 4.41, 4.76, 4.86 and 4.88, while the closed form needs no grid
     sm = assemble_patchwork(select_case(OctantTopology((1, 1, 1), (1, 3, 3), -13), 0.12))
-    bulk = sm.regions[0].rational.spec
+    bulk = sm.regions[0].evaluate.spec
     assert (0.65, -1) in bulk.real_factors
     pole = complex(relocate_inverse("x", 0.65))  # on the chart's imaginary edge
     assert abs(pole.real) < 1e-15 and 0 < pole.imag < 0.24
@@ -153,7 +153,7 @@ def test_whole_quarter_disc_gives_the_wrapping_identities(bulk, axis, sector):
     target, stacked = bulk
     w = wrapping_from_invariants(target).values
     f = ChartRational(realize(target, stacked=stacked), axis)
-    region = Region("whole", f, 0.0, 1.0, rational=f)
+    region = Region("whole", f, 0.0, 1.0)
     area = numerics._closed_area(region)
     assert area == -math.pi / 2 * sum(w)
     contour = numerics._chart_area(region)
@@ -180,10 +180,9 @@ _F = ChartRational(realize(OctantTopology((1, 1, 1), (0, 0, -1), -5)), "x")
 
 @pytest.mark.parametrize("where", [
     {"phi_lo": 0.1}, {"r_hi": 1.5}, {"r_lo": 0.3, "r_hi": 0.2},
-    {"monomial": ChartMonomial(0.1, 1.0, 1, False)}, {"rational": (_F.spec, "x")},
 ])
 def test_region_refuses_an_invalid_chart_rational_map(where):
-    region = {"name": "cut", "evaluate": _F, "r_lo": 0.0, "r_hi": 0.1, "rational": _F}
+    region = {"name": "cut", "evaluate": _F, "r_lo": 0.0, "r_hi": 0.1}
     Region(**region)
     with pytest.raises(ValueError):
         Region(**{**region, **where})

@@ -128,7 +128,7 @@ def test_grids_respect_seams():
     for grid in (cut, top):
         assert np.array_equal(grid.phi_edges, collar.phi_edges)
     closed, gridded = _closed_and_grids(sm.regions, 2)
-    bulk, disc = [region for region in closed if region.rational is not None]
+    bulk, disc = [region for region in closed if isinstance(region.evaluate, ChartRational)]
     rims = _shared_rims(disc, gridded)
     assert list(rims) == [2 * eps] and np.array_equal(rims[2 * eps], collar.phi_edges)
     # the bulk's rim, the arc, is shared by no grid
@@ -223,7 +223,7 @@ def test_closed_form_region_is_the_quadrature_of_its_rational_map(t):
     spec = realize(t)
     closed = rational_map(spec)
     quadrature = gridded(closed)
-    assert closed.regions[0].rational == ChartRational(spec, "z")
+    assert closed.regions[0].evaluate == ChartRational(spec, "z")
     counted, exact = degree_count(quadrature, level=2), degree_count(closed, level=2)
     for sector, v in zip(SECTORS, w):
         assert (counted[sector].d, counted[sector].D) == (-v, abs(v)), sector

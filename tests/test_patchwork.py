@@ -333,7 +333,7 @@ def test_seam_continuity_worked_example():
     spec = select_case(WORKED, epsilon=0.05)
     sm = assemble_patchwork(spec)
     for axis, st in spec.stacks.items():
-        for radius in list(st.seams()) + [spec.epsilon, 2 * spec.epsilon]:
+        for radius in [piece[3] for piece in st.pieces()] + [2 * spec.epsilon]:
             phis = np.linspace(0.01, np.pi / 2 - 0.01, 333)
             w_in = relocate(axis, radius * (1 - 1e-9) * np.exp(1j * phis))
             w_out = relocate(axis, radius * (1 + 1e-9) * np.exp(1j * phis))
@@ -352,7 +352,7 @@ def test_variant_stacks_seams_and_boundary():
     sm = assemble_patchwork(spec)
     assert boundary_residual(sm) < 1e-9
     for axis, st in spec.stacks.items():
-        for radius in list(st.seams()) + [spec.epsilon, 2 * spec.epsilon]:
+        for radius in [piece[3] for piece in st.pieces()] + [2 * spec.epsilon]:
             phis = np.linspace(0.01, np.pi / 2 - 0.01, 111)
             w_in = relocate(axis, radius * (1 - 1e-9) * np.exp(1j * phis))
             w_out = relocate(axis, radius * (1 + 1e-9) * np.exp(1j * phis))
@@ -400,7 +400,7 @@ def test_closed_form_bulk_totals_match_the_whole_map_quadrature(t):
     spec = select_case(t, epsilon=0.05)
     sm = assemble_patchwork(spec)
     bulk = realize(spec.H0, stacked=tuple(spec.stacks))
-    assert sm.regions[0].rational == ChartRational(bulk, "z")
+    assert sm.regions[0].evaluate == ChartRational(bulk, "z")
     whole = gridded(sm, "bulk")
     assert dirichlet_energy(sm, level=2) == pytest.approx(
         dirichlet_energy(whole, level=2), rel=5e-3)
@@ -549,11 +549,11 @@ def test_region_evaluators_match_map_off_the_seams():
     for topology in (WORKED, three_layers):
         spec = select_case(topology, epsilon=0.05)
         sm = assemble_patchwork(spec)
-        (axis, radii), = spec.seam_radii().items()
+        (axis,) = spec.stacks
         charted = [region for region in sm.regions
                    if region.chart is not None and region.weight > 0]
         assert charted[-1].name == f"switch({axis})"
-        seams = np.array(sorted({*radii, *(r.r_hi for r in charted)}))
+        seams = np.array(sorted({r.r_hi for r in charted}))
         for region in charted:
             # the rotation to the vertex chart rounds radii below about 1e-7
             # (pieces there are probed on chart points by the tiling test)
@@ -597,13 +597,13 @@ def test_each_stacked_vertex_has_one_cut_disc_and_the_collar_is_its_switch():
         for n in range(1, sum(k) - 1):
             spec = select_case(_class(k, n), epsilon=0.05)
             sm = assemble_patchwork(spec)
-            bulk_spec = sm.regions[0].rational.spec
+            bulk_spec = sm.regions[0].evaluate.spec
             negative = [region for region in sm.regions if region.weight < 0]
             assert [region.name for region in negative] == [f"cut({a})" for a in spec.stacks]
             for axis, stack in spec.stacks.items():
                 disc, = [region for region in negative if region.name == f"cut({axis})"]
                 assert (disc.r_lo, disc.r_hi) == (0.0, 2 * spec.epsilon)
-                assert disc.rational == ChartRational(bulk_spec, axis)
+                assert disc.evaluate == ChartRational(bulk_spec, axis)
                 collar, = [region for region in sm.regions if region.name == f"switch({axis})"]
                 r = spec.epsilon * rng.uniform(1 + 1e-6, 2 - 1e-6, 200)
                 u = r * np.exp(1j * rng.uniform(0.01, np.pi / 2 - 0.01, 200))
@@ -645,15 +645,25 @@ def test_pieces_tile_the_vertex_disc_and_own_their_outer_edges():
         assert sm.evaluate(w)[0] == piece.evaluate(relocate_inverse("x", w))[0]
 
 
-def test_domain_svg_draws_one_seam_path_per_radius():
+@pytest.mark.parametrize("t, paths", [
+    (WORKED, 2),  # M = (1, 0, 0): epsilon and 2 epsilon at x
+    (OctantTopology((1, 1, 1), (1, 2, 2), 3), 4),  # M = (1, 1, 0): the same at x and y
+], ids=["worked", "two-stacks"])
+def test_domain_svg_draws_one_seam_path_per_radius(t, paths):
+    # the seams are read from the regions: per stacked vertex, the outer rim
+    # of each piece, the last one the collar's, which meets the cut disc
     from octfield.reports import domain_svg
 
-    spec = select_case(WORKED, epsilon=0.05)
-    svg = domain_svg(assemble_patchwork(spec))
-    seams = svg.count('stroke-width="0.4"')
-    assert seams == sum(len(radii) for radii in spec.seam_radii().values())
-    assert seams == len(spec.stacks["x"].seams()) + 1
+    spec = select_case(t, epsilon=0.05)
+    sm = assemble_patchwork(spec)
+    seams = [line for line in domain_svg(sm).splitlines() if 'stroke-width="0.4"' in line]
+    assert len(seams) == len(set(seams)) == paths
+    listing = {axis: ([piece.name for piece in pieces], cut.name)
+               for axis, (pieces, cut) in sm.seams().items()}
+    assert listing == {axis: ([f"annulus({axis},1)", f"switch({axis})"], f"cut({axis})")
+                       for axis in spec.stacks}
     assert 'stroke-width="0.4"' not in domain_svg(identity_map())
+    assert rational_map(RationalMapSpec()).seams() == {}
 
 
 def test_worked_example_energy_at_tiny_epsilon():

@@ -31,7 +31,7 @@ def _assembled(t, epsilon=0.05):
 
 
 def _is_gridded(region):
-    return region.monomial is None and region.rational is None
+    return not numerics._is_closed(region)
 
 
 def _counted(sm, calls):
@@ -46,7 +46,7 @@ def _counted(sm, calls):
 
     regions = [dataclasses.replace(r, evaluate=counting(r.name, r.evaluate))
                if _is_gridded(r) else r for r in sm.regions]
-    return SampledMap(regions, sm.metadata)
+    return SampledMap(regions)
 
 
 @pytest.mark.parametrize("t", [WORKED, THREE_LAYERS], ids=["worked", "three-layers"])
@@ -143,7 +143,7 @@ def test_seam_jump_equals_the_per_seam_maximum(t):
 def test_degree_count_equals_the_per_sector_count(make, generators, monkeypatch):
     sm = make()
     closed, grids = numerics._closed_and_grids(sm.regions, 2)
-    rims = [numerics._shared_rims(r, grids) if r.rational is not None else {} for r in closed]
+    bands = [numerics._near_bands(r, grids) for r in closed]
     counters = [(g.region.weight, g.mesh.covering()) for g in grids]
     expected = {}
     for i, sector in enumerate(SECTORS):
@@ -152,7 +152,7 @@ def test_degree_count_equals_the_per_sector_count(make, generators, monkeypatch)
         for attempt in range(4):
             p = base if attempt == 0 else numerics._perturb_in_sector(base, sector, rng)
             sample = complex(stereographic(p))
-            counts = numerics._closed_counts(closed, rims, i, sample)
+            counts = numerics._closed_counts(closed, bands, sample)
             for weight, count in counters:
                 counts = counts + weight * count(p[:, None])[0]
             if not counts[2]:

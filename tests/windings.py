@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from octfield.numerics import IntegrationError, region_degrees, trapped_area
-from octfield.patchwork import PatchworkSpec, measure_map_wrapping
-from octfield.rational import RationalMapSpec, measure_wrapping, realize, singular_structure
+from octfield.patchwork import measure_map_wrapping
+from octfield.rational import RationalMapSpec, measure_wrapping, singular_structure
 
 
 def rational_seed(spec: RationalMapSpec) -> np.ndarray:
@@ -47,15 +47,18 @@ def rational_seed(spec: RationalMapSpec) -> np.ndarray:
     return np.sort(np.unique(np.concatenate(parts)))
 
 
-def patchwork_seed(spec: PatchworkSpec) -> np.ndarray:
-    """The bulk's ``rational_seed``, log-refined into every stack annulus.
-    Each vertex ladder reaches a decade below the innermost layer's
-    unit-modulus radius sqrt(delta) rho_1, where the boundary image passes
-    the sector centroids."""
-    params = [rational_seed(realize(spec.H0, stacked=tuple(spec.stacks)))]
+def map_seed(sampled_map, bulk: RationalMapSpec | None = None) -> np.ndarray:
+    """The ``rational_seed`` of ``bulk``, by default of the map's first
+    region, the bulk, log-refined into every stacked vertex
+    (``SampledMap.seams``).  Each vertex ladder runs from a decade below the
+    innermost layer's unit-modulus radius root |seam| = sqrt(delta) rho_1,
+    where the boundary image passes the sector centroids, out past the cut
+    disc."""
+    params = [rational_seed(bulk if bulk is not None else sampled_map.regions[0].evaluate.spec)]
     vertex_param = {"z": 0.0, "x": 1.0, "y": 2.0}
-    for axis, st in spec.stacks.items():
-        ladder = np.geomspace(0.1 * st.inner_scale(), 6 * spec.epsilon, 240)
+    for axis, (pieces, cut) in sampled_map.seams().items():
+        layer = pieces[0].evaluate
+        ladder = np.geomspace(0.1 * layer.root * abs(layer.seam), 3 * cut.r_hi, 240)
         t0 = vertex_param[axis]
         params.append((t0 + ladder) % 3.0)
         params.append((t0 - ladder) % 3.0)
@@ -64,18 +67,12 @@ def patchwork_seed(spec: PatchworkSpec) -> np.ndarray:
 
 def winding_wrapping(sampled_map, level: int = 2, bulk: RationalMapSpec | None = None):
     """Wrapping numbers of a map from its boundary windings, anchored by its
-    trapped area at grid ``level``.  The loop is seeded from an assembled
-    map's ``PatchworkSpec``, from the rational ``bulk`` whose edges the map
-    keeps, or else from the rational map of its first region."""
+    trapped area at grid ``level``, on the loop seeded by ``map_seed``."""
     omega, residual = trapped_area(sampled_map, level=level)
     if residual > 0.3:
         raise IntegrationError(f"trapped area did not converge (residual {residual:.3f})")
-    meta = sampled_map.metadata
-    if isinstance(meta, PatchworkSpec):
-        seed = patchwork_seed(meta)
-    else:
-        seed = rational_seed(bulk if bulk is not None else sampled_map.regions[0].rational.spec)
-    return measure_wrapping(sampled_map.evaluate, -round(omega / (math.pi / 2)), seed)
+    return measure_wrapping(sampled_map.evaluate, -round(omega / (math.pi / 2)),
+                            map_seed(sampled_map, bulk))
 
 
 def both_ways(sampled_map, level: int = 2, bulk: RationalMapSpec | None = None) -> tuple:
