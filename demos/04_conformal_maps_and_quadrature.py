@@ -6,13 +6,16 @@ A rational map is one closed-form region, its ``evaluate`` the chart
 rational map itself: its energy, trapped area and degree counts come from
 its centroid preimages, with no grid.  The quadrature, run on the same
 region evaluated through a plain function and gridded with ladders of grid
-lines around the map's edge zeros and poles
-(``rational.quadrature_clusters``), reproduces those exact values, and the
-closed-form energy of a quarter-sphere layer.
+lines around the map's edge zeros and poles, reproduces those exact values,
+and the closed-form energy of a quarter-sphere layer.
+
+That reference quadrature is the tests' (``tests/gridded.py``), not part of
+the package: this demo imports it by path.
 """
 
-import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +29,11 @@ from octfield import (
     trapped_area,
     rational_map,
 )
-from octfield.rational import measure_wrapping_rational, quadrature_clusters
+from octfield.rational import measure_wrapping_rational
 from octfield.topology import sector_name
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from gridded import gridded  # noqa: E402
 
 # a degree-5 conformal representative: cube power plus one real zero pair
 spec = RationalMapSpec(m=1, real_factors=((0.4, 1),))
@@ -35,12 +41,7 @@ w = measure_wrapping_rational(spec)
 print("wrapping numbers:", {k: v for k, v in w.as_dict().items() if v})
 
 closed = rational_map(spec)
-(bulk,) = closed.regions
-r_clusters, phi_clusters = quadrature_clusters(spec)
-gridded = dataclasses.replace(closed, regions=[dataclasses.replace(
-    bulk, evaluate=lambda u: bulk.evaluate(u), r_clusters=r_clusters,
-    phi_clusters=phi_clusters)])
-for label, sm in (("closed form", closed), ("quadrature", gridded)):
+for label, sm in (("closed form", closed), ("quadrature", gridded(closed))):
     energy = dirichlet_energy(sm, level=3)
     omega, residual = trapped_area(sm, level=3)
     report = degree_count(sm, level=3)

@@ -9,8 +9,9 @@ Subcommands:
 - ``verify``: the construct pipeline without artifacts, exit code only
 
 Exit codes: 0 success, 2 invalid input (a class that is not valid JSON of a
-valid class, an unreadable class file, prism lengths not in the order
-Lx >= Ly >= Lz > 0 or with non-finite lengths or bounds, an unknown
+valid class, JSON nested too deep to parse included, an unreadable class
+file, prism lengths not in the order Lx >= Ly >= Lz > 0 or with non-finite
+lengths, prism bounds that overflow the doubles, an unknown
 ``--format`` name, a ``--grid-level`` outside 1-5, a ``sweep --kmax``
 outside 1-8 (8 sweeps 1,380 classes), or a bad word; a word may have at
 most ``words.MAX_WORD_LETTERS`` letters and its alphabet as many
@@ -25,8 +26,9 @@ failure (a failed check, energy below the infimum included, a spelling
 bound above the energy formula, degree counts of a built map that stay
 low-confidence after their retries, or a verification integral that does
 not converge, such as an energy density that stays non-finite, a boundary
-contour past ``numerics.MAX_CONTOUR_PANELS`` panels, or the preimages of a
-bulk above ``rational.MAX_PREIMAGE_DEGREE``).
+contour past ``numerics.MAX_CONTOUR_PANELS`` panels, or a bulk above
+``rational.MAX_PREIMAGE_DEGREE``, refused before its fit because its
+preimages are not solved for).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _load_class(args):
         else:
             raise ValueError("provide a class via --json or a file path")
         return reports.class_from_dict(data)
-    except (ValueError, KeyError, TypeError, OSError) as e:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as e:
         print(f"invalid class: {e}", file=sys.stderr)
         return None
 

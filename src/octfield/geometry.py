@@ -21,16 +21,11 @@ __all__ = [
     "ChartMonomial",
     "stereographic",
     "stereographic_inverse",
-    "sector_of",
     "sector_centroid",
-    "sector_centroid_complex",
-    "gamma",
-    "gamma_inverse",
     "relocate",
     "relocate_inverse",
     "relocation_coefficients",
     "chordal_distance",
-    "in_quarter_disc",
 ]
 
 AXES = ("x", "y", "z")
@@ -67,23 +62,18 @@ def stereographic_inverse(z):
     return out
 
 
-def sector_of(z):
-    """Sign triple of the sector containing the projected point."""
-    s = stereographic_inverse(z)
-    return tuple(1 if v > 0 else -1 for v in np.atleast_2d(s)[0])
-
-
 def sector_centroid(sector):
     """Unit vector at the center of the open octant labeled by the signs."""
     v = np.array(sector, dtype=float)
     return v / np.sqrt(3.0)
 
 
-def sector_centroid_complex(sector):
-    return complex(stereographic(sector_centroid(sector)))
-
-
 def _gamma_core(w):
+    """The order-3 Moebius rotation gamma(w) = (i - w)/(i + w): 1 -> i -> 0 -> 1.
+
+    It is the stereographic picture of the rotation by 120 degrees about the
+    octant's symmetry axis, so it maps Q onto Q and permutes its edges.
+    """
     w = np.asarray(w, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (1j - w) / (1j + w)
@@ -94,24 +84,6 @@ def _gamma_core(w):
         pole = np.isfinite(w) & np.isclose(w, -1j)
         out = np.where(pole, np.inf + 0j, out)
     return out
-
-
-def gamma(w):
-    """The order-3 Moebius rotation (i - w)/(i + w): 1 -> i -> 0 -> 1.
-
-    It is the stereographic picture of the rotation by 120 degrees about the
-    octant's symmetry axis, so it maps Q onto Q and permutes its edges.
-    """
-    w = np.asarray(w, dtype=complex)
-    out = _gamma_core(w)
-    return complex(out) if np.ndim(w) == 0 else out
-
-
-def gamma_inverse(w):
-    """gamma^2, the inverse rotation: 1 -> 0 -> i -> 1."""
-    w = np.asarray(w, dtype=complex)
-    out = _gamma_core(_gamma_core(w))
-    return complex(out) if np.ndim(w) == 0 else out
 
 
 _POWERS = {"x": 1, "y": 2, "z": 0}
@@ -226,8 +198,3 @@ def chordal_distance(a, b):
     out = np.where(only_b, 2 / np.sqrt(1 + np.abs(az) ** 2), out)
     out = np.where(~fa & ~fb, 0.0, out)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def in_quarter_disc(w, tol: float = 1e-12) -> np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    return (np.abs(w) <= 1 + tol) & (w.real >= -tol) & (w.imag >= -tol)

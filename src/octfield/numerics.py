@@ -118,7 +118,9 @@ class Region:
     ``r_clusters`` and ``phi_clusters`` are (position, inner_scale) pairs
     around which geometric ladders of grid lines are inserted; they resolve
     sharp energy peaks at map zeros/poles whose derivative scales can be far
-    below any uniform resolution.
+    below any uniform resolution.  No map that ``octfield`` builds sets
+    them: its bulk is a closed form, and only the tests' reference
+    quadrature (``tests/gridded.py``) grids a bulk with them.
     """
 
     name: str

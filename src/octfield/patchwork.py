@@ -237,14 +237,18 @@ def _layer_ratio(epsilon: float, layers: int) -> float:
     return min(max(epsilon**_LAYER_RATIO_POWER, floor), epsilon)
 
 
-def _stack(covers, epsilon: float) -> QuarterSphereStack:
-    stack = QuarterSphereStack(covers, epsilon, _layer_ratio(epsilon, len(covers)))
-    if stack.inner_scale() < sys.float_info.min:
+def _stack_ratio(layers: int, epsilon: float) -> float:
+    """The layer ratio of a stack of ``layers`` layers at epsilon, taken
+    before its covers are listed: a stack whose innermost scale
+    sqrt(delta) * epsilon * delta^(L-1) (``QuarterSphereStack.inner_scale``)
+    lies below double precision is refused with ``UnsupportedClassError``."""
+    delta = _layer_ratio(epsilon, layers)
+    if math.sqrt(delta) * (epsilon * delta ** (layers - 1)) < sys.float_info.min:
         raise UnsupportedClassError(
-            f"a {len(covers)}-layer stack at epsilon={epsilon} has its innermost "
+            f"a {layers}-layer stack at epsilon={epsilon} has its innermost "
             "layer below double precision"
         )
-    return stack
+    return delta
 
 
 def _build_stacks(case_id: str, M, epsilon: float, k, n: int) -> dict:
@@ -256,13 +260,14 @@ def _build_stacks(case_id: str, M, epsilon: float, k, n: int) -> dict:
     for axis, layers in zip(AXES, M):
         if layers == 0:
             continue
+        delta = _stack_ratio(layers, epsilon)
         covers = alternating(layers)
         if case_id == "2c":
             parity, special = ((0, 2 * (k[2] - n - 1)) if axis == "x"
                                else (1, 2 * (n - k[0] - k[1] + 1)))
             covers = tuple((1, -1) if m % 2 == parity and m <= special else c
                            for m, c in enumerate(covers, start=1))
-        stacks[axis] = _stack(covers, epsilon)
+        stacks[axis] = QuarterSphereStack(covers, epsilon, delta)
     return stacks
 
 
@@ -324,8 +329,11 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
         expected_total = w.total_absolute() + delta_invariant(w, c)
         M = _least_stack_counts(w, sigma_minus, flips, expected_total)
         if M is not None:
-            stacks = {axis: _stack(alternating(m, flip), epsilon)
-                      for axis, m, flip in zip(AXES, M, flips) if m}
+            stacks = {}
+            for axis, m, flip in zip(AXES, M, flips):
+                if m:
+                    delta = _stack_ratio(m, epsilon)
+                    stacks[axis] = QuarterSphereStack(alternating(m, flip), epsilon, delta)
             spec = PatchworkSpec(target, "general-sign", epsilon, stacks)
             _verify_spec(spec, w, c)
             return spec

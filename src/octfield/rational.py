@@ -21,6 +21,11 @@ near-cancelling zero/pole pairs (whose energy bumps no grid resolves) and,
 for the bulk of a patchwork, so that the bulk meets each stack's collar on
 the correct side of unit modulus.  Preimage counts of the sector centroids
 confirm a fit's wrapping numbers.
+
+A bulk enters the integrals as its closed form (``ChartRational``), so no
+map built here carries grid hints (``numerics.Region.r_clusters`` and
+``phi_clusters``): only the tests' reference quadrature grids a bulk, with
+ladders around its zeros and poles.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ __all__ = [
     "ConstructionError",
     "evaluate_rational",
     "boundary_points",
-    "measure_wrapping",
     "measure_wrapping_rational",
     "predict_invariants",
     "realize",
@@ -219,6 +223,13 @@ def _value_and_log_derivative(spec: RationalMapSpec, z):
 MAX_PREIMAGE_DEGREE = 256
 
 
+def _check_preimage_degree(n: int) -> None:
+    if n > MAX_PREIMAGE_DEGREE:
+        raise IntegrationError(
+            f"preimages of a degree-{n} map exceed the limit of {MAX_PREIMAGE_DEGREE}"
+        )
+
+
 def _poles(spec: RationalMapSpec) -> tuple:
     """(points, multiplicities) of the finite poles of the product form in
     the product variable: +-1/sqrt(q) for a term of exponent +1, +-sqrt(q)
@@ -243,10 +254,7 @@ def _roots_of_values(spec: RationalMapSpec, values) -> np.ndarray:
     poles, so no coefficient is ever expanded.  Raises ``IntegrationError``
     above ``MAX_PREIMAGE_DEGREE`` or when 200 rounds do not settle."""
     n = spec.degree()
-    if n > MAX_PREIMAGE_DEGREE:
-        raise IntegrationError(
-            f"preimages of a degree-{n} map exceed the limit of {MAX_PREIMAGE_DEGREE}"
-        )
+    _check_preimage_degree(n)
     values = np.asarray(values, dtype=complex)[:, None]
     poles, multiplicities = _poles(spec)
     z = np.tile(np.exp(2j * math.pi * (np.arange(n) + 0.25) / n), (len(values), 1))
@@ -360,7 +368,8 @@ _CENTROID_INDEX = {value: i for i, value in enumerate(CENTROID_VALUES)}
 
 def measure_degree_differences(evaluator, params=None):
     """d(centroid_sigma) - d(centroid_---) for all sectors, from boundary
-    windings.
+    windings: the tests' independent measure of a map's wrapping numbers
+    (``tests/windings.py``); no construction or verification path reads it.
 
     Works for any continuous map satisfying the tangent boundary conditions:
     its boundary values stay on the three sector-bounding great circles and
@@ -379,95 +388,11 @@ def measure_degree_differences(evaluator, params=None):
     )
 
 
-def measure_wrapping(evaluator, total_signed_degree: int, params=None) -> WrappingNumbers:
-    """Wrapping numbers (w_sigma = -d(sigma)) from boundary windings, anchored
-    by the known sum of signed degrees over the eight sector centroids: the
-    measure of any map with the tangent boundary conditions, such as an
-    assembled patchwork.  It reads only boundary values, so the tests hold
-    the counts of ``numerics.region_degrees`` to it."""
-    diffs = measure_degree_differences(evaluator, params)
-    anchor, remainder = divmod(total_signed_degree - sum(diffs), 8)
-    if remainder:
-        raise ConstructionError(
-            f"winding differences {diffs} inconsistent with total degree "
-            f"{total_signed_degree}"
-        )
-    return WrappingNumbers(tuple(-(d + anchor) for d in diffs))
-
-
 def _probe_directions(a: int, b: int, c: int) -> np.ndarray:
     """Unit directions in which the origin and a real, b imaginary and c
     complex zeros or poles are probed: into the quarter disc, off the edge
     each lies on."""
     return np.repeat(np.exp([0.9j, 0.4j, 2.2j]), [1 + a, b, c])
-
-
-def _singular_points(spec: RationalMapSpec):
-    """(points, is_zero, directions): the zeros and poles of the map in the
-    closed quarter disc, whether each is a zero, and the unit direction in
-    which each is probed (``_probe_directions``)."""
-    factors = spec.real_factors + spec.imag_factors + spec.complex_factors
-    points = np.asarray(
-        [0j]
-        + [complex(r, 0.0) for r, _ in spec.real_factors]
-        + [complex(0.0, s) for s, _ in spec.imag_factors]
-        + [complex(t) for t, _ in spec.complex_factors]
-    )
-    is_zero = np.asarray([2 * spec.m + 1 > 0] + [ex > 0 for _, ex in factors])
-    directions = _probe_directions(
-        len(spec.real_factors), len(spec.imag_factors), len(spec.complex_factors)
-    )
-    return points, is_zero, directions
-
-
-@functools.lru_cache(maxsize=256)
-def singular_structure(spec: RationalMapSpec) -> tuple:
-    """Zeros/poles of the map inside the closed quarter disc with the length
-    scale on which |f| passes through unit modulus there, as (point, scale)
-    pairs.
-
-    Near an edge zero or pole the energy density is a bump of this scale; the
-    scale can be many orders of magnitude below any uniform grid (residues
-    shrink with the product of the other factors), so quadrature grids cluster
-    lines around these points.  Each spec's structure is computed once.
-    """
-    points, _, directions = _singular_points(spec)
-    out = []
-    deltas = np.geomspace(1e-13, 0.2, 60)
-    for w0, direction in zip(points.tolist(), directions):
-        vals = np.abs(evaluate_rational(spec, w0 + deltas * direction))
-        inside = (vals > 0.2) & (vals < 5.0)
-        if inside.any():
-            scale = float(deltas[int(np.argmax(inside))])
-        else:
-            jump = (vals[:-1] < 0.2) & (vals[1:] > 5.0) | (vals[:-1] > 5.0) & (vals[1:] < 0.2)
-            scale = float(deltas[int(np.argmax(jump))]) if jump.any() else 0.1
-        out.append((w0, max(scale, 1e-13)))
-    # arc concentration of the power factor
-    q = abs(2 * spec.m + 1) + 2 * len(spec.real_factors) + 2 * len(spec.imag_factors)
-    if q >= 6:
-        out.append((1.0 + 0.0j, 1.0 / q))
-    return tuple(out)
-
-
-def _clusters(points):
-    """(r_clusters, phi_clusters) of (point, scale) pairs in a polar chart:
-    a radial cluster at every point and an angular one off the chart center,
-    its scale converted to angle at a radius of at least 0.1."""
-    r_clusters = []
-    phi_clusters = []
-    for p, scale in points:
-        radius = abs(p)
-        r_clusters.append((radius, scale))
-        if radius > 1e-9:
-            phi_clusters.append((float(np.angle(p)), scale / max(radius, 0.1)))
-    return tuple(r_clusters), tuple(phi_clusters)
-
-
-def quadrature_clusters(spec: RationalMapSpec):
-    """(r_clusters, phi_clusters) resolving the map's singular structure in
-    the standard polar chart of the quarter disc."""
-    return _clusters(singular_structure(spec))
 
 
 def measure_wrapping_rational(spec: RationalMapSpec) -> WrappingNumbers:
@@ -484,6 +409,15 @@ def measure_wrapping_rational(spec: RationalMapSpec) -> WrappingNumbers:
 # Analytic invariants of a product spec
 # ---------------------------------------------------------------------------
 
+def _full_turns(quarter_turns: int) -> int:
+    """Full turns in a whole number of quarter turns; the lifts below always
+    close up to whole turns, so the count is exact for any class."""
+    turns, rest = divmod(quarter_turns, 4)
+    if rest:
+        raise AssertionError(f"lift of {quarter_turns} quarter turns is no whole turn")
+    return turns
+
+
 def _edge_kink(start_zero: bool, seg_sign: int, types, end_sign: int) -> int:
     """Kink number of one straight edge from its crossing structure.
 
@@ -491,7 +425,8 @@ def _edge_kink(start_zero: bool, seg_sign: int, types, end_sign: int) -> int:
     2*atan(f) moves inside bands of constant sign and exits through angle 0
     (mod 2pi) at zeros of f and through pi (mod 2pi) at poles.  The lift is
     therefore determined by the ordered crossing types alone; the kink is the
-    full-turn count of the lift relative to the shortest geodesic.
+    full-turn count of the lift relative to the shortest geodesic.  Angles
+    are counted in integer quarter turns (pi/2), so the count is exact.
     """
     n = 0 if start_zero else 1  # lift position theta = n*pi
     sign = seg_sign
@@ -505,13 +440,11 @@ def _edge_kink(start_zero: bool, seg_sign: int, types, end_sign: int) -> int:
     band = n if ((n % 2 == 0) == (sign > 0)) else n - 1
     if (band % 2 == 0) != (end_sign > 0):
         raise AssertionError("edge lift inconsistent with endpoint sign")
-    theta_end = band * math.pi + math.pi / 2
-    theta_start = 0.0 if start_zero else math.pi
-    total = theta_end - theta_start
-    end_val = math.pi / 2 if end_sign > 0 else -math.pi / 2
-    start_val = 0.0 if start_zero else math.pi
-    shortest = (end_val - start_val + math.pi) % (2 * math.pi) - math.pi
-    return round(-(total - shortest) / (2 * math.pi))
+    start = 0 if start_zero else 2
+    total = 2 * band + 1 - start
+    end = 1 if end_sign > 0 else -1
+    shortest = (end - start + 2) % 4 - 2
+    return _full_turns(shortest - total)
 
 
 def _real_edge_kink(m: int, sign: int, a_seq) -> int:
@@ -548,26 +481,22 @@ def predict_invariants(spec: RationalMapSpec) -> OctantTopology:
     ky = _real_edge_kink(m, sgn, a_seq)
     kx = _imag_edge_kink(m, sgn, b_seq, spec.orientation)
 
-    theta_f = (
-        (2 * m + 1) * math.pi / 2
-        + math.pi * sum(a_seq)
-        + math.pi * sum(b_seq)
-        + 2 * math.pi * sum(tau for _, tau in spec.complex_factors)
-    )
+    # the arc's lift in quarter turns
+    theta_f = 2 * m + 1 + 2 * sum(a_seq) + 2 * sum(b_seq) + 4 * sum(
+        tau for _, tau in spec.complex_factors)
 
     def arc_kink(theta, ex_val, ey_val):
-        start_val = 0.0 if ex_val > 0 else math.pi
-        end_val = ey_val * math.pi / 2
-        shortest = (end_val - start_val + math.pi) % (2 * math.pi) - math.pi
-        return round(-(theta - start_val - shortest) / (2 * math.pi))
+        start = 0 if ex_val > 0 else 2
+        shortest = (ey_val - start + 2) % 4 - 2
+        return _full_turns(start + shortest - theta)
 
     if spec.orientation == "conformal":
         ey = ey_f
-        kz = arc_kink(theta_f + (0.0 if ex > 0 else math.pi), ex, ey)
+        kz = arc_kink(theta_f + (0 if ex > 0 else 2), ex, ey)
         u = -spec.degree()
     else:
         ey = -ey_f
-        kz = arc_kink(-(theta_f) + (0.0 if ex > 0 else math.pi), ex, ey)
+        kz = arc_kink(-theta_f + (0 if ex > 0 else 2), ex, ey)
         u = spec.degree()
     return OctantTopology((ex, ey, ez), (kx, ky, kz), u)
 
@@ -949,8 +878,9 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     measured wrapping numbers, counted from its centroid preimages
     (``measure_wrapping_rational``): the numbers the closed form of a
     patchwork's bulk region integrates.  A class without a shape, or without
-    a fit whose counts match, is refused with ``ConstructionError``; a bulk
-    above ``MAX_PREIMAGE_DEGREE`` raises ``IntegrationError``.
+    a fit whose counts match, is refused with ``ConstructionError``; a class
+    with shapes above ``MAX_PREIMAGE_DEGREE`` raises ``IntegrationError``
+    before any fit.
 
     ``stacked`` names the vertices (``"x"``, ``"y"``, ``"z"``) that carry
     stacks.  The free parameters of every shape are fitted to one
@@ -985,6 +915,9 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     if degree != abs(sum(w.values)):
         raise AssertionError("one-signed wrapping numbers must sum to +-degree")
     shapes = list(itertools.islice(_factor_shapes(orientation, target, degree), 400))
+    if shapes:
+        # no fit of such a bulk could be confirmed: its counts need preimages
+        _check_preimage_degree(degree)
     ranked = []
     if shapes:
         # coarse fits of every shape, then full fits of the best few, each

@@ -19,13 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .words import (
-    ClassProductSpec,
-    Word,
-    inverse,
-    product_lower_bound,
-    word,
-)
+from .words import Word, certified_lower_bound, word
 
 __all__ = [
     "Sector",
@@ -255,7 +249,10 @@ def prism_bounds(w: WrappingNumbers, c: Classification, lx: float, ly: float, lz
     bounds that overflow to infinity."""
     if not (0 < lz <= ly <= lx < math.inf):
         raise ValueError("edge lengths must be finite and satisfy 0 < L_z <= L_y <= L_x")
-    energy = infimum_energy(w, c) * math.pi
+    try:
+        energy = infimum_energy(w, c) * math.pi
+    except OverflowError:  # an integer energy beyond the doubles
+        energy = math.inf
     diag = math.sqrt(lx * lx + ly * ly + lz * lz)
     bounds = 4 * lz * energy, 4 * diag * energy
     if not all(map(math.isfinite, bounds)):
@@ -310,33 +307,29 @@ def boundary_word(k, case: str) -> tuple[Word, Word]:
     raise ValueError("case must be 'positive' or 'negative'")
 
 
-def _relabel_for_search(boundary: Word, c0: Word) -> tuple[Word, Word]:
-    """Relabel generators (c3, c1, c2) -> (A, B, C), inverting all letters when
-    the boundary word has negative exponents, so that the base becomes
-    A^i B^j C^k with i, j, k >= 0.  Relabelings are free-group automorphisms,
-    so spelling lengths over the relabeled set product are unchanged."""
-    perm = {3: 1, 1: 2, 2: 3}
-    flip = 1
-    if boundary.letters:
-        first_positive = boundary.letters[0] > 0
-        if any((l > 0) != first_positive for l in boundary.letters):
-            raise UnsupportedSignPatternError("mixed-exponent boundary word")
-        if not first_positive:
-            flip = -1
-
-    def relabel(u: Word) -> Word:
-        return word(3, tuple(flip * (1 if l > 0 else -1) * perm[abs(l)] for l in u.letters))
-
-    return relabel(boundary), relabel(c0)
-
-
 def _route_bound(w: WrappingNumbers, k, family: str) -> int:
-    """Certified lower bound for sum_sigma D(s_sigma) using one loop family."""
+    """Certified lower bound for sum_sigma D(s_sigma) using one loop family.
+
+    The family's boundary word (``_family_words``) and its d(s0) copies of
+    c0 or c0^-1 form the set product <A^i B^j C^k> <F>^p <F^-1>^n of
+    ``words.certified_lower_bound``, once the generators (c3, c1, c2) are
+    relabeled (A, B, C) and, for negative exponents, inverted: free-group
+    automorphisms, which keep spelling lengths.  With a = (d0 + d)/2 copies
+    of c0^-1 and b = (d0 - d)/2 of c0, d = d(s0) and d0 = |d|:
+
+        family  kinks  variant  (i, j, k)                (p, n)
+        plus    > 0    P        (kz-1, kx-1, ky-1)       (a, b)
+        plus    < 0    Q        (1-kz, 1-kx, 1-ky)       (b, a)
+        minus   < 0    Q        (-kz, -kx, -ky)          (a, b)
+        minus   > 0    P        (kz, kx, ky)             (b, a)
+
+    so the bound takes constant time and memory, whatever the kinks.
+    """
     s0 = (1, 1, 1) if family == "plus" else (-1, -1, -1)
     in_family = [s0] + [s for s in SECTORS if adjacent(s, s0)]
     outside = sum(abs(w[s]) for s in SECTORS if s not in in_family)
 
-    boundary, c0 = _relabel_for_search(*_family_words(k, family))
+    kx, ky, kz = k
     d_s0 = -w[s0]
     # The bound must hold for every admissible preimage count D0 = |d| + 2j
     # at s0, so it is the least D0 + lower(D0).  One more preimage pair adds
@@ -345,11 +338,12 @@ def _route_bound(w: WrappingNumbers, k, family: str) -> int:
     # stay) while D0 rises by 2, so the least is at D0 = |d|.  The certified
     # value does not depend on the conjugators, so no product is searched.
     d0 = abs(d_s0)
-    spec = ClassProductSpec(
-        base=boundary,
-        factors=((inverse(c0), (d0 + d_s0) // 2), (c0, (d0 - d_s0) // 2)),
-    )
-    return outside + d0 + product_lower_bound(spec)
+    a, b = (d0 + d_s0) // 2, (d0 - d_s0) // 2
+    positive = kx > 0
+    shift = 1 if family == "plus" else 0
+    exponents = (abs(v - shift) for v in (kz, kx, ky))
+    p, n = (a, b) if positive == (family == "plus") else (b, a)
+    return outside + d0 + certified_lower_bound(*exponents, p, n, "P" if positive else "Q")
 
 
 def spelling_lower_bound_check(t: OctantTopology) -> int:

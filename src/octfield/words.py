@@ -42,7 +42,6 @@ __all__ = [
     "apply_homomorphism",
     "cyclic_canonical",
     "certified_lower_bound",
-    "product_lower_bound",
     "min_spelling_over_product",
     "reduced_words",
     "parse_word",
@@ -581,12 +580,6 @@ def _lower_bounds(base: Word, merged: dict) -> tuple[int, int | None]:
     return certified_lower_bound(i, j, k, p, n, variant), conjectured
 
 
-def product_lower_bound(spec: ClassProductSpec) -> int:
-    """The certified lower bound that ``min_spelling_over_product`` reports,
-    computed without searching."""
-    return _lower_bounds(spec.base, _merged_classes(spec))[0]
-
-
 def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     """Search the set product for the minimal spelling length.
 
@@ -594,7 +587,7 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     base * h1 f1 h1^-1 * ... with conjugators enumerated as reduced words of
     at most ``search_budget`` letters (conjugators within one conjugacy class
     are unordered, since set products of conjugation-invariant sets commute).
-    The lower bound is ``product_lower_bound``'s, known before the search.
+    The certified lower bound (``_lower_bounds``) is known before the search.
 
     Assignments of conjugators are tried by increasing total conjugator
     length, ties in lexicographic order of the conjugator indices (reduced

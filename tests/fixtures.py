@@ -1,27 +1,27 @@
 """Regression fixtures: older comparison constructions.
 
-These are not part of the public construction path; they reproduce the
+These are not part of ``octfield``'s construction path; they reproduce the
 historical juxtaposition recipe (a conformal full-sphere insertion in a small
 interior disc of an anticonformal bulk) whose energy exceeds the sharp bound,
 and a single quarter-sphere layer placed at the z vertex.  Both serve as
 independent checks of the degree-counting and quadrature machinery.  Like
-every map, each is a list of signed regions: the insertion's disc lives in
-the translation chart w - center, with the bulk cut out of it in two pieces
-at epsilon and replaced by the insertion and its collar.
+every map, each is a list of signed regions: the insertion's bulk is its
+closed-form rational map, and its disc lives in the translation chart
+w - center, with the bulk cut out of it in two pieces at epsilon and
+replaced by the insertion and its collar.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from .numerics import Region
-from .patchwork import PatchworkSpec, SampledMap, assemble_patchwork
-from .rational import evaluate_rational, quadrature_clusters, realize
-from .stacks import QuarterSphereStack
-from .topology import OctantTopology
+from octfield.numerics import Region
+from octfield.patchwork import PatchworkSpec, SampledMap, assemble_patchwork
+from octfield.rational import ChartRational, evaluate_rational, realize
+from octfield.stacks import QuarterSphereStack
+from octfield.topology import OctantTopology
 
 __all__ = ["insertion_comparison_map", "vertex_stack_map"]
 
@@ -58,11 +58,9 @@ def insertion_comparison_map(epsilon: float = 0.01) -> SampledMap:
     def chart(w):
         return np.asarray(w, dtype=complex) - center
 
-    r_cl, phi_cl = quadrature_clusters(bulk)
     disc = (0.0, 2 * math.pi)
     regions = [
-        Region("bulk", partial(evaluate_rational, bulk), 0.0, 1.0,
-               r_clusters=r_cl, phi_clusters=phi_cl),
+        Region("bulk", ChartRational(bulk, "z"), 0.0, 1.0),
         Region("cut(insertion)", cut, 0.0, epsilon, "log", -1, *disc, chart=chart),
         Region("cut(switch(insertion))", cut, epsilon, 2 * epsilon, "log", -1, *disc,
                chart=chart),

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from octfield.fixtures import insertion_comparison_map
 from octfield.numerics import (
     Region,
     degree_count,
@@ -51,6 +50,7 @@ from octfield.words import (
     spelling_length,
     word,
 )
+from fixtures import insertion_comparison_map
 from gridded import gridded
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import pytest
@@ -7,6 +8,8 @@ from octfield import cli
 from octfield.cli import main
 
 WORKED_JSON = '{"e":[1,1,1],"k":[1,1,1],"omega_units":3}'
+# a valid class whose infimum energy in pi units is beyond the doubles
+HUGE_JSON = json.dumps({"e": [1, 1, 1], "k": [1, 1, 1], "omega_units": 8 * 10**400 + 3})
 
 
 def test_classify_worked_example(capsys):
@@ -102,12 +105,16 @@ def test_spelling_rejects_invalid_word(args, capsys):
     (["classify", "--json", WORKED_JSON, "--prism", "inf", "1", "1"], "must be finite"),
     (["classify", "--json", WORKED_JSON, "--prism", "1e308", "1e308", "1e308"],
      "are not finite"),
+    (["classify", "--json", HUGE_JSON, "--prism", "3", "2", "1"], "are not finite"),
+    (["classify", "nested.json"], "maximum recursion depth exceeded"),
 ], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
         "alphabet-0", "alphabet-huge", "fractional-omega", "fractional-kink", "short-kinks",
         "missing-kinks", "missing-sectors", "wrapping-with-partial-class",
-        "unknown-format", "misspelt-format", "prism-infinite", "prism-overflow"])
+        "unknown-format", "misspelt-format", "prism-infinite", "prism-overflow",
+        "prism-huge-class", "nested-json"])
 def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid ") and message in err
@@ -127,6 +134,16 @@ def test_spelling_refuses_overlong_word_before_the_dp(monkeypatch, capsys):
     assert main(["spelling", "--word", word]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid word: 1001 letters")
+
+
+def test_class_bound_of_a_huge_kink_takes_constant_memory(capsys):
+    # the loop families' bounds are read from the kinks and d(s0), not from
+    # a boundary word of 10^8 letters
+    payload = '{"e":[1,1,1],"k":[100000000,1,1],"omega_units":400000007}'
+    started = time.monotonic()
+    assert main(["spelling", "--json", payload]) == 0
+    assert time.monotonic() - started < 10
+    assert capsys.readouterr().out.startswith("spelling bound = 400000007 pi")
 
 
 def test_spelling_class_bound(capsys):
@@ -222,6 +239,49 @@ def test_verify_unconstructible_class_exits_4(payload, reason, capsys):
     assert err.startswith("unsupported class: ") and reason in err
 
 
+@pytest.mark.parametrize("k, omega_units", [
+    ((0, 0, -75), -301),
+    ((0, 0, -10**30), -(4 * 10**30 + 1)),
+    ((0, 0, -10**400), -(4 * 10**400 + 1)),
+], ids=["degree-301", "kink-1e30", "kink-1e400"])
+def test_bulk_above_the_preimage_limit_is_refused_before_its_fit(
+        k, omega_units, monkeypatch, capsys):
+    # the invariants of a shape are counted in whole quarter turns, so even
+    # a power of degree 4 10^400 + 1 gets its exact k_z; a bulk above
+    # MAX_PREIMAGE_DEGREE is then refused before any fit (exit 5)
+    from octfield import rational
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit reached")
+
+    monkeypatch.setattr(rational, "_descend", no_fit)
+    payload = json.dumps({"e": [1, 1, 1], "k": list(k), "omega_units": omega_units})
+    started = time.monotonic()
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 5
+    assert time.monotonic() - started < 10
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: preimages of a degree-")
+    assert err.rstrip().endswith("map exceed the limit of 256")
+
+
+def test_stack_too_deep_for_doubles_is_refused_before_its_covers(monkeypatch, capsys):
+    # 10^7 layers: the innermost scale is taken from epsilon and the layer
+    # count, so no cover is listed (listing them took 4 s and 720 MB)
+    from octfield import patchwork
+
+    def no_covers(*args, **kwargs):
+        raise AssertionError("covers listed")
+
+    monkeypatch.setattr(patchwork, "alternating", no_covers)
+    payload = '{"e":[1,1,1],"k":[1,10000000,10000000],"omega_units":-39999997}'
+    started = time.monotonic()
+    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 4
+    assert time.monotonic() - started < 10
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported class: a 10000000-layer stack")
+    assert "below double precision" in err
+
+
 def test_built_map_whose_counts_miss_the_class_exits_5(tmp_path, capsys):
     # case 2e builds this class; at grid level 1 its regions count wrapping
     # numbers other than the class's: a failed check of a built map, not
@@ -291,24 +351,6 @@ def test_construct_reads_no_boundary_windings(payload, monkeypatch, tmp_path):
     report = json.loads((tmp_path / "construct.json").read_text())
     assert all(report["checks"].values()), report["checks"]
     assert len(counted) == 1
-
-
-@pytest.mark.parametrize("payload", [
-    WORKED_JSON,  # one stack
-    '{"e":[1,1,1],"k":[2,2,2],"omega_units":-1}',  # three stacks
-    '{"e":[1,1,1],"k":[0,0,-1],"omega_units":-5}',  # conformal
-], ids=["one-stack", "three-stacks", "conformal"])
-def test_verify_probes_no_singular_structure(payload, monkeypatch):
-    # the bulk, cut discs and layers are integrated in closed form, so the
-    # map carries no grid ladders around the bulk's edge zeros and poles;
-    # only a reference quadrature of those regions needs them
-    from octfield import rational
-
-    def no_probe(spec):
-        raise AssertionError("singular structure probed")
-
-    monkeypatch.setattr(rational, "singular_structure", no_probe)
-    assert main(["verify", "--json", payload, "--grid-level", "1"]) == 0
 
 
 @pytest.mark.parametrize("payload, reflections", [

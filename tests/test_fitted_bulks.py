@@ -16,7 +16,7 @@ from octfield.patchwork import select_case
 from octfield.rational import (
     RationalMapSpec,
     evaluate_rational,
-    measure_wrapping,
+    measure_degree_differences,
     measure_wrapping_rational,
     realize,
 )
@@ -26,7 +26,7 @@ from octfield.topology import (
     normalize_edge_signs,
     wrapping_from_invariants,
 )
-from windings import rational_seed
+from windings import anchored_wrapping, rational_seed
 
 DATA = Path(__file__).parent / "data" / "fitted_bulks.json"
 EPSILON = 0.05
@@ -122,8 +122,8 @@ def test_preimage_counts_are_the_boundary_windings():
     for entry in json.loads(DATA.read_text()):
         spec = _spec(entry["spec"])
         degree = spec.degree() if spec.orientation == "conformal" else -spec.degree()
-        windings = measure_wrapping(partial(evaluate_rational, spec), degree,
-                                    rational_seed(spec))
+        diffs = measure_degree_differences(partial(evaluate_rational, spec), rational_seed(spec))
+        windings = anchored_wrapping(diffs, degree)
         assert measure_wrapping_rational(spec).values == windings.values, entry["key"]
 
 

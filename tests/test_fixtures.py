@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from octfield.fixtures import insertion_comparison_map, vertex_stack_map
 from octfield.numerics import (
     boundary_residual,
     degree_count,
@@ -10,8 +9,8 @@ from octfield.numerics import (
     lemma1_lower_bound,
     trapped_area,
 )
-from octfield.rational import realize
 from octfield.topology import OctantTopology, sector_name, wrapping_from_invariants
+from fixtures import insertion_comparison_map, vertex_stack_map
 from windings import both_ways
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
@@ -33,9 +32,8 @@ def test_insertion_fixture_energy_and_topology():
     assert abs(E - 19 * math.pi) / (19 * math.pi) < 0.05
     assert boundary_residual(sm) < 1e-9
     # the insertion keeps the anticonformal bulk's boundary values
-    bulk = realize(OctantTopology((1, 1, 1), (1, 1, 1), 11))
     w = wrapping_from_invariants(WORKED).values
-    assert both_ways(sm, level=3, bulk=bulk) == (w, w)
+    assert both_ways(sm, level=3) == (w, w)
 
 
 def test_vertex_fixture_counts_double_one_sector():

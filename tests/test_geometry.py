@@ -3,17 +3,30 @@ import pytest
 
 from octfield.geometry import (
     chordal_distance,
-    gamma,
-    gamma_inverse,
-    in_quarter_disc,
     relocate,
     relocate_inverse,
     relocation_coefficients,
     sector_centroid,
-    sector_of,
     stereographic,
     stereographic_inverse,
 )
+
+
+def sector_of(z):
+    """Sign triple of the sector containing the projected point."""
+    s = stereographic_inverse(z)
+    return tuple(1 if v > 0 else -1 for v in np.atleast_2d(s)[0])
+
+
+def in_quarter_disc(w, tol: float = 1e-12) -> np.ndarray:
+    w = np.asarray(w, dtype=complex)
+    return (np.abs(w) <= 1 + tol) & (w.real >= -tol) & (w.imag >= -tol)
+
+
+def gamma(w):
+    """The order-3 rotation (i - w)/(i + w) of Q, 1 -> i -> 0 -> 1: the
+    relocation to the x vertex."""
+    return relocate("x", w)
 
 
 def test_stereographic_vertex_values():
@@ -71,9 +84,10 @@ def test_relocate_vertex_targets():
     assert relocate("z", 0.0) == pytest.approx(0.0)
 
 
-def test_gamma_inverse_is_square():
+def test_relocation_to_y_is_gamma_squared():
     w = 0.3 + 0.4j
-    assert gamma_inverse(w) == pytest.approx(gamma(gamma(w)))
+    assert relocate("y", w) == gamma(gamma(w))
+    assert relocate_inverse("x", w) == relocate("y", w)
 
 
 def test_sector_of_centroids():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from octfield import numerics
 from octfield.numerics import (
+    CENTROID_VALUES,
     Region,
     boundary_residual,
     build_grids,
@@ -399,12 +400,10 @@ def test_argument_steps_are_half_open_and_equal_the_remainder_form():
 
 
 def test_argument_steps_of_all_targets_equal_the_per_target_ones():
-    from octfield.geometry import sector_centroid_complex
     from octfield.numerics import _arguments, _steps
-    from octfield.topology import SECTORS
 
     rng = np.random.default_rng(5)
-    targets = [sector_centroid_complex(s) for s in SECTORS]
+    targets = list(CENTROID_VALUES)
     reference = targets[-1]
     loop = np.exp(1j * np.linspace(0.0, 6 * math.pi, 997))
     for values in (3 * loop, loop / 3 + 0.2, rng.normal(size=500) + 1j * rng.normal(size=500)):
@@ -422,12 +421,10 @@ def test_winding_bisection_stops_at_the_point_cap(monkeypatch):
     # a loop that spirals 10^4 times around one target never resolves: the
     # bisection raises before it would pass MAX_BOUNDARY_POINTS
     import octfield.numerics as numerics
-    from octfield.geometry import sector_centroid_complex
     from octfield.numerics import IntegrationError, degree_differences_by_winding
-    from octfield.topology import SECTORS
 
     monkeypatch.setattr(numerics, "MAX_BOUNDARY_POINTS", 100)
-    targets = [sector_centroid_complex(s) for s in SECTORS]
+    targets = list(CENTROID_VALUES)
     evaluated = []
 
     def curve(p):
@@ -442,10 +439,8 @@ def test_winding_bisection_stops_at_the_point_cap(monkeypatch):
 
 def test_winding_bisection_evaluates_each_point_once():
     # each bisection evaluates its new midpoints only
-    from octfield.geometry import sector_centroid_complex
     from octfield.numerics import degree_differences_by_winding
     from octfield.rational import boundary_points, evaluate_rational
-    from octfield.topology import SECTORS
 
     spec = realize(OctantTopology((1, 1, 1), (0, 0, -1), -5))
     evaluated = []
@@ -454,7 +449,7 @@ def test_winding_bisection_evaluates_each_point_once():
         evaluated.append(np.array(p))
         return evaluate_rational(spec, boundary_points(p))
 
-    targets = [sector_centroid_complex(s) for s in SECTORS]
+    targets = list(CENTROID_VALUES)
     reference = targets[-1]
     seed = np.linspace(0.0, 3.0, 7, endpoint=False)
     diffs = degree_differences_by_winding(curve, seed, targets, reference, 3.0)

@@ -32,6 +32,16 @@ from octfield.topology import (
 from gridded import gridded
 from windings import both_ways
 
+
+def _standard_stack(covers, epsilon=0.05):
+    """A stack as the patchwork builds it, with the layer ratio of its
+    depth (``patchwork._stack_ratio``)."""
+    from octfield.patchwork import _stack_ratio
+    from octfield.stacks import QuarterSphereStack
+
+    return QuarterSphereStack(covers, epsilon, _stack_ratio(len(covers), epsilon))
+
+
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)
 
 
@@ -182,7 +192,7 @@ def test_stack_flip_covers_the_pair_of_sigma_minus():
     # its j component flipped, and the even layer of alternating(2, flip)
     # the antipodal pair; there is no flip when sigma_-'s other two
     # components differ
-    from octfield.patchwork import _stack, _stack_flip
+    from octfield.patchwork import _stack_flip
     from octfield.stacks import alternating, stack_degree_table
 
     for j, axis in enumerate(("x", "y", "z")):
@@ -193,7 +203,7 @@ def test_stack_flip_covers_the_pair_of_sigma_minus():
             if flip is None:
                 continue
             flipped = tuple(-s if i == j else s for i, s in enumerate(sigma))
-            one, two = (stack_degree_table(_stack(alternating(m, flip), 0.05), axis)
+            one, two = (stack_degree_table(_standard_stack(alternating(m, flip)), axis)
                         for m in (1, 2))
             assert {sec: v for sec, v in one.items() if v} == {sigma: -1, flipped: -1}
             even = {sec: two[sec] - one[sec] for sec in SECTORS if two[sec] != one[sec]}
@@ -211,14 +221,13 @@ def _first_split(w, flips, expected):
     sum|w0| + 2 sum M = expected and the edge signs (-1)^M wins.  None when
     no counts qualify.  Totals above 2 _ORACLE_MOST_LAYERS + 1 are out of the
     oracle's reach."""
-    from octfield.patchwork import _stack
     from octfield.stacks import alternating, stack_degree_table
     from octfield.topology import InvalidWrappingError, WrappingNumbers, invariants_from_wrapping
 
     budget = expected // 2
     assert budget <= _ORACLE_MOST_LAYERS, "out of the oracle's reach"
     tables = [np.array([(0,) * 8] + [
-        list(stack_degree_table(_stack(alternating(m, flip), 0.05), axis).values())
+        list(stack_degree_table(_standard_stack(alternating(m, flip)), axis).values())
         for m in range(1, budget + 1 if flip is not None else 1)])
         for axis, flip in zip(("x", "y", "z"), flips)]
     M = np.indices([len(table) for table in tables]).reshape(3, -1).T
@@ -523,7 +532,7 @@ def test_verifier_rejects_tampered_tabulated_spec(M, restack):
 
 
 def test_verifier_rejects_tampered_general_sign_spec():
-    from octfield.patchwork import _stack, _verify_spec
+    from octfield.patchwork import _verify_spec
     from octfield.stacks import alternating
 
     t = OctantTopology((1, 1, 1), (2, 1, 1), 8 * 1 + 7 - 16)
@@ -535,7 +544,7 @@ def test_verifier_rejects_tampered_general_sign_spec():
     # the z stack flipped (its bulk is not one-signed), or one of three
     # layers (the coverage identity fails)
     for covers in (alternating(1, -1), alternating(3)):
-        tampered = dataclasses.replace(spec, stacks={**spec.stacks, "z": _stack(covers, 0.05)})
+        tampered = dataclasses.replace(spec, stacks={**spec.stacks, "z": _standard_stack(covers)})
         with pytest.raises(InternalConsistencyError):
             _verify_spec(tampered, w, c)
 

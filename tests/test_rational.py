@@ -36,7 +36,6 @@ from octfield.rational import (
     _imag_sequences,
     _real_sequences,
     _roots_of_values,
-    _singular_points,
     _spread,
     _start_vector,
     _value_and_log_derivative,
@@ -48,6 +47,7 @@ from octfield.topology import (
     invariants_from_wrapping,
     wrapping_from_invariants,
 )
+from gridded import singular_points
 
 
 def test_identity_spec_is_identity():
@@ -195,7 +195,7 @@ def _reference_score(spec, e, stacked):
     stacked vertex, the mean of m^2 / (1 + m^2) over the collar ring, m the
     wrong-side chart modulus (|f| in the chart for edge sign +1, 1/|f| for
     -1)."""
-    points, zero, direction = _singular_points(spec)
+    points, zero, direction = singular_points(spec)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         mags = np.abs(evaluate_rational(spec, points + _RESIDUE_REACH * direction))
         score = float(np.count_nonzero(np.where(zero, mags >= 1.0, mags <= 1.0)))
@@ -406,6 +406,16 @@ def test_full_fit_continues_the_coarse_fit():
 def test_cubic_power_invariants():
     t = predict_invariants(RationalMapSpec(m=1))
     assert (t.e, t.k, t.omega_units) == ((1, -1, 1), (0, 0, -1), -3)
+
+
+@pytest.mark.parametrize("half", [10**6, 10**30, 10**400], ids=["1e6", "1e30", "1e400"])
+def test_huge_power_invariants_are_exact(half):
+    # the arc's lift is counted in whole quarter turns, so w^(4 half + 1)
+    # has k_z = -half exactly, however many turns that is
+    for orientation, e, sign in (("conformal", (1, 1, 1), -1),
+                                 ("anticonformal", (1, -1, 1), 1)):
+        t = predict_invariants(RationalMapSpec(m=2 * half, orientation=orientation))
+        assert (t.e, t.k, t.omega_units) == (e, (0, 0, sign * half), sign * (4 * half + 1))
 
 
 def test_realize_identity_class():

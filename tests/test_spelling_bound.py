@@ -16,8 +16,36 @@ from octfield.topology import (
     spelling_lower_bound_check,
     wrapping_from_invariants,
 )
-from octfield.topology import _family_words, _relabel_for_search, _route_bound
-from octfield.words import ClassProductSpec, certified_lower_bound, inverse, min_spelling_over_product
+from octfield.topology import _family_words, _route_bound
+from octfield.words import (
+    ClassProductSpec,
+    Word,
+    certified_lower_bound,
+    inverse,
+    min_spelling_over_product,
+    word,
+)
+
+
+def _relabel_for_search(boundary: Word, c0: Word) -> tuple[Word, Word]:
+    """Relabel generators (c3, c1, c2) -> (A, B, C), inverting all letters when
+    the boundary word has negative exponents, so that the base becomes
+    A^i B^j C^k with i, j, k >= 0.  Relabelings are free-group automorphisms,
+    so spelling lengths over the relabeled set product are unchanged.  The
+    word route through them is the oracle of ``_route_bound``'s closed form."""
+    perm = {3: 1, 1: 2, 2: 3}
+    flip = 1
+    if boundary.letters:
+        first_positive = boundary.letters[0] > 0
+        if any((l > 0) != first_positive for l in boundary.letters):
+            raise UnsupportedSignPatternError("mixed-exponent boundary word")
+        if not first_positive:
+            flip = -1
+
+    def relabel(u: Word) -> Word:
+        return word(3, tuple(flip * (1 if l > 0 else -1) * perm[abs(l)] for l in u.letters))
+
+    return relabel(boundary), relabel(c0)
 
 
 def _class(k, n):
@@ -174,6 +202,18 @@ def _route_bound_over_budget(w, k, family, d0_budget):
         )
         bounds.append(d0 + min_spelling_over_product(spec).lower)
     return outside + min(bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(itertools.product((1, -1), repeat=3))), st.sampled_from((1, -1)),
+       st.tuples(*[st.integers(1, 9)] * 3), st.integers(-12, 12),
+       st.sampled_from(("plus", "minus")))
+def test_closed_form_route_bound_is_the_word_route(e, sign, k, n, family):
+    # the class bound read from the kinks and d(s0) equals the certified
+    # value of the relabeled word product at D0 = |d(s0)|
+    k = tuple(sign * v for v in k)
+    w = wrapping_from_invariants(OctantTopology(e, k, (4 * sum(k) - math.prod(e)) % 8 + 8 * n))
+    assert _route_bound(w, k, family) == _route_bound_over_budget(w, k, family, 0)
 
 
 def test_route_bound_is_the_least_over_every_preimage_budget():

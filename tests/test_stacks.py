@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from octfield.geometry import relocate, relocate_inverse
-from octfield.numerics import Region
+from octfield.numerics import CENTROID_VALUES, Region
 from octfield.patchwork import SampledMap
 from octfield.stacks import QuarterSphereStack, alternating, stack_degree_table
 from octfield.topology import SECTORS, sector_name
@@ -100,7 +100,6 @@ def test_x_stack_table_matches_measured_degrees():
     st = QuarterSphereStack(alternating(1), eps)
 
     from octfield.numerics import degree_differences_by_winding
-    from octfield.geometry import sector_centroid_complex
     from octfield.rational import boundary_points
 
     params = np.linspace(0, 3, 2400, endpoint=False)
@@ -109,8 +108,8 @@ def test_x_stack_table_matches_measured_degrees():
         u = eps * boundary_points(p)  # boundary of the quarter-disc chart
         return relocate("x", stack_map(st).evaluate(u))
 
-    targets = [sector_centroid_complex(s) for s in SECTORS]
-    ref = sector_centroid_complex((1, 1, 1))
+    targets = list(CENTROID_VALUES)
+    ref = CENTROID_VALUES[SECTORS.index((1, 1, 1))]
     diffs = degree_differences_by_winding(curve, params, targets, ref, 3.0)
     # conformal single covering of one sector pair: signed degrees sum to +2
     anchor = (2 - sum(diffs)) // 8

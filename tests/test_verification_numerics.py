@@ -19,11 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from octfield import fixtures
 from octfield.numerics import degree_count, trapped_area
 from octfield.patchwork import assemble_patchwork, identity_map, rational_map, select_case
 from octfield.rational import realize
 from octfield.topology import OctantTopology
+import fixtures
 from gridded import gridded
 
 DATA = Path(__file__).parent / "data" / "verification_numerics.json"
@@ -44,7 +44,9 @@ CASES = {
     "rational k=(0,0,-1) omega=-5": (lambda: gridded(_rational()), 3, True),
     "rational k=(0,0,-1) omega=-5 closed form": (_rational, 3, True),
     "vertex_stack_map": (lambda: gridded(fixtures.vertex_stack_map()), 3, True),
-    "insertion_comparison_map": (fixtures.insertion_comparison_map, 3, True),
+    "insertion_comparison_map": (
+        lambda: gridded(fixtures.insertion_comparison_map(), "bulk"), 3, True
+    ),
     "worked eps=0.05": (lambda: _patchwork(WORKED, 0.05), 3, True),
     "worked eps=0.00625": (lambda: _patchwork(WORKED, 0.00625), 3, True),
     "k=(3,3,3) n=3 eps=0.05": (
