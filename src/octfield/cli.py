@@ -180,30 +180,31 @@ def cmd_spelling(args) -> int:
 def _max_seam_jump(sm) -> float:
     """Chordal discontinuity across the seams of every vertex chart
     (``SampledMap.seams``): the two region formulas that meet at each seam
-    radius, evaluated at the same chart points, the outermost piece against
-    the cut disc, which is the bulk in the chart.  Each region is evaluated
-    once, at every rim point it is compared at."""
+    radius, evaluated at the same 333 chart points, the outermost piece
+    against the cut disc, which is the bulk in the chart.  Each region is
+    evaluated once, at every rim point it is compared at, and the distances
+    of all seams are taken in one call."""
     import numpy as np
 
     from .geometry import chordal_distance
 
-    seams = []  # (inner, outer, chart points on their common rim)
-    for pieces, cut in sm.seams().values():
-        for inner, outer in zip(pieces, pieces[1:] + [cut]):
-            phis = np.linspace(inner.phi_lo + 0.01, inner.phi_hi - 0.01, 333)
-            seams.append((inner, outer, inner.r_hi * np.exp(1j * phis)))
-    points = {}
-    for inner, outer, u in seams:
+    seams = [(inner, outer) for pieces, cut in sm.seams().values()
+             for inner, outer in zip(pieces, pieces[1:] + [cut])]
+    if not seams:
+        return 0.0
+    rims = {}  # each region's chart points on its rims, in the order of its seams
+    for inner, outer in seams:
+        phis = np.linspace(inner.phi_lo + 0.01, inner.phi_hi - 0.01, 333)
+        u = inner.r_hi * np.exp(1j * phis)
         for region in (inner, outer):
-            points.setdefault(region, []).append(u)
-    # each region's values on its rims, handed out in the order of the seams
-    values = {region: iter(np.split(np.asarray(region.evaluate(np.concatenate(us))), len(us)))
-              for region, us in points.items()}
-    worst = 0.0
-    for inner, outer, _ in seams:
-        jump = chordal_distance(next(values[inner]), next(values[outer]))
-        worst = max(worst, float(np.max(jump)))
-    return worst
+            rims.setdefault(region, []).append(u)
+    # each region's values on its rims, one row per rim, handed out in the
+    # order of the seams
+    values = {region: iter(np.asarray(region.evaluate(np.concatenate(us))).reshape(len(us), -1))
+              for region, us in rims.items()}
+    sides = [(next(values[inner]), next(values[outer])) for inner, outer in seams]
+    inner, outer = (np.concatenate(side) for side in zip(*sides))
+    return float(np.max(chordal_distance(inner, outer)))
 
 
 def _construct_and_verify(t, w, args):

@@ -57,7 +57,7 @@ def stereographic_inverse(z):
     out[..., 0] = 2 * xs / denom
     out[..., 1] = 2 * ys / denom
     out[..., 2] = (1 - r2) / denom
-    if np.any(~finite):
+    if not finite.all():
         out[~finite] = (0.0, 0.0, -1.0)
     return out
 
@@ -73,17 +73,31 @@ def _gamma_core(w):
 
     It is the stereographic picture of the rotation by 120 degrees about the
     octant's symmetry axis, so it maps Q onto Q and permutes its edges.
+    Only non-finite quotients are patched (infinity to -1, the pole -i to
+    infinity), so each element's value is its own.  Callers silence the
+    division's warnings (``_rotate``).
     """
     w = np.asarray(w, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1j - w) / (1j + w)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
+    out = (1j - w) / (1j + w)
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = ~finite
         infinite = np.isinf(w.real) | np.isinf(w.imag)
-        out = np.where(infinite, -1.0 + 0j, out)
-        pole = np.isfinite(w) & np.isclose(w, -1j)
+        out = np.where(bad & infinite, -1.0 + 0j, out)
+        pole = bad & np.isfinite(w) & np.isclose(w, -1j)
         out = np.where(pole, np.inf + 0j, out)
     return out
+
+
+def _rotate(power: int, w):
+    """gamma applied ``power`` times; a scalar stays a scalar.  A point
+    within rounding of a pole goes to infinity, unwarned."""
+    out = np.asarray(w, dtype=complex)
+    if power:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(power):
+                out = _gamma_core(out)
+    return complex(out) if np.ndim(np.asarray(w)) == 0 else out
 
 
 _POWERS = {"x": 1, "y": 2, "z": 0}
@@ -92,13 +106,10 @@ _POWERS = {"x": 1, "y": 2, "z": 0}
 def relocate(axis: str, w):
     """gamma_j: the rotation taking the z-vertex chart to the j-vertex chart
     (gamma_x = gamma, gamma_y = gamma^2, gamma_z = identity)."""
-    p = _POWERS[axis]
-    out = np.asarray(w, dtype=complex)
-    for _ in range(p):
-        out = _gamma_core(out)
-    return complex(out) if np.ndim(np.asarray(w)) == 0 else out
+    return _rotate(_POWERS[axis], w)
 
 
+@functools.cache
 def relocation_coefficients(axis: str) -> tuple:
     """(a, b, c, d) with relocate(axis, u) = (a u + b) / (c u + d)."""
     m = np.eye(2, dtype=complex)
@@ -108,11 +119,7 @@ def relocation_coefficients(axis: str) -> tuple:
 
 
 def relocate_inverse(axis: str, w):
-    p = (3 - _POWERS[axis]) % 3
-    out = np.asarray(w, dtype=complex)
-    for _ in range(p):
-        out = _gamma_core(out)
-    return complex(out) if np.ndim(np.asarray(w)) == 0 else out
+    return _rotate((3 - _POWERS[axis]) % 3, w)
 
 
 @functools.lru_cache(maxsize=64)

@@ -38,7 +38,10 @@ degree counts and the trapped area triangulate the grid through its
 ``mesh``, the region evaluated once at the grid vertices, whose image
 triangles share one cross product per grid edge (``_ImageMesh``), so both
 read the same edge normals and the degree counts push all eight sector
-targets through it at once.  A closed-form region counts a preimage within
+targets through it at once.  Each closed-form region counts all of a
+round's targets in one pass too: their preimages, each tagged with its
+target, take one quarter-annulus test and one near-band test per rim
+(``_closed_counts``).  A closed-form region counts a preimage within
 twice the chords' sagitta of a rim a grid shares as near, since the grid's
 triangles end on those chords, not on the arc.  A cut disc also takes each
 such rim as that grid's geodesic polygon in the trapped area, so its rims
@@ -207,11 +210,14 @@ def _radial_edges(region: Region, level: int) -> np.ndarray:
 @dataclass
 class QuadratureGrid:
     """Prepared cells for one region, with their center nodes; ``weights``
-    gives the tensor quadratic rule and ``mesh`` the image triangles."""
+    gives the tensor quadratic rule and ``mesh`` the image triangles.  The
+    angular edges and their weights are shared by every grid built with
+    the same angular rule (``build_grids``)."""
 
     region: Region
     r_edges: np.ndarray
     phi_edges: np.ndarray
+    phi_weights: np.ndarray
     r_mid: np.ndarray = field(init=False)
     phi_mid: np.ndarray = field(init=False)
 
@@ -227,10 +233,7 @@ class QuadratureGrid:
 
     def weights(self):
         """(radial, angular) weight vectors of the tensor quadratic rule."""
-        return (
-            _quadratic_weights(self.r_edges, self.r_mid),
-            _quadratic_weights(self.phi_edges, self.phi_mid),
-        )
+        return _quadratic_weights(self.r_edges, self.r_mid), self.phi_weights
 
 
 def _quadratic_weights(edges, nodes) -> np.ndarray:
@@ -261,16 +264,24 @@ def _quadratic_weights(edges, nodes) -> np.ndarray:
 
 
 def build_grids(regions, level: int):
-    grids = []
+    """One grid per region.  The angular edges and weights depend only on
+    the level and the region's angular span and clusters, so regions that
+    share those (every region of the maps ``octfield`` builds) share one
+    angular rule, computed once."""
+    grids, angular = [], {}
     for region in regions:
-        n_phi, _, _ = _level_counts(level)
-        span = region.phi_hi - region.phi_lo
-        n = max(8, int(round(n_phi * span / (math.pi / 2))))
-        phi_edges = np.linspace(region.phi_lo, region.phi_hi, n + 1)
-        phi_edges = _cluster_ladder(
-            phi_edges, region.phi_lo, region.phi_hi, region.phi_clusters
-        )
-        grids.append(QuadratureGrid(region, _radial_edges(region, level), phi_edges))
+        key = (region.phi_lo, region.phi_hi, region.phi_clusters)
+        if key not in angular:
+            n_phi, _, _ = _level_counts(level)
+            span = region.phi_hi - region.phi_lo
+            n = max(8, int(round(n_phi * span / (math.pi / 2))))
+            phi_edges = np.linspace(region.phi_lo, region.phi_hi, n + 1)
+            phi_edges = _cluster_ladder(
+                phi_edges, region.phi_lo, region.phi_hi, region.phi_clusters
+            )
+            phi_mid = 0.5 * (phi_edges[:-1] + phi_edges[1:])
+            angular[key] = phi_edges, _quadratic_weights(phi_edges, phi_mid)
+        grids.append(QuadratureGrid(region, _radial_edges(region, level), *angular[key]))
     return grids
 
 
@@ -286,16 +297,17 @@ def _reciprocal(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _density(center, right, left, up, down, h):
-    """Energy density from five-point stencils, reciprocal chart where |K| > 1.
+def _density(stencil, h):
+    """Energy density from the values at the five-point stencils (center,
+    right, left, up, down along the leading axis), in the reciprocal chart
+    where |K| > 1 at the center.
 
     A difference that overflows gives a non-finite density, which
     ``_region_energy`` subdivides and then refuses, so overflow is not
     warned about here."""
-    stacked = [center, right, left, up, down]
+    center = stencil[0]
     flip = ~np.isfinite(center) | (np.abs(center) > 1.0)
-    vals = [np.where(flip, _reciprocal(v), v) for v in stacked]
-    c, r, l, u, d = vals
+    c, r, l, u, d = np.where(flip, _reciprocal(stencil), stencil)
     with np.errstate(over="ignore"):
         du = (r - l) / (2 * h)
         dv = (u - d) / (2 * h)
@@ -320,7 +332,7 @@ def _region_energy(grid: QuadratureGrid) -> float:
     # the center and its four stencil points in one call: every evaluator
     # is elementwise
     stencil = np.stack([w, w + h, w - h, w + 1j * h, w - 1j * h])
-    dens = _density(*np.asarray(f(stencil), dtype=complex), h)
+    dens = _density(np.asarray(f(stencil), dtype=complex), h)
     for i, j in np.argwhere(~np.isfinite(dens)):
         # subdivide offending cells once (2x2 midpoints)
         sub = 0.0
@@ -330,7 +342,7 @@ def _region_energy(grid: QuadratureGrid) -> float:
                 hh = h[i, j] / 2
                 pts = np.array([wc, wc + hh, wc - hh, wc + 1j * hh, wc - 1j * hh])
                 vals = np.asarray(f(pts), dtype=complex)
-                dd = _density(vals[0:1], vals[1:2], vals[2:3], vals[3:4], vals[4:5], hh)
+                dd = _density(vals[:, None], hh)
                 if not np.isfinite(dd[0]):
                     raise IntegrationError(
                         f"non-finite energy density persists in region {region.name}"
@@ -421,6 +433,9 @@ _CONTOUR_TOL = 1e-11  # absolute error allowed on each boundary segment
 MAX_CONTOUR_PANELS = 2**13
 _LADDER_FLOOR = 1e-14  # innermost ladder step, relative to the segment
 _LADDER_PER_DECADE = 3
+# the ladder's steps relative to its innermost one, over 15 decades
+_LADDER_STEPS = 10 ** (np.arange(15 * _LADDER_PER_DECADE) / _LADDER_PER_DECADE)
+_QUARTERS = np.linspace(0.0, 1.0, 5)  # times a span: its four equal panels' edges
 # the sector centroids' chart values, in SECTORS order: the one table that
 # degree counts, contour references and preimage caches all read
 CENTROID_VALUES = tuple(complex(stereographic(sector_centroid(s))) for s in SECTORS)
@@ -456,11 +471,13 @@ def _panel_edges(points, radius, direction, span, lo):
         d = np.abs(along - (lo + t))
     near = d < span
     t, inner = t[near], np.maximum(d[near], _LADDER_FLOOR * span)
-    steps = inner[:, None] * 10 ** (np.arange(15 * _LADDER_PER_DECADE) / _LADDER_PER_DECADE)
+    steps = inner[:, None] * _LADDER_STEPS
     ladder = np.where(steps < span, steps, 0.0)
-    edges = np.concatenate([np.linspace(0.0, span, 5), t,
+    edges = np.concatenate([span * _QUARTERS, t,
                             (t[:, None] - ladder).ravel(), (t[:, None] + ladder).ravel()])
-    edges = np.unique(np.clip(edges, 0.0, span))
+    # sorted, each edge kept only past 1e-15 of the span above the one
+    # before it, which drops repeated edges too
+    edges = np.sort(np.clip(edges, 0.0, span))
     edges = edges[np.concatenate([[True], np.diff(edges) > 1e-15 * span])]
     edges[-1] = span
     return edges
@@ -495,15 +512,17 @@ def _contour_integrals(density, segments, edges) -> np.ndarray:
             )
         mid = 0.5 * (lo + hi)
         n = len(lo)
-        halves, sizes = passes(np.r_[lo, mid], np.r_[mid, hi], np.r_[seg, seg])
+        halves, sizes = passes(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                               np.concatenate([seg, seg]))
         refined = halves[:n] + halves[n:]
         err = np.abs(refined - whole)
         done = ((err <= _CONTOUR_TOL * (hi - lo) / span[seg])
                 | (err <= 1e-13 * (sizes[:n] + sizes[n:])))
         totals += np.bincount(seg[done], weights=refined[done], minlength=len(segments))
         more = ~done
-        lo, hi = np.r_[lo[more], mid[more]], np.r_[mid[more], hi[more]]
-        seg, whole = np.r_[seg[more], seg[more]], np.r_[halves[:n][more], halves[n:][more]]
+        lo, hi = np.concatenate([lo[more], mid[more]]), np.concatenate([mid[more], hi[more]])
+        seg = np.concatenate([seg[more], seg[more]])
+        whole = np.concatenate([halves[:n][more], halves[n:][more]])
         panels += np.bincount(seg, minlength=len(segments))
     return totals
 
@@ -547,20 +566,26 @@ def _arc_distance(points, radius: float) -> np.ndarray:
     return np.where(inside, np.abs(np.abs(points) - radius), ends)
 
 
-def _inside(points, lo: float, hi: float) -> int:
-    """How many chart points lie in the quarter annulus lo < |u| <= hi,
+def _inside(points, lo: float, hi: float) -> np.ndarray:
+    """Which chart points lie in the quarter annulus lo < |u| <= hi,
     0 < arg u < pi/2, the coverings' half-open convention."""
     r = np.abs(points)
-    return int(np.count_nonzero((lo < r) & (r <= hi) & (points.real > 0) & (points.imag > 0)))
+    return (lo < r) & (r <= hi) & (points.real > 0) & (points.imag > 0)
+
+
+def _tagged_preimages(f, values):
+    """(points, owner): the chart preimages under f of all the values in
+    one array, each tagged with the index of its value."""
+    preimages = [f.preimages(value) for value in values]
+    owner = np.repeat(np.arange(len(values)), [len(u) for u in preimages])
+    return np.concatenate(preimages), owner
 
 
 def _reference_sector(f, rims) -> int:
     """The index of the sector centroid whose preimages under f lie
     farthest from the rims, relative to each rim's radius."""
-    preimages = [f.preimages(value) for value in CENTROID_VALUES]
-    points = np.concatenate(preimages)
+    points, sector = _tagged_preimages(f, CENTROID_VALUES)
     clearance = np.min([_arc_distance(points, r) / r for r in rims], axis=0)
-    sector = np.repeat(np.arange(len(SECTORS)), [len(u) for u in preimages])
     nearest = np.full(len(SECTORS), np.inf)
     np.minimum.at(nearest, sector, clearance)
     return int(np.argmax(nearest))
@@ -576,7 +601,7 @@ def _chart_contour(f, r_lo: float, r_hi: float, sector: int | None):
     i = _reference_sector(f, [r for r in (r_lo, r_hi) if r > 0]) if sector is None else sector
     p = CENTROID_VALUES[i]
     preimages = f.preimages(p)
-    inside = _inside(preimages, r_lo, r_hi)
+    inside = int(np.count_nonzero(_inside(preimages, r_lo, r_hi)))
     points = f.singular_points()
     points = np.concatenate([points[np.isfinite(points)], preimages])
     segments = _boundary(r_lo, r_hi)
@@ -591,8 +616,10 @@ def quarter_disc_degrees(f) -> tuple:
     """The signed degrees d_sigma, in SECTORS order, of a rational chart
     map f on the whole quarter disc: the count of its centroid-sigma
     preimages inside (``_inside``), positive when f is conformal."""
+    points, sector = _tagged_preimages(f, CENTROID_VALUES)
+    inside = np.bincount(sector[_inside(points, 0.0, 1.0)], minlength=len(CENTROID_VALUES))
     sign = 1 if f.conformal else -1
-    return tuple(sign * _inside(f.preimages(p), 0.0, 1.0) for p in CENTROID_VALUES)
+    return tuple(sign * int(n) for n in inside)
 
 
 def _chart_area(region: Region, polygons=None, sector: int | None = None) -> float:
@@ -803,8 +830,9 @@ def region_degrees(sampled_map, level: int = 3) -> DegreeReport:
     is set if the target lies within tolerance of an image-triangle edge,
     or has a closed-form preimage within the sagitta band of a rim a grid
     shares, after three perturbation retries.  Each gridded region is its
-    grid's one ``mesh``, shared with the trapped area, and each round's
-    targets go through it at once.
+    grid's one ``mesh``, shared with the trapped area; each round's targets
+    are projected in one call and go through each mesh and each closed-form
+    region at once.
     """
     closed, grids = _closed_and_grids(sampled_map.regions, level)
     bands = [_near_bands(region, grids) for region in closed]
@@ -820,13 +848,13 @@ def region_degrees(sampled_map, level: int = 3) -> DegreeReport:
                 if i not in rngs:
                     rngs[i] = np.random.default_rng([20240811, i])
                 points[i] = _perturb_in_sector(bases[i], SECTORS[i], rngs[i])
-        # every pending target through each mesh at once
-        batch = np.stack([points[i] for i in pending], axis=1)
-        meshed = sum((weight * count(batch) for weight, count in counters),
-                     np.zeros((len(pending), 3), dtype=int))
-        for i, row in zip(pending, meshed):
-            samples[i] = complex(stereographic(points[i]))
-            counts[i] = _closed_counts(closed, bands, samples[i]) + row
+        # every pending target through each mesh and each closed form at once
+        batch = np.stack([points[i] for i in pending])
+        values = [complex(z) for z in stereographic(batch)]
+        rows = sum((weight * count(batch.T) for weight, count in counters),
+                   _closed_counts(closed, bands, values))
+        for i, value, row in zip(pending, values, rows):
+            samples[i], counts[i] = value, row
         pending = [i for i in pending if counts[i][2]]  # near an edge: retry
         if not pending:
             break
@@ -846,19 +874,23 @@ def _near_bands(region: Region, grids) -> dict:
             for r, phi in _shared_rims(region, grids).items()}
 
 
-def _closed_counts(closed, bands, value: complex) -> np.ndarray:
-    """Weighted (positive, negative, near) coverings of ``value`` by the
-    closed-form regions: each covers it once per preimage of its formula in
-    its quarter annulus (``_inside``), positively when conformal.  A
-    preimage within the band of a rim a grid shares (``bands``, one
-    ``_near_bands`` per region) is near."""
-    counts = np.zeros(3, dtype=int)
+def _closed_counts(closed, bands, values) -> np.ndarray:
+    """Weighted (positive, negative, near) coverings of each of ``values``
+    by the closed-form regions, one row per value: each region covers a
+    value once per preimage of its formula in its quarter annulus
+    (``_inside``), positively when conformal.  A preimage within the band of
+    a rim a grid shares (``bands``, one ``_near_bands`` per region) is near.
+    Each region tests the preimages of all the values in one array
+    (``_tagged_preimages``)."""
+    n = len(values)
+    counts = np.zeros((n, 3), dtype=int)
     for region, near in zip(closed, bands):
         f = region.evaluate
-        u = f.preimages(value)
-        counts[0 if f.conformal else 1] += region.weight * _inside(u, region.r_lo, region.r_hi)
+        u, owner = _tagged_preimages(f, values)
+        inside = np.bincount(owner[_inside(u, region.r_lo, region.r_hi)], minlength=n)
+        counts[:, 0 if f.conformal else 1] += region.weight * inside
         for r, band in near.items():
-            counts[2] += np.count_nonzero(_arc_distance(u, r) <= band)
+            counts[:, 2] += np.bincount(owner[_arc_distance(u, r) <= band], minlength=n)
     return counts
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octfield.geometry import (
     chordal_distance,
@@ -108,3 +112,49 @@ def test_relocation_coefficients_are_the_relocation(axis):
     a, b, c, d = relocation_coefficients(axis)
     u = np.array([0.0, 0.03 + 0.02j, 0.2j, 0.7 * np.exp(0.4j)])
     assert np.allclose((a * u + b) / (c * u + d), relocate(axis, u), rtol=1e-14, atol=1e-15)
+
+
+# the pole -i of gamma, within 1e-8, infinity in every direction, and plain
+# finite points
+_NEAR_POLE = st.builds(complex, st.floats(-1e-8, 1e-8), st.floats(-1 - 1e-8, -1 + 1e-8))
+_INFINITE = st.sampled_from([complex(math.inf, 0), complex(-math.inf, 1.0),
+                             complex(0.5, math.inf), complex(math.inf, -math.inf)])
+_PLAIN = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_NEAR_POLE, _INFINITE, _PLAIN), min_size=1, max_size=8),
+       st.sampled_from(["x", "y", "z"]))
+@example([-1j + 3e-9, complex(math.inf, 0)], "x")
+@example([-1j, 3e-9 - 1j, complex(math.inf, 0), 1j], "y")
+def test_each_element_is_relocated_as_if_alone(points, axis):
+    """An element's relocated value does not depend on the rest of its
+    array, so the integrals may relocate any batch of points at once."""
+    for move in (relocate, relocate_inverse):
+        batch = move(axis, np.array(points))
+        alone = np.array([move(axis, p) for p in points])
+        assert np.array_equal(batch, alone, equal_nan=True), (move.__name__, batch, alone)
+
+
+_NEAR_SOUTH = st.builds(
+    lambda delta, theta: (math.sqrt(delta * (2 - delta)) * math.cos(theta),
+                          math.sqrt(delta * (2 - delta)) * math.sin(theta), -1 + delta),
+    st.floats(0.0, 1e-9), st.floats(0.0, 2 * math.pi))
+_RANDOM_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.fsum(x * x for x in v) > 1e-2).map(
+    lambda v: tuple(np.array(v) / np.linalg.norm(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_RANDOM_DIRECTION, _NEAR_SOUTH, st.just((0.0, 0.0, -1.0))),
+                min_size=1, max_size=12))
+def test_projecting_rows_at_once_equals_projecting_each(rows):
+    """``stereographic`` of an (n, 3) array is its scalar path row by row,
+    the south pole and points within 1e-9 of it included: a degree count
+    projects a round's samples in one call."""
+    batch = stereographic(np.array(rows))
+    assert batch.shape == (len(rows),)
+    for row, value in zip(rows, batch):
+        alone = stereographic(row)
+        assert isinstance(alone, complex)
+        assert alone == value, (row, alone, value)
