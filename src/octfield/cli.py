@@ -1,4 +1,12 @@
-"""Batch command line front end.
+"""Batch command line front end: the numeric commands, and the reference
+for every subcommand and exit code.
+
+The argument parser and ``main`` live in ``octfield.console``, the console
+script's entry point, which runs ``classify`` and ``spelling`` itself
+without NumPy and imports this module for ``construct``, ``verify`` and
+``sweep``.  ``main`` here is the same function.  This module imports the
+numeric layer (and NumPy) at load time, so ``import octfield.cli`` loads
+every module a traced benchmark pass wraps.
 
 Subcommands:
 
@@ -13,9 +21,10 @@ valid class, JSON nested too deep to parse included, an unreadable class
 file, prism lengths not in the order Lx >= Ly >= Lz > 0 or with non-finite
 lengths, prism bounds that overflow the doubles, an unknown
 ``--format`` name, a ``--grid-level`` outside 1-5, a ``sweep --kmax``
-outside 1-8 (8 sweeps 1,380 classes), or a bad word; a word may have at
-most ``words.MAX_WORD_LETTERS`` letters and its alphabet as many
-generators), 3
+outside 1-8 (8 sweeps 1,380 classes), an ``--out`` that is neither a
+directory nor one ``mkdir`` can make, refused before any work, or a bad
+word; a word may have at most ``words.MAX_WORD_LETTERS`` letters and its
+alphabet as many generators), 3
 unsupported kink sign pattern (for ``spelling``, kinks of mixed sign or
 zero once the class is reflected to edge signs (+,+,+)), 4 unsupported
 class for construction (including a general-sign class for which no stack
@@ -34,14 +43,20 @@ preimages are not solved for).
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
-import json
 import math
 import sys
-from pathlib import Path
 
 from . import numerics, reports
+from .console import (
+    EXIT_INVALID_INPUT,
+    EXIT_INVARIANT_FAILURE,
+    EXIT_UNSUPPORTED_CLASS,
+    FORMATS,
+    emit,
+    load_class,
+    main,  # noqa: F401  (octfield.cli.main is the console script's main)
+)
 from .patchwork import (
     NotApplicableError,
     UnsupportedClassError,
@@ -53,128 +68,15 @@ from .patchwork import (
 from .rational import ConstructionError, realize
 from .topology import (
     OctantTopology,
-    UnsupportedSignPatternError,
     classify,
     infimum_energy,
     normalize_edge_signs,
-    prism_bounds,
-    spelling_lower_bound_check,
     wrapping_from_invariants,
 )
-from .words import (
-    MAX_WORD_LETTERS,
-    format_word,
-    generator_degrees,
-    optimal_pairing,
-    parse_word,
-    spelling_length,
-)
-
-EXIT_INVALID_INPUT = 2
-EXIT_UNSUPPORTED_SIGNS = 3
-EXIT_UNSUPPORTED_CLASS = 4
-EXIT_INVARIANT_FAILURE = 5
-
-FORMATS = ("json", "csv", "svg")  # construct's artifacts
 
 # (sum|w| + Delta) pi is a proven lower bound for the energy; the quadrature
 # may fall below it by at most this share
 ENERGY_QUADRATURE_SLACK = 0.01
-
-
-def _load_class(args):
-    """(topology, wrapping) of the class given by ``--json`` or a class file,
-    or None after reporting why the input is not a valid class."""
-    try:
-        if args.json:
-            data = json.loads(args.json)
-        elif args.path:
-            data = json.loads(Path(args.path).read_text())
-        else:
-            raise ValueError("provide a class via --json or a file path")
-        return reports.class_from_dict(data)
-    except (ValueError, KeyError, TypeError, OSError, RecursionError) as e:
-        print(f"invalid class: {e}", file=sys.stderr)
-        return None
-
-
-def _emit(args, name: str, text: str) -> None:
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_classify(args) -> int:
-    loaded = _load_class(args)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    t, w = loaded
-    report = reports.classification_report(t)
-    if args.prism:
-        lx, ly, lz = args.prism
-        try:
-            lo, hi = prism_bounds(w, classify(w, t), lx, ly, lz)
-        except ValueError as e:
-            print(f"invalid prism: {e}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        report["prism_bounds"] = {"lower": lo, "upper": hi,
-                                  "lengths": [lx, ly, lz]}
-    print(f"{report['kind']}, Delta={report['delta']}, energy={report['energy_text']}")
-    _emit(args, "classify.json", reports.dump_json(report))
-    return 0
-
-
-def cmd_spelling(args) -> int:
-    if args.word is not None:
-        try:
-            u = parse_word(args.word, alphabet_size=args.alphabet)
-        except ValueError as e:
-            print(f"invalid word: {e}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        for size, what in ((len(u.letters), "letters"), (u.alphabet_size, "generators")):
-            if size > MAX_WORD_LETTERS:
-                print(f"invalid word: {size} {what}, at most {MAX_WORD_LETTERS}",
-                      file=sys.stderr)
-                return EXIT_INVALID_INPUT
-        lam = spelling_length(u)
-        pairing = sorted(tuple(sorted(p)) for p in optimal_pairing(u))
-        degs = generator_degrees(u)
-        report = {
-            "word": format_word(u),
-            "spelling_length": lam,
-            "optimal_pairing": [list(p) for p in pairing],
-            "generator_degrees": list(degs),
-        }
-        print(f"lambda={lam}, pairing={pairing}, degrees={list(degs)}")
-        _emit(args, "spelling.json", reports.dump_json(report))
-        return 0
-    loaded = _load_class(args)
-    if loaded is None:
-        return EXIT_INVALID_INPUT
-    t, w = loaded
-    try:
-        bound = spelling_lower_bound_check(t)
-    except UnsupportedSignPatternError as e:
-        print(f"unsupported kink sign pattern: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_SIGNS
-    c = classify(w, t)
-    energy = infimum_energy(w, c)
-    if bound > energy:
-        print(f"invariant failure: spelling bound {bound} pi exceeds the energy "
-              f"formula {energy} pi", file=sys.stderr)
-        return EXIT_INVARIANT_FAILURE
-    report = {
-        "class": reports.class_to_dict(t, w),
-        "spelling_bound_pi_units": bound,
-        "energy_pi_units": energy,
-        "tight": bound == energy,
-    }
-    print(f"spelling bound = {bound} pi (energy formula {energy} pi)")
-    _emit(args, "spelling.json", reports.dump_json(report))
-    return 0
 
 
 def _max_seam_jump(sm) -> float:
@@ -310,7 +212,7 @@ def cmd_construct(args, verify_only: bool = False) -> int:
         print(f"invalid format: {', '.join(map(repr, unknown))}; choose from "
               f"{', '.join(FORMATS)}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    loaded = _load_class(args)
+    loaded = load_class(args)
     if loaded is None:
         return EXIT_INVALID_INPUT
     t, w = loaded
@@ -330,11 +232,11 @@ def cmd_construct(args, verify_only: bool = False) -> int:
         f"checks: {'pass' if ok else 'FAIL'}"
     )
     if "json" in formats:
-        _emit(args, "construct.json", reports.dump_json(report))
+        emit(args, "construct.json", reports.dump_json(report))
     if "csv" in formats:
-        _emit(args, "field.csv", reports.field_grid_csv(sm))
+        emit(args, "field.csv", reports.field_grid_csv(sm))
     if "svg" in formats:
-        _emit(args, "domain.svg", reports.domain_svg(sm))
+        emit(args, "domain.svg", reports.domain_svg(sm))
     if not ok:
         failing = [k for k, v in checks.items() if not v]
         reason = f" ({report['wrapping_error']})" if "wrapping_error" in report else ""
@@ -384,69 +286,10 @@ def cmd_sweep(args) -> int:
             except numerics.IntegrationError as e:
                 failed.append({"k": list(k), "n": n, "reason": str(e)})
                 print(f"k={k} n={n}: invariant failure ({e})")
-    _emit(args, "sweep.json", reports.dump_json(
+    emit(args, "sweep.json", reports.dump_json(
         {"results": results, "unsupported": unsupported, "failed": failed}
     ))
     return EXIT_INVARIANT_FAILURE if failed else 0
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="octfield",
-        description="Energies and homotopy invariants of tangent fields on the octant",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_class_io(p):
-        p.add_argument("path", nargs="?", help="class JSON file")
-        p.add_argument("--json", help="inline class JSON")
-        p.add_argument("--out", help="output directory")
-
-    p_cls = sub.add_parser("classify", help="invariants, Delta, infimum energy")
-    add_class_io(p_cls)
-    p_cls.add_argument("--prism", nargs=3, type=float, metavar=("LX", "LY", "LZ"),
-                       help="prism edge lengths Lx >= Ly >= Lz")
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_sp = sub.add_parser("spelling", help="spelling length or class bound")
-    add_class_io(p_sp)
-    p_sp.add_argument("--word", help="word text, e.g. \"a b a' b'\"")
-    p_sp.add_argument("--alphabet", type=int, default=None)
-    p_sp.set_defaults(func=cmd_spelling)
-
-    def add_numeric_opts(p):
-        p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--grid-level", type=int, default=3, choices=range(1, 6),
-                       dest="grid_level")
-
-    p_con = sub.add_parser("construct", help="build and verify a representative")
-    add_class_io(p_con)
-    add_numeric_opts(p_con)
-    p_con.add_argument("--format", default="json", help=",".join(FORMATS))
-    p_con.set_defaults(func=cmd_construct)
-
-    p_ver = sub.add_parser("verify", help="construct without artifacts")
-    add_class_io(p_ver)
-    add_numeric_opts(p_ver)
-    p_ver.set_defaults(func=lambda a: cmd_construct(a, verify_only=True))
-
-    p_sw = sub.add_parser("sweep", help="construct a family of classes")
-    p_sw.add_argument("--kmax", type=int, default=2, choices=range(1, 9))
-    p_sw.add_argument("--out", help="output directory")
-    add_numeric_opts(p_sw)
-    p_sw.set_defaults(func=cmd_sweep)
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "epsilon") and not 0 < args.epsilon < 0.125:
-        parser.error("epsilon must lie in (0, 1/8)")
-    return args.func(args)
 
 
 if __name__ == "__main__":

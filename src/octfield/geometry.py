@@ -32,12 +32,14 @@ AXES = ("x", "y", "z")
 
 
 def stereographic(s):
-    """Project unit vectors (..., 3) to the extended complex plane."""
+    """Project unit vectors (..., 3) to the extended complex plane.  Only the
+    vectors whose quotient has no finite value, 1 + z = 0, are the south pole
+    and go to infinity; a vector beside it projects to its large finite value."""
     s = np.asarray(s, dtype=float)
     sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (sx + 1j * sy) / (1 + sz)
-    south = np.isclose(sz, -1.0)
+    south = 1 + sz == 0
     if np.ndim(z) == 0:
         return complex(np.inf) if south else complex(z)
     z = np.where(south, np.inf + 0j, z)

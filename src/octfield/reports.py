@@ -1,6 +1,8 @@
 """Serialization of classes, reports, field grids, and domain pictures.
 
 JSON output is deterministic: sorted keys, plain floats, no timestamps.
+The class and report functions need no NumPy; ``field_grid_csv`` and
+``domain_svg`` import it, and ``geometry``, when first called.
 Class JSON accepts either the invariant triple form
 {"e": [1,1,1], "k": [1,1,1], "omega_units": 3} or the wrapping form
 {"w": {"+++": 1, ...}}.
@@ -13,9 +15,6 @@ import io
 import json
 import math
 
-import numpy as np
-
-from .geometry import relocate, stereographic_inverse
 from .topology import (
     SECTORS,
     OctantTopology,
@@ -126,6 +125,10 @@ def field_grid_csv(sampled_map) -> str:
     """Grid dump on Q at the centers of a 64 x 64 grid on the unit square:
     u, v, Re K, Im K, nu_x, nu_y, nu_z, subdomain_tag.  Tags that hold a
     comma, such as annulus(x,1), are quoted."""
+    import numpy as np
+
+    from .geometry import stereographic_inverse
+
     axis = (np.arange(64) + 0.5) / 64
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     w = (uu + 1j * vv).ravel()
@@ -155,6 +158,10 @@ _SECTOR_COLORS = {
 def domain_svg(sampled_map) -> str:
     """Static 480-pixel picture of Q colored by the image sector on a 96 x 96
     grid, with seam circles."""
+    import numpy as np
+
+    from .geometry import relocate, stereographic_inverse
+
     resolution, size = 96, 480
     cell = size / resolution
     parts = [

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from octfield import cli
+from octfield import cli, console
 from octfield.cli import main
 
 WORKED_JSON = '{"e":[1,1,1],"k":[1,1,1],"omega_units":3}'
@@ -66,7 +66,7 @@ def test_main_runs_different_subcommands_in_one_process(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--json", WORKED_JSON, "--epsilon", "0.2"])
     assert exit_info.value.code == 2
-    assert cli._parser() is cli._parser()
+    assert console._parser() is console._parser()
 
 
 def test_spelling_empty_word(capsys):
@@ -107,11 +107,16 @@ def test_spelling_rejects_invalid_word(args, capsys):
      "are not finite"),
     (["classify", "--json", HUGE_JSON, "--prism", "3", "2", "1"], "are not finite"),
     (["classify", "nested.json"], "maximum recursion depth exceeded"),
+    (["spelling", "--word", "a b", "--out", "nested.json"], "output directory"),
+    (["construct", "--json", WORKED_JSON, "--out", "nested.json"], "output directory"),
+    (["classify", "--json", WORKED_JSON, "--out", "nested.json/sub"], "output directory"),
+    (["sweep", "--kmax", "1", "--out", "nested.json"], "output directory"),
 ], ids=["prism-order", "classify-list", "spelling-list", "verify-list", "missing-file",
         "alphabet-0", "alphabet-huge", "fractional-omega", "fractional-kink", "short-kinks",
         "missing-kinks", "missing-sectors", "wrapping-with-partial-class",
         "unknown-format", "misspelt-format", "prism-infinite", "prism-overflow",
-        "prism-huge-class", "nested-json"])
+        "prism-huge-class", "nested-json", "spelling-out-file", "construct-out-file",
+        "classify-out-below-file", "sweep-out-file"])
 def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
@@ -120,15 +125,32 @@ def test_invalid_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     assert err.startswith("invalid ") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--json", WORKED_JSON, "--out", "taken"],
+    ["sweep", "--kmax", "1", "--out", "taken"],
+], ids=["construct", "sweep"])
+def test_an_unusable_out_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+
+    def no_work(*args):
+        raise AssertionError("construction reached")
+
+    monkeypatch.setattr(cli, "_construct_and_verify", no_work)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid output directory: ")
+    assert (tmp_path / "taken").read_text() == ""
+
+
 def test_spelling_refuses_overlong_word_before_the_dp(monkeypatch, capsys):
-    import octfield.cli as cli
     from octfield.words import MAX_WORD_LETTERS
 
     def no_dp(u):
         raise AssertionError("spelling DP reached")
 
-    monkeypatch.setattr(cli, "spelling_length", no_dp)
-    monkeypatch.setattr(cli, "optimal_pairing", no_dp)
+    monkeypatch.setattr(console, "spelling_length", no_dp)
+    monkeypatch.setattr(console, "optimal_pairing", no_dp)
     word = " ".join(["a", "b"] * (MAX_WORD_LETTERS // 2) + ["a"])
     assert MAX_WORD_LETTERS == 1000
     assert main(["spelling", "--word", word]) == 2
@@ -170,7 +192,7 @@ def test_spelling_reads_the_bound_on_the_reflected_class(capsys):
 
 
 def test_spelling_bound_above_the_formula_is_an_invariant_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "spelling_lower_bound_check", lambda t: 9)
+    monkeypatch.setattr(console, "spelling_lower_bound_check", lambda t: 9)
     assert main(["spelling", "--json", WORKED_JSON]) == 5
     assert "exceeds the energy formula 7 pi" in capsys.readouterr().err
 

@@ -43,6 +43,19 @@ def test_south_pole_projects_to_infinity():
     assert np.isinf(stereographic((0.0, 0.0, -1.0)))
 
 
+def test_a_vector_beside_the_south_pole_projects_to_its_finite_value():
+    # |z| = sqrt((2 - delta) / delta): sqrt(399999) at delta = 5e-6, a vector
+    # that a relative tolerance of 1e-5 on z = -1 would send to infinity
+    delta = 5e-6
+    near = (math.sqrt(delta * (2 - delta)), 0.0, -1 + delta)
+    value = stereographic(near)
+    assert value == pytest.approx(math.sqrt(399999), rel=1e-9)
+    assert value == pytest.approx(632.4547, abs=1e-4)
+    batch = stereographic(np.array([near, (0.0, 0.0, -1.0)]))
+    assert batch[0] == value
+    assert np.isinf(batch[1]) and np.isinf(stereographic((0.0, 0.0, -1.0)))
+
+
 def test_roundtrip_random_unit_vectors():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(1000, 3))
