@@ -37,7 +37,9 @@ low-confidence after their retries, or a verification integral that does
 not converge, such as an energy density that stays non-finite, a boundary
 contour past ``numerics.MAX_CONTOUR_PANELS`` panels, or a bulk above
 ``rational.MAX_PREIMAGE_DEGREE``, refused before its fit because its
-preimages are not solved for).
+preimages are not solved for), 141 stdout closed before all output was
+written, as by ``head`` (128 + SIGPIPE, as the shell reports a process that
+a closed pipe ended; the unread output is dropped, without a traceback).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED_SIGNS = 3
 EXIT_UNSUPPORTED_CLASS = 4
 EXIT_INVARIANT_FAILURE = 5
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, as the shell reports a process a closed pipe ended
 
 FORMATS = ("json", "csv", "svg")  # construct's artifacts
 
@@ -200,6 +202,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # flushed here, so a closed stdout is met inside this call and not
+        # at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``octfield sweep | head -1``): what it did not
+        # read is dropped, and the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
+
+
+def _run(argv) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if hasattr(args, "epsilon") and not 0 < args.epsilon < 0.125:

@@ -125,9 +125,9 @@ def evaluate_rational(spec: RationalMapSpec, w):
     z = np.conj(w) if spec.orientation == "anticonformal" else w
     out = _product_values(
         np.atleast_1d(z), spec.sign, 2 * spec.m + 1,
-        [(r * r, rho, None) for r, rho in spec.real_factors],
-        [(s * s, sig, None) for s, sig in spec.imag_factors],
-        [_complex_squares(t) + (tau, None) for t, tau in spec.complex_factors],
+        [(r * r, rho) for r, rho in spec.real_factors],
+        [(s * s, sig) for s, sig in spec.imag_factors],
+        [_complex_squares(t) + (tau,) for t, tau in spec.complex_factors],
     )
     return complex(out[0]) if scalar else out
 
@@ -143,41 +143,33 @@ def _complex_squares(t) -> tuple:
 
 def _product_values(z, sign, p, real, imag, complex_):
     """sign * z^p times the product factors at z (conjugated already for
-    anticonformal maps).  ``real`` and ``imag`` hold (r^2, exponent, live)
-    and ``complex_`` holds (t^2, conj(t)^2, exponent, live).
+    anticonformal maps); ``real`` and ``imag`` hold (r^2, exponent) and
+    ``complex_`` holds (t^2, conj(t)^2, exponent).
 
-    Every value is a scalar, or a column that gives each row of a 2-d z its
-    own: ``sign`` and ``p`` (then one entry per row), the squares and the
-    exponents.  ``live`` is None for a factor of every row, or a boolean
-    column: rows without the factor keep their numerator and denominator.
-    So rows of different factor shapes run each shape's own operations, in
-    its own order, and round as that shape's map does; z^p is taken once per
-    distinct p, over that p's rows."""
+    Its operations, in this order, fix each map's rounding.
+    ``_FitScorer._values`` repeats them for every row of a fit's batch: it
+    sorts the rows by edge count, so each factor is multiplied into the
+    rows that have it alone."""
     num = np.ones_like(z)
     den = np.ones_like(z)
-    groups = [(p, ...)] if np.ndim(p) == 0 else [(int(q), p == q) for q in np.unique(p)]
-    for q, rows in groups:
-        if q >= 0:
-            num[rows] = num[rows] * z[rows]**q
-        else:
-            den[rows] = den[rows] * z[rows] ** (-q)
+    if p >= 0:
+        num = num * z**p
+    else:
+        den = den * z ** (-p)
     z2 = z * z
     factors = itertools.chain(
-        ((z2 - q, q * z2 - 1, ex, live) for q, ex, live in real),
-        ((z2 + q, q * z2 + 1, ex, live) for q, ex, live in imag),
-        (((z2 - q) * (z2 - qc), (q * z2 - 1) * (qc * z2 - 1), ex, live)
-         for q, qc, ex, live in complex_),
+        ((z2 - q, q * z2 - 1, ex) for q, ex in real),
+        ((z2 + q, q * z2 + 1, ex) for q, ex in imag),
+        (((z2 - q) * (z2 - qc), (q * z2 - 1) * (qc * z2 - 1), ex) for q, qc, ex in complex_),
     )
-    for top, bottom, ex, live in factors:
-        if np.ndim(ex) == 0:
-            up, down = (top, bottom) if ex > 0 else (bottom, top)
-        else:
-            up, down = np.where(ex > 0, top, bottom), np.where(ex > 0, bottom, top)
-        if live is None:
-            num, den = num * up, den * down
-        else:
-            num, den = np.where(live, num * up, num), np.where(live, den * down, den)
-    num = num * sign
+    for top, bottom, ex in factors:
+        up, down = (top, bottom) if ex > 0 else (bottom, top)
+        num, den = num * up, den * down
+    return _quotient(num * sign, den)
+
+
+def _quotient(num, den):
+    """num / den, inf at the poles; a 0/0 is a parameter collision."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
     at_pole = den == 0
@@ -418,28 +410,22 @@ def _full_turns(quarter_turns: int) -> int:
     return turns
 
 
-def _edge_kink(start_zero: bool, seg_sign: int, types, end_sign: int) -> int:
-    """Kink number of one straight edge from its crossing structure.
+def _band(n: int, sign: int) -> int:
+    """The band of lift positions [band, band + 1] (in half turns) that a
+    lift at n with the given sign of f moves in: even bands carry f > 0."""
+    return n if (n % 2 == 0) == (sign > 0) else n - 1
 
-    The edge image runs along a target great circle; its lifted angle
-    2*atan(f) moves inside bands of constant sign and exits through angle 0
-    (mod 2pi) at zeros of f and through pi (mod 2pi) at poles.  The lift is
-    therefore determined by the ordered crossing types alone; the kink is the
-    full-turn count of the lift relative to the shortest geodesic.  Angles
-    are counted in integer quarter turns (pi/2), so the count is exact.
-    """
-    n = 0 if start_zero else 1  # lift position theta = n*pi
-    sign = seg_sign
-    for t in types:
-        band = n if ((n % 2 == 0) == (sign > 0)) else n - 1
-        if t == "z":
-            n = band if band % 2 == 0 else band + 1
-        else:
-            n = band if band % 2 == 1 else band + 1
-        sign = -sign
-    band = n if ((n % 2 == 0) == (sign > 0)) else n - 1
-    if (band % 2 == 0) != (end_sign > 0):
-        raise AssertionError("edge lift inconsistent with endpoint sign")
+
+def _crossing(n: int, sign: int, exponent: int) -> int:
+    """The lift position after a crossing: through angle 0 (mod 2pi) at a
+    zero (exponent +1), through pi (mod 2pi) at a pole (exponent -1)."""
+    band = _band(n, sign)
+    return band if (band % 2 == 0) == (exponent > 0) else band + 1
+
+
+def _end_kink(start_zero: bool, n: int, end_sign: int) -> int:
+    """The kink of an edge whose lift ends at n with f of sign end_sign."""
+    band = _band(n, end_sign)
     start = 0 if start_zero else 2
     total = 2 * band + 1 - start
     end = 1 if end_sign > 0 else -1
@@ -447,20 +433,78 @@ def _edge_kink(start_zero: bool, seg_sign: int, types, end_sign: int) -> int:
     return _full_turns(shortest - total)
 
 
+def _edge_kink(start_zero: bool, seg_sign: int, exponents, end_sign: int) -> int:
+    """Kink number of one straight edge from its crossing structure.
+
+    The edge image runs along a target great circle; its lifted angle
+    2*atan(f) moves inside bands of constant sign and exits through angle 0
+    (mod 2pi) at zeros of f and through pi (mod 2pi) at poles, the factors'
+    exponents +1 and -1 in edge order.  The lift is therefore determined by
+    the ordered crossing types alone; the kink is the full-turn count of the
+    lift relative to the shortest geodesic.  Angles are counted in integer
+    quarter turns (pi/2), so the count is exact.
+    """
+    n = 0 if start_zero else 1  # lift position theta = n*pi
+    sign = seg_sign
+    for e in exponents:
+        n, sign = _crossing(n, sign, e), -sign
+    if sign != end_sign:
+        raise AssertionError("edge lift inconsistent with endpoint sign")
+    return _end_kink(start_zero, n, end_sign)
+
+
+@functools.cache
+def _reachable_kinks(start_zero: bool, n: int, sign: int, left: int) -> frozenset:
+    """The kinks an edge lift at n, with f of the given sign, can end with
+    after ``left`` more crossings."""
+    if not left:
+        return frozenset([_end_kink(start_zero, n, sign)])
+    return frozenset().union(*(
+        _reachable_kinks(start_zero, _crossing(n, sign, e), -sign, left - 1) for e in (1, -1)
+    ))
+
+
+def _edge_sequences(start_zero: bool, seg_sign: int, length: int, kink: int) -> tuple:
+    """The exponent sequences of ``length`` crossings whose edge kink
+    (``_edge_kink``) is ``kink``, in ``itertools.product((1, -1))`` order.
+
+    They are the paths of the edge lift from its start: a crossing moves
+    the lift by at most one half turn, so ``_reachable_kinks`` is a small
+    table, and the walk enters only the crossings from which the kink can
+    still be reached."""
+    found = []
+
+    def walk(n, sign, prefix):
+        if len(prefix) == length:
+            found.append(tuple(prefix))
+            return
+        for e in (1, -1):
+            after = _crossing(n, sign, e)
+            if kink in _reachable_kinks(start_zero, after, -sign, length - len(prefix) - 1):
+                walk(after, -sign, prefix + [e])
+
+    n = 0 if start_zero else 1
+    if kink in _reachable_kinks(start_zero, n, seg_sign, length):
+        walk(n, seg_sign, [])
+    return tuple(found)
+
+
+def _imag_edge_start(m: int, sign: int, orientation: str) -> int:
+    """The sign of f (of its conjugate, for anticonformal maps) on the
+    imaginary edge next to the origin."""
+    y_seg = sign * (-1) ** (m % 2)
+    return y_seg if orientation == "conformal" else -y_seg
+
+
 def _real_edge_kink(m: int, sign: int, a_seq) -> int:
     """k_y from the exponent sequence of the real factors, in edge order."""
-    types = ["z" if e > 0 else "p" for e in a_seq]
-    return _edge_kink(m >= 0, sign, types, sign * (-1) ** len(a_seq))
+    return _edge_kink(m >= 0, sign, a_seq, sign * (-1) ** len(a_seq))
 
 
 def _imag_edge_kink(m: int, sign: int, b_seq, orientation: str) -> int:
     """k_x from the exponent sequence of the imaginary factors, in edge order."""
-    y_seg = sign * (-1) ** (m % 2)
-    ey_f = y_seg * (-1) ** len(b_seq)
-    types = ["z" if e > 0 else "p" for e in b_seq]
-    if orientation == "conformal":
-        return _edge_kink(m >= 0, y_seg, types, ey_f)
-    return _edge_kink(m >= 0, -y_seg, types, -ey_f)
+    start = _imag_edge_start(m, sign, orientation)
+    return _edge_kink(m >= 0, start, b_seq, start * (-1) ** len(b_seq))
 
 
 def predict_invariants(spec: RationalMapSpec) -> OctantTopology:
@@ -526,18 +570,13 @@ def _spread(n: int) -> list[float]:
 @functools.cache
 def _real_sequences(a: int, m: int, sign: int, k_y: int) -> tuple:
     """Exponent sequences of ``a`` real factors whose edge kink is ``k_y``."""
-    return tuple(
-        r for r in itertools.product((1, -1), repeat=a) if _real_edge_kink(m, sign, r) == k_y
-    )
+    return _edge_sequences(m >= 0, sign, a, k_y)
 
 
 @functools.cache
 def _imag_sequences(b: int, m: int, sign: int, orientation: str, k_x: int) -> tuple:
     """Exponent sequences of ``b`` imaginary factors whose edge kink is ``k_x``."""
-    return tuple(
-        g for g in itertools.product((1, -1), repeat=b)
-        if _imag_edge_kink(m, sign, g, orientation) == k_x
-    )
+    return _edge_sequences(m >= 0, _imag_edge_start(m, sign, orientation), b, k_x)
 
 
 def _factor_shapes(orientation: str, target: OctantTopology, degree: int):
@@ -623,42 +662,49 @@ def _complex_parameters(X, edge: int) -> np.ndarray:
     """Complex parameters t = |t| e^(i arg t) of the rows of free parameters
     X, one column per (|t|, arg t) pair after the first ``edge`` columns.
     Cosine and sine come from ``math``, whose roundings NumPy's vectorised
-    ones need not match."""
+    ones need not match, once per distinct angle."""
     radii, angles = X[:, edge::2], X[:, edge + 1::2]
     t = np.empty(radii.shape, dtype=complex)
     if t.size:
-        t.real = radii * np.reshape([math.cos(v) for v in angles.flat], angles.shape)
-        t.imag = radii * np.reshape([math.sin(v) for v in angles.flat], angles.shape)
+        distinct = np.unique(angles)
+        index = np.searchsorted(distinct, angles)
+        distinct = distinct.tolist()
+        t.real = radii * np.array([math.cos(v) for v in distinct])[index]
+        t.imag = radii * np.array([math.sin(v) for v in distinct])[index]
     return t
 
 
-def _admissible(X, t, counts, A: int) -> np.ndarray:
+def _admissibility_masks(counts, edge: int, pairs: int) -> tuple:
+    """The slots that ``_admissible`` reads for shapes of factor counts
+    ``counts`` (one (a, b, c) row per shape) in rows of ``edge`` edge slots
+    and ``pairs`` (|t|, arg t) pairs: the edge slots each shape fills, the
+    neighbouring edge slots that lie on one edge (not the last real
+    parameter and the first imaginary one), and the pairs it fills."""
+    a, b, c = counts[:, :1], counts[:, 1:2], counts[:, 2:]
+    slots = np.arange(edge)
+    return slots < a + b, (slots[1:] < a + b) & (slots[1:] != a), np.arange(pairs) < c
+
+
+def _admissible(X, t, filled, neighbours, complex_filled) -> np.ndarray:
     """Which rows of free parameters X, with complex parameters t, the fit
-    may use.  Rows are padded: A real slots, then the imaginary slots, then
-    one (|t|, arg t) pair per column of t; ``counts`` holds each row's own
-    (a, b, c), the leading slots of each block that the row fills, and the
-    other slots are ignored.  A row is admissible when every parameter lies
-    inside the band; edge parameters are sorted and at least
+    may use.  Rows hold edge slots (a row's real parameters, then its
+    imaginary ones), then one (|t|, arg t) pair per column of t; the masks
+    of ``_admissibility_masks``, one row each, say which slots each row
+    fills, and the other slots are ignored.  A row is admissible when every
+    parameter lies inside the band; edge parameters are sorted and at least
     ``_MIN_SEPARATION`` apart, so the exponent sequence along each edge,
     and with it every invariant, is the shape's own; complex arguments lie
     0.15 inside the quarter disc; complex parameters are at least twice the
     separation apart."""
     lo, hi = _PARAM_BAND
-    C = t.shape[1]
-    B = X.shape[1] - A - 2 * C
-    real = np.arange(A) < counts[:, :1]
-    imag = np.arange(B) < counts[:, 1:2]
-    cplx = np.arange(C) < counts[:, 2:]
-    edge, radii, angles = X[:, :A + B], X[:, A + B::2], X[:, A + B + 1::2]
-    ok = ((lo <= edge) & (edge <= hi) | ~np.hstack([real, imag])).all(axis=1)
+    edge = filled.shape[1]
+    values, radii, angles = X[:, :edge], X[:, edge::2], X[:, edge + 1::2]
+    ok = ((lo <= values) & (values <= hi) | ~filled).all(axis=1)
     ok &= ((lo <= radii) & (radii <= hi)
-           & (0.15 <= angles) & (angles <= math.pi / 2 - 0.15) | ~cplx).all(axis=1)
-    # gaps between neighbours on one edge, not from the last real parameter
-    # to the first imaginary one
-    for block, live in ((X[:, :A], real), (X[:, A:A + B], imag)):
-        ok &= ((block[:, 1:] - block[:, :-1] >= _MIN_SEPARATION) | ~live[:, 1:]).all(axis=1)
-    for p, q in itertools.combinations(range(C), 2):
-        ok &= (np.abs(t[:, p] - t[:, q]) >= 2 * _MIN_SEPARATION) | ~cplx[:, q]
+           & (0.15 <= angles) & (angles <= math.pi / 2 - 0.15) | ~complex_filled).all(axis=1)
+    ok &= ((values[:, 1:] - values[:, :-1] >= _MIN_SEPARATION) | ~neighbours).all(axis=1)
+    for p, q in itertools.combinations(range(t.shape[1]), 2):
+        ok &= (np.abs(t[:, p] - t[:, q]) >= 2 * _MIN_SEPARATION) | ~complex_filled[:, q]
     return ok
 
 
@@ -668,7 +714,7 @@ def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
     a, b, c = _factor_counts(shape)
     X = np.asarray(x, dtype=float)[None]
     t = _complex_parameters(X, a + b)
-    if not _admissible(X, t, np.array([[a, b, c]]), a)[0]:
+    if not _admissible(X, t, *_admissibility_masks(np.array([[a, b, c]]), a + b, c))[0]:
         return None
     return RationalMapSpec(
         sign=shape.sign,
@@ -680,11 +726,15 @@ def _with_parameters(shape: RationalMapSpec, x) -> RationalMapSpec | None:
     )
 
 
-def _uniform(values):
-    """The one value of ``values`` as a Python scalar, or None if they
-    differ."""
-    values = set(np.asarray(values).tolist())
-    return values.pop() if len(values) == 1 else None
+def _oriented(top, bottom, ex, plus: int, minus: int) -> tuple:
+    """(numerator, denominator) factors: (top, bottom) in the rows whose
+    exponent column ex is +1, (bottom, top) in those where it is -1; ``plus``
+    and ``minus`` count those rows."""
+    if not minus:
+        return top, bottom
+    if not plus:
+        return bottom, top
+    return np.where(ex > 0, top, bottom), np.where(ex > 0, bottom, top)
 
 
 class _FitScorer:
@@ -704,46 +754,60 @@ class _FitScorer:
     narrow for the quadrature grids to resolve reliably.  Without stacked
     vertices that count is the whole score.
 
-    Parameter rows are padded to the widest shape: A real slots, B imaginary
-    slots and C (|t|, arg t) pairs; ``columns[s]`` places shape s's own
-    parameters (``_start_vector``'s order) in a padded row, and ``starts``
-    holds every shape's start row.  ``scores`` rates rows of many shapes
-    with one evaluation, each row in its own shape's order of operations
+    Parameter rows share one layout, padded to the widest shape: E edge
+    slots, which hold each shape's real and then its imaginary parameters,
+    then C (|t|, arg t) pairs; ``columns[s]`` places shape s's own
+    parameters (``_start_vector``'s order) in a row, and ``starts`` holds
+    every shape's start row.  ``scores`` rates rows of many shapes in one
+    call, each row in its own shape's order of operations
     (``_product_values``), so each row scores exactly what the map
-    ``_with_parameters`` builds from it does.  What depends on the shapes
-    alone (exponents, zero masks, probe offsets, collar rings, wrong sides)
-    is set up once; so is, per factor slot, whether every shape has it and
-    whether they share one exponent, which spares the per-row selection.
+    ``_with_parameters`` builds from it does.  It sorts the rows by their
+    edge count a + b, most first, so the rows with edge factor g are a
+    prefix and each factor is multiplied into its own rows alone.  Edge
+    factors of both kinds share that loop: an imaginary one is a real-type
+    term with q = -s^2 and a negated denominator (``_factor_squares``),
+    which the shape's sign pays back with (-1)^b; only the sign of a zero
+    can differ from the map's, and no modulus.  What depends on the shapes
+    alone (exponents, admissibility masks, probe offsets, collar rings,
+    wrong sides) is set up once.
     """
 
     def __init__(self, shapes, e, stacked):
         self.shapes = tuple(shapes)
-        self.counts = np.array([_factor_counts(shape) for shape in self.shapes])
-        A, B, C = self.widths = tuple(int(v) for v in self.counts.max(axis=0))
-        self.dims = self.counts[:, 0] + self.counts[:, 1] + 2 * self.counts[:, 2]
+        counts = np.array([_factor_counts(shape) for shape in self.shapes])
+        self.edges, self.complex_counts = counts[:, 0] + counts[:, 1], counts[:, 2]
+        E, C = self.widths = int(self.edges.max()), int(self.complex_counts.max())
+        self.dims = self.edges + 2 * self.complex_counts
+        self.masks = _admissibility_masks(counts, E, C)
         self.columns = np.zeros((len(self.shapes), max(self.dims.max(), 1)), dtype=int)
-        self.starts = np.zeros((len(self.shapes), A + B + 2 * C))
-        self.exponents = np.zeros((len(self.shapes), A + B + C), dtype=int)
-        for i, shape in enumerate(self.shapes):
-            a, b, c = self.counts[i]
-            columns = np.r_[0:a, A:A + b, A + B:A + B + 2 * c]
+        self.starts = np.zeros((len(self.shapes), E + 2 * C))
+        # per factor slot (E edge slots, then C complex ones): the exponent,
+        # 0 where a shape has no factor
+        self.exponents = np.zeros((len(self.shapes), E + C), dtype=int)
+        # per edge slot: q = kind * x^2, +1 for a real factor, -1 for an
+        # imaginary one
+        self.kinds = np.zeros((len(self.shapes), E))
+        for i, (shape, (a, b, c)) in enumerate(zip(self.shapes, counts.tolist())):
+            columns = [*range(a + b), *range(E, E + 2 * c)]
             self.columns[i, :len(columns)] = columns
             self.starts[i, columns] = _start_vector(shape)
-            self.exponents[i, np.r_[0:a, A:A + b, A + B:A + B + c]] = [
-                ex for _, ex in shape.real_factors + shape.imag_factors + shape.complex_factors
-            ]
-        self.has = self.exponents != 0
-        # per slot: every shape has it, and the one exponent they share
-        self.full = self.has.all(axis=0)
-        self.shared = [_uniform(ex[has]) for ex, has in zip(self.exponents.T, self.has.T)]
-        self.signs = np.array([shape.sign for shape in self.shapes])
+            self.exponents[i, :a + b] = [ex for _, ex in shape.real_factors + shape.imag_factors]
+            self.exponents[i, E:E + c] = [ex for _, ex in shape.complex_factors]
+            self.kinds[i, :a + b] = [1.0] * a + [-1.0] * b
+        # probe columns: the origin, then every factor slot, each probed in
+        # its kind's direction
+        origin, real, imag, complex_ = _RESIDUE_REACH * _probe_directions(1, 1, 1)
+        self.offsets = np.hstack([
+            np.full((len(self.shapes), 1), origin),
+            np.where(self.kinds > 0, real, imag),
+            np.full((len(self.shapes), C), complex_),
+        ])
+        self.signs = np.array([shape.sign * (-1) ** len(shape.imag_factors)
+                               for shape in self.shapes])
         self.powers = np.array([2 * shape.m + 1 for shape in self.shapes])
-        self.sign, self.power = _uniform(self.signs), _uniform(self.powers)
         self.conjugate = self.shapes[0].orientation == "anticonformal"
-        # probe columns: the origin, then every factor slot
         self.zero = np.hstack([self.powers[:, None] > 0, self.exponents > 0])
-        self.live = np.hstack([np.ones((len(self.shapes), 1), dtype=bool), self.has])
-        self.offsets = _RESIDUE_REACH * _probe_directions(A, B, C)
+        self.live = np.hstack([np.ones((len(self.shapes), 1), dtype=bool), self.exponents != 0])
         self.stacked = stacked
         self.rings = np.array([_RING_IN_W[axis] for axis in stacked], dtype=complex).ravel()
         # per ring point: does the stack's top layer meet a bulk zero there
@@ -754,53 +818,25 @@ class _FitScorer:
         return row[self.columns[s, :self.dims[s]]]
 
     def scores(self, X, owner) -> np.ndarray:
-        """Scores of the padded parameter rows X, shape (T, A + B + 2C), row i
+        """Scores of the padded parameter rows X, shape (T, E + 2C), row i
         of shape ``owner[i]``; inf where ``_admissible`` refuses a row."""
         X = np.asarray(X, dtype=float)
         owner = np.asarray(owner, dtype=int)
-        A, B, C = self.widths
-        t = _complex_parameters(X, A + B)
-        ok = _admissible(X, t, self.counts[owner], A)
+        t = _complex_parameters(X, self.widths[0])
+        ok = _admissible(X, t, *(mask[owner] for mask in self.masks))
         out = np.full(len(X), np.inf)
-        if not ok.any():
+        # the admissible rows, most edge factors first
+        rows = np.flatnonzero(ok)
+        rows = rows[np.argsort(-self.edges[owner[rows]], kind="stable")]
+        if not len(rows):
             return out
-        if not ok.all():
-            X, t, owner = X[ok], t[ok], owner[ok]
+        X, t, owner = X[rows], t[rows], owner[rows]
         rings = len(self.rings)
-        live = self.live[owner]
-        w = np.zeros((len(X), rings + 1 + A + B + C), dtype=complex)
-        w[:, :rings] = self.rings
-        probes = w[:, rings:]
-        probes.real[:, 1:1 + A] = X[:, :A]
-        probes.imag[:, 1 + A:1 + A + B] = X[:, A:A + B]
-        probes[:, 1 + A + B:] = t
-        probes += self.offsets
-        # a slot a row lacks probes the origin again, which adds no 0/0
-        # that the row's live probes do not have
-        probes[:] = np.where(live, probes, probes[:, :1])
-        edge_squares = X[:, :A + B] * X[:, :A + B]
-        squares, conj_squares = _complex_squares(t) if t.size else (t, t)
-
-        def slot(k):
-            ex = self.shared[k]
-            return (
-                self.exponents[owner, k:k + 1] if ex is None else ex,
-                None if self.full[k] else self.has[owner, k:k + 1],
-            )
-
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            values = _product_values(
-                np.conj(w) if self.conjugate else w,
-                self.signs[owner, None] if self.sign is None else self.sign,
-                self.powers[owner] if self.power is None else self.power,
-                [(edge_squares[:, k:k + 1],) + slot(k) for k in range(A)],
-                [(edge_squares[:, k:k + 1],) + slot(k) for k in range(A, A + B)],
-                [(squares[:, i:i + 1], conj_squares[:, i:i + 1]) + slot(A + B + i)
-                 for i in range(C)],
-            )
+            values = self._values(X, t, owner)
             mags = np.abs(values[:, rings:])
-            rows = np.count_nonzero(
-                np.where(self.zero[owner], mags >= 1.0, mags <= 1.0) & live, axis=1
+            counts = np.count_nonzero(
+                np.where(self.zero[owner], mags >= 1.0, mags <= 1.0) & self.live[owner], axis=1
             ).astype(float)
             n = len(_RING)
             charts = np.empty((len(X), rings), dtype=complex)
@@ -811,9 +847,63 @@ class _FitScorer:
             caps = np.where(np.isfinite(m2), m2 / (1.0 + m2), 1.0)
             means = caps.reshape(len(X), len(self.stacked), n).sum(axis=2) / n
             for i in range(len(self.stacked)):
-                rows = rows + means[:, i]
-        out[ok] = rows
+                counts = counts + means[:, i]
+        out[rows] = counts
         return out
+
+    def _values(self, X, t, owner) -> np.ndarray:
+        """f at the collar rings, then at the probe columns, of the rows X
+        (with complex parameters t), which are sorted by edge count, most
+        first.  A slot a row lacks probes the origin again, which adds no
+        0/0 that the row's own probes do not have."""
+        E, C = self.widths
+        rings = len(self.rings)
+        kinds, exponents = self.kinds[owner], self.exponents[owner]
+        live = self.live[owner]
+        w = np.empty((len(X), rings + 1 + E + C), dtype=complex)
+        w[:, :rings] = self.rings
+        probes = np.zeros((len(X), 1 + E + C), dtype=complex)
+        probes.real[:, 1:1 + E] = np.where(kinds > 0, X[:, :E], 0.0)
+        probes.imag[:, 1:1 + E] = np.where(kinds > 0, 0.0, X[:, :E])
+        probes[:, 1 + E:] = t
+        probes += self.offsets[owner]
+        w[:, rings:] = np.where(live, probes, probes[:, :1])
+        z = np.conj(w) if self.conjugate else w
+        num = np.ones_like(z)
+        den = np.ones_like(z)
+        powers = self.powers[owner]
+        distinct = np.unique(powers).tolist()
+        for p in distinct:
+            rows = Ellipsis if len(distinct) == 1 else powers == p
+            if p >= 0:
+                num[rows] = num[rows] * z[rows]**p
+            else:
+                den[rows] = den[rows] * z[rows] ** (-p)
+        z2 = z * z
+        squares = X[:, :E] * X[:, :E] * kinds
+        # per factor slot: how many rows have exponent +1, and -1
+        plus = np.count_nonzero(exponents > 0, axis=0).tolist()
+        minus = np.count_nonzero(exponents < 0, axis=0).tolist()
+        # the rows with edge factor g are the first with_edge[g]
+        with_edge = np.cumsum(np.bincount(self.edges[owner], minlength=E + 1)[::-1])[-2::-1]
+        for g, m in enumerate(with_edge.tolist()):
+            q = squares[:m, g:g + 1]
+            up, down = _oriented(z2[:m] - q, q * z2[:m] - 1, exponents[:m, g:g + 1],
+                                 plus[g], minus[g])
+            num[:m] *= up
+            den[:m] *= down
+        squares, conj_squares = _complex_squares(t)
+        complex_counts = self.complex_counts[owner]
+        fewest = complex_counts.min()
+        for i in range(C):
+            rows = slice(None) if fewest > i else complex_counts > i
+            q, qc, z2_rows = squares[rows, i:i + 1], conj_squares[rows, i:i + 1], z2[rows]
+            up, down = _oriented((z2_rows - q) * (z2_rows - qc),
+                                 (q * z2_rows - 1) * (qc * z2_rows - 1),
+                                 exponents[rows, E + i:E + i + 1], plus[E + i], minus[E + i])
+            num[rows] *= up
+            den[rows] *= down
+        return _quotient(num * self.signs[owner, None], den)
 
 
 def _descend(scorer: _FitScorer, x, best, step, fits, min_step) -> None:
@@ -889,7 +979,10 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     of the best ``_FULL_FITS``, each resuming its shape's coarse state.
     Every round of a descent scores the trials of all shapes still running
     in one call, the start rows in the first, and each shape follows the
-    trajectory it would follow alone.  The best fit whose preimage counts
+    trajectory it would follow alone.  The call sorts its rows by edge
+    count, so each row does only its own shape's work: every factor is
+    multiplied into the rows that have it, with the operations, and so the
+    roundings, of the row's own map.  The best fit whose preimage counts
     match wins.  With stacks the score keeps the bulk on the correct
     side of unit modulus on the collar ring of each stacked vertex.  Without
     stacks only its residue term acts: parameters leave their start only to

@@ -78,6 +78,16 @@ def word(alphabet_size: int, letters=()) -> Word:
     return Word(alphabet_size, tuple(letters))
 
 
+def _known_word(alphabet_size: int, letters: tuple[int, ...]) -> Word:
+    """The Word of letters already known to lie in the alphabet, built
+    without checking each letter again: the class-product search assembles
+    its candidates from valid words over one alphabet."""
+    u = object.__new__(Word)
+    object.__setattr__(u, "alphabet_size", alphabet_size)
+    object.__setattr__(u, "letters", letters)
+    return u
+
+
 def _reduce_letters(letters) -> tuple[list[int], list[int], list[tuple[int, int]]]:
     """Free reduction: the letters left, the 0-based raw position of each, and
     the raw position pairs (earlier, later) that cancel."""
@@ -635,7 +645,7 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
         if canon_c in seen:
             continue
         seen.add(canon_c)
-        lam = spelling_length(Word(n_gen, reduced))
+        lam = spelling_length(_known_word(n_gen, reduced))
         if best is None or (lam, len(reduced), reduced) < best:
             best = (lam, len(reduced), reduced)
         if best[0] == lower:
@@ -647,7 +657,7 @@ def min_spelling_over_product(spec: ClassProductSpec) -> SearchResult:
     return SearchResult(
         upper=best_lam,
         lower=lower,
-        witness=Word(n_gen, best[2]),
+        witness=_known_word(n_gen, best[2]),
         exact=best_lam == lower,
         budget_exhausted=exhausted and best_lam != lower,
         conjectured_lower=conjectured,

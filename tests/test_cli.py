@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import octfield
 from octfield import cli, console
 from octfield.cli import main
 
@@ -461,6 +466,29 @@ def test_reports_are_deterministic(tmp_path):
         ]) == 0
     assert (a / "construct.json").read_bytes() == (b / "construct.json").read_bytes()
     assert (a / "field.csv").read_bytes() == (b / "field.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kmax", "1", "--grid-level", "1"],
+    ["construct", "--json", WORKED_JSON, "--grid-level", "1"],
+    ["classify", "--json", WORKED_JSON],
+], ids=["sweep", "construct", "classify"])
+def test_a_closed_stdout_exits_with_its_own_code(argv):
+    # the reader of stdout is gone before the first write, as it is for the
+    # rest of ``octfield sweep | head -1`` once head has its line: no
+    # traceback, and the documented exit code instead of 0 or 1
+    src = Path(octfield.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "octfield.console", *argv], env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == console.EXIT_CLOSED_OUTPUT == 141
+    assert proc.stderr == ""
 
 
 def test_epsilon_validation():

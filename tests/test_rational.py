@@ -33,7 +33,9 @@ from octfield.rational import (
     _centroid_roots,
     _descend,
     _factor_shapes,
+    _imag_edge_kink,
     _imag_sequences,
+    _real_edge_kink,
     _real_sequences,
     _roots_of_values,
     _spread,
@@ -212,38 +214,107 @@ def _reference_score(spec, e, stacked):
 _OFFSETS = st.sampled_from((0.0, 0.01, -0.02, 0.04, -0.04, 0.08, -0.16, 0.3, -0.5, 0.7))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(("conformal", "anticonformal")), st.tuples(_SIGNS, _SIGNS, _SIGNS),
-       st.tuples(st.booleans(), st.booleans(), st.booleans()), st.data())
-def test_scorer_rows_equal_the_score_formula(orientation, e, stacks, data):
-    # one batch mixes rows of up to four shapes of one orientation, whose
-    # factor counts, powers and signs may all differ
-    stacked = tuple(axis for axis, stack in zip(AXES, stacks) if stack)
-    shapes = data.draw(st.lists(product_specs(orientation), min_size=1, max_size=4))
+def _assert_rows_score_the_formula(shapes, e, stacked, rows, order):
+    """One scorer call on the rows of many shapes, rows[s] holding shape
+    s's parameter vectors, in the given order of all of them: each row's
+    score is its map's by the formula, inf where the map is refused."""
     scorer = _FitScorer(shapes, e, stacked)
-    owner, rows = [], []
-    for s, shape in enumerate(shapes):
-        start = _start_vector(shape)
-        for offsets in [[0.0] * len(start)] + data.draw(st.lists(
-                st.lists(_OFFSETS, min_size=len(start), max_size=len(start)),
-                min_size=1, max_size=6)):
-            owner.append(s)
-            rows.append(start + np.asarray(offsets))
-    order = data.draw(st.permutations(range(len(rows))))
-    owner = np.asarray(owner)[order]
+    owner = np.asarray([s for s, own in enumerate(rows) for _ in own])[order]
+    vectors = [x for own in rows for x in own]
+    vectors = [vectors[i] for i in order]
     padded = scorer.starts[owner]
-    for i, s in enumerate(owner):
-        padded[i, scorer.columns[s, :len(rows[order[i]])]] = rows[order[i]]
+    for i, (s, x) in enumerate(zip(owner, vectors)):
+        padded[i, scorer.columns[s, :len(x)]] = x
     scores = scorer.scores(padded, owner)
-    assert scores.shape == (len(rows),)
+    assert scores.shape == (len(vectors),)
     for i, (s, score) in enumerate(zip(owner, scores)):
-        x = rows[order[i]]
+        x = vectors[i]
         assert np.array_equal(scorer.parameters(s, padded[i]), x)
         spec = _with_parameters(shapes[s], x)
         if spec is None:
             assert score == np.inf
         else:
             assert score == _reference_score(spec, e, stacked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("conformal", "anticonformal")), st.tuples(_SIGNS, _SIGNS, _SIGNS),
+       st.tuples(st.booleans(), st.booleans(), st.booleans()), st.data())
+def test_scorer_rows_equal_the_score_formula(orientation, e, stacks, data):
+    # one batch mixes rows of up to eight shapes of one orientation, whose
+    # factor counts, powers and signs may all differ: the scorer sorts them
+    # by edge count, so one edge slot may hold a real factor in one row and
+    # an imaginary one, or none, in another
+    stacked = tuple(axis for axis, stack in zip(AXES, stacks) if stack)
+    shapes = data.draw(st.lists(product_specs(orientation), min_size=1, max_size=8))
+    rows = []
+    for shape in shapes:
+        start = _start_vector(shape)
+        rows.append([start + np.asarray(offsets) for offsets in [[0.0] * len(start)] + data.draw(
+            st.lists(st.lists(_OFFSETS, min_size=len(start), max_size=len(start)),
+                     min_size=1, max_size=6))])
+    order = data.draw(st.permutations(range(sum(map(len, rows)))))
+    _assert_rows_score_the_formula(shapes, e, stacked, rows, order)
+
+
+_T1 = 0.35 * complex(math.cos(0.7), math.sin(0.7))
+_T2 = 0.6 * complex(math.cos(1.1), math.sin(1.1))
+
+
+@pytest.mark.parametrize("orientation", ["conformal", "anticonformal"])
+@pytest.mark.parametrize("e, stacked", [((1, 1, 1), ()), ((1, -1, 1), ("x", "y", "z")),
+                                        ((-1, 1, -1), ("y",))])
+def test_scorer_rows_of_the_sorted_edge_cases_equal_the_score_formula(orientation, e, stacked):
+    shapes = [
+        # no edge factor: a complex one only, and no factor at all
+        RationalMapSpec(m=2, complex_factors=((_T1, 1),)),
+        RationalMapSpec(sign=-1, m=-1),
+        # edge slot 0 real here and imaginary in the next shape, with
+        # exponents +1 in both; slot 1 real (-1) here and imaginary (+1) there
+        RationalMapSpec(real_factors=((0.27, 1), (0.51, -1)), imag_factors=((0.33, -1),)),
+        RationalMapSpec(sign=-1, m=1, imag_factors=((0.21, 1), (0.45, 1))),
+        # exponent -1 at slot 0, and complex factors on only some rows
+        RationalMapSpec(m=-2, real_factors=((0.39, -1),), complex_factors=((_T2, -1),)),
+        RationalMapSpec(m=-1, real_factors=((0.15, 1),), imag_factors=((0.6, -1),),
+                        complex_factors=((_T1, -1), (_T2, 1))),
+        RationalMapSpec(sign=-1, real_factors=((0.2, -1), (0.3, -1), (0.5, 1), (0.7, 1))),
+    ]
+    shapes = [dataclasses.replace(shape, orientation=orientation) for shape in shapes]
+    rng = random.Random(7)
+    offsets = (0.0, 0.01, -0.02, 0.04, -0.04, 0.08, -0.16, 0.3)
+    rows = [[_start_vector(shape) + np.asarray([rng.choice(offsets) for _ in _start_vector(shape)])
+             for _ in range(5)] + [_start_vector(shape)] for shape in shapes]
+    order = list(range(sum(map(len, rows))))
+    rng.shuffle(order)
+    _assert_rows_score_the_formula(shapes, e, stacked, rows, order)
+
+
+def _filtered_sequences(length: int, kink_of) -> dict:
+    """The enumerate-and-filter oracle: every exponent sequence of the
+    length, in ``itertools.product((1, -1))`` order, grouped by its kink."""
+    by_kink = {}
+    for sequence in itertools.product((1, -1), repeat=length):
+        by_kink.setdefault(kink_of(sequence), []).append(sequence)
+    return by_kink
+
+
+@pytest.mark.parametrize("a", range(_MAX_EDGE + 1))
+def test_edge_sequences_are_the_filtered_enumeration(a):
+    # the walk of the edge lift yields what filtering all 2^a sequences by
+    # their kink does, in the same order, for every kink a shape may ask
+    # for; kinks no sequence reaches give none
+    for m in (-2, -1, 0, 1):
+        for sign in (1, -1):
+            cases = [(lambda r: _real_edge_kink(m, sign, r),
+                      lambda k: _real_sequences(a, m, sign, k))]
+            cases += [(lambda r, o=o: _imag_edge_kink(m, sign, r, o),
+                       lambda k, o=o: _imag_sequences(a, m, sign, o, k))
+                      for o in ("conformal", "anticonformal")]
+            for kink_of, walked in cases:
+                oracle = _filtered_sequences(a, kink_of)
+                assert set(oracle) <= set(range(-a - 2, a + 3))
+                for k in range(-a - 2, a + 3):
+                    assert walked(k) == tuple(oracle.get(k, ())), (m, sign, k)
 
 
 def _sequential_descent(shape, e, stacked, min_step):

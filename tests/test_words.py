@@ -409,6 +409,25 @@ def test_search_result_sanity():
     assert spelling_length(res.witness) == res.upper
 
 
+def test_search_checks_no_letter_of_its_own_candidates(monkeypatch):
+    # the candidates are built from words valid over the alphabet, so the
+    # search builds their Words without validating them again; the witness
+    # is still a valid Word, and words built elsewhere are still checked
+    spec = ClassProductSpec(
+        base=word(3, (3, 3, 1, 2)),
+        factors=((word(3, (3, 2, 1)), 1), (word(3, (-1, -2, -3)), 2)),
+        search_budget=2,
+    )
+    checks = []
+    post_init = words.Word.__post_init__
+    monkeypatch.setattr(words.Word, "__post_init__", lambda u: checks.append(u) or post_init(u))
+    res = min_spelling_over_product(spec)
+    assert checks == []
+    assert res.witness == word(3, res.witness.letters) and len(checks) == 1
+    with pytest.raises(ValueError):
+        word(3, (1, 4))
+
+
 def test_reduced_words_count():
     # N=3: lengths 0..2 -> 1 + 6 + 30
     assert len(list(reduced_words(3, 2))) == 37
