@@ -592,13 +592,13 @@ def _reference_sector(f, rims) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def _chart_contour(f, r_lo: float, r_hi: float, sector: int | None):
+def _chart_contour(f, r_lo: float, r_hi: float):
     """(i, base, segments) of a rational chart region: the index i of the
-    reference centroid p (by default ``_reference_sector``'s), base = 4 pi
+    reference centroid p (``_reference_sector``'s), base = 4 pi
     times the signed count of preimages of p inside, and per boundary
     segment (sign, radius, integral of alpha_p).  Energy and trapped area
     of a map read the same contour."""
-    i = _reference_sector(f, [r for r in (r_lo, r_hi) if r > 0]) if sector is None else sector
+    i = _reference_sector(f, [r for r in (r_lo, r_hi) if r > 0])
     p = CENTROID_VALUES[i]
     preimages = f.preimages(p)
     inside = int(np.count_nonzero(_inside(preimages, r_lo, r_hi)))
@@ -622,7 +622,7 @@ def quarter_disc_degrees(f) -> tuple:
     return tuple(sign * int(n) for n in inside)
 
 
-def _chart_area(region: Region, polygons=None, sector: int | None = None) -> float:
+def _chart_area(region: Region, polygons=None) -> float:
     """Signed spherical image area A of a rational chart region, its
     coverings counted with their orientation: A = the contour integral of
     alpha_p along the boundary (``_area_density``) plus 4 pi times the signed
@@ -630,15 +630,15 @@ def _chart_area(region: Region, polygons=None, sector: int | None = None) -> flo
     primitive of the area form singular only at p, and the boundary images
     never meet p.
 
-    p is the centroid of SECTORS[sector], by default the one whose
-    preimages lie farthest from the rims (``_reference_sector``).
+    p is the sector centroid whose preimages lie farthest from the rims
+    (``_reference_sector``).
     ``polygons`` maps a rim radius to angular edges: that rim's image is the
     geodesic polygon through its vertices' images instead of the exact arc,
     and contributes the fan of solid angles from -p, where alpha_p vanishes
     along every geodesic.
     """
     f, polygons = region.evaluate, polygons or {}
-    i, area, segments = _chart_contour(f, region.r_lo, region.r_hi, sector)
+    i, area, segments = _chart_contour(f, region.r_lo, region.r_hi)
     for sign, radius, integral in segments:
         if radius in polygons:
             u = radius * np.exp(1j * polygons[radius])

@@ -77,7 +77,7 @@ from .topology import (
     OctantTopology,
     WrappingNumbers,
     classify,
-    delta_invariant,
+    infimum_energy,
     invariants_from_wrapping,
     sector_name,
     wrapping_from_invariants,
@@ -136,6 +136,11 @@ class PatchworkSpec:
         except InvalidWrappingError as e:
             raise InternalConsistencyError(f"case {self.case_id}: bulk {e}") from None
 
+    @property
+    def coverage(self) -> int:
+        """The left side of the coverage identity: sum |w_0| + 2 sum M_j."""
+        return wrapping_from_invariants(self.H0).total_absolute() + 2 * sum(self.M)
+
     def stack_tables(self) -> dict:
         return {axis: stack_degree_table(st, axis) for axis, st in self.stacks.items()}
 
@@ -166,18 +171,16 @@ def _verify_spec(spec: PatchworkSpec, w: WrappingNumbers, c: Classification) -> 
     one-signed, each e0_j matches the parity of the j-stack's top layer (-1
     for an odd top, +1 for an even one or no stack), and the coverage
     identity holds."""
-    w0 = wrapping_from_invariants(spec.H0)
-    if not (all(v <= 0 for v in w0.values) or all(v >= 0 for v in w0.values)):
+    if classify(wrapping_from_invariants(spec.H0), spec.H0).kind == "nonconformal":
         raise InternalConsistencyError(f"bulk class of case {spec.case_id} is not one-signed")
     if spec.H0.e != tuple(-1 if m % 2 else 1 for m in spec.M):
         raise InternalConsistencyError(
             f"case {spec.case_id}: bulk edge signs {spec.H0.e} do not match M {spec.M}"
         )
-    coverage = w0.total_absolute() + 2 * sum(spec.M)
-    expected_total = w.total_absolute() + delta_invariant(w, c)
-    if coverage != expected_total:
+    expected_total = infimum_energy(w, c)
+    if spec.coverage != expected_total:
         raise InternalConsistencyError(
-            f"case {spec.case_id}: coverage identity {coverage} != {expected_total}"
+            f"case {spec.case_id}: coverage identity {spec.coverage} != {expected_total}"
         )
 
 
@@ -221,28 +224,23 @@ _LAYER_RATIO_POWER = 3
 _MIN_INNER_SCALE = 1e-13
 
 
-def _layer_ratio(epsilon: float, layers: int) -> float:
-    """The stack layer ratio delta for a chart radius epsilon.
+def _layer_ratio(layers: int, epsilon: float) -> float:
+    """The layer ratio delta of a stack of ``layers`` layers at the chart
+    radius epsilon, taken before its covers are listed.
 
     delta = epsilon^_LAYER_RATIO_POWER, raised where needed so the innermost
     layer's unit-modulus radius sqrt(delta) * rho_1, with
     rho_1 = epsilon * delta^(L-1), stays at or above _MIN_INNER_SCALE, and
     never above epsilon.  The floor serves the tests' boundary windings and
-    keeps the energy stencils of the gridded interpolants finite.
+    keeps the energy stencils of the gridded interpolants finite.  A stack
+    whose innermost scale lies below double precision is refused with
+    ``UnsupportedClassError``.
     """
     try:
         floor = (_MIN_INNER_SCALE / epsilon) ** (1.0 / (layers - 0.5))
+        delta = min(max(epsilon**_LAYER_RATIO_POWER, floor), epsilon)
     except OverflowError:  # a tiny epsilon: the floor lies far above it
-        return epsilon
-    return min(max(epsilon**_LAYER_RATIO_POWER, floor), epsilon)
-
-
-def _stack_ratio(layers: int, epsilon: float) -> float:
-    """The layer ratio of a stack of ``layers`` layers at epsilon, taken
-    before its covers are listed: a stack whose innermost scale
-    sqrt(delta) * epsilon * delta^(L-1) (``QuarterSphereStack.inner_scale``)
-    lies below double precision is refused with ``UnsupportedClassError``."""
-    delta = _layer_ratio(epsilon, layers)
+        delta = epsilon
     if math.sqrt(delta) * (epsilon * delta ** (layers - 1)) < sys.float_info.min:
         raise UnsupportedClassError(
             f"a {layers}-layer stack at epsilon={epsilon} has its innermost "
@@ -260,7 +258,7 @@ def _build_stacks(case_id: str, M, epsilon: float, k, n: int) -> dict:
     for axis, layers in zip(AXES, M):
         if layers == 0:
             continue
-        delta = _stack_ratio(layers, epsilon)
+        delta = _layer_ratio(layers, epsilon)
         covers = alternating(layers)
         if case_id == "2c":
             parity, special = ((0, 2 * (k[2] - n - 1)) if axis == "x"
@@ -326,17 +324,14 @@ def _general_sign_spec(target, w, c, epsilon: float) -> PatchworkSpec:
     if sigma_minus is not None:
         flips = [_stack_flip(axis, sigma_minus) for axis in AXES]
         unreachable = [a for a, f in zip(AXES, flips) if f is None]
-        expected_total = w.total_absolute() + delta_invariant(w, c)
-        M = _least_stack_counts(w, sigma_minus, flips, expected_total)
+        M = _least_stack_counts(w, sigma_minus, flips, infimum_energy(w, c))
         if M is not None:
             stacks = {}
             for axis, m, flip in zip(AXES, M, flips):
                 if m:
-                    delta = _stack_ratio(m, epsilon)
+                    delta = _layer_ratio(m, epsilon)
                     stacks[axis] = QuarterSphereStack(alternating(m, flip), epsilon, delta)
-            spec = PatchworkSpec(target, "general-sign", epsilon, stacks)
-            _verify_spec(spec, w, c)
-            return spec
+            return PatchworkSpec(target, "general-sign", epsilon, stacks)
     reach = (f"; the {', '.join(unreachable)} vertex stacks would need a "
              "modulus-inverting reflection" if unreachable else "")
     raise UnsupportedClassError(
@@ -371,9 +366,10 @@ def select_case(target: OctantTopology, epsilon: float = 0.05) -> PatchworkSpec:
         case_id, M = _tabulated_case(target.k, n)
         spec = PatchworkSpec(target, case_id, epsilon,
                              _build_stacks(case_id, M, epsilon, target.k, n))
-        _verify_spec(spec, w, c)
-        return spec
-    return _general_sign_spec(target, w, c, epsilon)
+    else:
+        spec = _general_sign_spec(target, w, c, epsilon)
+    _verify_spec(spec, w, c)
+    return spec
 
 
 # ---------------------------------------------------------------------------

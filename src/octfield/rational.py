@@ -48,6 +48,7 @@ from .topology import (
     SECTORS,
     OctantTopology,
     WrappingNumbers,
+    classify,
     wrapping_from_invariants,
 )
 
@@ -117,18 +118,33 @@ class RationalMapSpec:
 def evaluate_rational(spec: RationalMapSpec, w):
     """Evaluate the map; the extended value inf is returned at poles.
 
-    Numerator and denominator are accumulated separately so zeros and poles
-    stay exact; anticonformal specs are evaluated at the conjugate argument.
+    The map is sign z^(2m+1) times the terms of ``_factor_squares`` in their
+    order, each complex factor's two terms taken as one factor, in the
+    product variable z (conjugated for anticonformal specs).  Numerator and
+    denominator are accumulated separately so zeros and poles stay exact.
+    These operations, in this order, fix each map's rounding:
+    ``_FitScorer._values`` repeats them for every row of a fit's batch.
     """
     w = np.asarray(w, dtype=complex)
     scalar = np.ndim(w) == 0
-    z = np.conj(w) if spec.orientation == "anticonformal" else w
-    out = _product_values(
-        np.atleast_1d(z), spec.sign, 2 * spec.m + 1,
-        [(r * r, rho) for r, rho in spec.real_factors],
-        [(s * s, sig) for s, sig in spec.imag_factors],
-        [_complex_squares(t) + (tau,) for t, tau in spec.complex_factors],
-    )
+    z = np.atleast_1d(np.conj(w) if spec.orientation == "anticonformal" else w)
+    sign, q, ex = _factor_squares(spec)
+    edges = len(spec.real_factors) + len(spec.imag_factors)
+    p = 2 * spec.m + 1
+    num = np.ones_like(z)
+    den = np.ones_like(z)
+    if p >= 0:
+        num = num * z**p
+    else:
+        den = den * z ** (-p)
+    z2 = z * z
+    q, ex = q.tolist(), ex.tolist()
+    for g in [*range(edges), *range(edges, len(q), 2)]:
+        top, bottom = z2 - q[g], q[g] * z2 - 1
+        if g >= edges:  # a complex factor: its term in conj(t)^2 joins the one in t^2
+            top, bottom = top * (z2 - q[g + 1]), bottom * (q[g + 1] * z2 - 1)
+        num, den = (num * top, den * bottom) if ex[g] > 0 else (num * bottom, den * top)
+    out = _quotient(num * sign, den)
     return complex(out[0]) if scalar else out
 
 
@@ -139,33 +155,6 @@ def _complex_squares(t) -> tuple:
     re, im = np.real(t), np.imag(t)
     square_re, square_im = re * re - im * im, re * im + im * re
     return square_re + 1j * square_im, square_re - 1j * square_im
-
-
-def _product_values(z, sign, p, real, imag, complex_):
-    """sign * z^p times the product factors at z (conjugated already for
-    anticonformal maps); ``real`` and ``imag`` hold (r^2, exponent) and
-    ``complex_`` holds (t^2, conj(t)^2, exponent).
-
-    Its operations, in this order, fix each map's rounding.
-    ``_FitScorer._values`` repeats them for every row of a fit's batch: it
-    sorts the rows by edge count, so each factor is multiplied into the
-    rows that have it alone."""
-    num = np.ones_like(z)
-    den = np.ones_like(z)
-    if p >= 0:
-        num = num * z**p
-    else:
-        den = den * z ** (-p)
-    z2 = z * z
-    factors = itertools.chain(
-        ((z2 - q, q * z2 - 1, ex) for q, ex in real),
-        ((z2 + q, q * z2 + 1, ex) for q, ex in imag),
-        (((z2 - q) * (z2 - qc), (q * z2 - 1) * (qc * z2 - 1), ex) for q, qc, ex in complex_),
-    )
-    for top, bottom, ex in factors:
-        up, down = (top, bottom) if ex > 0 else (bottom, top)
-        num, den = num * up, den * down
-    return _quotient(num * sign, den)
 
 
 def _quotient(num, den):
@@ -760,14 +749,12 @@ class _FitScorer:
     parameters (``_start_vector``'s order) in a row, and ``starts`` holds
     every shape's start row.  ``scores`` rates rows of many shapes in one
     call, each row in its own shape's order of operations
-    (``_product_values``), so each row scores exactly what the map
-    ``_with_parameters`` builds from it does.  It sorts the rows by their
-    edge count a + b, most first, so the rows with edge factor g are a
-    prefix and each factor is multiplied into its own rows alone.  Edge
-    factors of both kinds share that loop: an imaginary one is a real-type
-    term with q = -s^2 and a negated denominator (``_factor_squares``),
-    which the shape's sign pays back with (-1)^b; only the sign of a zero
-    can differ from the map's, and no modulus.  What depends on the shapes
+    (``evaluate_rational``, over the terms of ``_factor_squares``), so each
+    row scores exactly what the map ``_with_parameters`` builds from it
+    does.  It sorts the rows by their edge count a + b, most first, so the
+    rows with edge factor g are a prefix and each factor is multiplied into
+    its own rows alone; real and imaginary edge factors share that loop, as
+    terms with q = r^2 and q = -s^2.  What depends on the shapes
     alone (exponents, admissibility masks, probe offsets, collar rings,
     wrong sides) is set up once.
     """
@@ -998,21 +985,15 @@ def realize(target: OctantTopology, stacked=()) -> RationalMapSpec:
     if key in _REALIZE_CACHE:
         return _REALIZE_CACHE[key]
     w = wrapping_from_invariants(target)
-    if all(v <= 0 for v in w.values):
-        orientation = "conformal"
-    elif all(v >= 0 for v in w.values):
-        orientation = "anticonformal"
-    else:
+    orientation = classify(w, target).kind
+    if orientation == "nonconformal":
         raise ConstructionError(f"class {key[:3]} is nonconformal; no rational representative")
     degree = w.total_absolute()
-    if degree != abs(sum(w.values)):
-        raise AssertionError("one-signed wrapping numbers must sum to +-degree")
     shapes = list(itertools.islice(_factor_shapes(orientation, target, degree), 400))
+    ranked = []
     if shapes:
         # no fit of such a bulk could be confirmed: its counts need preimages
         _check_preimage_degree(degree)
-    ranked = []
-    if shapes:
         # coarse fits of every shape, then full fits of the best few, each
         # continuing its coarse fit
         scorer = _FitScorer(shapes, target.e, stacked)

@@ -104,11 +104,6 @@ class QuarterSphereStack:
             return 0.0
         return self.epsilon * self.delta ** (self.layers - m)
 
-    def inner_scale(self) -> float:
-        """sqrt(delta) * rho_1: the unit-modulus radius of the innermost
-        layer, the finest scale of the stack."""
-        return math.sqrt(self.delta) * self.radius(1)
-
     def pieces(self) -> list:
         """The stack's formulas on the chart disc |u| <= epsilon, one per
         annulus, from the center out: (kind, index, r_lo, r_hi, formula) for

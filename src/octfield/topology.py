@@ -78,8 +78,19 @@ def adjacent(a: Sector, b: Sector) -> bool:
     return sum(x == y for x, y in zip(a, b)) == 2
 
 
+def _integral(value, what: str, error) -> int:
+    """``value`` as an int.  NumPy integers and integral floats convert; any
+    other value raises ``error``, so nothing is truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be integral, got {value!r}")
+
+
 def _check_signs(triple, what: str):
-    t = tuple(int(v) for v in triple)
+    t = tuple(_integral(v, what, InvalidTopologyError) for v in triple)
     if len(t) != 3 or any(v not in (1, -1) for v in t):
         raise InvalidTopologyError(f"{what} must be a triple of +1/-1, got {triple}")
     return t
@@ -95,8 +106,10 @@ class OctantTopology:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", _check_signs(self.e, "edge signs"))
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        object.__setattr__(self, "omega_units", int(self.omega_units))
+        object.__setattr__(self, "k", tuple(_integral(v, "kink numbers", InvalidTopologyError)
+                                            for v in self.k))
+        object.__setattr__(self, "omega_units",
+                           _integral(self.omega_units, "omega_units", InvalidTopologyError))
         if len(self.k) != 3:
             raise InvalidTopologyError("kink numbers must be a triple")
 
@@ -112,7 +125,7 @@ class WrappingNumbers:
     values: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(_integral(v, "wrapping numbers", InvalidWrappingError) for v in self.values)
         if len(vals) != 8:
             raise InvalidWrappingError("need exactly eight wrapping numbers")
         object.__setattr__(self, "values", vals)

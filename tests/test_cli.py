@@ -632,6 +632,32 @@ def test_sweep_reports_integration_failures(tmp_path):
     assert "non-finite energy density" in data["failed"][0]["reason"]
 
 
+def test_an_energy_that_does_not_converge_refuses_the_class_at_once(
+        monkeypatch, tmp_path, capsys):
+    # the energy is integrated first, and its failure ends the class there:
+    # neither the trapped area nor the degree counts run after it
+    from octfield import numerics
+
+    message = "non-finite energy density persists in region switch(x)"
+
+    def refused(*args, **kwargs):
+        raise numerics.IntegrationError(message)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("verification ran past the energy")
+
+    monkeypatch.setattr(numerics, "dirichlet_energy", refused)
+    monkeypatch.setattr(numerics, "trapped_area", not_reached)
+    monkeypatch.setattr(numerics, "degree_count", not_reached)
+    assert main(["verify", "--json", WORKED_JSON, "--grid-level", "1"]) == 5
+    assert capsys.readouterr().err == f"invariant failure: {message}\n"
+    assert main(["sweep", "--kmax", "1", "--grid-level", "1",
+                 "--out", str(tmp_path)]) == 5
+    data = json.loads((tmp_path / "sweep.json").read_text())
+    assert data["results"] == [] and data["unsupported"] == []
+    assert data["failed"] == [{"k": [1, 1, 1], "n": 1, "reason": message}]
+
+
 def test_sweep_fails_classes_that_fail_their_checks(monkeypatch, tmp_path, capsys):
     from octfield import numerics
 

@@ -35,11 +35,11 @@ from windings import both_ways
 
 def _standard_stack(covers, epsilon=0.05):
     """A stack as the patchwork builds it, with the layer ratio of its
-    depth (``patchwork._stack_ratio``)."""
-    from octfield.patchwork import _stack_ratio
+    depth (``patchwork._layer_ratio``)."""
+    from octfield.patchwork import _layer_ratio
     from octfield.stacks import QuarterSphereStack
 
-    return QuarterSphereStack(covers, epsilon, _stack_ratio(len(covers), epsilon))
+    return QuarterSphereStack(covers, epsilon, _layer_ratio(len(covers), epsilon))
 
 
 WORKED = OctantTopology((1, 1, 1), (1, 1, 1), 3)

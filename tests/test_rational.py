@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octfield.rational import (
+    ChartRational,
     ConstructionError,
     InvalidSpecError,
     RationalMapSpec,
@@ -175,6 +176,66 @@ def test_predicted_invariants_equal_measured_ones(spec):
     assert (predicted.e, predicted.k, predicted.omega_units) == (
         measured.e, measured.k, measured.omega_units
     )
+
+
+def _docstring_product(spec, w):
+    """The module docstring's f(w), one ratio per factor, multiplied in the
+    reverse of the docstring's order: complex factors, imaginary ones, real
+    ones, then the power and the sign."""
+    z = np.conj(w) if spec.orientation == "anticonformal" else w
+    ratios = []
+    for t, tau in spec.complex_factors:
+        t2, tc2 = t * t, np.conj(t) * np.conj(t)
+        ratios.append(((z**2 - t2) * (z**2 - tc2) / ((t2 * z**2 - 1) * (tc2 * z**2 - 1))) ** tau)
+    ratios += [((z**2 + s * s) / (s * s * z**2 + 1)) ** sig for s, sig in spec.imag_factors]
+    ratios += [((z**2 - r * r) / (r * r * z**2 - 1)) ** rho for r, rho in spec.real_factors]
+    value = np.ones_like(z)
+    for ratio in reversed(ratios):
+        value = value * ratio
+    return value * z ** (2 * spec.m + 1) * spec.sign
+
+
+def _zeros_and_poles(spec):
+    """Every zero and pole of the product form in the plane."""
+    points = [0j]
+    for r, _ in spec.real_factors:
+        points += [r, 1 / r]
+    for s, _ in spec.imag_factors:
+        points += [1j * s, 1j / s]
+    for t, _ in spec.complex_factors:
+        points += [t, np.conj(t), 1 / t, 1 / np.conj(t)]
+    points = np.asarray(points, dtype=complex)
+    return np.concatenate([points, -points])
+
+
+_POINTS = st.lists(st.tuples(st.floats(0.02, 1.5), st.floats(0.0, 2 * math.pi)),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_specs(), _POINTS)
+@example(RationalMapSpec(sign=-1, m=-2, real_factors=((0.33, 1), (0.57, -1)),
+                         imag_factors=((0.21, -1), (0.45, 1)),
+                         complex_factors=((0.4 + 0.3j, 1), (0.2 + 0.6j, -1)),
+                         orientation="anticonformal"),
+         [(0.7, 0.4), (1.2, 2.0), (0.3, 4.0)])
+@example(RationalMapSpec(sign=1, m=1, real_factors=((0.27, -1),), imag_factors=((0.63, 1),),
+                         complex_factors=((0.5 + 0.5j, -1),), orientation="conformal"),
+         [(0.7, 0.4), (1.2, 2.0), (0.3, 4.0)])
+def test_evaluation_is_the_docstring_product(spec, polar):
+    # at points at least 1e-3 from every zero and pole, evaluate_rational and
+    # the chart map's value from its log-derivative broadcast are the
+    # documented product to 1e-12 relative
+    w = np.array([r * complex(math.cos(phi), math.sin(phi)) for r, phi in polar])
+    clear = np.min(np.abs(w[:, None] - _zeros_and_poles(spec)), axis=1) >= 1e-3
+    assume(clear.any())
+    w = w[clear]
+    expected = _docstring_product(spec, w)
+    assert np.allclose(evaluate_rational(spec, w), expected, rtol=1e-12, atol=0)
+    values, _ = ChartRational(spec, "z").value_and_log_derivative(w, np.ones_like(w))
+    assert np.allclose(values, expected, rtol=1e-12, atol=0)
+    for point, value in zip(w, expected):
+        assert evaluate_rational(spec, point) == pytest.approx(value, rel=1e-12, abs=0)
 
 
 @settings(max_examples=100, deadline=None)

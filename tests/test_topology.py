@@ -89,6 +89,39 @@ def test_all_zero_wrapping_is_invalid():
         invariants_from_wrapping(WrappingNumbers((0,) * 8))
 
 
+@pytest.mark.parametrize("e, k, omega_units", [
+    ((1.9, 1, 1), (1.5, 1, 1), 3.7),
+    ((1, 1, 1), (1.5, 1, 1), 3),
+    ((1, 1, 1), (1, 1, 1), 3.5),
+    ((1, 1, 1), (1, 1, 1), float("nan")),
+    ((1, 1, 1), (1, 1, 1), float("inf")),
+    ((1, -0.5, 1), (1, 1, 1), 3),
+], ids=["all-fractional", "fractional-kink", "fractional-omega", "nan-omega", "inf-omega",
+        "fractional-sign"])
+def test_non_integral_invariants_are_refused(e, k, omega_units):
+    # nothing is truncated: (1.9, 1, 1), (1.5, 1, 1), 3.7 is not the class
+    # ((1, 1, 1), (1, 1, 1), 3)
+    with pytest.raises(InvalidTopologyError, match="must be integral"):
+        OctantTopology(e, k, omega_units)
+
+
+@pytest.mark.parametrize("values", [(0.5,) * 8, (1, 1, 1, 1, 0, 0, 0, -1.25)],
+                         ids=["halves", "one-fractional"])
+def test_non_integral_wrapping_numbers_are_refused(values):
+    with pytest.raises(InvalidWrappingError, match="must be integral"):
+        WrappingNumbers(values)
+
+
+def test_integral_floats_and_numpy_integers_convert():
+    import numpy as np
+    t = OctantTopology(np.array([1, 1, 1]), (1.0, np.int64(1), 1), np.int32(3))
+    assert t == WORKED
+    assert all(type(v) is int for v in (*t.e, *t.k, t.omega_units))
+    w = WrappingNumbers(np.array(wrapping_from_invariants(WORKED).values, dtype=float))
+    assert w == wrapping_from_invariants(WORKED)
+    assert all(type(v) is int for v in w.values)
+
+
 def test_classify_worked_example():
     w = wrapping_from_invariants(WORKED)
     c = classify(w, WORKED)
